@@ -13,7 +13,7 @@ their own output as a hard bug.
 from __future__ import annotations
 
 from .groups import FiniteAbelianGroup, TRIVIAL_GROUP
-from .linalg import Matrix, Span, kernel_basis, rref, solve_linear
+from .linalg import Matrix, Span
 
 
 class AlgebraError(ValueError):

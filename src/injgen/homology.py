@@ -19,7 +19,7 @@ from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
                       zero_module)
 from .constructions import MoritaContext, RightTupleModule, TensorTower, \
     ThetaData, TupleModule, morita_ring
-from .linalg import Matrix, Span, kernel_basis, rank, solve_linear
+from .linalg import Matrix, Span, kernel_basis, rank, solve_sparse
 from .tensors import tensor_over_algebra
 
 DEFAULT_PD_CUTOFF = 24
@@ -189,7 +189,9 @@ def is_projective(M: GradedModule) -> ProjectivityReport:
     Solves the linear system "s is a module map and pi . s = id" exactly;
     a surjection from a free module splits iff the module is projective,
     so the generator-reduced cover decides the same property as the full
-    one.  The witness is returned for independent re-checking.
+    one.  The system has dim F * dim M unknowns but few nonzero terms per
+    equation, so the equations go to solve_sparse as sparse rows.  The
+    witness is returned for independent re-checking.
     """
     M = flatten_module(M)
     if "projres" in M._cache:
@@ -198,44 +200,30 @@ def is_projective(M: GradedModule) -> ProjectivityReport:
     F, pi = _generator_cover(M)
     dM, dF = M.dim, F.dim
     fld = M.field
-    if dM == 0:
-        rep = ProjectivityReport(M, True, pi, ModuleHom(M, F, Matrix.zeros(fld, dF, 0)))
-        M._cache["projres"] = rep
-        return rep
-    nvar = dF * dM          # s[r][c], column-major in c
-    rows, rhs = [], []
-    pim = pi.matrix
-    for i in range(dM):
+    zero, one = fld.zero(), fld.one()
+    eqs, rhs = [], []       # unknown s[r][c] is column r * dM + c
+    for i in range(dM):     # (pi . s)[i][c] = delta(i, c)
+        nz = [(r * dM, a) for r, a in enumerate(pi.matrix.rows[i]) if not fld.is_zero(a)]
         for c in range(dM):
-            row = [fld.zero()] * nvar
-            for r in range(dF):
-                row[r * dM + c] = pim.rows[i][r]
-            rows.append(row)
-            rhs.append(fld.one() if i == c else fld.zero())
-    for j in A.generators():
-        AF = F.action_matrix(j)
-        AM = M.action_matrix(j)
+            eqs.append({off + c: a for off, a in nz})
+            rhs.append(one if i == c else zero)
+    for j in A.generators():  # (AF . s)[r][c] - (s . AM)[r][c] = 0
+        AF, AM = F.action_matrix(j).rows, M.action_matrix(j).rows
+        am_cols = [[(q, AM[q][c]) for q in range(dM) if not fld.is_zero(AM[q][c])]
+                   for c in range(dM)]
         for r in range(dF):
+            nz = [(q * dM, a) for q, a in enumerate(AF[r]) if not fld.is_zero(a)]
             for c in range(dM):
-                row = [fld.zero()] * nvar
-                for q in range(dF):
-                    if not fld.is_zero(AF.rows[r][q]):
-                        row[q * dM + c] = fld.add(row[q * dM + c], AF.rows[r][q])
-                for q in range(dM):
-                    if not fld.is_zero(AM.rows[q][c]):
-                        row[r * dM + q] = fld.sub(row[r * dM + q], AM.rows[q][c])
-                rows.append(row)
-                rhs.append(fld.zero())
-    sol = solve_linear(Matrix(fld, rows, nvar), rhs)
-    if sol is None:
-        rep = ProjectivityReport(M, False, pi, None)
-    else:
-        smat = Matrix.zeros(fld, dF, dM)
-        for r in range(dF):
-            for c in range(dM):
-                smat.rows[r][c] = sol[r * dM + c]
-        rep = ProjectivityReport(M, True, pi, ModuleHom(M, F, smat))
-    M._cache["projres"] = rep
+                eq = {off + c: a for off, a in nz}
+                for q, a in am_cols[c]:
+                    eq[r * dM + q] = fld.sub(eq.get(r * dM + q, zero), a)
+                eqs.append(eq)
+                rhs.append(zero)
+    sol = solve_sparse(fld, eqs, rhs, dF * dM)
+    split = None
+    if sol is not None:
+        split = ModuleHom(M, F, Matrix(fld, [sol[r * dM:(r + 1) * dM] for r in range(dF)], dM))
+    rep = M._cache["projres"] = ProjectivityReport(M, sol is not None, pi, split)
     return rep
 
 

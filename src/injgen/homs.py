@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from .algebra import AlgebraError, GradedModule, ModuleHom
-from .linalg import Matrix, kernel_basis, rank, rref, solve_linear
+from .linalg import Matrix, inverse, kernel_basis, rank
 
 
 def hom_space(M: GradedModule, N: GradedModule, graded: bool = True):
@@ -156,16 +156,11 @@ def find_isomorphism(M: GradedModule, N: GradedModule, graded: bool = True,
 
 
 def invert_hom(h: ModuleHom) -> ModuleHom:
-    F = h.matrix.field
-    n = h.matrix.nrows
-    if n != h.matrix.ncols:
+    if h.matrix.nrows != h.matrix.ncols:
         raise AlgebraError("only square homs invert")
-    aug = Matrix(F, [list(h.matrix.rows[i]) + list(Matrix.identity(F, n).rows[i])
-                     for i in range(n)], 2 * n)
-    R, pivots = rref(aug)
-    if pivots != list(range(n)):
+    inv = inverse(h.matrix)
+    if inv is None:
         raise AlgebraError("hom is not invertible")
-    inv = Matrix(F, [R.rows[i][n:] for i in range(n)], n)
     return ModuleHom(h.target, h.source, inv)
 
 

@@ -1,16 +1,19 @@
-"""Dense exact linear algebra over a coefficient field.
+"""Exact linear algebra over a coefficient field, on one sparse engine.
 
-Matrices are small (tens to a few hundred rows), so plain Gaussian
-elimination with first-nonzero pivoting is enough.  Over Q each row is
-scaled by the lcm of its denominators before elimination, which keeps
-intermediate fractions from compounding.  Functions never mutate their
-inputs.
+Matrix holds dense row-major lists, but every elimination (rref, rank,
+kernels, inverses, linear solves, quotient reduction, Span) runs on one
+sparse echelon engine whose rows are {column: value} dicts of the nonzero
+entries: the systems that decide projectivity have thousands of rows and
+well under 1% nonzero entries.  Pivots are the first nonzero columns;
+forward reduction runs in increasing pivot order, then back-substitution
+clears the pivot columns.  Over F_p the reduction mod p is inlined, over Q
+the entries are Fractions.  The reduced row echelon form is unique, so no
+result depends on the order of the work.  Functions never mutate inputs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from itertools import chain
 
 
 class Matrix:
@@ -53,9 +56,6 @@ class Matrix:
     def column(self, j):
         return [r[j] for r in self.rows]
 
-    def copy(self):
-        return Matrix(self.field, self.rows, self.ncols)
-
     def transpose(self):
         return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
                                    for j in range(self.ncols)], self.nrows)
@@ -92,17 +92,6 @@ class Matrix:
             out[i] = acc
         return out
 
-    def add(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        F = self.field
-        return Matrix(F, [[F.add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)], self.ncols)
-
-    def scale(self, c):
-        F = self.field
-        return Matrix(F, [[F.mul(c, a) for a in r] for r in self.rows], self.ncols)
-
     def is_zero(self):
         F = self.field
         return all(F.is_zero(a) for r in self.rows for a in r)
@@ -119,60 +108,97 @@ class Matrix:
         return [list(r) for r in self.rows]
 
 
-def _clear_denominators(row):
-    """Scale a rational row to integers (positive leading sign preserved)."""
-    lcm = 1
-    for a in row:
-        if a:
-            d = a.denominator
-            lcm = lcm // gcd(lcm, d) * d
-    if lcm == 1:
+# -- the sparse echelon engine: a row is a dict {column: value} of nonzero
+# entries, and p is the modulus over F_p, None over Q.
+
+
+def _modulus(field):
+    return field.p if field.kind == "fp" else None
+
+
+def _nonzero(p, items):
+    """Sparse row of the (column, value) pairs whose value is nonzero."""
+    if p:
+        return {j: a % p for j, a in items if a % p}
+    return {j: a for j, a in items if a}
+
+
+def _sparse(mat):
+    p = _modulus(mat.field)
+    return [_nonzero(p, enumerate(row)) for row in mat.rows]
+
+
+def _dense(field, row, ncols):
+    out = [field.zero()] * ncols
+    for j, a in row.items():
+        out[j] = a
+    return out
+
+
+def _sub_multiple(row, f, prow, p):
+    """row -= f * prow in place.  f and the entries of prow are nonzero, so
+    a column missing from row never cancels."""
+    for j, a in prow.items():
+        v = (row.get(j, 0) - f * a) % p if p else row.get(j, 0) - f * a
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def _unit(field, p, row, c):
+    """row scaled to have entry one at column c."""
+    if row[c] == 1:
         return row
-    return [a * lcm for a in row]
+    inv = field.inv(row[c])
+    return {j: x * inv % p for j, x in row.items()} if p else {j: x * inv for j, x in row.items()}
+
+
+def _clear(row, reduced, p):
+    """Clear row at the pivots of reduced ({pivot: row}, each row zero at
+    the other pivots); returns row."""
+    for c in [c for c in row if c in reduced]:
+        _sub_multiple(row, row[c], reduced[c], p)
+    return row
+
+
+def _echelon(field, rows, back=True):
+    """Echelon form of sparse rows as {pivot column: row with unit pivot},
+    reduced (zero at the other pivots) when back is true."""
+    p = _modulus(field)
+    piv = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            if c not in piv:
+                piv[c] = _unit(field, p, row, c)
+                break
+            _sub_multiple(row, row[c], piv[c], p)
+    if not back:
+        return piv
+    reduced = {}
+    for c in sorted(piv, reverse=True):
+        reduced[c] = _clear(piv[c], reduced, p)
+    return reduced
 
 
 def rref(mat: Matrix):
     """Reduced row echelon form.
 
     Returns (R, pivots) where pivots lists the pivot column of each nonzero
-    row.  Pivoting picks the first row with a nonzero entry in the current
-    column (no magnitude heuristics: the arithmetic is exact).
+    row; R keeps the shape of mat, its zero rows last.
     """
     F = mat.field
-    rows = [list(r) for r in mat.rows]
-    if F.kind == "q":
-        rows = [_clear_denominators(r) for r in rows]
-    nrows, ncols = len(rows), mat.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if not F.is_zero(rows[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        if inv != F.one():
-            rows[r] = [F.mul(inv, a) for a in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][c]
-                if not F.is_zero(f):
-                    ri = rows[i]
-                    rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(ri, prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return Matrix(F, rows, ncols), pivots
+    piv = _echelon(F, _sparse(mat))
+    pivots = sorted(piv)
+    rows = [_dense(F, piv[c], mat.ncols) for c in pivots]
+    rows += [[F.zero()] * mat.ncols for _ in range(mat.nrows - len(pivots))]
+    return Matrix(F, rows, mat.ncols), pivots
 
 
 def rank(mat: Matrix) -> int:
-    return len(rref(mat)[1])
+    return len(_echelon(mat.field, _sparse(mat), back=False))
 
 
 def kernel_basis(mat: Matrix):
@@ -182,113 +208,103 @@ def kernel_basis(mat: Matrix):
     other free columns, so coordinates w.r.t. this basis can be read off.
     """
     F = mat.field
-    R, pivots = rref(mat)
-    pivot_set = set(pivots)
-    free = [c for c in range(mat.ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [F.zero()] * mat.ncols
-        v[fc] = F.one()
-        for i, pc in enumerate(pivots):
-            v[pc] = F.neg(R.rows[i][fc])
-        basis.append(v)
-    return basis
+    piv = _echelon(F, _sparse(mat))
+    basis = {fc: _dense(F, {fc: F.one()}, mat.ncols)
+             for fc in range(mat.ncols) if fc not in piv}
+    for pc, row in piv.items():
+        for j, a in row.items():
+            if j != pc:
+                basis[j][pc] = F.neg(a)
+    return list(basis.values())
 
 
 def inverse(mat: Matrix):
     """Inverse of a square matrix, or None if singular."""
     if mat.nrows != mat.ncols:
         raise ValueError("inverse of a non-square matrix")
-    F = mat.field
-    n = mat.nrows
-    ident = Matrix.identity(F, n)
-    aug = Matrix(F, [row + irow for row, irow in zip(mat.rows, ident.rows)], 2 * n)
-    R, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    F, n = mat.field, mat.nrows
+    rows = _sparse(mat)
+    for i, row in enumerate(rows):
+        row[n + i] = F.one()
+    piv = _echelon(F, rows)
+    if any(c not in piv for c in range(n)):
         return None
-    return Matrix(F, [row[n:] for row in R.rows[:n]], n)
+    return Matrix(F, [_dense(F, piv[c], 2 * n)[n:] for c in range(n)], n)
+
+
+def solve_sparse(field, rows, rhs, ncols):
+    """One solution x of the system with sparse rows, or None if inconsistent.
+
+    Row i is a dict {column: coefficient} (zeros allowed) and states
+    sum_j rows[i][j] * x_j = rhs[i] over range(ncols).  Free variables are
+    set to zero.
+    """
+    if len(rhs) != len(rows):
+        raise ValueError("rhs length mismatch")
+    p = _modulus(field)
+    aug = [_nonzero(p, chain(row.items(), ((ncols, b),))) for row, b in zip(rows, rhs)]
+    piv = _echelon(field, aug, back=False)
+    if ncols in piv:
+        return None
+    x = [field.zero()] * ncols
+    for c in sorted(piv, reverse=True):     # back-substitute values only
+        v = piv[c].get(ncols, field.zero())
+        for j, a in piv[c].items():
+            if j != c and j != ncols:
+                v -= a * x[j]
+        x[c] = v % p if p else v
+    return x
 
 
 def solve_linear(mat: Matrix, rhs):
     """One solution x of mat @ x = rhs, or None if inconsistent."""
-    if len(rhs) != mat.nrows:
-        raise ValueError("rhs length mismatch")
-    F = mat.field
-    aug = Matrix(F, [row + [b] for row, b in zip(mat.rows, rhs)] or [],
-                 mat.ncols + 1)
-    if mat.nrows == 0:
-        return [F.zero()] * mat.ncols
-    R, pivots = rref(aug)
-    if mat.ncols in pivots:
-        return None
-    x = [F.zero()] * mat.ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = R.rows[i][mat.ncols]
-    return x
+    return solve_sparse(mat.field, _sparse(mat), rhs, mat.ncols)
 
 
 class Span:
     """Incrementally maintained subspace of k^n, rows kept in reduced form.
 
-    Rows are stored echelon-reduced with unit pivots and cleared pivot
-    columns, so membership and coordinates are cheap.  Insertion order is
-    not preserved; basis() returns the reduced rows sorted by pivot.
+    Rows are stored sparse, with unit pivots and cleared pivot columns, so
+    membership and coordinates are cheap.  Insertion order is not
+    preserved; basis() returns the reduced rows sorted by pivot.
     """
 
     def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
-        self._rows = []   # list of (pivot, row)
+        self._p = _modulus(field)
+        self._rows = {}   # pivot column -> reduced sparse row
 
     def _reduce(self, v):
-        F = self.field
-        v = list(v)
-        for p, row in self._rows:
-            f = v[p]
-            if not F.is_zero(f):
-                v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, row)]
-        return v
+        return _clear(_nonzero(self._p, enumerate(v)), self._rows, self._p)
 
     def add(self, v) -> bool:
         """Insert v; returns True if the span grew."""
-        F = self.field
-        v = self._reduce(v)
-        pivot = None
-        for c, a in enumerate(v):
-            if not F.is_zero(a):
-                pivot = c
-                break
-        if pivot is None:
+        row = self._reduce(v)
+        if not row:
             return False
-        inv = F.inv(v[pivot])
-        if inv != F.one():
-            v = [F.mul(inv, a) for a in v]
-        # clear the new pivot column in existing rows
-        for k, (p, row) in enumerate(self._rows):
-            f = row[pivot]
-            if not F.is_zero(f):
-                self._rows[k] = (p, [F.sub(a, F.mul(f, b)) for a, b in zip(row, v)])
-        self._rows.append((pivot, v))
-        self._rows.sort(key=lambda t: t[0])
+        c = min(row)
+        row = _unit(self.field, self._p, row, c)
+        for other in self._rows.values():
+            if c in other:
+                _sub_multiple(other, other[c], row, self._p)
+        self._rows[c] = row
         return True
 
     def contains(self, v) -> bool:
-        F = self.field
-        return all(F.is_zero(a) for a in self._reduce(v))
+        return not self._reduce(v)
 
     def dim(self):
         return len(self._rows)
 
     def basis(self):
-        return [list(row) for _, row in self._rows]
+        return [_dense(self.field, self._rows[c], self.ncols) for c in sorted(self._rows)]
 
     def coordinates(self, v):
         """Coordinates of v over basis(), or None if v is outside."""
-        F = self.field
-        coords = [v[p] for p, _ in self._rows]
         if not self.contains(v):
             return None
-        return coords
+        return [v[c] for c in sorted(self._rows)]
 
 
 def row_space_reducer(mat: Matrix):
@@ -300,28 +316,21 @@ def row_space_reducer(mat: Matrix):
     workhorse for quotient spaces: the classes of the free coordinates form
     a basis of k^ncols / rowspace(mat).
     """
-    F = mat.field
-    R, pivots = rref(mat)
-    pivot_set = set(pivots)
-    free = [c for c in range(mat.ncols) if c not in pivot_set]
-    free_pos = {c: k for k, c in enumerate(free)}
-    # row i of R has pivot 1 at pivots[i]; reduction subtracts R rows.
-    prows = [R.rows[i] for i in range(len(pivots))]
+    p = _modulus(mat.field)
+    piv = _echelon(mat.field, _sparse(mat))
+    free = [c for c in range(mat.ncols) if c not in piv]
+    pos = {c: k for k, c in enumerate(free)}
+    # off its pivot, a reduced row has entries at free columns only
+    prows = [(pc, [(pos[j], a) for j, a in row.items() if j != pc])
+             for pc, row in sorted(piv.items())]
 
     def reduce(v):
-        out = [F.zero()] * len(free)
-        for c in free:
-            out[free_pos[c]] = v[c]
-        for i, pc in enumerate(pivots):
+        out = [v[c] for c in free]
+        for pc, prow in prows:
             f = v[pc]
-            if F.is_zero(f):
-                continue
-            prow = prows[i]
-            for c in free:
-                a = prow[c]
-                if not F.is_zero(a):
-                    k = free_pos[c]
-                    out[k] = F.sub(out[k], F.mul(f, a))
-        return out
+            if f:
+                for k, a in prow:
+                    out[k] -= f * a
+        return [a % p for a in out] if p else out
 
     return reduce, free

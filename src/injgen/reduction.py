@@ -16,6 +16,7 @@ never concludes a negative.
 
 from __future__ import annotations
 
+import json
 import random
 
 from .algebra import (AlgebraError, ConstructionError, component_bimodule,
@@ -114,12 +115,19 @@ class Env:
         return {"hash": h, "label": self.reg.label_of(h)}
 
     def deg0_of(self, h):
-        """Hash of the degree-zero subalgebra, registering it if new."""
+        """Hash of the degree-zero subalgebra, registering it if new.
+
+        The derived label "<label>:deg0" goes only to an object that has no
+        label yet: it never replaces a label the user gave.
+        """
         if h not in self._deg0:
             sub = degree_zero_subalgebra(self.obj(h))
             prov = provenance_record("degree_zero_subalgebra", [h])
-            self._deg0[h] = self.reg.store_object(
-                sub, label=self.reg.label_of(h) + ":deg0", provenance=prov)
+            d0 = self.reg.store_object(sub, provenance=prov)
+            if not self.reg.entry(d0).get("label"):
+                self.reg.store_object(sub, label=self.reg.label_of(h) + ":deg0",
+                                      provenance=prov)
+            self._deg0[h] = d0
         return self._deg0[h]
 
     def rebuild(self, h):
@@ -643,6 +651,11 @@ def _match_edge(edges, direction, premise_hashes):
     return None
 
 
+def _json_form(value):
+    """value as it reads back from a certificate file."""
+    return json.loads(json.dumps(value))
+
+
 def _revalidate(env, node, problems, path):
     claim = node.get("claim", {})
     h = claim.get("hash")
@@ -683,6 +696,12 @@ def _revalidate(env, node, problems, path):
             problems.append(
                 f"{where}: hypothesis {rec['name']!r} degraded from "
                 f"{rec.get('status')} to {f['status']}")
+        elif f["status"] == rec.get("status") and (
+                _json_form(f["evidence"]) != _json_form(rec.get("evidence"))):
+            # an upgraded hypothesis may carry new evidence; an unchanged
+            # status must come with the evidence that was recorded
+            problems.append(f"{where}: hypothesis {rec['name']!r} evidence "
+                            "differs from the recomputed evidence")
     if edge.refuted:
         problems.append(f"{where}: an edge hypothesis is now refuted")
         return UNKNOWN

@@ -8,13 +8,15 @@ from injgen.constructions import morita_ring, regular_right_tuple, \
 from injgen.field import PrimeField, Rationals
 from injgen.groups import FiniteAbelianGroup
 from injgen.homology import (CheckReport, Verdict, cleft_vanishing_bound,
-                             cleft_vanishing_check, free_cover, is_projective,
+                             cleft_vanishing_check, free_cover, free_module,
+                             is_projective,
                              left_perfect_check, morita_corner_pd,
                              nilpotency_index, one_dimensional_modules,
                              pd_bound_check_tensor_powers,
                              power_block_law_check, projective_dimension,
                              resolution_report, tensor_formula_check, tor,
                              triangular_pd_check)
+from injgen.homs import is_module_hom
 from injgen.linalg import Matrix, rank
 from injgen.quiver import path_algebra
 from injgen.samples import (product_field_algebra, truncated_polynomial)
@@ -222,6 +224,30 @@ def test_resolution_finite_with_split_witness():
     comp = w.cover.matrix.mul(w.splitting.matrix)
     assert all(comp.rows[i][j] == (ONE if i == j else F5.zero())
                for i in range(comp.nrows) for j in range(comp.nrows))
+
+
+def _assert_splits(rep):
+    # pi . s = id on M, and s is a module map
+    assert rep.projective and is_module_hom(rep.splitting)
+    comp = rep.cover.matrix.mul(rep.splitting.matrix)
+    assert all(comp.rows[i][j] == (ONE if i == j else F5.zero())
+               for i in range(comp.nrows) for j in range(comp.nrows))
+
+
+def test_triangular_simple_resolution_is_pinned():
+    # covers are not minimal, so the ranks grow although the ring is tiny
+    D = dual_numbers()
+    ctx = _triangular_ctx(D, regular_bimodule(D))
+    M = ctx.Z_B(simple_over(D, "left", [1, 0])).as_module()
+    assert (M.dim, M.algebra.dim) == (1, 6)
+    rr = resolution_report(M, 5)
+    assert rr.pd_verdict == Verdict.at_least(5)
+    assert [s.rank for s in rr.steps] == [1, 3, 5, 7, 9]
+    assert [s.syzygy_dim for s in rr.steps] == [5, 13, 17, 25, 29]
+    assert not any(s.syzygy_projective for s in rr.steps)
+    for s in rr.steps:
+        assert s.syzygy_dim == s.boundary.ncols - rank(s.boundary)
+        _assert_splits(is_projective(free_module(M.algebra, M.side, s.rank)))
 
 
 # -- tor ----------------------------------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from injgen.field import QQ, PrimeField, field_from_spec, FieldError
-from injgen.linalg import Matrix, Span, kernel_basis, rank, rref, solve_linear
+from injgen.linalg import (Matrix, Span, inverse, kernel_basis, rank, rref,
+                           row_space_reducer, solve_linear, solve_sparse)
 
 
 F5 = PrimeField(5)
@@ -133,3 +134,116 @@ def test_span_coordinates():
         acc = [a + c * x for a, x in zip(acc, b)]
     assert acc == v
     assert sp.coordinates([Fraction(0), Fraction(0), Fraction(1)]) is None
+
+
+# -- the sparse engine against a dense reference -------------------------------
+
+
+def dense_rref(F, rows, ncols):
+    """Reference Gauss-Jordan elimination on dense rows, first-nonzero
+    pivoting, one field-method call per entry.  Returns (rows, pivots)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if not F.is_zero(rows[i][c])), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, a) for a in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and not F.is_zero(f):
+                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _sparse_matrix(field, rng, nrows, ncols, density):
+    def entry():
+        if rng.random() >= density:
+            return field.zero()
+        if field.kind == "q":
+            return Fraction(rng.choice([-9, -3, -2, -1, 1, 2, 5, 7]), rng.randint(1, 4))
+        return rng.randrange(1, field.p)
+    return Matrix(field, [[entry() for _ in range(ncols)] for _ in range(nrows)], ncols)
+
+
+def _check_against_reference(m, rng):
+    F, n = m.field, m.ncols
+    ref, ref_piv = dense_rref(F, m.rows, n)
+    R, pivots = rref(m)
+    assert pivots == ref_piv and R.to_lists() == ref
+    assert rank(m) == len(ref_piv)
+    free = [c for c in range(n) if c not in ref_piv]
+    ker = []
+    for fc in free:
+        v = [F.zero()] * n
+        v[fc] = F.one()
+        for i, pc in enumerate(ref_piv):
+            v[pc] = F.neg(ref[i][fc])
+        ker.append(v)
+    assert kernel_basis(m) == ker
+    # one consistent and one arbitrary right-hand side
+    coeffs = [F.of_int(rng.randint(-3, 3)) for _ in range(n)]
+    for rhs in (m.apply(coeffs), [F.of_int(rng.randint(-3, 3)) for _ in range(m.nrows)]):
+        aug, aug_piv = dense_rref(F, [r + [b] for r, b in zip(m.rows, rhs)], n + 1)
+        want = None
+        if n not in aug_piv:
+            want = [F.zero()] * n
+            for i, pc in enumerate(aug_piv):
+                want[pc] = aug[i][n]
+        assert solve_linear(m, rhs) == want
+        sparse_rows = [{j: a for j, a in enumerate(r)} for r in m.rows]
+        assert solve_sparse(F, sparse_rows, rhs, n) == want
+    if m.nrows == n:
+        ident = Matrix.identity(F, n).rows
+        aug, aug_piv = dense_rref(F, [r + e for r, e in zip(m.rows, ident)], 2 * n)
+        inv = inverse(m)
+        if aug_piv[:n] == list(range(n)):
+            assert inv.to_lists() == [row[n:] for row in aug[:n]]
+        else:
+            assert inv is None
+    sp = Span(F, n)
+    for row in m.rows:
+        sp.add(row)
+    assert sp.dim() == len(ref_piv) and sp.basis() == ref[:len(ref_piv)]
+    combo = [F.zero()] * n
+    for row in m.rows:
+        f = F.of_int(rng.randint(-2, 2))
+        combo = [F.add(a, F.mul(f, b)) for a, b in zip(combo, row)]
+    assert sp.coordinates(combo) == [combo[pc] for pc in ref_piv]
+    reduce, got_free = row_space_reducer(m)
+    assert got_free == free
+    v = [F.of_int(rng.randint(-4, 4)) for _ in range(n)]
+    red = list(v)
+    for i, pc in enumerate(ref_piv):
+        red = [F.sub(a, F.mul(v[pc], b)) for a, b in zip(red, ref[i])]
+    assert reduce(v) == [red[c] for c in free]
+    assert (sp.coordinates(v) is None) == any(not F.is_zero(red[c]) for c in free)
+
+
+FIELDS = {"fp:2": PrimeField(2), "fp:5": F5, "fp:101": PrimeField(101), "q": QQ}
+
+
+@settings(max_examples=120, deadline=None)
+@given(field=st.sampled_from(sorted(FIELDS)),
+       shape=st.sampled_from(["square", "wide", "tall"]),
+       size=st.integers(0, 12),
+       density=st.sampled_from([0.01, 0.05, 0.2, 0.5, 1.0]),
+       seed=st.integers(0, 2 ** 32))
+def test_engine_matches_dense_reference(field, shape, size, density, seed):
+    rng = random.Random(seed)
+    nrows, ncols = {"square": (size, size), "wide": (size, 2 * size + 1),
+                    "tall": (2 * size + 1, size)}[shape]
+    _check_against_reference(_sparse_matrix(FIELDS[field], rng, nrows, ncols, density), rng)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("shape,density", [((300, 60), 0.01), ((80, 50), 0.05),
+                                           ((24, 60), 0.3), ((20, 20), 1.0)])
+def test_engine_matches_dense_reference_on_larger_shapes(field, shape, density):
+    rng = random.Random(f"{field} {shape} {density}")
+    m = _sparse_matrix(FIELDS[field], rng, shape[0], shape[1], density)
+    _check_against_reference(m, rng)

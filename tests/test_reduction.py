@@ -4,7 +4,7 @@ import json
 import pytest
 
 from injgen.algebra import GradedAlgebra
-from injgen.bundled import load_corpus
+from injgen.bundled import corpus_docs, load_corpus
 from injgen.field import PrimeField
 from injgen.groups import TRIVIAL_GROUP
 from injgen.quiver import path_algebra
@@ -92,12 +92,23 @@ def test_derive_rejects_non_algebra(corpus):
         derive(reg, labels["kxk-arrow"])
 
 
-def test_deg0_registered_as_side_effect(corpus):
-    reg, labels = corpus
-    derive(reg, labels["a3-graded"])
-    hits = reg.derived_from(labels["a3-graded"], "degree_zero_subalgebra")
+def test_deg0_registered_as_side_effect(tmp_path):
+    # a store holding only a3-graded: its degree-zero part has no label yet
+    reg = Registry(tmp_path / "s")
+    h = reg.store(dict(corpus_docs())["a3-graded"], label="a3-graded")
+    derive(reg, h)
+    hits = reg.derived_from(h, "degree_zero_subalgebra")
     assert len(hits) == 1
     assert hits[0][1]["label"].endswith(":deg0")
+
+
+def test_derived_label_never_replaces_a_user_label(tmp_path):
+    reg = Registry(tmp_path / "s")
+    labels = load_corpus(reg)
+    derive(reg, "a3-graded")
+    assert reg.resolve("a3-r0") == labels["a3-r0"]
+    hits = reg.derived_from(labels["a3-graded"], "degree_zero_subalgebra")
+    assert [e["label"] for _, e in hits] == ["a3-r0"]
 
 
 # -- statuses below Established ------------------------------------------------
@@ -252,3 +263,58 @@ def test_validator_roundtrips_json(corpus):
     again = json.loads(json.dumps(cert))
     ok, status, problems = validate_cert(again, reg)
     assert ok and status == ESTABLISHED
+
+
+def _evidence_fields(value, path=()):
+    """Paths to every scalar and every empty container inside evidence."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else None)
+    if not items:
+        yield path
+        return
+    for k, v in items:
+        yield from _evidence_fields(v, path + (k,))
+
+
+def _forge(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "-forged"
+    if isinstance(value, list):
+        return value + [0]
+    if isinstance(value, dict):
+        return dict(value, forged=0)
+    return 0
+
+
+def _hypothesis_records(node):
+    for step in node.get("steps", []):
+        yield from step["hypotheses"]
+        for p in step["premises"]:
+            yield from _hypothesis_records(p)
+
+
+@pytest.mark.parametrize("label", sorted(CORPUS_EXPECT))
+def test_validator_rejects_every_forged_evidence_field(corpus, label):
+    reg, labels = corpus
+    cert = json.loads(json.dumps(emit_certificate(derive(reg, labels[label]))))
+    assert validate_cert(cert, reg)[0]
+    forged_fields = 0
+    for k, rec in enumerate(_hypothesis_records(cert)):
+        for path in _evidence_fields(rec["evidence"]):
+            bad = copy.deepcopy(cert)
+            target = list(_hypothesis_records(bad))[k]
+            if not path:
+                target["evidence"] = _forge(target["evidence"])
+            else:
+                holder = target["evidence"]
+                for key in path[:-1]:
+                    holder = holder[key]
+                holder[path[-1]] = _forge(holder[path[-1]])
+            ok, _status, problems = validate_cert(bad, reg)
+            assert not ok and problems, (label, rec["name"], path)
+            forged_fields += 1
+    assert forged_fields > 0

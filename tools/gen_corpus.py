@@ -4,12 +4,15 @@ Each JSON file is the canonical document for one object, provenance
 included, named by its label.  manifest.json fixes the load order so
 provenance inputs always resolve.  Run from the repository root:
 
-    python3 tools/gen_corpus.py
+    python3 tools/gen_corpus.py            # rewrite src/injgen/corpus/
+    python3 tools/gen_corpus.py --check    # exit 1 unless it is byte-identical
 """
 
+import argparse
 import json
 import pathlib
 import sys
+import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -35,15 +38,16 @@ Z4 = FiniteAbelianGroup((4,))
 Z8 = FiniteAbelianGroup((8,))
 
 
-def main():
-    OUT.mkdir(parents=True, exist_ok=True)
+def generate(out):
+    """Write every corpus object and the manifest into the directory out."""
+    out.mkdir(parents=True, exist_ok=True)
     order = []
     hashes = {}
 
     def put(label, obj, provenance=None):
         doc = to_json(obj, provenance)
         hashes[label] = content_hash(doc)
-        (OUT / f"{label}.json").write_text(
+        (out / f"{label}.json").write_text(
             json.dumps(doc, sort_keys=True, separators=(",", ":")))
         order.append(label)
         return hashes[label]
@@ -115,12 +119,40 @@ def main():
     put("twisted-f3", twisted_tensor(az, az, t),
         provenance_record("twisted_tensor", [haz, haz], {"t": t.to_json()}))
 
-    (OUT / "manifest.json").write_text(
+    (out / "manifest.json").write_text(
         json.dumps({"order": order}, indent=1))
+    return order, hashes
+
+
+def differences(fresh, bundled):
+    """Names of the files that differ between two corpus directories."""
+    names = sorted({p.name for p in fresh.glob("*.json")}
+                   | {p.name for p in bundled.glob("*.json")})
+    return [n for n in names
+            if not ((fresh / n).is_file() and (bundled / n).is_file()
+                    and (fresh / n).read_bytes() == (bundled / n).read_bytes())]
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--check", action="store_true",
+                   help="regenerate into a temporary directory and exit 1 "
+                        "if any file differs from the bundled corpus")
+    args = p.parse_args(argv)
+    if args.check:
+        with tempfile.TemporaryDirectory() as tmp:
+            generate(pathlib.Path(tmp))
+            diff = differences(pathlib.Path(tmp), OUT)
+        for name in diff:
+            print(f"differs: {name}")
+        print(f"corpus {'differs' if diff else 'is byte-identical'} ({OUT})")
+        return 1 if diff else 0
+    order, hashes = generate(OUT)
     print(f"wrote {len(order)} objects + manifest to {OUT}")
     for label in order:
         print(f"  {label:18s} {hashes[label][:12]}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
