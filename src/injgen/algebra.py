@@ -13,7 +13,7 @@ their own output as a hard bug.
 from __future__ import annotations
 
 from .groups import FiniteAbelianGroup, TRIVIAL_GROUP
-from .linalg import Matrix, Span
+from .linalg import Matrix, Span, _modulus, _nonzero
 
 
 class AlgebraError(ValueError):
@@ -56,10 +56,6 @@ class AxiomReport:
         return {"passed": self.passed,
                 "violations": [v.to_json() for v in self.violations[:20]],
                 "violation_count": len(self.violations)}
-
-
-def _sv_iter(d):
-    return sorted(d.items())
 
 
 def _sv_accumulate(F, acc, d, c):
@@ -124,29 +120,6 @@ class GradedAlgebra:
         for k, c in acc.items():
             out[k] = c
         return out
-
-    def left_mult_matrix(self, i):
-        """Matrix of x -> e_i * x in the basis."""
-        key = ("lm", i)
-        if key not in self._cache:
-            F = self.field
-            m = Matrix.zeros(F, self.dim, self.dim)
-            for j in range(self.dim):
-                for k, c in self.mult[i][j].items():
-                    m.rows[k][j] = c
-            self._cache[key] = m
-        return self._cache[key]
-
-    def right_mult_matrix(self, j):
-        key = ("rm", j)
-        if key not in self._cache:
-            F = self.field
-            m = Matrix.zeros(F, self.dim, self.dim)
-            for i in range(self.dim):
-                for k, c in self.mult[i][j].items():
-                    m.rows[k][i] = c
-            self._cache[key] = m
-        return self._cache[key]
 
     def component_indices(self, gamma):
         key = ("comp", gamma)
@@ -218,6 +191,7 @@ class GradedModule:
         if len(action) != self.dim or any(len(row) != algebra.dim for row in action):
             raise AlgebraError("action table shape mismatch")
         self.action = [[_sv_clean(self.field, dict(cell)) for cell in row] for row in action]
+        self._p = _modulus(self.field)
         self._cache = {}
 
     def zero_vec(self):
@@ -245,6 +219,16 @@ class GradedModule:
             out[k] = c
         return out
 
+    def act_sparse(self, v, j):
+        """Action of algebra basis element e_j on the sparse module vector
+        v ({basis index: coefficient}), as a sparse vector."""
+        acc = {}
+        action = self.action
+        for i, a in v.items():
+            for k, c in action[i][j].items():
+                acc[k] = acc.get(k, 0) + a * c
+        return _nonzero(self._p, acc.items())
+
     def action_matrix(self, j):
         """Matrix of the action of e_j on the module."""
         key = ("am", j)
@@ -256,46 +240,44 @@ class GradedModule:
             self._cache[key] = m
         return self._cache[key]
 
-    def _generated_dim(self, idxs, agens):
-        span = Span(self.field, self.dim)
-        queue = [self.basis_vec(i) for i in idxs]
-        while queue:
+    def _close(self, span, queue, agens):
+        """Grow span to the submodule generated by it and the sparse
+        vectors in queue (consumed); agens generate the algebra.  A full
+        span cannot grow, so the walk stops there."""
+        while queue and span.dim() < self.dim:
             v = queue.pop()
             if not span.add(v):
                 continue
-            for j in agens:
-                w = self.act_vec(v, self.algebra.basis_vec(j))
-                if not span.contains(w):
-                    queue.append(w)
-        return span.dim()
+            # a vector already in the span is dropped when popped
+            queue.extend(self.act_sparse(v, j) for j in agens)
+        return span
 
     def generators(self):
         """Irredundant generating subset of the basis (indices)."""
         if "gens" not in self._cache:
-            F = self.field
-            span = Span(F, self.dim)
+            one = self.field.one()
+            span = Span(self.field, self.dim)
             agens = self.algebra.generators()
             gens = []
             for idx in range(self.dim):
-                if span.contains(self.basis_vec(idx)):
-                    continue
-                gens.append(idx)
-                queue = [self.basis_vec(idx)]
-                while queue:
-                    v = queue.pop()
-                    if not span.add(v):
-                        continue
-                    for j in agens:
-                        w = self.act_vec(v, self.algebra.basis_vec(j))
-                        if not span.contains(w):
-                            queue.append(w)
+                if not span.contains({idx: one}):
+                    gens.append(idx)
+                    self._close(span, [{idx: one}], agens)
             # greedy picks depend on basis order and may overshoot; a
-            # redundant pick inflates every later syzygy in a resolution
+            # redundant pick inflates every later syzygy in a resolution.
+            # A pick is dropped when the cyclic submodules of the others
+            # already sum to the whole module.
+            cyclic = {g: self._close(Span(self.field, self.dim), [{g: one}], agens).rows()
+                      for g in gens} if len(gens) > 1 else {}
             for g in reversed(list(gens)):
                 if len(gens) == 1:
                     break
                 trial = [i for i in gens if i != g]
-                if self._generated_dim(trial, agens) == self.dim:
+                total = Span(self.field, self.dim)
+                for i in trial:
+                    for _, row in cyclic[i]:
+                        total.add(row)
+                if total.dim() == self.dim:
                     gens = trial
             self._cache["gens"] = gens
         return self._cache["gens"]
@@ -642,18 +624,15 @@ def vector_degree(group, degree_list, vec, field):
     return deg
 
 
+def _closure_span(M: GradedModule, vectors) -> Span:
+    """Span of the submodule generated by the given dense vectors."""
+    queue = [_nonzero(M._p, enumerate(v)) for v in vectors]
+    return M._close(Span(M.field, M.dim), queue, M.algebra.generators())
+
+
 def submodule_closure(M: GradedModule, vectors):
     """Span basis of the submodule generated by the given vectors."""
-    span = Span(M.field, M.dim)
-    agens = M.algebra.generators()
-    queue = [list(v) for v in vectors]
-    while queue:
-        v = queue.pop()
-        if not span.add(v):
-            continue
-        for j in agens:
-            queue.append(M.act_vec(v, M.algebra.basis_vec(j)))
-    return span.basis()
+    return _closure_span(M, vectors).basis()
 
 
 def quotient_module(M: GradedModule, vectors, label="q"):
@@ -693,33 +672,26 @@ def quotient_module(M: GradedModule, vectors, label="q"):
 def module_from_span(M: GradedModule, vectors, label="s"):
     """The submodule generated by the vectors, as an abstract module.
 
-    Returns (S, inclusion hom S -> M).  Basis vectors of S are the span
-    closure basis; coordinates are read off thanks to the Span normal form.
+    Returns (S, inclusion hom S -> M).  Basis vectors of S are the reduced
+    rows of the closure's span; as they have unit pivots and zeros at the
+    other pivots, a vector of S has its entries at the pivot columns as
+    coordinates.
     """
-    closure = submodule_closure(M, vectors)
-    for v in closure:
-        if vector_degree(M.algebra.group, M.degree, v, M.field) is None:
+    span = _closure_span(M, vectors)
+    rows = span.rows()
+    pos = {c: t for t, (c, _) in enumerate(rows)}
+    degree = []
+    for _, row in rows:
+        degs = {M.degree[k] for k in row}
+        if len(degs) != 1:
             raise AlgebraError("span of non-homogeneous vectors")
-    span = Span(M.field, M.dim)
-    for v in closure:
-        span.add(v)
-    basis = span.basis()
-    sdim = len(basis)
-    degree = [vector_degree(M.algebra.group, M.degree, v, M.field) or M.algebra.group.zero()
-              for v in basis]
-    labels = [f"{label}{t}" for t in range(sdim)]
-    action = []
-    for t, v in enumerate(basis):
-        row = []
-        for j in range(M.algebra.dim):
-            img = M.act_vec(v, M.algebra.basis_vec(j))
-            coords = span.coordinates(img)
-            if coords is None:
-                raise AlgebraError("span closure is not action stable (bug)")
-            row.append({k: x for k, x in enumerate(coords) if not M.field.is_zero(x)})
-        action.append(row)
+        degree.append(degs.pop())
+    action = [[{pos[c]: x for c, x in sorted(M.act_sparse(row, j).items()) if c in pos}
+               for j in range(M.algebra.dim)] for _, row in rows]
+    labels = [f"{label}{t}" for t in range(len(rows))]
     S = GradedModule(M.algebra, M.side, labels, degree, action)
-    inc = Matrix.from_columns(M.field, basis, M.dim) if sdim else Matrix.zeros(M.field, M.dim, 0)
+    inc = (Matrix.from_columns(M.field, span.basis(), M.dim) if rows
+           else Matrix.zeros(M.field, M.dim, 0))
     return S, ModuleHom(S, M, inc)
 
 

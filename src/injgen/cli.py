@@ -24,7 +24,8 @@ from .constructions import (Bicharacter, covering_module,
                             morita_ring, split_covering, tensor_ring,
                             theta_extension, trivial_extension, twisted_tensor)
 from .field import FieldError, field_from_spec
-from .homology import (left_perfect_check, nilpotency_index,
+from .homology import (DEFAULT_NIL_CUTOFF, DEFAULT_PD_CUTOFF,
+                       left_perfect_check, nilpotency_index,
                        projective_dimension, tor)
 from .quiver import path_algebra_from_json
 from .registry import Registry, RegistryError
@@ -43,8 +44,10 @@ EXIT_INCONCLUSIVE = 3
 class Options:
     def __init__(self, store, pd_cutoff, nil_cutoff, seed, strict, field):
         self.store = store
-        self.pd_cutoff = pd_cutoff
-        self.nil_cutoff = nil_cutoff
+        # None when not given: validate-cert then uses the certificate's own
+        self.given_cutoffs = {"pd_cutoff": pd_cutoff, "nil_cutoff": nil_cutoff}
+        self.pd_cutoff = DEFAULT_PD_CUTOFF if pd_cutoff is None else pd_cutoff
+        self.nil_cutoff = DEFAULT_NIL_CUTOFF if nil_cutoff is None else nil_cutoff
         self.seed = seed
         self.strict = strict
         self.field = field
@@ -106,8 +109,10 @@ def _register(opts, obj, label, provenance=None, out=None):
 @click.group()
 @click.option("--store", default=".injgen-store", show_default=True,
               envvar="INJGEN_STORE", help="object store directory")
-@click.option("--pd-cutoff", default=24, show_default=True)
-@click.option("--nil-cutoff", default=16, show_default=True)
+@click.option("--pd-cutoff", type=int, default=None,
+              help=f"[default: {DEFAULT_PD_CUTOFF}; validate-cert: the certificate's]")
+@click.option("--nil-cutoff", type=int, default=None,
+              help=f"[default: {DEFAULT_NIL_CUTOFF}; validate-cert: the certificate's]")
 @click.option("--seed", default=17, show_default=True)
 @click.option("--strict", is_flag=True,
               help="exit 3 when the outcome is only inconclusive")
@@ -516,10 +521,8 @@ def validate_cert_cmd(opts, path):
         cert = json.loads(pathlib.Path(path).read_text())
     except (OSError, ValueError) as e:
         _fail(EXIT_INPUT, f"cannot parse {path}: {e}")
-    ok, status, problems = validate_cert(cert, opts.reg,
-                                         pd_cutoff=opts.pd_cutoff,
-                                         nil_cutoff=opts.nil_cutoff,
-                                         seed=opts.seed)
+    ok, status, problems = validate_cert(cert, opts.reg, seed=opts.seed,
+                                         **opts.given_cutoffs)
     click.echo(json.dumps({"valid": ok, "recomputed_status": status,
                            "problems": problems}, indent=1))
     if not ok:

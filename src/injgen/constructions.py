@@ -321,9 +321,6 @@ class MoritaContext:
     def U_A(self, t: "TupleModule") -> GradedModule:
         return t.X
 
-    def U_B(self, t: "TupleModule") -> GradedModule:
-        return t.Y
-
     def __repr__(self):
         return (f"MoritaContext(A={self.A.dim}, N={self.N.dim}, "
                 f"M={self.M.dim}, B={self.B.dim})")

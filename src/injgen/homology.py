@@ -7,6 +7,12 @@ every kernel vector homogeneous, so span and quotient constructions never
 complain).  Resolutions are free but not minimal: each step covers the
 previous syzygy by one free copy per generator, which keeps the matrices
 small without affecting exactness.
+
+Each module caches its generator cover pi: F -> M and a kernel basis of
+pi, so one cover serves both the next resolution step (ker pi is the next
+syzygy) and the projectivity test, which looks for an A-linear retraction
+of ker pi -> F: r * dim F unknowns for a cover by r free copies.  Module
+actions are applied to sparse vectors throughout.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
                       zero_module)
 from .constructions import MoritaContext, RightTupleModule, TensorTower, \
     ThetaData, TupleModule, morita_ring
-from .linalg import Matrix, Span, kernel_basis, rank, solve_sparse
+from .linalg import (Matrix, Span, kernel_basis, rank, right_inverse,
+                     solve_sparse)
 from .tensors import tensor_over_algebra
 
 DEFAULT_PD_CUTOFF = 24
@@ -137,23 +144,24 @@ def flatten_module(M: GradedModule) -> GradedModule:
 
 
 def free_module(A: GradedAlgebra, side, copies: int) -> GradedModule:
-    if copies == 0:
-        return zero_module(A, side)
-    reg = regular_module(A, side)
-    return direct_sum([reg] * copies)[0]
+    """A^copies; cached on A, so equal covers share one free module."""
+    key = ("free", side, copies)
+    if key not in A._cache:
+        A._cache[key] = (direct_sum([regular_module(A, side)] * copies)[0] if copies
+                         else zero_module(A, side))
+    return A._cache[key]
 
 
 def _cover_onto(M: GradedModule, gens):
     """Free cover with one copy per listed basis index; column (c, e) of
-    the projection is the action of e on the generator."""
+    the projection is the action of e on the generator, read off the
+    action table."""
     A = M.algebra
     F = free_module(A, M.side, len(gens))
     pi = Matrix.zeros(M.field, M.dim, F.dim)
     for c, g in enumerate(gens):
-        mv = M.basis_vec(g)
-        for e in range(A.dim):
-            img = M.act_vec(mv, A.basis_vec(e))
-            for k, x in enumerate(img):
+        for e, img in enumerate(M.action[g]):
+            for k, x in img.items():
                 pi.rows[k][c * A.dim + e] = x
     return F, ModuleHom(F, M, pi)
 
@@ -165,8 +173,20 @@ def free_cover(M: GradedModule):
 
 
 def _generator_cover(M: GradedModule):
-    # one free copy per greedy generator; same image, fewer columns
-    return _cover_onto(M, M.generators())
+    """(F, pi): one free copy per greedy generator; same image as the
+    tautological cover, fewer columns.  Cached on M, so the resolver and
+    the projectivity test share it."""
+    if "cover" not in M._cache:
+        M._cache["cover"] = _cover_onto(M, M.generators())
+    return M._cache["cover"]
+
+
+def _cover_kernel(M: GradedModule):
+    """kernel_basis of the generator cover's projection, cached on M: the
+    next syzygy of a resolution, as vectors of the free module."""
+    if "cover_kernel" not in M._cache:
+        M._cache["cover_kernel"] = kernel_basis(_generator_cover(M)[1].matrix)
+    return M._cache["cover_kernel"]
 
 
 class ProjectivityReport:
@@ -184,45 +204,62 @@ class ProjectivityReport:
 
 
 def is_projective(M: GradedModule) -> ProjectivityReport:
-    """Decide projectivity by splitting a free cover.
+    """Decide projectivity by a retraction onto the kernel of a free cover.
 
-    Solves the linear system "s is a module map and pi . s = id" exactly;
-    a surjection from a free module splits iff the module is projective,
-    so the generator-reduced cover decides the same property as the full
-    one.  The system has dim F * dim M unknowns but few nonzero terms per
-    equation, so the equations go to solve_sparse as sparse rows.  The
-    witness is returned for independent re-checking.
+    With pi: F = A^r -> M the generator cover and K = ker pi, M is
+    projective iff the inclusion K -> F has an A-linear retraction t.
+    Such a t is fixed by k_c = t(u_c) in F for the free generators u_c,
+    and sends basis element (c, e) to e acting on k_c; the unknowns are
+    the r * dim F entries of the k_c, and the equations are pi . k_c = 0
+    for every c and t(rho) = rho for every kernel basis vector rho.  They
+    go to solve_sparse as sparse rows.  When t exists, s = (I - T) . sigma
+    splits pi, for T the matrix of t and sigma any linear section of pi:
+    I - T is A-linear and kills K, so it factors as s . pi.  The witness
+    s is returned for independent re-checking.
     """
     M = flatten_module(M)
     if "projres" in M._cache:
         return M._cache["projres"]
-    A = M.algebra
     F, pi = _generator_cover(M)
-    dM, dF = M.dim, F.dim
-    fld = M.field
-    zero, one = fld.zero(), fld.one()
-    eqs, rhs = [], []       # unknown s[r][c] is column r * dM + c
-    for i in range(dM):     # (pi . s)[i][c] = delta(i, c)
-        nz = [(r * dM, a) for r, a in enumerate(pi.matrix.rows[i]) if not fld.is_zero(a)]
-        for c in range(dM):
-            eqs.append({off + c: a for off, a in nz})
-            rhs.append(one if i == c else zero)
-    for j in A.generators():  # (AF . s)[r][c] - (s . AM)[r][c] = 0
-        AF, AM = F.action_matrix(j).rows, M.action_matrix(j).rows
-        am_cols = [[(q, AM[q][c]) for q in range(dM) if not fld.is_zero(AM[q][c])]
-                   for c in range(dM)]
-        for r in range(dF):
-            nz = [(q * dM, a) for q, a in enumerate(AF[r]) if not fld.is_zero(a)]
-            for c in range(dM):
-                eq = {off + c: a for off, a in nz}
-                for q, a in am_cols[c]:
-                    eq[r * dM + q] = fld.sub(eq.get(r * dM + q, zero), a)
-                eqs.append(eq)
-                rhs.append(zero)
-    sol = solve_sparse(fld, eqs, rhs, dF * dM)
+    kernel = _cover_kernel(M)
+    fld, dA, dF = M.field, M.algebra.dim, F.dim
+    r = dF // dA
+    # acts[e]: (g, f, x) for every entry x at row f, column g of the
+    # action of e on F
+    acts = [[(g, f, x) for g in range(dF) for f, x in F.action[g][e].items()]
+            for e in range(dA)]
+    eqs, rhs = [], []       # unknown k_c[g] is column c * dF + g
+    for i in range(M.dim):  # pi . k_c = 0
+        nz = [(g, a) for g, a in enumerate(pi.matrix.rows[i]) if not fld.is_zero(a)]
+        for c in range(r):
+            eqs.append({c * dF + g: a for g, a in nz})
+            rhs.append(fld.zero())
+    for rho in kernel:      # t(rho) = rho, one row per coordinate of F
+        rho = {ce: a for ce, a in enumerate(rho) if not fld.is_zero(a)}
+        rows = {f: {} for f in rho}     # rows with no unknowns still count
+        for ce, a in rho.items():
+            c, e = divmod(ce, dA)
+            for g, f, x in acts[e]:     # solve_sparse reduces the sums
+                row = rows.setdefault(f, {})
+                row[c * dF + g] = row.get(c * dF + g, 0) + a * x
+        for f, row in rows.items():
+            eqs.append(row)
+            rhs.append(rho.get(f, fld.zero()))
+    sol = solve_sparse(fld, eqs, rhs, r * dF)
     split = None
     if sol is not None:
-        split = ModuleHom(M, F, Matrix(fld, [sol[r * dM:(r + 1) * dM] for r in range(dF)], dM))
+        # column (c, e) of T is e acting on k_c
+        k = [{g: x for g, x in enumerate(sol[c * dF:(c + 1) * dF]) if not fld.is_zero(x)}
+             for c in range(r)]
+        tcols = [F.act_sparse(k[c], e) for c in range(r) for e in range(dA)]
+        sigma = right_inverse(pi.matrix)
+        s = [list(row) for row in sigma.rows]
+        for ce, tcol in enumerate(tcols):   # s = sigma - T . sigma
+            for i, a in enumerate(sigma.rows[ce]):
+                if not fld.is_zero(a):
+                    for f, x in tcol.items():
+                        s[f][i] = fld.sub(s[f][i], fld.mul(a, x))
+        split = ModuleHom(M, F, Matrix(fld, s, M.dim))
     rep = M._cache["projres"] = ProjectivityReport(M, sol is not None, pi, split)
     return rep
 
@@ -232,10 +269,13 @@ class _Resolver:
 
     ranks[i] counts the free copies of F_i, boundaries[i] is the matrix of
     F_i -> F_{i-1} (for i = 0: F_0 -> M), syzygies[i] is ker(boundaries[i])
-    as an abstract module.  Projectivity of syzygies is tested lazily and
-    one step at a time: past the first projective syzygy the free covers
-    stop being minimal and the ranks grow, so eagerly testing deep
-    syzygies would solve needlessly large systems.
+    as an abstract module.  Step i takes the generator cover and its
+    kernel basis cached on the previous module (M or syzygies[i-1]), which
+    is_projective of that module reads too, so each cover is built once.
+    Projectivity of syzygies is tested lazily and one step at a time: past
+    the first projective syzygy the free covers stop being minimal and the
+    ranks grow, so eagerly testing deep syzygies would solve needlessly
+    large systems.
     """
 
     def __init__(self, M: GradedModule):
@@ -258,8 +298,8 @@ class _Resolver:
                 # include the syzygy back into the previous free module
                 bmat = self._incl.mul(pi.matrix)
             self.boundaries.append(bmat)
-            kb = kernel_basis(bmat)
-            syz, incl = module_from_span(F, kb, label="z")
+            # the inclusion is injective, so ker bmat = ker pi
+            syz, incl = module_from_span(F, _cover_kernel(prev), label="z")
             self.syzygies.append(syz)
             self._incl = incl.matrix
 
@@ -336,13 +376,6 @@ def projective_dimension(M: GradedModule, cutoff=DEFAULT_PD_CUTOFF) -> Verdict:
 # -- Tor ---------------------------------------------------------------------
 
 
-def _free_generator(F_field, copies, adim, unit, c):
-    v = [F_field.zero()] * (copies * adim)
-    for e, x in enumerate(unit):
-        v[c * adim + e] = x
-    return v
-
-
 def _tensored_boundary(bmat, copies_src, copies_dst, adim, unit, partner):
     """Image of a free-module boundary under - (x) partner.
 
@@ -352,8 +385,17 @@ def _tensored_boundary(bmat, copies_src, copies_dst, adim, unit, partner):
     fld = partner.field
     dP = partner.dim
     out = Matrix.zeros(fld, copies_dst * dP, copies_src * dP)
+    unit_nz = [(e, x) for e, x in enumerate(unit) if not fld.is_zero(x)]
     for c in range(copies_src):
-        w = bmat.apply(_free_generator(fld, copies_src, adim, unit, c))
+        # image of the c-th free generator, the unit in copy c
+        w = []
+        for row in bmat.rows:
+            acc = fld.zero()
+            for e, x in unit_nz:
+                a = row[c * adim + e]
+                if not fld.is_zero(a):
+                    acc = fld.add(acc, fld.mul(a, x))
+            w.append(acc)
         for cd in range(copies_dst):
             for e in range(adim):
                 lam = w[cd * adim + e]

@@ -218,18 +218,29 @@ def kernel_basis(mat: Matrix):
     return list(basis.values())
 
 
-def inverse(mat: Matrix):
-    """Inverse of a square matrix, or None if singular."""
-    if mat.nrows != mat.ncols:
-        raise ValueError("inverse of a non-square matrix")
-    F, n = mat.field, mat.nrows
+def right_inverse(mat: Matrix):
+    """One X with mat @ X = I, or None if mat is not onto.
+
+    Rows of [mat | I] are reduced; X has the identity part of the row with
+    pivot c as its row c, and zero rows at the free columns.
+    """
+    F, m, n = mat.field, mat.nrows, mat.ncols
     rows = _sparse(mat)
     for i, row in enumerate(rows):
         row[n + i] = F.one()
     piv = _echelon(F, rows)
-    if any(c not in piv for c in range(n)):
+    if any(c >= n for c in piv):      # a pivot in I: some row combination vanishes
         return None
-    return Matrix(F, [_dense(F, piv[c], 2 * n)[n:] for c in range(n)], n)
+    z = [F.zero()] * m
+    return Matrix(F, [_dense(F, piv[c], n + m)[n:] if c in piv else z
+                      for c in range(n)], m)
+
+
+def inverse(mat: Matrix):
+    """Inverse of a square matrix, or None if singular."""
+    if mat.nrows != mat.ncols:
+        raise ValueError("inverse of a non-square matrix")
+    return right_inverse(mat)
 
 
 def solve_sparse(field, rows, rhs, ncols):
@@ -266,7 +277,8 @@ class Span:
 
     Rows are stored sparse, with unit pivots and cleared pivot columns, so
     membership and coordinates are cheap.  Insertion order is not
-    preserved; basis() returns the reduced rows sorted by pivot.
+    preserved; basis() returns the reduced rows sorted by pivot.  Vectors
+    may be given dense (lists) or sparse ({column: value} dicts).
     """
 
     def __init__(self, field, ncols):
@@ -276,7 +288,8 @@ class Span:
         self._rows = {}   # pivot column -> reduced sparse row
 
     def _reduce(self, v):
-        return _clear(_nonzero(self._p, enumerate(v)), self._rows, self._p)
+        items = v.items() if isinstance(v, dict) else enumerate(v)
+        return _clear(_nonzero(self._p, items), self._rows, self._p)
 
     def add(self, v) -> bool:
         """Insert v; returns True if the span grew."""
@@ -299,6 +312,11 @@ class Span:
 
     def basis(self):
         return [_dense(self.field, self._rows[c], self.ncols) for c in sorted(self._rows)]
+
+    def rows(self):
+        """(pivot, sparse reduced row) pairs sorted by pivot: basis() in
+        sparse form.  A vector v of the span is the sum of v[pivot] * row."""
+        return [(c, self._rows[c]) for c in sorted(self._rows)]
 
     def coordinates(self, v):
         """Coordinates of v over basis(), or None if v is outside."""

@@ -218,10 +218,6 @@ class Rule:
         raise NotImplementedError
 
 
-def _is_algebra(env, h):
-    return env.reg.entry(h).get("kind") == "algebra"
-
-
 class CoveringRule(Rule):
     rule_id = "R-COV"
     citation = ("A ring graded by a finite abelian group and its covering "
@@ -589,6 +585,7 @@ class DerivationTree:
         self.claim = claim
         self.status = status
         self.step = step
+        self.cutoffs = None     # set on the root by derive
 
     def to_json(self):
         steps = []
@@ -600,7 +597,12 @@ class DerivationTree:
 
 
 def emit_certificate(tree: DerivationTree) -> dict:
-    return tree.to_json()
+    """The certificate of a derivation: the tree, plus the cutoffs it was
+    derived with, which validation reuses unless told otherwise."""
+    cert = tree.to_json()
+    if tree.cutoffs is not None:
+        cert["cutoffs"] = dict(tree.cutoffs)
+    return cert
 
 
 def _derive(env, h, depth, stack):
@@ -641,7 +643,9 @@ def derive(reg, target, max_depth=6, pd_cutoff=DEFAULT_PD_CUTOFF,
     if reg.entry(h).get("kind") != "algebra":
         raise ReductionError("claims are about algebras; got a "
                              + str(reg.entry(h).get("kind")))
-    return _derive(env, h, max_depth, frozenset())
+    tree = _derive(env, h, max_depth, frozenset())
+    tree.cutoffs = {"pd_cutoff": pd_cutoff, "nil_cutoff": nil_cutoff}
+    return tree
 
 
 def _match_edge(edges, direction, premise_hashes):
@@ -716,14 +720,32 @@ def _revalidate(env, node, problems, path):
     return recomputed
 
 
-def validate_cert(cert: dict, reg, pd_cutoff=DEFAULT_PD_CUTOFF,
-                  nil_cutoff=DEFAULT_NIL_CUTOFF, seed=17):
+def _recorded_cutoffs(cert):
+    """The certificate's cutoffs record, or None if it is malformed; a
+    certificate without one was derived at the defaults."""
+    rec = cert.get("cutoffs", {"pd_cutoff": DEFAULT_PD_CUTOFF,
+                               "nil_cutoff": DEFAULT_NIL_CUTOFF})
+    if (not isinstance(rec, dict) or set(rec) != {"pd_cutoff", "nil_cutoff"}
+            or any(type(v) is not int or v < 1 for v in rec.values())):
+        return None
+    return rec
+
+
+def validate_cert(cert: dict, reg, pd_cutoff=None, nil_cutoff=None, seed=17):
     """Replay every step of a certificate against the store.
 
-    Returns (ok, recomputed_status, problems).  ok means the recorded
-    status is supported by freshly recomputed hypotheses and premises.
+    Hypotheses are recomputed at the cutoffs the certificate records,
+    unless pd_cutoff or nil_cutoff is given.  Returns (ok,
+    recomputed_status, problems).  ok means the recorded status is
+    supported by freshly recomputed hypotheses and premises.
     """
-    env = Env(reg, pd_cutoff=pd_cutoff, nil_cutoff=nil_cutoff, seed=seed)
+    recorded = _recorded_cutoffs(cert)
+    if recorded is None:
+        return (False, UNKNOWN, [f"root: malformed cutoffs {cert.get('cutoffs')!r}"])
+    env = Env(reg,
+              pd_cutoff=recorded["pd_cutoff"] if pd_cutoff is None else pd_cutoff,
+              nil_cutoff=recorded["nil_cutoff"] if nil_cutoff is None else nil_cutoff,
+              seed=seed)
     problems = []
     recomputed = _revalidate(env, cert, problems, "")
     return (not problems, recomputed, problems)

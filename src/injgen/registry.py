@@ -3,13 +3,17 @@
 Layout: <root>/objects/<hash>.json holds the canonical document bytes,
 <root>/index.json maps hashes to file, label, kind, and provenance.
 Storing the same document twice is a no-op; labels are conveniences and
-never enter the hash.
+never enter the hash.  Writers to one store take an exclusive lock on
+<root>/index.lock and re-read the index under it, so concurrent processes
+never drop each other's entries.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 from .serialize import (SerializeError, canonical_bytes, content_hash,
@@ -25,14 +29,27 @@ class Registry:
         self.root = Path(root)
         (self.root / "objects").mkdir(parents=True, exist_ok=True)
         self._index_path = self.root / "index.json"
-        if self._index_path.exists():
-            try:
-                self._index = json.loads(self._index_path.read_text())
-            except ValueError as e:
-                raise RegistryError(f"corrupt index at {self._index_path}: {e}") from e
-        else:
-            self._index = {"objects": {}}
+        self._index = self._read_index()
         self._live = {}
+
+    def _read_index(self):
+        if not self._index_path.exists():
+            return {"objects": {}}
+        try:
+            return json.loads(self._index_path.read_text())
+        except ValueError as e:
+            raise RegistryError(f"corrupt index at {self._index_path}: {e}") from e
+
+    @contextmanager
+    def _locked_index(self):
+        """Hold the store's lock with the index freshly read from disk."""
+        with open(self.root / "index.lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            try:
+                self._index = self._read_index()
+                yield self._index
+            finally:
+                fcntl.flock(lock, fcntl.LOCK_UN)
 
     def _write_index(self):
         tmp = self._index_path.with_suffix(".json.tmp")
@@ -44,20 +61,21 @@ class Registry:
         h = content_hash(doc)
         rel = f"objects/{h}.json"
         path = self.root / rel
-        if not path.exists():
-            path.write_bytes(canonical_bytes(doc))
-        entry = self._index["objects"].get(h)
-        if entry is None:
-            entry = {"file": rel, "kind": kind,
-                     "provenance": doc.get("provenance")}
-            self._index["objects"][h] = entry
-        elif entry.get("provenance") is None and doc.get("provenance") is not None:
-            # a provenance-bearing re-store enriches a bare entry
-            entry["provenance"] = doc["provenance"]
-            path.write_bytes(canonical_bytes(doc))
-        if label is not None:
-            entry["label"] = label
-        self._write_index()
+        with self._locked_index() as index:
+            if not path.exists():
+                path.write_bytes(canonical_bytes(doc))
+            entry = index["objects"].get(h)
+            if entry is None:
+                entry = {"file": rel, "kind": kind,
+                         "provenance": doc.get("provenance")}
+                index["objects"][h] = entry
+            elif entry.get("provenance") is None and doc.get("provenance") is not None:
+                # a provenance-bearing re-store enriches a bare entry
+                entry["provenance"] = doc["provenance"]
+                path.write_bytes(canonical_bytes(doc))
+            if label is not None:
+                entry["label"] = label
+            self._write_index()
         return h
 
     def store_object(self, obj, label=None, provenance=None) -> str:

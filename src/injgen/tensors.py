@@ -70,15 +70,6 @@ class TensorSpace:
             self._pair_cache[key] = self._reduce(v)
         return self._pair_cache[key]
 
-    def projection_matrix(self):
-        m = Matrix.zeros(self.field, self.dim, self.dimX * self.dimY)
-        for i in range(self.dimX):
-            for j in range(self.dimY):
-                col = self.pair_col(i, j)
-                for k, c in enumerate(self.project_pair(i, j)):
-                    m.rows[k][col] = c
-        return m
-
 
 def tensor_over_algebra(X, Y, algebra: GradedAlgebra) -> TensorSpace:
     dimX, Xact, degX = _right_data(X, algebra)

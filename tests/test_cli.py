@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from injgen.cli import main
+from injgen.reduction import CONDITIONAL, ESTABLISHED
 from injgen.field import PrimeField
 from injgen.groups import FiniteAbelianGroup
 from injgen.samples import group_algebra, product_field_algebra
@@ -176,6 +177,20 @@ def test_validate_cert_rejects_tampering(runner, store, tmp_path):
     cert.write_text(json.dumps(doc))
     result = invoke(runner, store, "validate-cert", str(cert), code=1)
     assert not json.loads(result.output)["valid"]
+
+
+def test_validate_cert_uses_recorded_cutoffs_unless_given(runner, store, tmp_path):
+    loaded(runner, store)
+    cert = tmp_path / "c.json"
+    invoke(runner, store, "--pd-cutoff", "1", "--nil-cutoff", "1",
+           "derive", "a3-graded", "--out", str(cert))
+    assert json.loads(cert.read_text())["cutoffs"] == {"pd_cutoff": 1,
+                                                       "nil_cutoff": 1}
+    out = json.loads(invoke(runner, store, "validate-cert", str(cert)).output)
+    assert out["valid"] and out["recomputed_status"] == CONDITIONAL
+    out = json.loads(invoke(runner, store, "--nil-cutoff", "16",
+                            "validate-cert", str(cert)).output)
+    assert out["valid"] and out["recomputed_status"] == ESTABLISHED
 
 
 # -- verify-theorems -----------------------------------------------------------

@@ -1,15 +1,21 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from injgen.algebra import (AlgebraError, ConstructionError, GradedAlgebra,
-                            GradedBimodule, GradedModule, direct_sum,
-                            regular_bimodule, regular_module, zero_module)
-from injgen.constructions import morita_ring, regular_right_tuple, \
-    trivial_extension
-from injgen.field import PrimeField, Rationals
+                            GradedBimodule, GradedModule, ModuleHom,
+                            direct_sum, regular_bimodule, regular_module,
+                            zero_module)
+from injgen.constructions import covering_ring, morita_ring, \
+    regular_right_tuple, trivial_extension
+from injgen.field import QQ, PrimeField, Rationals
 from injgen.groups import FiniteAbelianGroup
-from injgen.homology import (CheckReport, Verdict, cleft_vanishing_bound,
-                             cleft_vanishing_check, free_cover, free_module,
-                             is_projective,
+from injgen.homology import (CheckReport, Verdict, _generator_cover,
+                             _resolver, cleft_vanishing_bound,
+                             cleft_vanishing_check, flatten_module,
+                             free_cover, free_module, is_projective,
                              left_perfect_check, morita_corner_pd,
                              nilpotency_index, one_dimensional_modules,
                              pd_bound_check_tensor_powers,
@@ -17,9 +23,10 @@ from injgen.homology import (CheckReport, Verdict, cleft_vanishing_bound,
                              resolution_report, tensor_formula_check, tor,
                              triangular_pd_check)
 from injgen.homs import is_module_hom
-from injgen.linalg import Matrix, rank
+from injgen.linalg import Matrix, rank, solve_sparse
 from injgen.quiver import path_algebra
-from injgen.samples import (product_field_algebra, truncated_polynomial)
+from injgen.samples import (product_field_algebra, random_graded_algebra,
+                            random_module, truncated_polynomial)
 
 F5 = PrimeField(5)
 ONE = F5.one()
@@ -248,6 +255,105 @@ def test_triangular_simple_resolution_is_pinned():
     for s in rr.steps:
         assert s.syzygy_dim == s.boundary.ncols - rank(s.boundary)
         _assert_splits(is_projective(free_module(M.algebra, M.side, s.rank)))
+
+
+# -- the retraction test against the splitting system it replaced -------------
+
+
+def _splitting_system(M):
+    """Reference decision: the system "s is a module map and pi . s = id",
+    with dim F * dim M unknowns, that decided projectivity before the
+    kernel retraction replaced it."""
+    M = flatten_module(M)
+    A = M.algebra
+    F, pi = _generator_cover(M)
+    dM, dF = M.dim, F.dim
+    fld = M.field
+    zero, one = fld.zero(), fld.one()
+    eqs, rhs = [], []       # unknown s[r][c] is column r * dM + c
+    for i in range(dM):     # (pi . s)[i][c] = delta(i, c)
+        nz = [(r * dM, a) for r, a in enumerate(pi.matrix.rows[i]) if not fld.is_zero(a)]
+        for c in range(dM):
+            eqs.append({off + c: a for off, a in nz})
+            rhs.append(one if i == c else zero)
+    for j in A.generators():  # (AF . s)[r][c] - (s . AM)[r][c] = 0
+        AF, AM = F.action_matrix(j).rows, M.action_matrix(j).rows
+        am_cols = [[(q, AM[q][c]) for q in range(dM) if not fld.is_zero(AM[q][c])]
+                   for c in range(dM)]
+        for r in range(dF):
+            nz = [(q * dM, a) for q, a in enumerate(AF[r]) if not fld.is_zero(a)]
+            for c in range(dM):
+                eq = {off + c: a for off, a in nz}
+                for q, a in am_cols[c]:
+                    eq[r * dM + q] = fld.sub(eq.get(r * dM + q, zero), a)
+                eqs.append(eq)
+                rhs.append(zero)
+    sol = solve_sparse(fld, eqs, rhs, dF * dM)
+    split = None
+    if sol is not None:
+        split = ModuleHom(M, F, Matrix(fld, [sol[r * dM:(r + 1) * dM] for r in range(dF)], dM))
+    return sol is not None, split
+
+
+def _agrees_with_splitting_system(M):
+    """is_projective decides as the reference does, and a projective
+    verdict carries a module map s with pi . s = id; returns the verdict."""
+    rep = is_projective(M)
+    projective, split = _splitting_system(M)
+    assert rep.projective == projective, M
+    if projective:
+        _assert_splits(rep)
+        assert is_module_hom(split)
+    else:
+        assert rep.splitting is None
+    return projective
+
+
+def _with_syzygies(M, depth=3):
+    res = _resolver(M)
+    res.ensure(depth)
+    return [flatten_module(M)] + res.syzygies[:depth]
+
+
+def _family_modules():
+    D = dual_numbers()
+    ctx = _triangular_ctx(D, regular_bimodule(D))
+    k = simple_over(D, "left", [1, 0])
+    yield ctx.Z_A(k).as_module()
+    yield ctx.Z_B(k).as_module()
+    for m, n in ((2, 2), (3, 2), (2, 3)):
+        cov = covering_ring(truncated_polynomial(F5, m, FiniteAbelianGroup((n,)), (1,)))
+        g = cov.base.group.zero()
+        hot = cov.pos[(g, g, 0)]
+        yield simple_over(cov.algebra, "right", [1 if j == hot else 0
+                                                 for j in range(cov.algebra.dim)])
+    for n, r in ((3, 2), (3, 3)):
+        verts = [str(i + 1) for i in range(n)]
+        arrows = [(f"a{i}", verts[i], verts[i + 1]) for i in range(n - 1)]
+        rels = [tuple(f"a{j}" for j in range(i, i + r)) for i in range(n - r)]
+        pa = path_algebra(F5, verts, arrows, rels)
+        for v in verts:
+            hot = pa.vertex_index[v]
+            scalars = [1 if j == hot else 0 for j in range(pa.algebra.dim)]
+            for side in ("left", "right"):
+                yield simple_over(pa.algebra, side, scalars)
+
+
+def test_retraction_agrees_with_splitting_system_on_families():
+    verdicts = [_agrees_with_splitting_system(Z)
+                for M in _family_modules() for Z in _with_syzygies(M)]
+    assert len(verdicts) == 68 and any(verdicts) and not all(verdicts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rational=st.booleans(),
+       side=st.sampled_from(["left", "right"]))
+def test_retraction_agrees_with_splitting_system_on_random_modules(seed, rational, side):
+    rng = random.Random(seed)
+    A = random_graded_algebra(QQ if rational else F5, rng, max_dim=6, max_group=4)
+    M = random_module(A, rng, side)
+    for Z in _with_syzygies(M, 2):
+        _agrees_with_splitting_system(Z)
 
 
 # -- tor ----------------------------------------------------------------------

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from injgen.field import QQ, PrimeField, field_from_spec, FieldError
-from injgen.linalg import (Matrix, Span, inverse, kernel_basis, rank, rref,
-                           row_space_reducer, solve_linear, solve_sparse)
+from injgen.linalg import (Matrix, Span, inverse, kernel_basis, rank,
+                           right_inverse, rref, row_space_reducer,
+                           solve_linear, solve_sparse)
 
 
 F5 = PrimeField(5)
@@ -205,10 +206,22 @@ def _check_against_reference(m, rng):
             assert inv.to_lists() == [row[n:] for row in aug[:n]]
         else:
             assert inv is None
+    rinv = right_inverse(m)
+    if len(ref_piv) == m.nrows:
+        assert m.mul(rinv) == Matrix.identity(F, m.nrows)
+    else:
+        assert rinv is None
     sp = Span(F, n)
     for row in m.rows:
         sp.add(row)
     assert sp.dim() == len(ref_piv) and sp.basis() == ref[:len(ref_piv)]
+    # sparse input gives the same span; rows() is basis() in sparse form
+    sparse_sp = Span(F, n)
+    for row in m.rows:
+        sparse_sp.add({j: a for j, a in enumerate(row) if not F.is_zero(a)})
+    assert sparse_sp.basis() == sp.basis()
+    assert [(c, {j: a for j, a in enumerate(r) if not F.is_zero(a)})
+            for c, r in zip(ref_piv, ref)] == sp.rows()
     combo = [F.zero()] * n
     for row in m.rows:
         f = F.of_int(rng.randint(-2, 2))

@@ -258,6 +258,37 @@ def test_validator_accepts_conditional_cert_at_low_cutoff(corpus):
     assert ok
 
 
+@pytest.mark.parametrize("label", ["a3-graded", "theta-a3"])
+def test_certificate_validates_at_its_recorded_cutoffs(corpus, label):
+    reg, labels = corpus
+    cert = json.loads(json.dumps(emit_certificate(
+        derive(reg, labels[label], pd_cutoff=1, nil_cutoff=1))))
+    assert cert["cutoffs"] == {"pd_cutoff": 1, "nil_cutoff": 1}
+    assert cert["status"] == CONDITIONAL
+    # no cutoffs given: recomputed at the recorded ones, so the
+    # inconclusive nilpotency evidence matches instead of moving
+    ok, status, problems = validate_cert(cert, reg)
+    assert ok and status == CONDITIONAL and problems == []
+    # cutoffs given: recomputed at those, here upgrading the hypotheses
+    ok, status, problems = validate_cert(cert, reg, pd_cutoff=24, nil_cutoff=16)
+    assert ok and status == ESTABLISHED
+
+
+@pytest.mark.parametrize("cutoffs", [{"pd_cutoff": 1, "nil_cutoff": 2},
+                                     {"pd_cutoff": 1},
+                                     {"pd_cutoff": 1, "nil_cutoff": 0},
+                                     {"pd_cutoff": 1, "nil_cutoff": "1"},
+                                     {"pd_cutoff": 1, "nil_cutoff": True},
+                                     [1, 1]])
+def test_validator_rejects_forged_cutoffs(corpus, cutoffs):
+    reg, labels = corpus
+    cert = emit_certificate(derive(reg, labels["a3-graded"], pd_cutoff=1,
+                                   nil_cutoff=1))
+    bad = dict(cert, cutoffs=cutoffs)
+    ok, status, problems = validate_cert(bad, reg)
+    assert not ok and problems
+
+
 def test_validator_roundtrips_json(corpus):
     cert, reg = sample_cert(corpus)
     again = json.loads(json.dumps(cert))

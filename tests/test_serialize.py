@@ -1,7 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 
+import injgen
 from injgen.algebra import GradedBimodule, regular_module, twist
 from injgen.field import PrimeField, QQ
 from injgen.groups import FiniteAbelianGroup
@@ -204,3 +210,45 @@ def test_registry_derived_from(tmp_path):
     assert reg.derived_from(ha, "trivial_extension")[0][0] == he
     assert reg.derived_from(ha, "covering_ring") == []
     assert reg.derived_from(hw)[0][0] == he
+
+
+# each writer opens the store, waits for the go file, then stores 20
+# algebras of its own characteristic
+_WRITER = """
+import pathlib, sys, time
+from injgen.field import PrimeField
+from injgen.registry import Registry
+from injgen.samples import truncated_polynomial
+root, p = pathlib.Path(sys.argv[1]), int(sys.argv[2])
+reg = Registry(root)
+(root / f"ready{p}").touch()
+while not (root / "go").exists():
+    time.sleep(0.001)
+for m in range(1, 21):
+    reg.store_object(truncated_polynomial(PrimeField(p), m), label=f"p{p}m{m}")
+"""
+
+
+def test_registry_keeps_entries_of_concurrent_writers(tmp_path):
+    root = tmp_path / "store"
+    Registry(root)
+    src = str(pathlib.Path(injgen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    primes = (5, 7)
+    procs = [subprocess.Popen([sys.executable, "-c", _WRITER, str(root), str(p)],
+                              env=env) for p in primes]
+    try:
+        deadline = time.monotonic() + 60
+        while not all((root / f"ready{p}").exists() for p in primes):
+            assert time.monotonic() < deadline and all(q.poll() is None for q in procs)
+            time.sleep(0.001)
+        (root / "go").touch()
+        assert [q.wait(timeout=120) for q in procs] == [0, 0]
+    finally:
+        for q in procs:
+            q.kill()
+    reg = Registry(root)
+    assert len(reg) == 40
+    assert {reg.label_of(h) for h in reg.entries()} == {
+        f"p{p}m{m}" for p in primes for m in range(1, 21)}
