@@ -443,38 +443,26 @@ def check_module_axioms(M: GradedModule) -> AxiomReport:
     for i in range(M.dim):
         di = M.degree[i]
         for j in range(A.dim):
-            if M.side == "right":
-                target = group.add(di, A.degree[j])
-            else:
-                target = group.add(A.degree[j], di)
+            target = group.add(di, A.degree[j])
             for k in M.action[i][j]:
                 if M.degree[k] != target:
                     out.append(Violation("action-grading", (i, j, k)))
-    # compatibility with multiplication:
-    #   right: (m e_j) e_l = m (e_j e_l); left: e_j (e_l m) = (e_j e_l) m
+    # compatibility with multiplication, (m e_j) e_l = m (e_j e_l); a left
+    # module is checked as a right module over the transposed product,
+    # whose case (l, j) is e_j (e_l m) = (e_j e_l) m
     for i in range(M.dim):
         for j in range(A.dim):
             for l in range(A.dim):
-                if M.side == "right":
-                    step = M.action[i][j]
-                    if not step and not A.mult[j][l]:
-                        continue
-                    acc1 = {}
-                    for k, c in step.items():
-                        _sv_accumulate(F, acc1, M.action[k][l], c)
-                    acc2 = {}
-                    for k, c in A.mult[j][l].items():
-                        _sv_accumulate(F, acc2, M.action[i][k], c)
-                else:
-                    step = M.action[i][l]
-                    if not step and not A.mult[j][l]:
-                        continue
-                    acc1 = {}
-                    for k, c in step.items():
-                        _sv_accumulate(F, acc1, M.action[k][j], c)
-                    acc2 = {}
-                    for k, c in A.mult[j][l].items():
-                        _sv_accumulate(F, acc2, M.action[i][k], c)
+                first, then = (j, l) if M.side == "right" else (l, j)
+                step = M.action[i][first]
+                if not step and not A.mult[j][l]:
+                    continue
+                acc1 = {}
+                for k, c in step.items():
+                    _sv_accumulate(F, acc1, M.action[k][then], c)
+                acc2 = {}
+                for k, c in A.mult[j][l].items():
+                    _sv_accumulate(F, acc2, M.action[i][k], c)
                 if acc1 != acc2:
                     out.append(Violation("action-associativity", (i, j, l)))
     return AxiomReport(out)

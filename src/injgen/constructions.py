@@ -263,59 +263,64 @@ class MoritaContext:
 
     def T_A(self, X: GradedModule) -> "TupleModule":
         """Tuple with Y induced from X through the bimodule M."""
-        _require_left_module(X, self.A, "T_A")
-        Y, S_MX = tensor_bimodule_with_module(self.M, X)
-        f = ModuleHom(Y, Y, Matrix.identity(X.field, Y.dim))
-        g_raw = Matrix.zeros(X.field, X.dim, self.N.dim * Y.dim)
-        for n in range(self.N.dim):
-            for t in range(Y.dim):
-                mt, xt = S_MX.section[t]
-                val = X.act_vec(X.basis_vec(xt), self._psi_pair(n, mt))
-                col = n * Y.dim + t
-                for k, c in enumerate(val):
-                    g_raw.rows[k][col] = c
-        return _finish_tuple(self, X, Y, f, g_raw, S_MX)
+        return self._induced_tuple(X, "A")
 
     def T_B(self, Y: GradedModule) -> "TupleModule":
-        _require_left_module(Y, self.B, "T_B")
-        X, S_NY = tensor_bimodule_with_module(self.N, Y)
-        g = ModuleHom(X, X, Matrix.identity(Y.field, X.dim))
-        f_raw = Matrix.zeros(Y.field, Y.dim, self.M.dim * X.dim)
-        for m in range(self.M.dim):
-            for t in range(X.dim):
-                nt, yt = S_NY.section[t]
-                val = Y.act_vec(Y.basis_vec(yt), self._phi_pair(m, nt))
-                col = m * X.dim + t
-                for k, c in enumerate(val):
-                    f_raw.rows[k][col] = c
-        MX, S_MX = tensor_bimodule_with_module(self.M, X)
-        f_mat = bilinear_through_tensor(S_MX, f_raw, Y.dim)
-        if f_mat is None:
-            raise ConstructionError("context data is inconsistent (T_B structure map)")
-        f = ModuleHom(MX, Y, f_mat)
-        return TupleModule(self, X, Y, f, g, S_MX, S_NY)
+        """Tuple with X induced from Y through the bimodule N."""
+        return self._induced_tuple(Y, "B")
 
     def Z_A(self, X: GradedModule) -> "TupleModule":
         """X paired with the zero module; needs both context maps zero."""
-        if not self.is_zero_context:
-            raise ConstructionError("zero-partner tuples need phi = psi = 0")
-        _require_left_module(X, self.A, "Z_A")
-        Y = zero_module(self.B, "left")
-        MX, S_MX = tensor_bimodule_with_module(self.M, X)
-        NY, S_NY = tensor_bimodule_with_module(self.N, Y)
-        f = ModuleHom(MX, Y, Matrix.zeros(X.field, 0, MX.dim))
-        g = ModuleHom(NY, X, Matrix.zeros(X.field, X.dim, NY.dim))
-        return TupleModule(self, X, Y, f, g, S_MX, S_NY)
+        return self._zero_partner(X, "A")
 
     def Z_B(self, Y: GradedModule) -> "TupleModule":
+        """Y paired with the zero module; needs both context maps zero."""
+        return self._zero_partner(Y, "B")
+
+    def _corner(self, corner):
+        """(corner ring, bimodule out of it, bimodule back into it, pairing
+        (back, out) -> corner ring) for corner "A" or "B"."""
+        if corner == "A":
+            return self.A, self.M, self.N, self._psi_pair
+        return self.B, self.N, self.M, self._phi_pair
+
+    def _induced_tuple(self, Z, corner):
+        """Z at its own corner and W = P (x) Z at the other one; the
+        structure map into W is the identity, the one back sends
+        q (x) (p (x) z) to (q p) z through the pairing."""
+        ring, P, Q, pair = self._corner(corner)
+        _require_left_module(Z, ring, f"T_{corner}")
+        W, S_PZ = tensor_bimodule_with_module(P, Z)
+        ident = ModuleHom(W, W, Matrix.identity(Z.field, W.dim))
+        back_raw = Matrix.zeros(Z.field, Z.dim, Q.dim * W.dim)
+        for q in range(Q.dim):
+            for t in range(W.dim):
+                pt, zt = S_PZ.section[t]
+                val = Z.act_vec(Z.basis_vec(zt), pair(q, pt))
+                col = q * W.dim + t
+                for k, c in enumerate(val):
+                    back_raw.rows[k][col] = c
+        QW, S_QW = tensor_bimodule_with_module(Q, W)
+        back_mat = bilinear_through_tensor(S_QW, back_raw, Z.dim)
+        if back_mat is None:
+            raise ConstructionError("context data is inconsistent (tuple structure map)")
+        back = ModuleHom(QW, Z, back_mat)
+        if corner == "A":
+            return TupleModule(self, Z, W, ident, back, S_PZ, S_QW)
+        return TupleModule(self, W, Z, back, ident, S_QW, S_PZ)
+
+    def _zero_partner(self, Z, corner):
         if not self.is_zero_context:
             raise ConstructionError("zero-partner tuples need phi = psi = 0")
-        _require_left_module(Y, self.B, "Z_B")
-        X = zero_module(self.A, "left")
+        _require_left_module(Z, self._corner(corner)[0], f"Z_{corner}")
+        if corner == "A":
+            X, Y = Z, zero_module(self.B, "left")
+        else:
+            X, Y = zero_module(self.A, "left"), Z
         MX, S_MX = tensor_bimodule_with_module(self.M, X)
         NY, S_NY = tensor_bimodule_with_module(self.N, Y)
-        f = ModuleHom(MX, Y, Matrix.zeros(Y.field, Y.dim, 0))
-        g = ModuleHom(NY, X, Matrix.zeros(Y.field, 0, NY.dim))
+        f = ModuleHom(MX, Y, Matrix.zeros(Z.field, Y.dim, MX.dim))
+        g = ModuleHom(NY, X, Matrix.zeros(Z.field, X.dim, NY.dim))
         return TupleModule(self, X, Y, f, g, S_MX, S_NY)
 
     def U_A(self, t: "TupleModule") -> GradedModule:
@@ -331,118 +336,126 @@ def _require_left_module(X, algebra, who):
         raise ConstructionError(f"{who} expects a left module over the matching corner")
 
 
-def _finish_tuple(ctx, X, Y, f, g_raw, S_MX):
-    NY, S_NY = tensor_bimodule_with_module(ctx.N, Y)
-    g_mat = bilinear_through_tensor(S_NY, g_raw, X.dim)
-    if g_mat is None:
-        raise ConstructionError("context data is inconsistent (tuple structure map)")
-    g = ModuleHom(NY, X, g_mat)
-    return TupleModule(ctx, X, Y, f, g, S_MX, S_NY)
-
-
 class TupleModule:
-    """(X, Y, f, g) over a Morita context.
+    """(X, Y, f, g) over a Morita context, for a module on either side.
 
-    X is a left A-module, Y a left B-module, f maps M (x)_A X to Y and
-    g maps N (x)_B Y to X.  Construction validates both structure maps
-    and the two compatibility squares on all basis triples.
+    The side is X's.  A left tuple has X a left A-module, Y a left
+    B-module, f: M (x)_A X -> Y and g: N (x)_B Y -> X.  A right tuple has
+    X a right A-module, Y a right B-module, f: X (x)_A N -> Y and
+    g: Y (x)_B M -> X.  S_X and S_Y are the tensor spaces f and g start
+    from.  Construction validates both structure maps and the two
+    compatibility squares on all basis triples.
     """
 
     def __init__(self, ctx: MoritaContext, X, Y, f: ModuleHom, g: ModuleHom,
-                 S_MX, S_NY):
+                 S_X, S_Y):
         self.ctx = ctx
         self.X = X
         self.Y = Y
         self.f = f
         self.g = g
-        self.S_MX = S_MX
-        self.S_NY = S_NY
+        self.S_X = S_X
+        self.S_Y = S_Y
+        self.side = X.side
         self._mod = None
         self._validate()
+
+    def _factors(self, v, b):
+        """Module index v and bimodule index b in tensor-factor order: the
+        bimodule is the left factor of a left tuple's tensor spaces."""
+        return (v, b) if self.side == "right" else (b, v)
+
+    def f_at(self, x, b):
+        """f on basis vector x of X paired with basis vector b of its bimodule."""
+        return self.f.apply(self.S_X.project_pair(*self._factors(x, b)))
+
+    def g_at(self, y, b):
+        """g on basis vector y of Y paired with basis vector b of its bimodule."""
+        return self.g.apply(self.S_Y.project_pair(*self._factors(y, b)))
 
     def _validate(self):
         from .homs import is_module_hom
         ctx, X, Y = self.ctx, self.X, self.Y
-        F = X.field
-        if self.f.source.dim != self.S_MX.dim or self.f.target.dim != Y.dim:
+        if self.f.source.dim != self.S_X.dim or self.f.target.dim != Y.dim:
             raise ConstructionError("tuple map f has the wrong shape")
-        if self.g.source.dim != self.S_NY.dim or self.g.target.dim != X.dim:
+        if self.g.source.dim != self.S_Y.dim or self.g.target.dim != X.dim:
             raise ConstructionError("tuple map g has the wrong shape")
         if not is_module_hom(self.f):
             raise ConstructionError("tuple map f is not a module map")
         if not is_module_hom(self.g):
             raise ConstructionError("tuple map g is not a module map")
-        # square over X: g(n (x) f(m (x) x)) = psi(n (x) m) x
-        for n in range(ctx.N.dim):
-            for m in range(ctx.M.dim):
-                avec = ctx._psi_pair(n, m)
-                for x in range(X.dim):
-                    fv = self.f.apply(self.S_MX.project_pair(m, x))
-                    dense = [F.zero()] * (ctx.N.dim * Y.dim)
-                    for j, c in enumerate(fv):
-                        dense[n * Y.dim + j] = c
-                    lhs = self.g.apply(self.S_NY.project_vec(dense))
-                    rhs = X.act_vec(X.basis_vec(x), avec)
+        # psi(n (x) m) on X through f and g, phi(m (x) n) on Y through g and f
+        self._check_square(X, ctx.N, ctx.M, ctx._psi_pair, self.f_at,
+                           self.g, self.S_Y)
+        self._check_square(Y, ctx.M, ctx.N, ctx._phi_pair, self.g_at,
+                           self.f, self.S_X)
+
+    def _check_square(self, Z, P, Q, pair, first_at, second, S_second):
+        """(p q) acting on Z equals the two bimodule factors acting one after
+        the other through the structure maps: q first on a left tuple,
+        p first on a right one.  first_at(z, b) is the first map's value on
+        a basis pair; second maps S_second back into Z."""
+        F = Z.field
+        right = self.side == "right"
+        for p in range(P.dim):
+            for q in range(Q.dim):
+                zvec = pair(p, q)
+                near, far = (p, q) if right else (q, p)
+                for z in range(Z.dim):
+                    mid = first_at(z, near)
+                    dense = [F.zero()] * (S_second.dimX * S_second.dimY)
+                    for j, c in enumerate(mid):
+                        dense[S_second.pair_col(*self._factors(j, far))] = c
+                    lhs = second.apply(S_second.project_vec(dense))
+                    rhs = Z.act_vec(Z.basis_vec(z), zvec)
                     if lhs != rhs:
+                        names = [P.labels[p], Q.labels[q]]
+                        names.insert(0 if right else 2, Z.labels[z])
                         raise ConstructionError(
-                            f"tuple square fails at ({ctx.N.labels[n]}, "
-                            f"{ctx.M.labels[m]}, {X.labels[x]})")
-        # square over Y: f(m (x) g(n (x) y)) = phi(m (x) n) y
-        for m in range(ctx.M.dim):
-            for n in range(ctx.N.dim):
-                bvec = ctx._phi_pair(m, n)
-                for y in range(Y.dim):
-                    gv = self.g.apply(self.S_NY.project_pair(n, y))
-                    dense = [F.zero()] * (ctx.M.dim * X.dim)
-                    for j, c in enumerate(gv):
-                        dense[m * X.dim + j] = c
-                    lhs = self.f.apply(self.S_MX.project_vec(dense))
-                    rhs = Y.act_vec(Y.basis_vec(y), bvec)
-                    if lhs != rhs:
-                        raise ConstructionError(
-                            f"tuple square fails at ({ctx.M.labels[m]}, "
-                            f"{ctx.N.labels[n]}, {Y.labels[y]})")
+                            f"tuple square fails at ({', '.join(names)})")
 
     @property
     def dim(self):
         return self.X.dim + self.Y.dim
 
     def as_module(self) -> GradedModule:
-        """The left module over the assembled ring carried by the tuple."""
+        """The module over the assembled ring carried by the tuple."""
         if self._mod is not None:
             return self._mod
         ctx, X, Y = self.ctx, self.X, self.Y
         F = X.field
         Lam = ctx.assembled
         oA, oN, oM, oB = ctx.offsets
+        # the bimodule X pairs with sends X into Y, the other one Y into X
+        (oX, PX), (oY, PY) = ((oN, ctx.N), (oM, ctx.M)) if self.side == "right" \
+            else ((oM, ctx.M), (oN, ctx.N))
         dX = X.dim
         dim = dX + Y.dim
         action = [[{} for _ in range(Lam.dim)] for _ in range(dim)]
         for i in range(dX):
             for a in range(ctx.A.dim):
                 action[i][oA + a] = dict(X.action[i][a])
-            for m in range(ctx.M.dim):
-                out = self.f.apply(self.S_MX.project_pair(m, i))
-                action[i][oM + m] = {dX + k: c for k, c in _sparse(F, out).items()}
+            for b in range(PX.dim):
+                out = self.f_at(i, b)
+                action[i][oX + b] = {dX + k: c for k, c in _sparse(F, out).items()}
         for j in range(Y.dim):
             for b in range(ctx.B.dim):
                 action[dX + j][oB + b] = {dX + k: c
                                           for k, c in Y.action[j][b].items()}
-            for n in range(ctx.N.dim):
-                out = self.g.apply(self.S_NY.project_pair(n, j))
-                action[dX + j][oN + n] = _sparse(F, out)
+            for b in range(PY.dim):
+                action[dX + j][oY + b] = _sparse(F, self.g_at(j, b))
         labels = [f"x:{s}" for s in X.labels] + [f"y:{s}" for s in Y.labels]
         degrees = list(X.degree) + list(Y.degree)
-        self._mod = GradedModule(Lam, "left", labels, degrees, action)
+        self._mod = GradedModule(Lam, self.side, labels, degrees, action)
         assert_valid_module(self._mod, "tuple as_module")
         return self._mod
 
     def __repr__(self):
-        return f"TupleModule(X={self.X.dim}, Y={self.Y.dim})"
+        return f"TupleModule({self.side}, X={self.X.dim}, Y={self.Y.dim})"
 
 
 def tuple_module(ctx: MoritaContext, X, Y, f_matrix: Matrix, g_matrix: Matrix):
-    """Wrap user-supplied structure maps into a validated tuple.
+    """Wrap user-supplied structure maps into a validated left tuple.
 
     f_matrix maps the computed M (x)_A X onto Y's coordinates, g_matrix
     the computed N (x)_B Y onto X's.
@@ -456,123 +469,7 @@ def tuple_module(ctx: MoritaContext, X, Y, f_matrix: Matrix, g_matrix: Matrix):
     return TupleModule(ctx, X, Y, f, g, S_MX, S_NY)
 
 
-class RightTupleModule:
-    """(X, Y, f, g) presenting a right module over the assembled ring.
-
-    X is a right A-module, Y a right B-module, f maps X (x)_A N to Y and
-    g maps Y (x)_B M to X.  Mirror image of TupleModule; the same two
-    compatibility squares are enforced on all basis triples.
-    """
-
-    def __init__(self, ctx: MoritaContext, X, Y, f: ModuleHom, g: ModuleHom,
-                 S_XN, S_YM):
-        self.ctx = ctx
-        self.X = X
-        self.Y = Y
-        self.f = f
-        self.g = g
-        self.S_XN = S_XN
-        self.S_YM = S_YM
-        self._mod = None
-        self._validate()
-
-    def _validate(self):
-        from .homs import is_module_hom
-        ctx, X, Y = self.ctx, self.X, self.Y
-        F = X.field
-        if self.f.source.dim != self.S_XN.dim or self.f.target.dim != Y.dim:
-            raise ConstructionError("tuple map f has the wrong shape")
-        if self.g.source.dim != self.S_YM.dim or self.g.target.dim != X.dim:
-            raise ConstructionError("tuple map g has the wrong shape")
-        if not is_module_hom(self.f):
-            raise ConstructionError("tuple map f is not a module map")
-        if not is_module_hom(self.g):
-            raise ConstructionError("tuple map g is not a module map")
-        # square over X: g(f(x (x) n) (x) m) = x psi(n (x) m)
-        for n in range(ctx.N.dim):
-            for m in range(ctx.M.dim):
-                avec = ctx._psi_pair(n, m)
-                for x in range(X.dim):
-                    fv = self.f.apply(self.S_XN.project_pair(x, n))
-                    dense = [F.zero()] * (Y.dim * ctx.M.dim)
-                    for j, c in enumerate(fv):
-                        dense[j * ctx.M.dim + m] = c
-                    lhs = self.g.apply(self.S_YM.project_vec(dense))
-                    rhs = X.act_vec(X.basis_vec(x), avec)
-                    if lhs != rhs:
-                        raise ConstructionError(
-                            f"tuple square fails at ({X.labels[x]}, "
-                            f"{ctx.N.labels[n]}, {ctx.M.labels[m]})")
-        # square over Y: f(g(y (x) m) (x) n) = y phi(m (x) n)
-        for m in range(ctx.M.dim):
-            for n in range(ctx.N.dim):
-                bvec = ctx._phi_pair(m, n)
-                for y in range(Y.dim):
-                    gv = self.g.apply(self.S_YM.project_pair(y, m))
-                    dense = [F.zero()] * (X.dim * ctx.N.dim)
-                    for i, c in enumerate(gv):
-                        dense[i * ctx.N.dim + n] = c
-                    lhs = self.f.apply(self.S_XN.project_vec(dense))
-                    rhs = Y.act_vec(Y.basis_vec(y), bvec)
-                    if lhs != rhs:
-                        raise ConstructionError(
-                            f"tuple square fails at ({Y.labels[y]}, "
-                            f"{ctx.M.labels[m]}, {ctx.N.labels[n]})")
-
-    @property
-    def dim(self):
-        return self.X.dim + self.Y.dim
-
-    def as_module(self) -> GradedModule:
-        if self._mod is not None:
-            return self._mod
-        ctx, X, Y = self.ctx, self.X, self.Y
-        F = X.field
-        Lam = ctx.assembled
-        oA, oN, oM, oB = ctx.offsets
-        dX = X.dim
-        dim = dX + Y.dim
-        action = [[{} for _ in range(Lam.dim)] for _ in range(dim)]
-        for i in range(dX):
-            for a in range(ctx.A.dim):
-                action[i][oA + a] = dict(X.action[i][a])
-            for n in range(ctx.N.dim):
-                out = self.f.apply(self.S_XN.project_pair(i, n))
-                action[i][oN + n] = {dX + k: c for k, c in _sparse(F, out).items()}
-        for j in range(Y.dim):
-            for b in range(ctx.B.dim):
-                action[dX + j][oB + b] = {dX + k: c
-                                          for k, c in Y.action[j][b].items()}
-            for m in range(ctx.M.dim):
-                out = self.g.apply(self.S_YM.project_pair(j, m))
-                action[dX + j][oM + m] = _sparse(F, out)
-        labels = [f"x:{s}" for s in X.labels] + [f"y:{s}" for s in Y.labels]
-        degrees = list(X.degree) + list(Y.degree)
-        self._mod = GradedModule(Lam, "right", labels, degrees, action)
-        assert_valid_module(self._mod, "right tuple as_module")
-        return self._mod
-
-    def __repr__(self):
-        return f"RightTupleModule(X={self.X.dim}, Y={self.Y.dim})"
-
-
-def _require_right_module(X, algebra, who):
-    if X.side != "right" or X.algebra != algebra:
-        raise ConstructionError(f"{who} expects a right module over the matching corner")
-
-
-def right_tuple_module(ctx: MoritaContext, X, Y, f_matrix: Matrix, g_matrix: Matrix):
-    """Wrap user-supplied structure maps into a validated right tuple."""
-    _require_right_module(X, ctx.A, "right_tuple_module")
-    _require_right_module(Y, ctx.B, "right_tuple_module")
-    XN, S_XN = tensor_module_with_bimodule(X, ctx.N)
-    YM, S_YM = tensor_module_with_bimodule(Y, ctx.M)
-    f = ModuleHom(XN, Y, f_matrix)
-    g = ModuleHom(YM, X, g_matrix)
-    return RightTupleModule(ctx, X, Y, f, g, S_XN, S_YM)
-
-
-def regular_right_tuple(ctx: MoritaContext) -> RightTupleModule:
+def regular_right_tuple(ctx: MoritaContext) -> TupleModule:
     """The assembled ring as a right module over itself, in tuple form.
 
     X is the first block column A + M (a right A-module), Y the second
@@ -620,8 +517,8 @@ def regular_right_tuple(ctx: MoritaContext) -> RightTupleModule:
     g_mat = bilinear_through_tensor(S_YM, g_raw, X.dim)
     if f_mat is None or g_mat is None:
         raise ConstructionError("context data is inconsistent (regular tuple)")
-    return RightTupleModule(ctx, X, Y, ModuleHom(XN, Y, f_mat),
-                            ModuleHom(YM, X, g_mat), S_XN, S_YM)
+    return TupleModule(ctx, X, Y, ModuleHom(XN, Y, f_mat),
+                       ModuleHom(YM, X, g_mat), S_XN, S_YM)
 
 
 def morita_ring(A, B, N, M, phi_raw=None, psi_raw=None) -> MoritaContext:
@@ -670,41 +567,8 @@ def morita_ring(A, B, N, M, phi_raw=None, psi_raw=None) -> MoritaContext:
     if bad:
         raise ConstructionError(f"phi is not two-sided linear: {bad[0]}")
 
-    # mixed associativity, on all basis triples
-    for m in range(dM):
-        for n in range(dN):
-            bvec = phi_raw.column(m * dN + n)
-            for m2 in range(dM):
-                lhs = M.zero_vec()
-                for b, c in _sparse(F, bvec).items():
-                    for k, c2 in M.left_action[m2][b].items():
-                        lhs[k] = F.add(lhs[k], F.mul(c, c2))
-                avec = psi_raw.column(n * dM + m2)
-                rhs = M.zero_vec()
-                for a, c in _sparse(F, avec).items():
-                    for k, c2 in M.right_action[m][a].items():
-                        rhs[k] = F.add(rhs[k], F.mul(c, c2))
-                if lhs != rhs:
-                    raise ConstructionError(
-                        f"context compatibility fails at ({M.labels[m]}, "
-                        f"{N.labels[n]}, {M.labels[m2]})")
-    for n in range(dN):
-        for m in range(dM):
-            avec = psi_raw.column(n * dM + m)
-            for n2 in range(dN):
-                bvec = phi_raw.column(m * dN + n2)
-                lhs = N.zero_vec()
-                for b, c in _sparse(F, bvec).items():
-                    for k, c2 in N.right_action[n][b].items():
-                        lhs[k] = F.add(lhs[k], F.mul(c, c2))
-                rhs = N.zero_vec()
-                for a, c in _sparse(F, avec).items():
-                    for k, c2 in N.left_action[n2][a].items():
-                        rhs[k] = F.add(rhs[k], F.mul(c, c2))
-                if lhs != rhs:
-                    raise ConstructionError(
-                        f"context compatibility fails at ({N.labels[n]}, "
-                        f"{M.labels[m]}, {N.labels[n2]})")
+    _check_mixed_associativity(M, N, phi_raw, psi_raw)
+    _check_mixed_associativity(N, M, psi_raw, phi_raw)
 
     oA, oN, oM, oB = 0, dA, dA + dN, dA + dN + dM
     dim = dA + dN + dM + dB
@@ -738,6 +602,35 @@ def morita_ring(A, B, N, M, phi_raw=None, psi_raw=None) -> MoritaContext:
     assembled = GradedAlgebra(F, A.group, labels, degrees, unit, mult)
     assert_valid_algebra(assembled, "morita_ring")
     return MoritaContext(A, B, N, M, phi, psi, phi_raw, psi_raw, assembled)
+
+
+def _check_mixed_associativity(P, Q, pq_raw, qp_raw):
+    """(p q) p2 = p (q p2) on all basis triples of P x Q x P.
+
+    P and Q are the two bimodules of a context, in either order; pq_raw
+    pairs P x Q (column p*dimQ + q) into the ring acting on P's left,
+    qp_raw pairs Q x P (column q*dimP + p) into the ring acting on its right.
+    """
+    F = P.field
+
+    def act(table, coeffs):
+        out = P.zero_vec()
+        for r, c in coeffs.items():
+            for k, c2 in table[r].items():
+                out[k] = F.add(out[k], F.mul(c, c2))
+        return out
+
+    for p in range(P.dim):
+        for q in range(Q.dim):
+            pq = _sparse(F, pq_raw.column(p * Q.dim + q))
+            for p2 in range(P.dim):
+                qp = _sparse(F, qp_raw.column(q * P.dim + p2))
+                lhs = act(P.left_action[p2], pq)
+                rhs = act(P.right_action[p], qp)
+                if lhs != rhs:
+                    raise ConstructionError(
+                        f"context compatibility fails at ({P.labels[p]}, "
+                        f"{Q.labels[q]}, {P.labels[p2]})")
 
 
 def split_covering(cov: CoveringData, k=None) -> MoritaContext:

@@ -65,9 +65,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a):
         return a % self.p == 0
 
@@ -132,9 +129,6 @@ class Rationals:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / b
 
     def is_zero(self, a):
         return a == 0

@@ -23,8 +23,8 @@ from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
                       GradedBimodule, GradedModule, ModuleHom, direct_sum,
                       module_from_span, regular_module, trivially_graded,
                       zero_module)
-from .constructions import MoritaContext, RightTupleModule, TensorTower, \
-    ThetaData, TupleModule, morita_ring
+from .constructions import MoritaContext, TensorTower, ThetaData, \
+    TupleModule, morita_ring
 from .linalg import (Matrix, Span, kernel_basis, rank, right_inverse,
                      solve_sparse)
 from .tensors import tensor_over_algebra
@@ -681,12 +681,14 @@ def morita_corner_pd(ctx: MoritaContext, pd_cutoff=DEFAULT_PD_CUTOFF,
 # -- one dimensional modules ---------------------------------------------------
 
 
-def one_dimensional_modules(A: GradedAlgebra, side="right", limit=2 ** 16):
-    """All one dimensional modules, by brute force over the field.
+def one_dimensional_modules(A: GradedAlgebra, limit=2 ** 16):
+    """All one dimensional right modules, by brute force over the field.
 
     A scalar action is a module structure iff it is multiplicative on the
-    structure constants and sends the unit to 1.  Only finite prime
-    fields are searched; the search space p^dim must stay within limit.
+    structure constants and sends the unit to 1.  Scalars commute, so the
+    same action tables are also all one dimensional left modules.  Only
+    finite prime fields are searched; the search space p^dim must stay
+    within limit.
     """
     F = A.field
     if not hasattr(F, "p"):
@@ -711,7 +713,7 @@ def one_dimensional_modules(A: GradedAlgebra, side="right", limit=2 ** 16):
         if good:
             action = [[{0: F.enc(int(lam[j]))} if lam[j] else {}
                        for j in range(A.dim)]]
-            out.append(GradedModule(A, side, [f"s{len(out)}"], [A.group.zero()],
+            out.append(GradedModule(A, "right", [f"s{len(out)}"], [A.group.zero()],
                                     action))
     return out
 
@@ -777,7 +779,7 @@ def cleft_vanishing_check(td: ThetaData, modules=None,
     tests = [("regular", regular_module(E, "right")),
              ("base", _base_as_module_over_extension(td, "right"))]
     try:
-        for t, S in enumerate(one_dimensional_modules(E, "right", onedim_limit)):
+        for t, S in enumerate(one_dimensional_modules(E, onedim_limit)):
             tests.append((f"onedim{t}", S))
     except ConstructionError:
         pass
@@ -821,15 +823,16 @@ def _outer_pair(fld, u, v):
     return out
 
 
-def tensor_formula_check(ctx: MoritaContext, rt: RightTupleModule,
+def tensor_formula_check(ctx: MoritaContext, rt: TupleModule,
                          lt: TupleModule) -> CheckReport:
     """Tensor over the assembled ring against the two-block quotient formula.
 
-    The direct side is the balanced tensor product of the assembled
-    modules.  The formula side is (X (x)_A X') + (Y (x)_B Y') modulo the
-    span H of the mixed relations; the comparison map sends each block
-    pair to the corresponding pair of assembled vectors, and the check
-    confirms it kills H and hits everything, in matching dimension.
+    rt is a right tuple, lt a left one.  The direct side is the balanced
+    tensor product of the assembled modules.  The formula side is
+    (X (x)_A X') + (Y (x)_B Y') modulo the span H of the mixed relations;
+    the comparison map sends each block pair to the corresponding pair of
+    assembled vectors, and the check confirms it kills H and hits
+    everything, in matching dimension.
     """
     if rt.ctx is not ctx or lt.ctx is not ctx:
         raise ConstructionError("tuples must live over the given context")
@@ -846,18 +849,18 @@ def tensor_formula_check(ctx: MoritaContext, rt: RightTupleModule,
     # relations g(y (x) m) (x) x' = y (x) f'(m (x) x')
     for j in range(dY):
         for m in range(ctx.M.dim):
-            gv = rt.g.apply(rt.S_YM.project_pair(j, m))
+            gv = rt.g_at(j, m)
             for k in range(dXp):
-                fv = lt.f.apply(lt.S_MX.project_pair(m, k))
+                fv = lt.f_at(k, m)
                 left = S_XX.project_vec(_outer_pair(fld, gv, [fld.one() if t == k else fld.zero() for t in range(dXp)]))
                 right = S_YY.project_vec(_outer_pair(fld, [fld.one() if t == j else fld.zero() for t in range(dY)], fv))
                 H.add(list(left) + [fld.neg(c) for c in right])
     # relations x (x) g'(n (x) y') = f(x (x) n) (x) y'
     for i in range(dX):
         for nn in range(ctx.N.dim):
-            fv = rt.f.apply(rt.S_XN.project_pair(i, nn))
+            fv = rt.f_at(i, nn)
             for l in range(dYp):
-                gv = lt.g.apply(lt.S_NY.project_pair(nn, l))
+                gv = lt.g_at(l, nn)
                 left = S_XX.project_vec(_outer_pair(fld, [fld.one() if t == i else fld.zero() for t in range(dX)], gv))
                 right = S_YY.project_vec(_outer_pair(fld, fv, [fld.one() if t == l else fld.zero() for t in range(dYp)]))
                 H.add(list(left) + [fld.neg(c) for c in right])

@@ -14,25 +14,17 @@ from .algebra import (AlgebraError, GradedAlgebra, GradedBimodule, GradedModule,
 from .linalg import Matrix, row_space_reducer
 
 
-def _right_data(X, algebra):
-    """(dim, action, degree) of X as a right module over algebra."""
+def _side_data(X, algebra, side):
+    """(dim, action, degree) of X as a module over algebra on the given side."""
     if isinstance(X, GradedBimodule):
-        if X.right_algebra != algebra:
-            raise AlgebraError("bimodule right algebra mismatch")
-        return X.dim, X.right_action, X.degree
-    if not isinstance(X, GradedModule) or X.side != "right" or X.algebra != algebra:
-        raise AlgebraError("expected a right module over the tensor algebra")
+        alg, action = ((X.left_algebra, X.left_action) if side == "left"
+                       else (X.right_algebra, X.right_action))
+        if alg != algebra:
+            raise AlgebraError(f"bimodule {side} algebra mismatch")
+        return X.dim, action, X.degree
+    if not isinstance(X, GradedModule) or X.side != side or X.algebra != algebra:
+        raise AlgebraError(f"expected a {side} module over the tensor algebra")
     return X.dim, X.action, X.degree
-
-
-def _left_data(Y, algebra):
-    if isinstance(Y, GradedBimodule):
-        if Y.left_algebra != algebra:
-            raise AlgebraError("bimodule left algebra mismatch")
-        return Y.dim, Y.left_action, Y.degree
-    if not isinstance(Y, GradedModule) or Y.side != "left" or Y.algebra != algebra:
-        raise AlgebraError("expected a left module over the tensor algebra")
-    return Y.dim, Y.action, Y.degree
 
 
 class TensorSpace:
@@ -72,8 +64,8 @@ class TensorSpace:
 
 
 def tensor_over_algebra(X, Y, algebra: GradedAlgebra) -> TensorSpace:
-    dimX, Xact, degX = _right_data(X, algebra)
-    dimY, Yact, degY = _left_data(Y, algebra)
+    dimX, Xact, degX = _side_data(X, algebra, "right")
+    dimY, Yact, degY = _side_data(Y, algebra, "left")
     F = algebra.field
     group = algebra.group
     ncols = dimX * dimY
@@ -101,55 +93,50 @@ def tensor_over_algebra(X, Y, algebra: GradedAlgebra) -> TensorSpace:
     return TensorSpace(F, group, dimX, dimY, reduce, free, degrees)
 
 
-def tensor_module_with_bimodule(X: GradedModule, P: GradedBimodule):
-    """X (x)_A P for X a right A-module, P an (A, S)-bimodule.
+def _induced_action(T: TensorSpace, action, dim, on_first):
+    """Action table on T of an outer action on one tensor factor.
 
-    Returns (right S-module, TensorSpace).  The induced action
-    (x (x) p) s = x (x) (p s) descends because the outer action maps
-    balancing relations to balancing relations.
+    action[u][s] is basis vector u of the first factor (on_first) or of the
+    second one acted on by basis vector s of the outer algebra (dim of
+    them); the class of (i, j) goes to the class of the moved pair.  It
+    descends because the outer action maps balancing relations to
+    balancing relations.
     """
-    A = X.algebra
-    T = tensor_over_algebra(X, P, A)
-    S = P.right_algebra
     F = T.field
-    action = []
+    table = []
     for (i, j) in T.section:
         row = []
-        for s in range(S.dim):
+        for s in range(dim):
             acc = [F.zero()] * T.dim
-            for q, c in P.right_action[j][s].items():
-                pv = T.project_pair(i, q)
+            for u, c in action[i if on_first else j][s].items():
+                pv = T.project_pair(u, j) if on_first else T.project_pair(i, u)
                 for k, a in enumerate(pv):
                     if not F.is_zero(a):
                         acc[k] = F.add(acc[k], F.mul(c, a))
             row.append({k: a for k, a in enumerate(acc) if not F.is_zero(a)})
-        action.append(row)
+        table.append(row)
+    return table
+
+
+def tensor_module_with_bimodule(X: GradedModule, P: GradedBimodule):
+    """X (x)_A P for X a right A-module, P an (A, S)-bimodule.
+
+    Returns (right S-module, TensorSpace).
+    """
+    T = tensor_over_algebra(X, P, X.algebra)
+    S = P.right_algebra
+    action = _induced_action(T, P.right_action, S.dim, on_first=False)
     labels = [f"t{k}" for k in range(T.dim)]
-    M = GradedModule(S, "right", labels, T.degrees, action)
-    return M, T
+    return GradedModule(S, "right", labels, T.degrees, action), T
 
 
 def tensor_bimodule_with_module(P: GradedBimodule, Y: GradedModule):
     """P (x)_A Y for P an (S, A)-bimodule, Y a left A-module -> left S-module."""
-    A = Y.algebra
-    T = tensor_over_algebra(P, Y, A)
+    T = tensor_over_algebra(P, Y, Y.algebra)
     S = P.left_algebra
-    F = T.field
-    action = []
-    for (i, j) in T.section:
-        row = []
-        for s in range(S.dim):
-            acc = [F.zero()] * T.dim
-            for l, c in P.left_action[i][s].items():
-                pv = T.project_pair(l, j)
-                for k, a in enumerate(pv):
-                    if not F.is_zero(a):
-                        acc[k] = F.add(acc[k], F.mul(c, a))
-            row.append({k: a for k, a in enumerate(acc) if not F.is_zero(a)})
-        action.append(row)
+    action = _induced_action(T, P.left_action, S.dim, on_first=True)
     labels = [f"t{k}" for k in range(T.dim)]
-    M = GradedModule(S, "left", labels, T.degrees, action)
-    return M, T
+    return GradedModule(S, "left", labels, T.degrees, action), T
 
 
 def tensor_bimodules(P: GradedBimodule, Q: GradedBimodule):
@@ -159,29 +146,8 @@ def tensor_bimodules(P: GradedBimodule, Q: GradedBimodule):
         raise AlgebraError("middle algebras disagree")
     T = tensor_over_algebra(P, Q, A)
     R, S = P.left_algebra, Q.right_algebra
-    F = T.field
-    left_action, right_action = [], []
-    for (i, j) in T.section:
-        lrow = []
-        for r in range(R.dim):
-            acc = [F.zero()] * T.dim
-            for l, c in P.left_action[i][r].items():
-                pv = T.project_pair(l, j)
-                for k, a in enumerate(pv):
-                    if not F.is_zero(a):
-                        acc[k] = F.add(acc[k], F.mul(c, a))
-            lrow.append({k: a for k, a in enumerate(acc) if not F.is_zero(a)})
-        left_action.append(lrow)
-        rrow = []
-        for s in range(S.dim):
-            acc = [F.zero()] * T.dim
-            for q, c in Q.right_action[j][s].items():
-                pv = T.project_pair(i, q)
-                for k, a in enumerate(pv):
-                    if not F.is_zero(a):
-                        acc[k] = F.add(acc[k], F.mul(c, a))
-            rrow.append({k: a for k, a in enumerate(acc) if not F.is_zero(a)})
-        right_action.append(rrow)
+    left_action = _induced_action(T, P.left_action, R.dim, on_first=True)
+    right_action = _induced_action(T, Q.right_action, S.dim, on_first=False)
     labels = [f"t{k}" for k in range(T.dim)]
     B = GradedBimodule(R, S, labels, T.degrees, left_action, right_action)
     return B, T

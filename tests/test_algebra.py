@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from injgen.algebra import (check_algebra_axioms, check_bimodule_axioms,
+from injgen.algebra import (GradedModule, check_algebra_axioms,
+                            check_bimodule_axioms,
                             check_module_axioms, component_bimodule,
                             degree_zero_subalgebra, direct_sum, dual,
                             opposite, quotient_module, regular_bimodule,
@@ -50,6 +51,22 @@ def test_axiom_violations_are_reported():
     rep = check_algebra_axioms(B)
     assert not rep.passed
     assert any(v.kind == "product-grading" for v in rep.violations)
+
+
+def test_module_axiom_violations_are_pinned_on_both_sides():
+    # the regular tables of k[x]/(x^2) with three cells changed; one
+    # associativity loop serves both sides, so pin what each side reports
+    A = dual_numbers()
+    action = [[{0: 1}, {0: 2, 1: 1}],
+              [{0: 3, 1: 1}, {0: 4}]]
+    common = [("unit-action", (1,)), ("action-grading", (0, 1, 0)),
+              ("action-grading", (1, 0, 0))]
+    assoc = {"left": [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0), (1, 1, 1)],
+             "right": [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)]}
+    for side, where in assoc.items():
+        M = GradedModule(A, side, ["m0", "m1"], [(0,), (1,)], action)
+        got = [(v.kind, v.where) for v in check_module_axioms(M).violations]
+        assert got == common + [("action-associativity", w) for w in where]
 
 
 def test_unit_violation_detected():

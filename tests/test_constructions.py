@@ -5,9 +5,10 @@ import pytest
 from injgen.algebra import (ConstructionError, GradedBimodule, ModuleHom,
                             direct_sum, dual, regular_bimodule, regular_module,
                             trivially_graded, twist)
-from injgen.constructions import (Bicharacter, beilinson, covering_module,
-                                  covering_module_inverse, covering_ring,
-                                  morita_ring, split_covering,
+from injgen.constructions import (Bicharacter, TupleModule, beilinson,
+                                  covering_module, covering_module_inverse,
+                                  covering_ring, morita_ring,
+                                  regular_right_tuple, split_covering,
                                   split_positively_graded, tensor_product_algebra,
                                   tensor_ring, theta_cleft_functors,
                                   theta_extension, trivial_extension,
@@ -582,6 +583,26 @@ def test_tuple_functors_recover_regular_module():
     S, _ = direct_sum([tA.as_module(), tB.as_module()])
     rep = find_isomorphism(S, regular_module(ctx.assembled, "left"))
     assert rep.found and rep.conclusive
+
+
+def test_regular_right_tuple_recovers_right_regular_module():
+    D = dual_numbers()
+    zero = GradedBimodule(D, D, [], [], [], [])
+    triangular = morita_ring(D, D, regular_bimodule(D), zero)
+    for ctx in (split_covering(covering_ring(group_algebra(F5, Z2))), triangular):
+        t = regular_right_tuple(ctx)
+        assert t.side == "right"
+        rep = find_isomorphism(t.as_module(), regular_module(ctx.assembled, "right"))
+        assert rep.found and rep.conclusive
+
+
+def test_square_check_rejects_perturbed_right_tuple():
+    ctx = split_covering(covering_ring(group_algebra(F5, Z2)))
+    t = regular_right_tuple(ctx)
+    zero_g = ModuleHom(t.g.source, t.g.target,
+                       Matrix.zeros(F5, t.g.matrix.nrows, t.g.matrix.ncols))
+    with pytest.raises(ConstructionError, match="square"):
+        TupleModule(ctx, t.X, t.Y, t.f, zero_g, t.S_X, t.S_Y)
 
 
 def test_zero_partner_needs_zero_pairings():
