@@ -6,8 +6,9 @@ degrees zero, or the trivial group).  Multiplication tables are stored
 sparsely: mult[i][j] is a dict {k: coeff} giving e_i * e_j = sum coeff e_k.
 
 Axiom checking returns violation lists rather than raising: callers decide
-whether a violation is an error.  Constructions treat any violation in
-their own output as a hard bug.
+whether a violation is an error.  check_axioms picks the checker by type.
+Objects are checked once, where they enter the object store; constructions
+trust their inputs and do not re-check what they build.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ class AlgebraError(ValueError):
 
 
 class ConstructionError(RuntimeError):
-    """A construction produced an object violating its own axioms."""
+    """Data handed to a construction fails one of its requirements; the
+    message names a witness."""
 
 
 class Violation:
@@ -496,25 +498,15 @@ def check_bimodule_axioms(B: GradedBimodule) -> AxiomReport:
     return AxiomReport(out)
 
 
-def assert_valid_algebra(A, context=""):
-    rep = check_algebra_axioms(A)
-    if not rep.passed:
-        raise ConstructionError(f"{context or 'algebra'}: {rep!r}")
-    return A
-
-
-def assert_valid_module(M, context=""):
-    rep = check_module_axioms(M)
-    if not rep.passed:
-        raise ConstructionError(f"{context or 'module'}: {rep!r}")
-    return M
-
-
-def assert_valid_bimodule(B, context=""):
-    rep = check_bimodule_axioms(B)
-    if not rep.passed:
-        raise ConstructionError(f"{context or 'bimodule'}: {rep!r}")
-    return B
+def check_axioms(obj) -> AxiomReport:
+    """The axiom report of an algebra, a one-sided module or a bimodule."""
+    if isinstance(obj, GradedAlgebra):
+        return check_algebra_axioms(obj)
+    if isinstance(obj, GradedBimodule):
+        return check_bimodule_axioms(obj)
+    if isinstance(obj, GradedModule):
+        return check_module_axioms(obj)
+    raise TypeError(f"no axioms for {type(obj).__name__}")
 
 
 # -- basic constructions on modules ---------------------------------------

@@ -3,7 +3,8 @@
 Objects live in a content-addressed store; commands accept a label, a
 full hash, a unique hash prefix, or a path to a JSON document (which is
 registered on the spot).  Exit codes: 0 success, 1 mathematical failure
-or refutation, 2 malformed input, 3 inconclusive outcome under --strict.
+or refutation, 2 malformed input (including a corrupt store and any object
+that violates its axioms), 3 inconclusive outcome under --strict.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import sys
 import click
 
 from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
-                      GradedBimodule, GradedModule, check_algebra_axioms,
-                      check_bimodule_axioms, check_module_axioms,
-                      degree_zero_subalgebra)
+                      GradedBimodule, check_axioms, degree_zero_subalgebra)
 from .bundled import load_corpus
 from .constructions import (Bicharacter, covering_module,
                             covering_module_inverse, covering_ring,
@@ -56,7 +55,10 @@ class Options:
     @property
     def reg(self):
         if self._reg is None:
-            self._reg = Registry(self.store)
+            try:
+                self._reg = Registry(self.store)
+            except RegistryError as e:
+                _fail(EXIT_INPUT, str(e))
         return self._reg
 
 
@@ -65,24 +67,26 @@ def _fail(code, msg):
     sys.exit(code)
 
 
-def _load_ref(opts, ref):
-    """Resolve a store reference or register a JSON file; returns hash."""
-    p = pathlib.Path(ref)
-    if p.suffix == ".json" or p.exists():
-        try:
-            doc = json.loads(p.read_text())
-        except OSError as e:
-            _fail(EXIT_INPUT, f"cannot read {ref}: {e}")
-        except ValueError as e:
-            _fail(EXIT_INPUT, f"{ref} is not JSON: {e}")
-        try:
-            from_json(doc)  # shape check before it enters the store
-            return opts.reg.store(doc, label=p.stem)
-        except SerializeError as e:
-            _fail(EXIT_INPUT, str(e))
+def _read_json(path):
     try:
-        return opts.reg.resolve(ref)
-    except RegistryError as e:
+        return json.loads(pathlib.Path(path).read_text())
+    except OSError as e:
+        _fail(EXIT_INPUT, f"cannot read {path}: {e}")
+    except ValueError as e:
+        _fail(EXIT_INPUT, f"{path} is not JSON: {e}")
+
+
+def _load_ref(opts, ref):
+    """Resolve a store reference or register a JSON file; returns the hash
+    of an object the store admits."""
+    p = pathlib.Path(ref)
+    try:
+        if p.suffix == ".json" or p.exists():
+            return opts.reg.store(_read_json(p), label=p.stem)
+        h = opts.reg.resolve(ref)
+        opts.reg.load(h)
+        return h
+    except (RegistryError, SerializeError) as e:
         _fail(EXIT_INPUT, str(e))
 
 
@@ -134,17 +138,13 @@ def main(ctx, store, pd_cutoff, nil_cutoff, seed, strict, field):
 @click.pass_obj
 def check(opts, path):
     """Validate the axioms of the object in a JSON document."""
+    doc = _read_json(path)
     try:
-        doc = json.loads(pathlib.Path(path).read_text())
         kind = object_kind(doc)
         obj = from_json(doc)
-    except (OSError, ValueError) as e:
-        _fail(EXIT_INPUT, f"cannot parse {path}: {e}")
     except SerializeError as e:
         _fail(EXIT_INPUT, str(e))
-    checker = {"algebra": check_algebra_axioms, "module": check_module_axioms,
-               "bimodule": check_bimodule_axioms}[kind]
-    rep = checker(obj)
+    rep = check_axioms(obj)
     click.echo(json.dumps({"kind": kind, "hash": content_hash(doc),
                            **rep.to_json()}, indent=1))
     if not rep.passed:
@@ -162,7 +162,7 @@ def _construct(fn):
         return fn()
     except (ConstructionError, AlgebraError) as e:
         _fail(EXIT_MATH, str(e))
-    except SerializeError as e:
+    except (SerializeError, RegistryError) as e:
         _fail(EXIT_INPUT, str(e))
 
 
@@ -397,10 +397,7 @@ def beilinson_cmd(opts, ring, level, label, out):
 @click.pass_obj
 def path_algebra_cmd(opts, path, label, out):
     """Path algebra of an acyclic quiver described in a JSON file."""
-    try:
-        doc = json.loads(pathlib.Path(path).read_text())
-    except (OSError, ValueError) as e:
-        _fail(EXIT_INPUT, f"cannot parse {path}: {e}")
+    doc = _read_json(path)
     data = _construct(lambda: path_algebra_from_json(doc, field=opts.field))
     _register(opts, data.algebra, label or pathlib.Path(path).stem, None, out)
 
@@ -498,8 +495,9 @@ def perfect(opts, bimodule):
 @click.pass_obj
 def derive_cmd(opts, target, depth, out):
     """Derive the injective-generation property for a stored algebra."""
+    h = _load_ref(opts, target)
     try:
-        tree = derive(opts.reg, target, max_depth=depth,
+        tree = derive(opts.reg, h, max_depth=depth,
                       pd_cutoff=opts.pd_cutoff, nil_cutoff=opts.nil_cutoff,
                       seed=opts.seed)
     except (RegistryError, ReductionError) as e:
@@ -517,10 +515,7 @@ def derive_cmd(opts, target, depth, out):
 @click.pass_obj
 def validate_cert_cmd(opts, path):
     """Recheck every step of a stored certificate."""
-    try:
-        cert = json.loads(pathlib.Path(path).read_text())
-    except (OSError, ValueError) as e:
-        _fail(EXIT_INPUT, f"cannot parse {path}: {e}")
+    cert = _read_json(path)
     ok, status, problems = validate_cert(cert, opts.reg, seed=opts.seed,
                                          **opts.given_cutoffs)
     click.echo(json.dumps({"valid": ok, "recomputed_status": status,

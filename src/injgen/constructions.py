@@ -6,18 +6,18 @@ bimodules, multiplication-twisted extensions R + M, twisted tensor
 products along a bicharacter, and the triangular/corner data attached to
 a nonnegatively graded algebra.
 
-Everything returned here is axiom-checked before it leaves the
-constructor; a construction that cannot meet its own postcondition raises
-ConstructionError with a witness instead of returning junk.
+Constructions check the data a caller supplies (shapes, sides, pairings,
+degrees of maps) and raise ConstructionError with a witness.  They trust
+their input objects, which the store checks on entry, and do not re-check
+their output; the test suite checks every construction's output.
 """
 
 from __future__ import annotations
 
 from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
                       GradedBimodule, GradedModule, ModuleHom,
-                      assert_valid_algebra, assert_valid_bimodule,
-                      assert_valid_module, degree_zero_subalgebra,
-                      regular_bimodule, trivially_graded, zero_module)
+                      degree_zero_subalgebra, regular_bimodule,
+                      trivially_graded, zero_module)
 from .groups import TRIVIAL_GROUP, FiniteAbelianGroup
 from .linalg import Matrix, Span, inverse
 from .tensors import (bilinear_through_tensor, tensor_bimodule_with_module,
@@ -45,6 +45,17 @@ def _sparse(field, vec):
 
 def _gl(g):
     return ",".join(str(x) for x in g) if g else "0"
+
+
+def _check_degrees(matrix, source_degrees, target_degrees, what):
+    """Raise unless the map (target x source matrix) sends each basis vector
+    into the component of its own degree."""
+    F = matrix.field
+    for k, row in enumerate(matrix.rows):
+        for t, c in enumerate(row):
+            if not F.is_zero(c) and source_degrees[t] != target_degrees[k]:
+                raise ConstructionError(f"{what} does not preserve degrees: "
+                                        f"column {t} reaches row {k}")
 
 
 class BimoduleHom:
@@ -130,7 +141,6 @@ def covering_ring(R: GradedAlgebra) -> CoveringData:
     like matrix units through R's structure constants.  The result is an
     ungraded algebra of dimension |group| * dim R.
     """
-    assert_valid_algebra(R, "covering_ring input")
     group = R.group
     F = R.field
     els = group.elements()
@@ -159,7 +169,6 @@ def covering_ring(R: GradedAlgebra) -> CoveringData:
                 unit[pos[(g, g, i)]] = c
     labels = [f"({_gl(g)}>{_gl(h)}){R.labels[i]}" for (g, h, i) in triples]
     alg = GradedAlgebra(F, TRIVIAL_GROUP, labels, [()] * dim, unit, mult)
-    assert_valid_algebra(alg, "covering_ring")
     return CoveringData(alg, R, triples, block_index, pos)
 
 
@@ -179,9 +188,7 @@ def covering_module(M: GradedModule, cov: CoveringData) -> GradedModule:
         gi = M.degree[i]
         action.append([dict(M.action[i][x]) if gi == g else {}
                        for (g, h, x) in cov.basis_triples])
-    V = GradedModule(cov.algebra, "right", list(M.labels), [()] * M.dim, action)
-    assert_valid_module(V, "covering_module")
-    return V
+    return GradedModule(cov.algebra, "right", list(M.labels), [()] * M.dim, action)
 
 
 def covering_module_inverse(V: GradedModule, cov: CoveringData) -> GradedModule:
@@ -221,9 +228,7 @@ def covering_module_inverse(V: GradedModule, cov: CoveringData) -> GradedModule:
             row.append(_sparse(F, Pinv.apply(w)))
         action.append(row)
     labels = [f"c{i}" for i in range(len(new_basis))]
-    M = GradedModule(R, "right", labels, degrees, action)
-    assert_valid_module(M, "covering_module_inverse")
-    return M
+    return GradedModule(R, "right", labels, degrees, action)
 
 
 # -- Morita contexts ---------------------------------------------------------
@@ -343,8 +348,9 @@ class TupleModule:
     B-module, f: M (x)_A X -> Y and g: N (x)_B Y -> X.  A right tuple has
     X a right A-module, Y a right B-module, f: X (x)_A N -> Y and
     g: Y (x)_B M -> X.  S_X and S_Y are the tensor spaces f and g start
-    from.  Construction validates both structure maps and the two
-    compatibility squares on all basis triples.
+    from.  Construction validates the shapes and degrees of both structure
+    maps, that they are module maps, and the two compatibility squares on
+    all basis triples.
     """
 
     def __init__(self, ctx: MoritaContext, X, Y, f: ModuleHom, g: ModuleHom,
@@ -380,6 +386,9 @@ class TupleModule:
             raise ConstructionError("tuple map f has the wrong shape")
         if self.g.source.dim != self.S_Y.dim or self.g.target.dim != X.dim:
             raise ConstructionError("tuple map g has the wrong shape")
+        for name, h in (("f", self.f), ("g", self.g)):
+            _check_degrees(h.matrix, h.source.degree, h.target.degree,
+                           f"tuple map {name}")
         if not is_module_hom(self.f):
             raise ConstructionError("tuple map f is not a module map")
         if not is_module_hom(self.g):
@@ -447,7 +456,6 @@ class TupleModule:
         labels = [f"x:{s}" for s in X.labels] + [f"y:{s}" for s in Y.labels]
         degrees = list(X.degree) + list(Y.degree)
         self._mod = GradedModule(Lam, self.side, labels, degrees, action)
-        assert_valid_module(self._mod, "tuple as_module")
         return self._mod
 
     def __repr__(self):
@@ -527,18 +535,14 @@ def morita_ring(A, B, N, M, phi_raw=None, psi_raw=None) -> MoritaContext:
     phi_raw: Matrix of shape dim B x (dim M * dim N), column m*dimN + n,
     giving the pairing M x N -> B on basis pairs; psi_raw likewise with
     shape dim A x (dim N * dim M), column n*dimM + m.  None means zero.
-    Both pairings must descend to the balanced tensor product, be
-    two-sided linear, and satisfy the mixed associativity constraints;
-    violations raise with a witness.
+    Both pairings must preserve degrees, descend to the balanced tensor
+    product, be two-sided linear, and satisfy the mixed associativity
+    constraints; violations raise with a witness.
     """
     if N.left_algebra != A or N.right_algebra != B:
         raise ConstructionError("N must be an (A, B)-bimodule")
     if M.left_algebra != B or M.right_algebra != A:
         raise ConstructionError("M must be a (B, A)-bimodule")
-    assert_valid_algebra(A, "morita_ring corner A")
-    assert_valid_algebra(B, "morita_ring corner B")
-    assert_valid_bimodule(N, "morita_ring bimodule N")
-    assert_valid_bimodule(M, "morita_ring bimodule M")
     F = A.field
     dA, dN, dM, dB = A.dim, N.dim, M.dim, B.dim
     if phi_raw is None:
@@ -549,6 +553,11 @@ def morita_ring(A, B, N, M, phi_raw=None, psi_raw=None) -> MoritaContext:
         raise ConstructionError("phi matrix has the wrong shape")
     if (psi_raw.nrows, psi_raw.ncols) != (dA, dN * dM):
         raise ConstructionError("psi matrix has the wrong shape")
+    add = A.group.add
+    _check_degrees(phi_raw, [add(m, n) for m in M.degree for n in N.degree],
+                   B.degree, "phi")
+    _check_degrees(psi_raw, [add(n, m) for n in N.degree for m in M.degree],
+                   A.degree, "psi")
 
     T_NM, S_NM = tensor_bimodules(N, M)
     psi_ind = bilinear_through_tensor(S_NM, psi_raw, dA)
@@ -600,7 +609,6 @@ def morita_ring(A, B, N, M, phi_raw=None, psi_raw=None) -> MoritaContext:
               + [f"m:{s}" for s in M.labels] + [f"b:{s}" for s in B.labels])
     degrees = list(A.degree) + list(N.degree) + list(M.degree) + list(B.degree)
     assembled = GradedAlgebra(F, A.group, labels, degrees, unit, mult)
-    assert_valid_algebra(assembled, "morita_ring")
     return MoritaContext(A, B, N, M, phi, psi, phi_raw, psi_raw, assembled)
 
 
@@ -867,7 +875,6 @@ def tensor_ring(R: GradedAlgebra, M: GradedBimodule, nilpotency_index: int) -> T
     for t, c in enumerate(R.unit):
         unit[t] = c
     alg = GradedAlgebra(F, group, labels, degrees, unit, mult)
-    assert_valid_algebra(alg, "tensor_ring")
     return TensorRingData(alg, tower, k, n, offsets)
 
 
@@ -957,9 +964,7 @@ def theta_extension(R: GradedAlgebra, M: GradedBimodule, theta_raw=None) -> Thet
                         raise ConstructionError(
                             f"theta is not associative at ({M.labels[i]}, "
                             f"{M.labels[j]}, {M.labels[k]})")
-    alg = _theta_tables(R, M, theta_raw)
-    assert_valid_algebra(alg, "theta_extension")
-    return ThetaData(alg, R, M, theta, theta_raw)
+    return ThetaData(_theta_tables(R, M, theta_raw), R, M, theta, theta_raw)
 
 
 def trivial_extension(R: GradedAlgebra, M: GradedBimodule) -> ThetaData:
@@ -967,9 +972,7 @@ def trivial_extension(R: GradedAlgebra, M: GradedBimodule) -> ThetaData:
     if M.left_algebra != R or M.right_algebra != R:
         raise ConstructionError("extension needs a bimodule over the base on both sides")
     zero = Matrix.zeros(R.field, M.dim, M.dim * M.dim)
-    alg = _theta_tables(R, M, zero)
-    assert_valid_algebra(alg, "trivial_extension")
-    return ThetaData(alg, R, M, None, zero)
+    return ThetaData(_theta_tables(R, M, zero), R, M, None, zero)
 
 
 def split_positively_graded(Lam: GradedAlgebra):
@@ -1003,7 +1006,6 @@ def split_positively_graded(Lam: GradedAlgebra):
     right = [[restrict(Lam.mult[gp][g0], locp) for g0 in zero_idx] for gp in pos_idx]
     labels = [Lam.labels[i] for i in pos_idx]
     M = GradedBimodule(R0, R0, labels, [()] * len(pos_idx), left, right)
-    assert_valid_bimodule(M, "split_positively_graded")
     dM = len(pos_idx)
     theta_raw = Matrix.zeros(F, dM, dM * dM)
     for i, gi in enumerate(pos_idx):
@@ -1139,9 +1141,7 @@ def twisted_tensor(A: GradedAlgebra, B: GradedAlgebra, t: Bicharacter) -> Graded
         for j, cb in enumerate(B.unit):
             if not F.is_zero(cb):
                 unit[i * dB + j] = F.mul(ca, cb)
-    alg = GradedAlgebra(F, group, labels, degrees, unit, mult)
-    assert_valid_algebra(alg, "twisted_tensor")
-    return alg
+    return GradedAlgebra(F, group, labels, degrees, unit, mult)
 
 
 def tensor_product_algebra(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
@@ -1175,25 +1175,24 @@ def tensor_product_algebra(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
             c = F.mul(ca, cb)
             if not F.is_zero(c):
                 unit[i * dB + j] = c
-    alg = GradedAlgebra(F, group, labels, degrees, unit, mult)
-    assert_valid_algebra(alg, "tensor_product_algebra")
-    return alg
+    return GradedAlgebra(F, group, labels, degrees, unit, mult)
 
 
 def twisted_module(M: GradedModule, N: GradedModule, t: Bicharacter,
                    AtB: GradedAlgebra) -> GradedModule:
     """Right module M (x) N over the twisted product of the two algebras.
 
-    (m (x) n)(a (x) b) = t(|a|, |n|) (ma (x) nb); pass the twisted algebra
-    so repeated module constructions share one carrier.
+    (m (x) n)(a (x) b) = t(|a|, |n|) (ma (x) nb); AtB must be
+    twisted_tensor(A, B, t), passed in so repeated module constructions
+    share one carrier.
     """
     A, B = M.algebra, N.algebra
     if M.side != "right" or N.side != "right":
         raise ConstructionError("twisted modules are built from right modules")
     if t.group1 != A.group or t.group2 != B.group:
         raise ConstructionError("bicharacter groups do not match the factors")
-    if AtB.dim != A.dim * B.dim or AtB.group != A.group.product_with(B.group):
-        raise ConstructionError("carrier algebra does not match the factors")
+    if AtB != twisted_tensor(A, B, t):
+        raise ConstructionError("carrier is not the twisted product along t")
     F = A.field
     dB = B.dim
     dN = N.dim
@@ -1218,9 +1217,7 @@ def twisted_module(M: GradedModule, N: GradedModule, t: Bicharacter,
                         for s, cn in nb.items():
                             cell[r * dN + s] = F.mul(coef, F.mul(cm, cn))
                     action[row][k * dB + l] = cell
-    out = GradedModule(AtB, "right", labels, degrees, action)
-    assert_valid_module(out, "twisted_module")
-    return out
+    return GradedModule(AtB, "right", labels, degrees, action)
 
 
 # -- triangular data of a nonnegatively graded algebra -----------------------
@@ -1284,7 +1281,6 @@ def beilinson(Lam: GradedAlgebra, level: int) -> BeilinsonData:
                 unit[bpos[(r, r, i)]] = v
     blabels = [f"b[{r},{c}]{Lam.labels[i]}" for (r, c, i) in btrip]
     balg = GradedAlgebra(F, TRIVIAL_GROUP, blabels, [()] * dimb, unit, mult)
-    assert_valid_algebra(balg, "beilinson algebra part")
 
     lower = [(r, c) for r in range(l) for c in range(r + 1)]
     xtrip, xpos = build(lower, lambda r, c: l - r + c)
@@ -1311,7 +1307,6 @@ def beilinson(Lam: GradedAlgebra, level: int) -> BeilinsonData:
                 right[q][p] = cell
     xlabels = [f"x[{r},{c}]{Lam.labels[i]}" for (r, c, i) in xtrip]
     xbim = GradedBimodule(balg, balg, xlabels, [()] * dimx, left, right)
-    assert_valid_bimodule(xbim, "beilinson bimodule part")
     return BeilinsonData(balg, xbim, l)
 
 
@@ -1337,16 +1332,13 @@ class CleftFunctors:
         left = [[dict(E.mult[j][i]) for j in range(dR)] for i in range(dE)]
         right = [[dict(E.mult[i][j]) for j in range(dE)] for i in range(dE)]
         self._up = GradedBimodule(base, E, E.labels, [()] * dE, left, right)
-        assert_valid_bimodule(self._up, "cleft extension bimodule")
         lp = [[dict(base.mult[j][i]) if j < dR else {} for j in range(dE)]
               for i in range(dR)]
         rp = [[dict(base.mult[i][j]) for j in range(dR)] for i in range(dR)]
         self._down = GradedBimodule(E, base, base.labels, [()] * dR, lp, rp)
-        assert_valid_bimodule(self._down, "cleft collapse bimodule")
         bm = td.bim
         self._pair = GradedBimodule(base, base, bm.labels, [()] * bm.dim,
                                     bm.left_action, bm.right_action)
-        assert_valid_bimodule(self._pair, "cleft pairing bimodule")
 
     def _check_base(self, X):
         if X.side != "right" or X.algebra != self.base:
@@ -1374,9 +1366,7 @@ class CleftFunctors:
         self._check_ext(Y)
         dR = self.base.dim
         action = [[dict(Y.action[i][j]) for j in range(dR)] for i in range(Y.dim)]
-        out = GradedModule(self.base, "right", Y.labels, [()] * Y.dim, action)
-        assert_valid_module(out, "cleft restriction")
-        return out
+        return GradedModule(self.base, "right", Y.labels, [()] * Y.dim, action)
 
     def Z(self, X: GradedModule) -> GradedModule:
         """Inflation: the bimodule part acts by zero."""
@@ -1385,9 +1375,7 @@ class CleftFunctors:
         dE = self.ext.algebra.dim
         action = [[dict(X.action[i][j]) if j < dR else {} for j in range(dE)]
                   for i in range(X.dim)]
-        out = GradedModule(self.ext.algebra, "right", X.labels, [()] * X.dim, action)
-        assert_valid_module(out, "cleft inflation")
-        return out
+        return GradedModule(self.ext.algebra, "right", X.labels, [()] * X.dim, action)
 
     def F(self, X: GradedModule) -> GradedModule:
         """X paired with the bimodule (stays over the base)."""

@@ -33,10 +33,11 @@ class PrimeField:
     kind = "fp"
 
     def __init__(self, p: int):
+        # the cap comes first: trial division on a huge p never finishes
+        if isinstance(p, int) and p >= 2**31:
+            raise FieldError(f"modulus too large: {p}")
         if not isinstance(p, int) or not _is_prime(p):
             raise FieldError(f"modulus must be prime, got {p!r}")
-        if p >= 2**31:
-            raise FieldError(f"modulus too large: {p}")
         self.p = p
 
     def zero(self):

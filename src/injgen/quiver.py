@@ -10,7 +10,7 @@ degree zero).
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, GradedAlgebra, assert_valid_algebra
+from .algebra import AlgebraError, GradedAlgebra
 from .groups import FiniteAbelianGroup, TRIVIAL_GROUP
 
 
@@ -137,7 +137,6 @@ def path_algebra(field, vertices, arrows, relations=(), group=TRIVIAL_GROUP,
     labels = [_path_label(p) for p in paths]
     degs = [path_degree(p) for p in paths]
     A = GradedAlgebra(F, group, labels, degs, unit, mult)
-    assert_valid_algebra(A, "path algebra")
     vertex_index = {v: index[("", v)] for v in vertices}
     return PathAlgebraData(A, paths, vertex_index)
 

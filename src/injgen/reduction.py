@@ -28,6 +28,7 @@ from .constructions import (Bicharacter, beilinson, covering_ring,
 from .homology import (DEFAULT_NIL_CUTOFF, DEFAULT_PD_CUTOFF, is_projective,
                        left_perfect_check, nilpotency_index,
                        projective_dimension)
+from .registry import RegistryError
 from .serialize import matrix_from_json, object_hash, provenance_record
 
 ESTABLISHED = "Established"
@@ -643,6 +644,7 @@ def derive(reg, target, max_depth=6, pd_cutoff=DEFAULT_PD_CUTOFF,
     if reg.entry(h).get("kind") != "algebra":
         raise ReductionError("claims are about algebras; got a "
                              + str(reg.entry(h).get("kind")))
+    env.obj(h)  # the store refuses an object that violates its axioms
     tree = _derive(env, h, max_depth, frozenset())
     tree.cutoffs = {"pd_cutoff": pd_cutoff, "nil_cutoff": nil_cutoff}
     return tree
@@ -683,8 +685,13 @@ def _revalidate(env, node, problems, path):
         return UNKNOWN
     premise_nodes = step.get("premises", [])
     premise_hashes = [p.get("claim", {}).get("hash") for p in premise_nodes]
-    edge = _match_edge(rule.edges(env, h), step.get("direction"),
-                       premise_hashes)
+    try:
+        env.obj(h)
+        edges = rule.edges(env, h)
+    except RegistryError as e:  # the claim or an object its rule reads
+        problems.append(f"{where}: {e}")
+        return UNKNOWN
+    edge = _match_edge(edges, step.get("direction"), premise_hashes)
     if edge is None:
         problems.append(f"{where}: rule {rule.rule_id} no longer yields this "
                         "edge")

@@ -3,9 +3,10 @@
 Layout: <root>/objects/<hash>.json holds the canonical document bytes,
 <root>/index.json maps hashes to file, label, kind, and provenance.
 Storing the same document twice is a no-op; labels are conveniences and
-never enter the hash.  Writers to one store take an exclusive lock on
-<root>/index.lock and re-read the index under it, so concurrent processes
-never drop each other's entries.
+never enter the hash.  store and load admit an object only if its document
+parses and it satisfies its axioms, once per hash.  Writers to one store
+take an exclusive lock on <root>/index.lock and re-read the index under it,
+so concurrent processes never drop each other's entries.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
+from .algebra import check_axioms
 from .serialize import (SerializeError, canonical_bytes, content_hash,
                         from_json, object_kind, to_json)
 
@@ -56,9 +58,25 @@ class Registry:
         tmp.write_text(json.dumps(self._index, indent=1, sort_keys=True))
         os.replace(tmp, self._index_path)
 
+    def _admit(self, h: str, doc: dict, obj=None):
+        """Cache the object of document doc (hash h), parsed unless given, if
+        it satisfies its axioms; raise RegistryError otherwise."""
+        if h in self._live:
+            return
+        name = self._index["objects"].get(h, {}).get("label") or h[:12]
+        try:
+            obj = from_json(doc) if obj is None else obj
+        except SerializeError as e:
+            raise RegistryError(f"object {name}: {e}") from e
+        rep = check_axioms(obj)
+        if not rep.passed:
+            raise RegistryError(f"object {name} violates {len(rep.violations)} "
+                                f"axiom(s), first {rep.violations[0]!r}")
+        self._live[h] = obj
+
     def store(self, doc: dict, label: str | None = None) -> str:
-        kind = object_kind(doc)
         h = content_hash(doc)
+        self._admit(h, doc)
         rel = f"objects/{h}.json"
         path = self.root / rel
         with self._locked_index() as index:
@@ -66,7 +84,7 @@ class Registry:
                 path.write_bytes(canonical_bytes(doc))
             entry = index["objects"].get(h)
             if entry is None:
-                entry = {"file": rel, "kind": kind,
+                entry = {"file": rel, "kind": object_kind(doc),
                          "provenance": doc.get("provenance")}
                 index["objects"][h] = entry
             elif entry.get("provenance") is None and doc.get("provenance") is not None:
@@ -79,9 +97,9 @@ class Registry:
         return h
 
     def store_object(self, obj, label=None, provenance=None) -> str:
-        h = self.store(to_json(obj, provenance), label=label)
-        self._live.setdefault(h, obj)
-        return h
+        doc = to_json(obj, provenance)
+        self._admit(content_hash(doc), doc, obj)
+        return self.store(doc, label=label)
 
     def entry(self, h: str) -> dict:
         try:
@@ -105,7 +123,7 @@ class Registry:
 
     def load(self, h: str):
         if h not in self._live:
-            self._live[h] = from_json(self.load_doc(h))
+            self._admit(h, self.load_doc(h))
         return self._live[h]
 
     def label_of(self, h: str) -> str:

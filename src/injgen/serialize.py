@@ -150,9 +150,7 @@ def algebra_from_json(doc: dict) -> GradedAlgebra:
         return GradedAlgebra(field, group, labels, degree, unit, mult)
     except SerializeError:
         raise
-    except (FieldError, TypeError, ValueError, KeyError, IndexError) as e:
-        raise SerializeError(f"bad algebra document: {e}") from e
-    except Exception as e:  # constructor shape errors
+    except Exception as e:  # field, scalar and constructor shape errors
         raise SerializeError(f"bad algebra document: {e}") from e
 
 
