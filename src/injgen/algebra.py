@@ -94,7 +94,7 @@ class GradedAlgebra:
         self.unit = list(unit)
         if len(mult) != self.dim or any(len(row) != self.dim for row in mult):
             raise AlgebraError("mult table shape mismatch")
-        self.mult = [[_sv_clean(field, dict(cell)) for cell in row] for row in mult]
+        self.mult = [[_sv_clean(field, cell) for cell in row] for row in mult]
         self._cache = {}
 
     # -- arithmetic on coefficient vectors ---------------------------------
@@ -192,7 +192,7 @@ class GradedModule:
             raise AlgebraError("degree list length mismatch")
         if len(action) != self.dim or any(len(row) != algebra.dim for row in action):
             raise AlgebraError("action table shape mismatch")
-        self.action = [[_sv_clean(self.field, dict(cell)) for cell in row] for row in action]
+        self.action = [[_sv_clean(self.field, cell) for cell in row] for row in action]
         self._p = _modulus(self.field)
         self._cache = {}
 
@@ -321,8 +321,8 @@ class GradedBimodule:
         self.dim = len(self.labels)
         self.degree = [self.group.reduce(d) for d in degree]
         F = self.field
-        self.left_action = [[_sv_clean(F, dict(c)) for c in row] for row in left_action]
-        self.right_action = [[_sv_clean(F, dict(c)) for c in row] for row in right_action]
+        self.left_action = [[_sv_clean(F, c) for c in row] for row in left_action]
+        self.right_action = [[_sv_clean(F, c) for c in row] for row in right_action]
         if (len(self.left_action) != self.dim
                 or any(len(r) != left_algebra.dim for r in self.left_action)):
             raise AlgebraError("left action shape mismatch")

@@ -16,23 +16,19 @@ import sys
 import click
 
 from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
-                      GradedBimodule, check_axioms, degree_zero_subalgebra)
+                      GradedBimodule, check_axioms)
 from .bundled import load_corpus
-from .constructions import (Bicharacter, covering_module,
-                            covering_module_inverse, covering_ring,
-                            morita_ring, split_covering, tensor_ring,
-                            theta_extension, trivial_extension, twisted_tensor)
+from .constructions import Built, construct, reconstruct, split_covering
 from .field import FieldError, field_from_spec
 from .homology import (DEFAULT_NIL_CUTOFF, DEFAULT_PD_CUTOFF,
                        left_perfect_check, nilpotency_index,
                        projective_dimension, tor)
 from .quiver import path_algebra_from_json
 from .registry import Registry, RegistryError
-from .reduction import (CONDITIONAL, ESTABLISHED, UNKNOWN, ReductionError,
+from .reduction import (ESTABLISHED, ReductionError,
                         derive, emit_certificate, validate_cert)
-from .serialize import (SerializeError, content_hash, from_json,
-                        matrix_from_json, matrix_to_json, object_kind,
-                        provenance_record, to_json)
+from .serialize import (SerializeError, content_hash, from_json, object_hash,
+                        object_kind)
 from .verify import check_names, run_suite
 
 EXIT_MATH = 1
@@ -166,6 +162,26 @@ def _construct(fn):
         _fail(EXIT_INPUT, str(e))
 
 
+def _record(opts, name, hashes, label, out, params=None, ins=None):
+    """Run the construction recorded as name on the stored inputs (or on
+    ins, their loaded form) and register its object with its provenance."""
+    if ins is None:
+        ins = [opts.reg.load(h) for h in hashes]
+    built = _construct(lambda: construct(name, ins, params))
+    _register(opts, built.obj, label, built.provenance(hashes), out)
+
+
+def _json_opt(spec):
+    """The JSON an option gives inline or names as a file; None for 'zero'."""
+    if spec is None or spec == "zero":
+        return None
+    try:
+        p = pathlib.Path(spec)
+        return json.loads(p.read_text() if p.exists() else spec)
+    except (ValueError, OSError) as e:
+        _fail(EXIT_INPUT, f"bad JSON option: {e}")
+
+
 @build.command()
 @click.argument("ring")
 @click.option("--label", default=None)
@@ -174,9 +190,7 @@ def _construct(fn):
 def covering(opts, ring, label, out):
     """Covering ring of a graded algebra."""
     h = _load_ref(opts, ring)
-    cov = _construct(lambda: covering_ring(opts.reg.load(h)))
-    _register(opts, cov.algebra, label or opts.reg.label_of(h) + ":cover",
-              provenance_record("covering_ring", [h]), out)
+    _record(opts, "covering_ring", [h], label or opts.reg.label_of(h) + ":cover", out)
 
 
 def _covering_of(opts, ref):
@@ -184,10 +198,10 @@ def _covering_of(opts, ref):
     prov = opts.reg.entry(h).get("provenance") or {}
     if prov.get("construction") != "covering_ring":
         _fail(EXIT_INPUT, "reference is not a registered covering ring")
-    cov = _construct(lambda: covering_ring(opts.reg.load(prov["inputs"][0])))
-    if content_hash(to_json(cov.algebra)) != h:
+    built = _construct(lambda: reconstruct(prov, opts.reg.load))
+    if object_hash(built.obj) != h:
         _fail(EXIT_MATH, "stored covering does not match its base ring")
-    return h, cov
+    return h, built.data
 
 
 @build.command("module-cover")
@@ -200,9 +214,9 @@ def module_cover(opts, module, cover, label, out):
     """View a graded module over the covering ring."""
     hm = _load_ref(opts, module)
     hc, cov = _covering_of(opts, cover)
-    V = _construct(lambda: covering_module(opts.reg.load(hm), cov))
-    _register(opts, V, label or opts.reg.label_of(hm) + ":covered",
-              provenance_record("covering_module", [hm, hc]), out)
+    _record(opts, "covering_module", [hm, hc],
+            label or opts.reg.label_of(hm) + ":covered", out,
+            ins=[opts.reg.load(hm), cov])
 
 
 @build.command("module-uncover")
@@ -215,23 +229,9 @@ def module_uncover(opts, module, cover, label, out):
     """Recover the graded module from a covering-ring module."""
     hm = _load_ref(opts, module)
     hc, cov = _covering_of(opts, cover)
-    M = _construct(lambda: covering_module_inverse(opts.reg.load(hm), cov))
-    _register(opts, M, label or opts.reg.label_of(hm) + ":uncovered",
-              provenance_record("covering_module_inverse", [hm, hc]), out)
-
-
-def _matrix_opt(opts, field, spec, nrows, ncols):
-    if spec is None or spec == "zero":
-        return None
-    try:
-        rows = json.loads(pathlib.Path(spec).read_text()
-                          if pathlib.Path(spec).exists() else spec)
-        mat = matrix_from_json(field, rows, ncols)
-    except (ValueError, OSError, SerializeError) as e:
-        _fail(EXIT_INPUT, f"bad matrix: {e}")
-    if mat.nrows != nrows:
-        _fail(EXIT_INPUT, f"matrix needs {nrows} rows, got {mat.nrows}")
-    return mat
+    _record(opts, "covering_module_inverse", [hm, hc],
+            label or opts.reg.label_of(hm) + ":uncovered", out,
+            ins=[opts.reg.load(hm), cov])
 
 
 @build.command()
@@ -246,20 +246,9 @@ def _matrix_opt(opts, field, spec, nrows, ncols):
 @click.pass_obj
 def morita(opts, a, b, n, m, phi, psi, label, out):
     """Context ring of two corners and two glueing bimodules."""
-    ha, hb = _load_ref(opts, a), _load_ref(opts, b)
-    hn, hm = _load_ref(opts, n), _load_ref(opts, m)
-    A, B = opts.reg.load(ha), opts.reg.load(hb)
-    N, M = opts.reg.load(hn), opts.reg.load(hm)
-    pm = _matrix_opt(opts, A.field, phi, B.dim, M.dim * N.dim)
-    sm = _matrix_opt(opts, A.field, psi, A.dim, N.dim * M.dim)
-    ctx = _construct(lambda: morita_ring(A, B, N, M, pm, sm))
-    params = {"zero_context": ctx.is_zero_context}
-    if pm is not None and not pm.is_zero():
-        params["phi"] = matrix_to_json(A.field, pm)
-    if sm is not None and not sm.is_zero():
-        params["psi"] = matrix_to_json(A.field, sm)
-    _register(opts, ctx.assembled, label or "morita",
-              provenance_record("morita_ring", [ha, hb, hn, hm], params), out)
+    hashes = [_load_ref(opts, ref) for ref in (a, b, n, m)]
+    _record(opts, "morita_ring", hashes, label or "morita", out,
+            {"phi": _json_opt(phi), "psi": _json_opt(psi)})
 
 
 @build.command()
@@ -273,19 +262,12 @@ def split(opts, cover, split_index, label, out):
     hc, cov = _covering_of(opts, cover)
     ctx = _construct(lambda: split_covering(cov, split_index))
     stem = label or opts.reg.label_of(hc) + ":split"
-    ha = opts.reg.store_object(ctx.A, label=stem + ":A")
-    hb = opts.reg.store_object(ctx.B, label=stem + ":B")
-    hn = opts.reg.store_object(ctx.N, label=stem + ":N")
-    hm = opts.reg.store_object(ctx.M, label=stem + ":M")
-    params = {"zero_context": ctx.is_zero_context}
-    if not ctx.phi_raw.is_zero():
-        params["phi"] = matrix_to_json(ctx.A.field, ctx.phi_raw)
-    if not ctx.psi_raw.is_zero():
-        params["psi"] = matrix_to_json(ctx.A.field, ctx.psi_raw)
-    for piece, h in (("A", ha), ("B", hb), ("N", hn), ("M", hm)):
+    hashes = [opts.reg.store_object(getattr(ctx, piece), label=f"{stem}:{piece}")
+              for piece in "ABNM"]
+    for piece, h in zip("ABNM", hashes):
         click.echo(f"{h}  {stem}:{piece}")
     _register(opts, ctx.assembled, stem,
-              provenance_record("morita_ring", [ha, hb, hn, hm], params), out)
+              Built("morita_ring", ctx).provenance(hashes), out)
 
 
 @build.command("tensor-ring")
@@ -298,12 +280,9 @@ def split(opts, cover, split_index, label, out):
 @click.pass_obj
 def tensor_ring_cmd(opts, ring, bimodule, index, label, out):
     """Tensor ring of a nilpotent bimodule."""
-    hr, hw = _load_ref(opts, ring), _load_ref(opts, bimodule)
-    trd = _construct(lambda: tensor_ring(opts.reg.load(hr),
-                                         opts.reg.load(hw), index))
-    _register(opts, trd.algebra, label or "tensor-ring",
-              provenance_record("tensor_ring", [hr, hw],
-                                {"nilpotency_index": index}), out)
+    hashes = [_load_ref(opts, ring), _load_ref(opts, bimodule)]
+    _record(opts, "tensor_ring", hashes, label or "tensor-ring", out,
+            {"nilpotency_index": index})
 
 
 @build.command()
@@ -316,15 +295,9 @@ def tensor_ring_cmd(opts, ring, bimodule, index, label, out):
 @click.pass_obj
 def theta(opts, ring, bimodule, theta, label, out):
     """Extension of a ring by a bimodule along a pairing."""
-    hr, hw = _load_ref(opts, ring), _load_ref(opts, bimodule)
-    R, W = opts.reg.load(hr), opts.reg.load(hw)
-    tm = _matrix_opt(opts, R.field, theta, W.dim, W.dim * W.dim)
-    td = _construct(lambda: theta_extension(R, W, tm))
-    params = None
-    if tm is not None and not tm.is_zero():
-        params = {"theta": matrix_to_json(R.field, tm)}
-    _register(opts, td.algebra, label or "theta-ext",
-              provenance_record("theta_extension", [hr, hw], params), out)
+    hashes = [_load_ref(opts, ring), _load_ref(opts, bimodule)]
+    _record(opts, "theta_extension", hashes, label or "theta-ext", out,
+            {"theta": _json_opt(theta)})
 
 
 @build.command("trivial-ext")
@@ -335,11 +308,8 @@ def theta(opts, ring, bimodule, theta, label, out):
 @click.pass_obj
 def trivial_ext(opts, ring, bimodule, label, out):
     """Square-zero extension of a ring by a bimodule."""
-    hr, hw = _load_ref(opts, ring), _load_ref(opts, bimodule)
-    td = _construct(lambda: trivial_extension(opts.reg.load(hr),
-                                              opts.reg.load(hw)))
-    _register(opts, td.algebra, label or "trivial-ext",
-              provenance_record("trivial_extension", [hr, hw]), out)
+    hashes = [_load_ref(opts, ring), _load_ref(opts, bimodule)]
+    _record(opts, "trivial_extension", hashes, label or "trivial-ext", out)
 
 
 @build.command()
@@ -352,22 +322,9 @@ def trivial_ext(opts, ring, bimodule, label, out):
 @click.pass_obj
 def twisted(opts, a, b, tvals, label, out):
     """Twisted tensor product along a bicharacter."""
-    ha, hb = _load_ref(opts, a), _load_ref(opts, b)
-    A, B = opts.reg.load(ha), opts.reg.load(hb)
-
-    def mk():
-        if tvals == "one":
-            t = Bicharacter.trivial(A.field, A.group, B.group)
-        else:
-            vals = json.loads(tvals)
-            t = Bicharacter(A.field, A.group, B.group,
-                            [[A.field.dec(v) for v in row] for row in vals])
-        return t, twisted_tensor(A, B, t)
-
-    t, alg = _construct(mk)
-    _register(opts, alg, label or "twisted",
-              provenance_record("twisted_tensor", [ha, hb],
-                                {"t": t.to_json()}), out)
+    hashes = [_load_ref(opts, a), _load_ref(opts, b)]
+    params = None if tvals == "one" else {"t": {"values": _json_opt(tvals)}}
+    _record(opts, "twisted_tensor", hashes, label or "twisted", out, params)
 
 
 @build.command("beilinson")
@@ -378,16 +335,9 @@ def twisted(opts, a, b, tvals, label, out):
 @click.pass_obj
 def beilinson_cmd(opts, ring, level, label, out):
     """Pattern extension of a positively, finitely graded algebra."""
-    from .constructions import beilinson
     h = _load_ref(opts, ring)
-
-    def mk():
-        bd = beilinson(opts.reg.load(h), level)
-        return trivial_extension(bd.algebra, bd.bim).algebra
-
-    alg = _construct(mk)
-    _register(opts, alg, label or opts.reg.label_of(h) + ":pattern",
-              provenance_record("beilinson", [h], {"level": level}), out)
+    _record(opts, "beilinson", [h], label or opts.reg.label_of(h) + ":pattern",
+            out, {"level": level})
 
 
 @build.command("path-algebra")
@@ -410,9 +360,8 @@ def path_algebra_cmd(opts, path, label, out):
 def deg0(opts, ring, label, out):
     """Degree-zero subalgebra of a graded algebra."""
     h = _load_ref(opts, ring)
-    sub = _construct(lambda: degree_zero_subalgebra(opts.reg.load(h)))
-    _register(opts, sub, label or opts.reg.label_of(h) + ":deg0",
-              provenance_record("degree_zero_subalgebra", [h]), out)
+    _record(opts, "degree_zero_subalgebra", [h],
+            label or opts.reg.label_of(h) + ":deg0", out)
 
 
 def _as_module(opts, ref, side):

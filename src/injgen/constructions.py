@@ -10,9 +10,15 @@ Constructions check the data a caller supplies (shapes, sides, pairings,
 degrees of maps) and raise ConstructionError with a witness.  They trust
 their input objects, which the store checks on entry, and do not re-check
 their output; the test suite checks every construction's output.
+
+RECIPES, at the end, maps each construction name a provenance record
+can carry to how that construction runs and how its params are read and
+written; construct and reconstruct run a construction through it.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
                       GradedBimodule, GradedModule, ModuleHom,
@@ -20,6 +26,8 @@ from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
                       trivially_graded, zero_module)
 from .groups import TRIVIAL_GROUP, FiniteAbelianGroup
 from .linalg import Matrix, Span, inverse
+from .serialize import (SerializeError, matrix_from_json, matrix_to_json,
+                        provenance_record)
 from .tensors import (bilinear_through_tensor, tensor_bimodule_with_module,
                       tensor_bimodules, tensor_module_with_bimodule)
 
@@ -36,6 +44,7 @@ __all__ = [
     "tensor_product_algebra",
     "BeilinsonData", "beilinson",
     "CleftFunctors", "theta_cleft_functors",
+    "RECIPES", "Built", "construct", "reconstruct",
 ]
 
 
@@ -1090,13 +1099,6 @@ class Bicharacter:
         return {"group1": self.group1.to_json(), "group2": self.group2.to_json(),
                 "values": [[self.field.enc(v) for v in row] for row in self.values]}
 
-    @classmethod
-    def from_json(cls, field, obj):
-        g1 = FiniteAbelianGroup.from_json(obj["group1"])
-        g2 = FiniteAbelianGroup.from_json(obj["group2"])
-        vals = [[field.dec(v) for v in row] for row in obj["values"]]
-        return cls(field, g1, g2, vals)
-
 
 def twisted_tensor(A: GradedAlgebra, B: GradedAlgebra, t: Bicharacter) -> GradedAlgebra:
     """Tensor product algebra with the cross-term commutation scaled by t.
@@ -1386,3 +1388,146 @@ class CleftFunctors:
 
 def theta_cleft_functors(td: ThetaData) -> CleftFunctors:
     return CleftFunctors(td)
+
+
+# -- provenance ----------------------------------------------------------------
+#
+# An object a construction built is stored with a provenance record: the
+# construction's name, the hashes of its inputs and JSON params.  RECIPES
+# has one entry per recorded name and is the one place that turns a record
+# into a construction and back: the command line and the corpus generator
+# record through it, the derivation engine rebuilds through it.  Entries
+# call their construction by module-global name at call time, so a wrapper
+# installed on this module sees every call.
+
+
+def _matrix_param(field, params, key, nrows, ncols):
+    """params[key] as an nrows x ncols matrix; None (zero) when absent."""
+    if params.get(key) is None:
+        return None
+    m = matrix_from_json(field, params[key], ncols)
+    if (m.nrows, m.ncols) != (nrows, ncols):
+        raise SerializeError(f"{key} must be a {nrows} x {ncols} matrix, "
+                             f"got {m.nrows} x {m.ncols}")
+    return m
+
+
+def _int_args(params, key):
+    if type(params.get(key)) is not int:
+        raise SerializeError(f"param {key!r} must be an integer")
+    return (params[key],)
+
+
+def _decode_pairings(ins, params):
+    A, B, N, M = ins
+    return (_matrix_param(A.field, params, "phi", B.dim, M.dim * N.dim),
+            _matrix_param(A.field, params, "psi", A.dim, N.dim * M.dim))
+
+
+def _encode_pairings(ctx, _args):
+    params = {"zero_context": ctx.is_zero_context}
+    for key, mat in (("phi", ctx.phi_raw), ("psi", ctx.psi_raw)):
+        if not mat.is_zero():
+            params[key] = matrix_to_json(ctx.A.field, mat)
+    return params
+
+
+def _decode_twist(ins, params):
+    """The bicharacter params["t"]; the trivial one when absent."""
+    A, B = ins
+    t = params.get("t")
+    if t is None:
+        return (Bicharacter.trivial(A.field, A.group, B.group),)
+    if not isinstance(t, dict) or t.get("values") is None:
+        raise SerializeError("param 't' needs its generator values")
+    if any(k in t and t[k] != X.group.to_json()
+           for k, X in (("group1", A), ("group2", B))):
+        raise SerializeError("param 't' names groups other than the factors'")
+    vals = _matrix_param(A.field, t, "values", len(A.group.factors),
+                         len(B.group.factors))
+    return (Bicharacter(A.field, A.group, B.group, vals.rows),)
+
+
+def _pattern_extension(Lam, level):
+    bd = beilinson(Lam, level)
+    return trivial_extension(bd.algebra, bd.bim)
+
+
+# decode(ins, params) turns the recorded JSON params into the extra
+# arguments of run, raising SerializeError on malformed ones; run(*ins,
+# *args) returns the construction's data; primary(data) is the object the
+# record is stored with; encode(data, args) is the params to record.
+Recipe = namedtuple("Recipe", "arity run decode primary encode", defaults=(
+    lambda ins, params: (), lambda data: data.algebra, lambda data, args: None))
+
+RECIPES = {
+    "covering_ring": Recipe(1, lambda R: covering_ring(R)),
+    "covering_module": Recipe(2, lambda M, cov: covering_module(M, cov),
+                              primary=lambda M: M),
+    "covering_module_inverse": Recipe(
+        2, lambda V, cov: covering_module_inverse(V, cov), primary=lambda M: M),
+    "degree_zero_subalgebra": Recipe(1, lambda A: degree_zero_subalgebra(A),
+                                     primary=lambda A: A),
+    "morita_ring": Recipe(
+        4, lambda A, B, N, M, phi, psi: morita_ring(A, B, N, M, phi, psi),
+        _decode_pairings, lambda ctx: ctx.assembled, _encode_pairings),
+    "tensor_ring": Recipe(
+        2, lambda R, W, k: tensor_ring(R, W, k),
+        lambda ins, p: _int_args(p, "nilpotency_index"),
+        encode=lambda data, args: {"nilpotency_index": args[0]}),
+    "theta_extension": Recipe(
+        2, lambda R, W, theta: theta_extension(R, W, theta),
+        lambda ins, p: (_matrix_param(ins[0].field, p, "theta", ins[1].dim,
+                                      ins[1].dim ** 2),),
+        encode=lambda td, args: None if td.theta_raw.is_zero() else
+        {"theta": matrix_to_json(td.base.field, td.theta_raw)}),
+    "trivial_extension": Recipe(2, lambda R, W: trivial_extension(R, W)),
+    "beilinson": Recipe(1, lambda Lam, level: _pattern_extension(Lam, level),
+                        lambda ins, p: _int_args(p, "level"),
+                        encode=lambda data, args: {"level": args[0]}),
+    "twisted_tensor": Recipe(2, lambda A, B, t: twisted_tensor(A, B, t),
+                             _decode_twist, lambda T: T,
+                             lambda data, args: {"t": args[0].to_json()}),
+}
+
+
+class Built:
+    """A construction run under its recorded name: the data it returned
+    and the decoded params it ran with."""
+
+    def __init__(self, name, data, args=()):
+        self.name = name
+        self.data = data
+        self.args = args
+
+    @property
+    def obj(self):
+        """The object the record is stored with."""
+        return RECIPES[self.name].primary(self.data)
+
+    def provenance(self, inputs):
+        """The record of this run on the inputs with these hashes."""
+        return provenance_record(self.name, inputs,
+                                 RECIPES[self.name].encode(self.data, self.args))
+
+
+def construct(name, ins, params=None) -> Built:
+    """Run the construction recorded as name on loaded inputs (a covering
+    ring as its CoveringData) and JSON params."""
+    recipe = RECIPES.get(name)
+    if recipe is None or len(ins) != recipe.arity:
+        raise SerializeError(f"no construction {name!r} on {len(ins)} inputs")
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise SerializeError("params must be a JSON object")
+    args = recipe.decode(ins, params)
+    return Built(name, recipe.run(*ins, *args), args)
+
+
+def reconstruct(record, load) -> Built:
+    """Re-run the construction a provenance record names; load(h) returns
+    the stored object of hash h."""
+    if not isinstance(record, dict) or not isinstance(record.get("inputs"), list):
+        raise SerializeError("malformed provenance record")
+    return construct(record.get("construction"),
+                     [load(h) for h in record["inputs"]], record.get("params"))

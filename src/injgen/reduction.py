@@ -4,8 +4,12 @@ A claim names a stored algebra and asserts that injective modules
 generate its derived category.  Rules connect a claim to premise claims,
 guarded by machine-checkable hypotheses; provenance records in the
 registry decide which rules can fire.  Every rule that leans on a stored
-construction re-runs it and compares content hashes, so a certificate
-really is re-derivable from the stored structure constants alone.
+construction re-runs it through the provenance table in constructions
+(once per derivation) and compares content hashes, so a certificate
+really is re-derivable from the stored structure constants alone.  A
+rule reads what it needs of a construction, such as whether a Morita
+context's pairings vanish and the dimensions of its glueing bimodules,
+from the rebuilt data and never from a recorded param.
 
 Statuses form a ladder: Established needs every hypothesis verified and
 every leaf a base fact; one inconclusive hypothesis anywhere drops the
@@ -22,14 +26,12 @@ import random
 from .algebra import (AlgebraError, ConstructionError, component_bimodule,
                       degree_zero_subalgebra, dual, quotient_module,
                       regular_module, strongly_graded_check)
-from .constructions import (Bicharacter, beilinson, covering_ring,
-                            morita_ring, tensor_ring, theta_extension,
-                            trivial_extension, twisted_tensor)
+from .constructions import construct, reconstruct
 from .homology import (DEFAULT_NIL_CUTOFF, DEFAULT_PD_CUTOFF, is_projective,
                        left_perfect_check, nilpotency_index,
                        projective_dimension)
 from .registry import RegistryError
-from .serialize import matrix_from_json, object_hash, provenance_record
+from .serialize import SerializeError, object_hash
 
 ESTABLISHED = "Established"
 CONDITIONAL = "Refutation-free-but-Conditional"
@@ -122,8 +124,8 @@ class Env:
         label yet: it never replaces a label the user gave.
         """
         if h not in self._deg0:
-            sub = degree_zero_subalgebra(self.obj(h))
-            prov = provenance_record("degree_zero_subalgebra", [h])
+            built = construct("degree_zero_subalgebra", [self.obj(h)])
+            sub, prov = built.obj, built.provenance([h])
             d0 = self.reg.store_object(sub, provenance=prov)
             if not self.reg.entry(d0).get("label"):
                 self.reg.store_object(sub, label=self.reg.label_of(h) + ":deg0",
@@ -132,80 +134,34 @@ class Env:
         return self._deg0[h]
 
     def rebuild(self, h):
-        """Re-run the stored construction for h.
+        """Re-run the stored construction for h, once per derivation.
 
-        Returns (built, err) where built is the primary object (hash not
-        yet compared) or None with an error string.  Results are cached;
-        Morita rebuilds keep the whole context for corner hypotheses.
+        Returns (built, err): the Built run, whose object's hash is not yet
+        compared, or None with an error string.
         """
-        if h in self._rebuilt:
-            return self._rebuilt[h]
-        prov = self.prov(h)
-        name = prov.get("construction")
-        ins = prov.get("inputs", [])
-        params = prov.get("params", {})
-        try:
-            built = self._run_construction(name, ins, params)
-        except (AlgebraError, ConstructionError, KeyError, IndexError,
-                TypeError, ValueError) as e:
-            self._rebuilt[h] = (None, f"{type(e).__name__}: {e}")
-            return self._rebuilt[h]
-        self._rebuilt[h] = (built, None)
+        if h not in self._rebuilt:
+            try:
+                self._rebuilt[h] = (reconstruct(self.prov(h), self.obj), None)
+            except (AlgebraError, ConstructionError, SerializeError, KeyError,
+                    IndexError, TypeError, ValueError) as e:
+                self._rebuilt[h] = (None, f"{type(e).__name__}: {e}")
         return self._rebuilt[h]
 
-    def _run_construction(self, name, ins, params):
-        if name == "covering_ring":
-            return covering_ring(self.obj(ins[0])).algebra
-        if name == "degree_zero_subalgebra":
-            return degree_zero_subalgebra(self.obj(ins[0]))
-        if name == "tensor_ring":
-            return tensor_ring(self.obj(ins[0]), self.obj(ins[1]),
-                               params["nilpotency_index"]).algebra
-        if name == "trivial_extension":
-            return trivial_extension(self.obj(ins[0]), self.obj(ins[1])).algebra
-        if name == "theta_extension":
-            R, M = self.obj(ins[0]), self.obj(ins[1])
-            theta = None
-            if "theta" in params:
-                theta = matrix_from_json(R.field, params["theta"], M.dim * M.dim)
-            return theta_extension(R, M, theta).algebra
-        if name == "morita_ring":
-            return self._rebuild_morita(ins, params).assembled
-        if name == "beilinson":
-            bd = beilinson(self.obj(ins[0]), params["level"])
-            return trivial_extension(bd.algebra, bd.bim).algebra
-        if name == "twisted_tensor":
-            A, B = self.obj(ins[0]), self.obj(ins[1])
-            t = Bicharacter.from_json(A.field, params["t"])
-            return twisted_tensor(A, B, t)
-        raise ReductionError(f"no rebuild recipe for construction {name!r}")
-
-    def _rebuild_morita(self, ins, params):
-        A, B = self.obj(ins[0]), self.obj(ins[1])
-        N, M = self.obj(ins[2]), self.obj(ins[3])
-        phi = psi = None
-        if "phi" in params:
-            phi = matrix_from_json(A.field, params["phi"], M.dim * N.dim)
-        if "psi" in params:
-            psi = matrix_from_json(A.field, params["psi"], N.dim * M.dim)
-        return morita_ring(A, B, N, M, phi, psi)
-
-    def morita_ctx(self, h):
-        built, err = self.rebuild(h)
-        if err is not None or built is None:
+    def zero_context(self, h):
+        """The rebuilt context of h if h was recorded as a Morita context
+        ring and both its pairings vanish; None otherwise."""
+        if self.prov(h).get("construction") != "morita_ring":
             return None
-        key = ("ctx", h)
-        if key not in self._rebuilt:
-            prov = self.prov(h)
-            self._rebuilt[key] = self._rebuild_morita(
-                prov.get("inputs", []), prov.get("params", {}))
-        return self._rebuilt[key]
+        built, _err = self.rebuild(h)
+        if built is None or not built.data.is_zero_context:
+            return None
+        return built.data
 
     def integrity_hyp(self, h):
         built, err = self.rebuild(h)
         if err is not None:
             return _hyp("construction-integrity", "refuted", {"error": err})
-        got = object_hash(built)
+        got = object_hash(built.obj)
         status = "verified" if got == h else "refuted"
         return _hyp("construction-integrity", status,
                     {"expected": h, "rebuilt": got})
@@ -274,40 +230,25 @@ class TriangularRule(Rule):
                 "for the corner away from the off-diagonal block.")
 
     @staticmethod
-    def _zero_corner(env, prov):
-        """None unless exactly the triangular shape; else 'N' or 'M' or 'both'."""
-        ins = prov.get("inputs", [])
-        if prov.get("construction") != "morita_ring" or len(ins) != 4:
+    def _descent_corners(env, h):
+        """None unless h is a context ring with zero pairings and a zero
+        glueing bimodule; else the corners generation descends to: A when
+        N vanishes, B when M vanishes, both when both do."""
+        ctx = env.zero_context(h)
+        if ctx is None or (ctx.N.dim and ctx.M.dim):
             return None
-        if not prov.get("params", {}).get("zero_context", False):
-            return None
-        ndim = len(env.reg.load_doc(ins[2])["basis"])
-        mdim = len(env.reg.load_doc(ins[3])["basis"])
-        if ndim == 0 and mdim == 0:
-            return "both"
-        if mdim == 0:
-            return "M"
-        if ndim == 0:
-            return "N"
-        return None
+        ins = env.prov(h)["inputs"]
+        return [c for c, zero in ((ins[0], ctx.N.dim == 0), (ins[1], ctx.M.dim == 0))
+                if zero]
 
     def edges(self, env, h):
         out = []
-        prov = env.prov(h)
-        corner = self._zero_corner(env, prov)
-        if corner is not None:
-            ins = prov["inputs"]
+        if self._descent_corners(env, h) is not None:
+            ins = env.prov(h)["inputs"]
             out.append(Edge("forward", [ins[0], ins[1]],
                             [env.integrity_hyp(h)]))
-        for other, e in env.reg.derived_from(h, "morita_ring"):
-            oprov = e.get("provenance") or {}
-            c = self._zero_corner(env, oprov)
-            if c is None:
-                continue
-            ins = oprov["inputs"]
-            # the descent lands on the corner opposite the nonzero block
-            targets = {"M": [ins[1]], "N": [ins[0]], "both": [ins[0], ins[1]]}[c]
-            if h in targets:
+        for other, _e in env.reg.derived_from(h, "morita_ring"):
+            if h in (self._descent_corners(env, other) or []):
                 out.append(Edge("backward", [other], [env.integrity_hyp(other)]))
         return out
 
@@ -320,48 +261,30 @@ class MoritaRule(Rule):
                 "projective dimension of the two corner stalk tuples lets "
                 "it ascend from both corners.")
 
-    @staticmethod
-    def _applies(env, h2):
-        prov = env.prov(h2)
-        return (prov.get("construction") == "morita_ring"
-                and len(prov.get("inputs", [])) == 4
-                and prov.get("params", {}).get("zero_context", False))
-
     def edges(self, env, h):
         out = []
-        if self._applies(env, h):
-            ctx = env.morita_ctx(h)
-            hyps = [env.integrity_hyp(h)]
-            if ctx is not None:
-                za = ctx.Z_A(regular_module(ctx.A, "left")).as_module()
-                zb = ctx.Z_B(regular_module(ctx.B, "left")).as_module()
-                hyps.append(_pd_hyp("stalk-pd[A]",
-                                    projective_dimension(za, env.pd_cutoff)))
-                hyps.append(_pd_hyp("stalk-pd[B]",
-                                    projective_dimension(zb, env.pd_cutoff)))
+        ctx = env.zero_context(h)
+        if ctx is not None:
+            za = ctx.Z_A(regular_module(ctx.A, "left")).as_module()
+            zb = ctx.Z_B(regular_module(ctx.B, "left")).as_module()
+            hyps = [env.integrity_hyp(h),
+                    _pd_hyp("stalk-pd[A]", projective_dimension(za, env.pd_cutoff)),
+                    _pd_hyp("stalk-pd[B]", projective_dimension(zb, env.pd_cutoff))]
             ins = env.prov(h)["inputs"]
             out.append(Edge("forward", [ins[0], ins[1]], hyps))
         for other, e in env.reg.derived_from(h, "morita_ring"):
-            if not self._applies(env, other):
-                continue
-            ins = (e.get("provenance") or {})["inputs"]
-            ctx = env.morita_ctx(other)
+            ctx = env.zero_context(other)
             if ctx is None:
                 continue
-            if h == ins[0] and ctx.N.dim > 0:
-                v = projective_dimension(ctx.N.as_left_module(), env.pd_cutoff)
-                out.append(Edge("backward", [other],
-                                [env.integrity_hyp(other),
-                                 _pd_hyp("glueing-pd[N]", v)]))
-            if h == ins[0] and ctx.N.dim == 0:
-                out.append(Edge("backward", [other], [env.integrity_hyp(other)]))
-            if h == ins[1] and ctx.M.dim > 0:
-                v = projective_dimension(ctx.M.as_left_module(), env.pd_cutoff)
-                out.append(Edge("backward", [other],
-                                [env.integrity_hyp(other),
-                                 _pd_hyp("glueing-pd[M]", v)]))
-            if h == ins[1] and ctx.M.dim == 0:
-                out.append(Edge("backward", [other], [env.integrity_hyp(other)]))
+            ins = e["provenance"]["inputs"]
+            for corner, bim, name in ((ins[0], ctx.N, "N"), (ins[1], ctx.M, "M")):
+                if h != corner:
+                    continue
+                hyps = [env.integrity_hyp(other)]
+                if bim.dim > 0:
+                    v = projective_dimension(bim.as_left_module(), env.pd_cutoff)
+                    hyps.append(_pd_hyp(f"glueing-pd[{name}]", v))
+                out.append(Edge("backward", [other], hyps))
         return out
 
 

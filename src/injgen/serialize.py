@@ -233,5 +233,5 @@ def matrix_from_json(field, rows, ncols: int):
     try:
         decoded = [[field.dec(c) for c in row] for row in rows]
         return Matrix(field, decoded, ncols)
-    except (FieldError, TypeError) as e:
+    except (FieldError, TypeError, ValueError) as e:
         raise SerializeError(f"bad matrix: {e}") from e

@@ -7,21 +7,19 @@ independent and deterministic given the seed.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .algebra import direct_sum, dual, regular_module, twist
 from .bundled import corpus_docs
 from .constructions import (Bicharacter, covering_module,
                             covering_module_inverse, covering_ring,
-                            morita_ring, regular_right_tuple, split_covering,
-                            tensor_product_algebra, tensor_ring,
+                            morita_ring, reconstruct, regular_right_tuple,
+                            split_covering, tensor_product_algebra, tensor_ring,
                             theta_extension, trivial_extension, twisted_module,
                             twisted_tensor, verify_zero_context)
 from .homology import (CheckReport, cleft_vanishing_check,
                        morita_corner_pd, power_block_law_check,
                        tensor_formula_check)
 from .homs import find_isomorphism
-from .serialize import canonical_bytes, from_json, matrix_from_json, to_json
+from .serialize import canonical_bytes, content_hash, from_json, to_json
 
 
 class _Corpus:
@@ -37,8 +35,11 @@ class _Corpus:
             self._objs[label] = from_json(self.docs[label])
         return self._objs[label]
 
-    def params(self, label):
-        return self.docs[label].get("provenance", {}).get("params", {})
+    def built(self, label):
+        """The construction of a corpus object, re-run from its provenance."""
+        by_hash = {content_hash(doc): lab for lab, doc in self.docs.items()}
+        return reconstruct(self.docs[label]["provenance"],
+                           lambda h: self.obj(by_hash[h]))
 
 
 def _check_zero_context(c, seed):
@@ -115,7 +116,7 @@ def _check_power_block_law(c, seed):
 def _check_twisted_dual(c, seed):
     A = c.obj("kz2-f3")
     T = c.obj("twisted-f3")
-    t = Bicharacter.from_json(A.field, c.params("twisted-f3")["t"])
+    t = c.built("twisted-f3").args[0]
     rows = []
     ok = True
 
@@ -196,11 +197,8 @@ def _check_corner_pd(c, seed):
 
 
 def _check_cleft_vanishing(c, seed):
-    R0, P = c.obj("a3-r0"), c.obj("a3-pos")
-    theta = matrix_from_json(R0.field, c.params("theta-a3")["theta"],
-                             P.dim * P.dim)
     cases = [
-        ("pairing extension", cleft_vanishing_check(theta_extension(R0, P, theta))),
+        ("pairing extension", cleft_vanishing_check(c.built("theta-a3").data)),
         ("square-zero extension", cleft_vanishing_check(
             trivial_extension(c.obj("kxk"), c.obj("kxk-arrow")))),
     ]

@@ -122,6 +122,35 @@ def test_build_morita_rejects_mismatched_corners(runner, store):
            "kxk-zero-bim", "kxk-arrow", code=1)
 
 
+ZERO_CTX = ["kxk", "kxk", "kxk-zero-bim", "kxk-arrow"]
+
+
+@pytest.mark.parametrize("args", [
+    ["twisted", "kz2-f3", "kz2-f3", "--t", "[[2"],
+    ["twisted", "kz2-f3", "kz2-f3", "--t", "[2]"],
+    ["twisted", "kz2-f3", "kz2-f3", "--t", "[[2, 2]]"],
+    ["morita", *ZERO_CTX, "--phi", "[[1"],
+    ["morita", *ZERO_CTX, "--phi", "[1]"],
+    ["morita", *ZERO_CTX, "--psi", "[[1], [1]]"],
+    ["theta", "a3-r0", "a3-pos", "--theta", "[[2"],
+    ["theta", "a3-r0", "a3-pos", "--theta", "[[1]]"],
+], ids=lambda args: f"{args[0]} {args[-1]}")
+def test_build_malformed_params_exit_2(runner, store, args):
+    loaded(runner, store)
+    result = invoke(runner, store, "build", *args, code=2)
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_build_unbalanced_theta_exits_1(runner, store):
+    loaded(runner, store)
+    zero = [0] * 9
+    theta = json.dumps([[1] + zero[1:], zero, zero])
+    result = invoke(runner, store, "build", "theta", "a3-r0", "a3-pos",
+                    "--theta", theta, code=1)
+    assert isinstance(result.exception, SystemExit)
+    assert "not balanced" in result.output
+
+
 # -- homology wrappers ---------------------------------------------------------
 
 

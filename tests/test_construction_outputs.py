@@ -7,6 +7,7 @@ bundled corpus and a seeded random zoo and checks each output with
 check_axioms.
 """
 
+import json
 import random
 
 import pytest
@@ -15,20 +16,20 @@ from injgen.algebra import (GradedAlgebra, check_axioms, component_bimodule,
                             degree_zero_subalgebra, regular_bimodule,
                             regular_module)
 from injgen.bundled import corpus_docs
-from injgen.constructions import (Bicharacter, TensorTower, beilinson,
+from injgen.constructions import (Bicharacter, MoritaContext, TensorTower,
+                                  ThetaData, beilinson, construct,
                                   covering_module, covering_module_inverse,
-                                  covering_ring, morita_ring,
-                                  regular_right_tuple, split_covering,
-                                  split_positively_graded, tensor_product_algebra,
-                                  tensor_ring, theta_cleft_functors,
-                                  theta_extension, trivial_extension,
+                                  covering_ring, regular_right_tuple,
+                                  split_covering, split_positively_graded,
+                                  tensor_product_algebra, tensor_ring,
+                                  theta_cleft_functors, trivial_extension,
                                   twisted_module, twisted_tensor)
 from injgen.field import QQ, PrimeField
 from injgen.groups import FiniteAbelianGroup
 from injgen.quiver import path_algebra
 from injgen.samples import (random_graded_algebra, random_graded_module,
                             random_upper_half_zero_algebra)
-from injgen.serialize import content_hash, from_json, matrix_from_json
+from injgen.serialize import content_hash, from_json, object_hash
 
 F5 = PrimeField(5)
 Z3 = FiniteAbelianGroup((3,))
@@ -90,6 +91,8 @@ def _check_context(ctx):
 
 
 def _check_extension(td):
+    valid(td.base)
+    valid(td.bim)
     valid(td.algebra)
     cf = theta_cleft_functors(td)
     for bim in (cf._up, cf._down, cf._pair):
@@ -119,46 +122,22 @@ def test_split_coverings_and_tuples(algebras, positively_graded):
 
 
 def test_corpus_contexts_and_extensions(corpus):
+    """Every recorded corpus construction, re-run through the provenance
+    table, rebuilds its object and re-encodes its record byte for byte."""
+    hashes = {label: object_hash(obj) for label, (obj, _prov) in corpus.items()}
     for label, (obj, prov) in corpus.items():
         if prov is None:
             continue
-        ins = [corpus[i][0] for i in prov["inputs"]]
-        params = prov.get("params", {})
-        name = prov["construction"]
-        if name == "morita_ring":
-            A, B, N, M = ins
-            phi = psi = None
-            if "phi" in params:
-                phi = matrix_from_json(A.field, params["phi"], M.dim * N.dim)
-            if "psi" in params:
-                psi = matrix_from_json(A.field, params["psi"], N.dim * M.dim)
-            ctx = morita_ring(A, B, N, M, phi, psi)
-            _check_context(ctx)
-            built = ctx.assembled
-        elif name == "tensor_ring":
-            built = tensor_ring(*ins, params["nilpotency_index"]).algebra
-        elif name == "theta_extension":
-            R, W = ins
-            td = theta_extension(R, W, matrix_from_json(R.field, params["theta"],
-                                                        W.dim * W.dim))
-            _check_extension(td)
-            built = td.algebra
-        elif name == "trivial_extension":
-            td = trivial_extension(*ins)
-            _check_extension(td)
-            built = td.algebra
-        elif name == "beilinson":
-            bd = beilinson(*ins, params["level"])
-            valid(bd.algebra)
-            valid(bd.bim)
-            built = trivial_extension(bd.algebra, bd.bim).algebra
-        elif name == "twisted_tensor":
-            A, B = ins
-            built = twisted_tensor(A, B, Bicharacter.from_json(A.field, params["t"]))
-        else:
-            assert name == "covering_ring"
-            built = covering_ring(*ins).algebra
-        assert valid(built) == obj, label
+        built = construct(prov["construction"],
+                          [corpus[i][0] for i in prov["inputs"]], prov.get("params"))
+        if isinstance(built.data, MoritaContext):
+            _check_context(built.data)
+        elif isinstance(built.data, ThetaData):
+            _check_extension(built.data)
+        assert valid(built.obj) == obj, label
+        record = built.provenance([hashes[i] for i in prov["inputs"]])
+        assert json.dumps(record, sort_keys=True) == json.dumps(
+            dict(prov, inputs=[hashes[i] for i in prov["inputs"]]), sort_keys=True)
 
 
 def test_tensor_rings_and_theta_extensions(algebras, positively_graded):
@@ -167,7 +146,6 @@ def test_tensor_rings_and_theta_extensions(algebras, positively_graded):
     tensor_rings = 0
     for A in positively_graded:
         td, _perm = split_positively_graded(A)
-        valid(td.bim)
         _check_extension(td)
         R0 = degree_zero_subalgebra(A)
         W = valid(component_bimodule(A, (1,), R0))

@@ -17,17 +17,13 @@ import tempfile
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from injgen.algebra import GradedBimodule
-from injgen.constructions import (Bicharacter, covering_ring, morita_ring,
-                                  beilinson, split_positively_graded,
-                                  tensor_ring, trivial_extension,
-                                  twisted_tensor)
+from injgen.constructions import Built, construct, split_positively_graded
 from injgen.field import PrimeField
 from injgen.groups import FiniteAbelianGroup
 from injgen.quiver import path_algebra
 from injgen.samples import (group_algebra, product_field_algebra,
                             truncated_polynomial)
-from injgen.serialize import (content_hash, matrix_to_json, provenance_record,
-                              to_json)
+from injgen.serialize import content_hash, to_json
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "injgen" / "corpus"
 
@@ -43,81 +39,61 @@ def generate(out):
     out.mkdir(parents=True, exist_ok=True)
     order = []
     hashes = {}
+    objs = {}
 
     def put(label, obj, provenance=None):
         doc = to_json(obj, provenance)
         hashes[label] = content_hash(doc)
+        objs[label] = obj
         (out / f"{label}.json").write_text(
             json.dumps(doc, sort_keys=True, separators=(",", ":")))
         order.append(label)
-        return hashes[label]
+
+    def put_built(label, built, inputs):
+        put(label, built.obj, built.provenance([hashes[i] for i in inputs]))
+
+    def build(label, name, inputs, params=None):
+        put_built(label, construct(name, [objs[i] for i in inputs], params), inputs)
 
     ONE = F5.one()
 
     kk = product_field_algebra(F5, 2)
-    hk = put("kxk", kk)
-
-    arrow = GradedBimodule(kk, kk, ["b"], [()],
-                           [[{0: ONE}, {}]], [[{}, {0: ONE}]])
-    ha = put("kxk-arrow", arrow)
-
-    zb = GradedBimodule(kk, kk, [], [], [], [])
-    hz = put("kxk-zero-bim", zb)
-
-    trd = tensor_ring(kk, arrow, 2)
-    put("a2-tensor", trd.algebra,
-        provenance_record("tensor_ring", [hk, ha], {"nilpotency_index": 2}))
-
-    put("triv-a2", trivial_extension(kk, arrow).algebra,
-        provenance_record("trivial_extension", [hk, ha]))
-
-    ctx = morita_ring(kk, kk, zb, arrow)
-    put("morita-demo", ctx.assembled,
-        provenance_record("morita_ring", [hk, hk, hz, ha],
-                          {"zero_context": True}))
+    put("kxk", kk)
+    put("kxk-arrow", GradedBimodule(kk, kk, ["b"], [()],
+                                    [[{0: ONE}, {}]], [[{}, {0: ONE}]]))
+    put("kxk-zero-bim", GradedBimodule(kk, kk, [], [], [], []))
+    build("a2-tensor", "tensor_ring", ["kxk", "kxk-arrow"], {"nilpotency_index": 2})
+    build("triv-a2", "trivial_extension", ["kxk", "kxk-arrow"])
+    build("morita-demo", "morita_ring", ["kxk", "kxk", "kxk-zero-bim", "kxk-arrow"])
 
     k3 = product_field_algebra(F5, 3)
-    h3 = put("kxkxk", k3)
-    chain = GradedBimodule(
+    put("kxkxk", k3)
+    put("a3-chain", GradedBimodule(
         k3, k3, ["a", "b"], [(), ()],
         [[{0: ONE}, {}, {}], [{}, {1: ONE}, {}]],
-        [[{}, {0: ONE}, {}], [{}, {}, {1: ONE}]])
-    put("a3-chain", chain)
+        [[{}, {0: ONE}, {}], [{}, {}, {1: ONE}]]))
 
-    a3 = path_algebra(F5, ["1", "2", "3"],
-                      [("a", "1", "2"), ("b", "2", "3")],
-                      group=Z8, degrees={"a": (1,), "b": (1,)}).algebra
-    h_a3 = put("a3-graded", a3)
-    td, _perm = split_positively_graded(a3)
-    hb = put("a3-r0", td.base)
-    hp = put("a3-pos", td.bim)
-    put("theta-a3", td.algebra,
-        provenance_record("theta_extension", [hb, hp],
-                          {"theta": matrix_to_json(F5, td.theta_raw)}))
+    put("a3-graded", path_algebra(F5, ["1", "2", "3"],
+                                  [("a", "1", "2"), ("b", "2", "3")],
+                                  group=Z8, degrees={"a": (1,), "b": (1,)}).algebra)
+    td, _perm = split_positively_graded(objs["a3-graded"])
+    put("a3-r0", td.base)
+    put("a3-pos", td.bim)
+    put_built("theta-a3", Built("theta_extension", td), ["a3-r0", "a3-pos"])
 
-    kz2 = group_algebra(F5, Z2)
-    hkz = put("kz2", kz2)
-    put("kz2-cover", covering_ring(kz2).algebra,
-        provenance_record("covering_ring", [hkz]))
+    put("kz2", group_algebra(F5, Z2))
+    build("kz2-cover", "covering_ring", ["kz2"])
 
-    dn = truncated_polynomial(F5, 2, Z2, (1,))
-    hd = put("dualnumbers-z2", dn)
-    put("dualnumbers-cover", covering_ring(dn).algebra,
-        provenance_record("covering_ring", [hd]))
+    put("dualnumbers-z2", truncated_polynomial(F5, 2, Z2, (1,)))
+    build("dualnumbers-cover", "covering_ring", ["dualnumbers-z2"])
 
     put("kx2-z4", truncated_polynomial(F5, 2, Z4, (1,)))
 
-    kx3 = truncated_polynomial(F5, 3, Z8, (1,))
-    hx3 = put("kx3-z8", kx3)
-    bd = beilinson(kx3, 2)
-    put("beil-ext", trivial_extension(bd.algebra, bd.bim).algebra,
-        provenance_record("beilinson", [hx3], {"level": 2}))
+    put("kx3-z8", truncated_polynomial(F5, 3, Z8, (1,)))
+    build("beil-ext", "beilinson", ["kx3-z8"], {"level": 2})
 
-    az = group_algebra(F3, Z2)
-    haz = put("kz2-f3", az)
-    t = Bicharacter(F3, Z2, Z2, [[F3.of_int(2)]])
-    put("twisted-f3", twisted_tensor(az, az, t),
-        provenance_record("twisted_tensor", [haz, haz], {"t": t.to_json()}))
+    put("kz2-f3", group_algebra(F3, Z2))
+    build("twisted-f3", "twisted_tensor", ["kz2-f3", "kz2-f3"], {"t": {"values": [[2]]}})
 
     (out / "manifest.json").write_text(
         json.dumps({"order": order}, indent=1))
