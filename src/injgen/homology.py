@@ -1,18 +1,25 @@
-"""Free resolutions, projective dimension, Tor, and perfectness checks.
+"""Projective resolutions, projective dimension, Tor, and perfectness checks.
 
 Everything here is ungraded homological algebra over a finite dimensional
 algebra; graded inputs are flattened to the trivial grading first (the
 dimensions computed do not depend on the grading, and flattening makes
 every kernel vector homogeneous, so span and quotient constructions never
-complain).  Resolutions are free but not minimal: each step covers the
-previous syzygy by one free copy per generator, which keeps the matrices
-small without affecting exactness.
+complain).
 
-Each module caches its generator cover pi: F -> M and a kernel basis of
-pi, so one cover serves both the next resolution step (ker pi is the next
-syzygy) and the projectivity test, which looks for an A-linear retraction
-of ker pi -> F: r * dim F unknowns for a cover by r free copies.  Module
-actions are applied to sparse vectors throughout.
+Covers are by idempotent projectives: when the unit's support is a set of
+orthogonal basis idempotents e_i along which the basis splits, each
+generator m lying in M e_i is covered by e_i A, and the kernel of each
+cover splits along the e_i, so every syzygy basis vector lies in one
+syzygy e_i and the next generators are basis vectors again.  On path
+algebras and their relatives this keeps the ranks at the minimal ones;
+without such idempotents the set is {1} and the cover is free.  Ranks
+count projective summands; the resolutions are not minimal in general.
+
+Each module caches its cover pi: F -> M and the kernel of pi, so one cover
+serves both the next resolution step (ker pi is the next syzygy) and the
+projectivity test, which looks for an A-linear retraction of ker pi -> F
+with unknowns k_c in F e_i(c).  Module actions are applied to sparse
+vectors throughout.
 """
 
 from __future__ import annotations
@@ -140,53 +147,121 @@ def flatten_module(M: GradedModule) -> GradedModule:
     return M._cache["flat"]
 
 
-# -- free covers and resolutions ---------------------------------------------
+# -- covers by idempotent projectives ----------------------------------------
 
 
-def free_module(A: GradedAlgebra, side, copies: int) -> GradedModule:
-    """A^copies; cached on A, so equal covers share one free module."""
-    key = ("free", side, copies)
+def _idempotents(A: GradedAlgebra):
+    """(idems, left, right): orthogonal idempotents e_i summing to the unit,
+    as sparse vectors, with e_left[j] b_j = b_j = b_j e_right[j] for every
+    basis element b_j.
+
+    The e_i are the unit's support u_k b_k when an exact check passes: on
+    each side every b_j is fixed by one e_i and killed by the others (so it
+    lies in one corner e_i A e_i'), and the e_i fix their own support, which
+    makes e_i e_j = delta_ij e_i; sum e_i = 1 holds by construction.
+    Otherwise the set is {1}, every tag is 0 and e A = A.  Cached on A,
+    never serialized.
+    """
+    if "idempotents" not in A._cache:
+        fld = A.field
+        supp = [(k, u) for k, u in enumerate(A.unit) if not fld.is_zero(u)]
+
+        def tags(cell):
+            # the i whose e_i fixes b_j, for each j; None if the check fails
+            out = []
+            for j in range(A.dim):
+                acts = [{t: fld.mul(u, x) for t, x in cell(k, j).items()} for k, u in supp]
+                hit = [i for i, a in enumerate(acts) if a]
+                if len(hit) != 1 or acts[hit[0]] != {j: fld.one()}:
+                    return None
+                out.append(hit[0])
+            return out
+
+        left = right = None
+        if len(supp) > 1:
+            left = tags(lambda k, j: A.mult[k][j])
+            right = tags(lambda k, j: A.mult[j][k])
+        if left and right and all(left[k] == i == right[k] for i, (k, _) in enumerate(supp)):
+            A._cache["idempotents"] = ([{k: u} for k, u in supp], left, right)
+        else:
+            A._cache["idempotents"] = ([dict(supp)], [0] * A.dim, [0] * A.dim)
+    return A._cache["idempotents"]
+
+
+def _projective(A: GradedAlgebra, side, summands):
+    """(F, basis, tags) for F the direct sum of e_i A over i in summands
+    (A e_i for left modules).
+
+    Summand c has the basis elements b_j with e_i b_j = b_j, so basis[f] =
+    (c, j) names F's basis vector f, and tags[f] = t says it lies in F e_t
+    (e_t F for left modules).  With the unit alone F is A^r.  Cached on A,
+    so equal covers share one module.
+    """
+    key = ("proj", side, summands)
     if key not in A._cache:
-        A._cache[key] = (direct_sum([regular_module(A, side)] * copies)[0] if copies
-                         else zero_module(A, side))
+        _, left, right = _idempotents(A)
+        own, tag = (left, right) if side == "right" else (right, left)
+        basis = [(c, j) for c, i in enumerate(summands)
+                 for j in range(A.dim) if own[j] == i]
+        coord = {b: f for f, b in enumerate(basis)}
+        action = [[{coord[(c, k)]: x for k, x in (A.mult[j][e] if side == "right"
+                                                  else A.mult[e][j]).items()}
+                   for e in range(A.dim)] for c, j in basis]
+        F = GradedModule(A, side, [f"{A.labels[j]}#{c}" for c, j in basis],
+                         [A.degree[j] for _, j in basis], action)
+        A._cache[key] = (F, basis, [tag[j] for _, j in basis])
     return A._cache[key]
 
 
-def _cover_onto(M: GradedModule, gens):
-    """Free cover with one copy per listed basis index; column (c, e) of
-    the projection is the action of e on the generator, read off the
-    action table."""
-    A = M.algebra
-    F = free_module(A, M.side, len(gens))
-    pi = Matrix.zeros(M.field, M.dim, F.dim)
-    for c, g in enumerate(gens):
-        for e, img in enumerate(M.action[g]):
-            for k, x in img.items():
-                pi.rows[k][c * A.dim + e] = x
-    return F, ModuleHom(F, M, pi)
+class _Cover:
+    """The cover pi: F -> M of a flattened module by idempotent projectives.
+
+    Each greedy generator m of M splits as the sum of its components m e_i
+    (e_i m for left modules); every nonzero component c becomes a summand
+    e_i(c) A of F, mapped onto M by e_i a -> m e_i a.  When each basis
+    vector of M lies in one M e_i, as every syzygy built here does, the
+    components are the generators themselves; with the unit alone F is
+    one free copy per generator.  summands[c] is i(c); free, basis and
+    tags are those of _projective.
+
+    kernel is kernel_basis(pi), and each of its vectors lies in one
+    (ker pi) e_t: pi maps F e_t into M e_t, these images are independent,
+    so a non-pivot column is a combination of the pivot columns of its own
+    tag.  The reduced rows of a syzygy spanned by them keep that, which is
+    why the basis vectors of every syzygy each lie in one syzygy e_t.
+    """
+
+    def __init__(self, M: GradedModule):
+        fld = M.field
+        idems = _idempotents(M.algebra)[0]
+        gens = []
+        for g in M.generators():
+            v = {g: fld.one()}
+            if len(idems) == 1:
+                gens.append((0, v))
+                continue
+            for i, e in enumerate(idems):
+                (k, u), = e.items()
+                w = {t: fld.mul(u, x) for t, x in M.act_sparse(v, k).items()}
+                if w:
+                    gens.append((i, w))
+        self.summands = tuple(i for i, _ in gens)
+        self.free, self.basis, self.tags = _projective(M.algebra, M.side, self.summands)
+        # column (c, j) of the projection is b_j acting on generator c
+        pi = Matrix.zeros(fld, M.dim, self.free.dim)
+        for f, (c, j) in enumerate(self.basis):
+            for k, x in M.act_sparse(gens[c][1], j).items():
+                pi.rows[k][f] = x
+        self.pi = ModuleHom(self.free, M, pi)
+        self.kernel = kernel_basis(pi)
 
 
-def free_cover(M: GradedModule):
-    """The tautological cover A^(dim M) -> M, i-th generator to i-th basis
-    vector.  Returns (F, pi)."""
-    return _cover_onto(M, list(range(M.dim)))
-
-
-def _generator_cover(M: GradedModule):
-    """(F, pi): one free copy per greedy generator; same image as the
-    tautological cover, fewer columns.  Cached on M, so the resolver and
-    the projectivity test share it."""
+def _cover(M: GradedModule) -> _Cover:
+    """The cover of M, cached on M: the resolver's next step and the
+    projectivity test share it."""
     if "cover" not in M._cache:
-        M._cache["cover"] = _cover_onto(M, M.generators())
+        M._cache["cover"] = _Cover(M)
     return M._cache["cover"]
-
-
-def _cover_kernel(M: GradedModule):
-    """kernel_basis of the generator cover's projection, cached on M: the
-    next syzygy of a resolution, as vectors of the free module."""
-    if "cover_kernel" not in M._cache:
-        M._cache["cover_kernel"] = kernel_basis(_generator_cover(M)[1].matrix)
-    return M._cache["cover_kernel"]
 
 
 class ProjectivityReport:
@@ -204,54 +279,63 @@ class ProjectivityReport:
 
 
 def is_projective(M: GradedModule) -> ProjectivityReport:
-    """Decide projectivity by a retraction onto the kernel of a free cover.
+    """Decide projectivity by a retraction onto the kernel of the cover.
 
-    With pi: F = A^r -> M the generator cover and K = ker pi, M is
-    projective iff the inclusion K -> F has an A-linear retraction t.
-    Such a t is fixed by k_c = t(u_c) in F for the free generators u_c,
-    and sends basis element (c, e) to e acting on k_c; the unknowns are
-    the r * dim F entries of the k_c, and the equations are pi . k_c = 0
-    for every c and t(rho) = rho for every kernel basis vector rho.  They
-    go to solve_sparse as sparse rows.  When t exists, s = (I - T) . sigma
-    splits pi, for T the matrix of t and sigma any linear section of pi:
-    I - T is A-linear and kills K, so it factors as s . pi.  The witness
-    s is returned for independent re-checking.
+    With pi: F -> M the cover by summands e_i(c) A and K = ker pi, M is
+    projective iff the inclusion K -> F has an A-linear retraction t.  Such
+    a t is fixed by k_c = t(e_i(c)) for the summand generators, and as
+    k_c = t(e_i(c)) e_i(c) the unknowns are the entries of each k_c in
+    F e_i(c); t sends basis element (c, j) to b_j acting on k_c.  The
+    equations are pi . k_c = 0 for every c and t(rho) = rho for every
+    kernel vector rho; they go to solve_sparse as sparse rows.  When t
+    exists, s = (I - T) . sigma splits pi, for T the matrix of t and sigma
+    any linear section of pi: I - T is A-linear and kills K, so it factors
+    as s . pi.  The witness s is returned for independent re-checking.
     """
     M = flatten_module(M)
     if "projres" in M._cache:
         return M._cache["projres"]
-    F, pi = _generator_cover(M)
-    kernel = _cover_kernel(M)
-    fld, dA, dF = M.field, M.algebra.dim, F.dim
-    r = dF // dA
-    # acts[e]: (g, f, x) for every entry x at row f, column g of the
-    # action of e on F
-    acts = [[(g, f, x) for g in range(dF) for f, x in F.action[g][e].items()]
-            for e in range(dA)]
-    eqs, rhs = [], []       # unknown k_c[g] is column c * dF + g
-    for i in range(M.dim):  # pi . k_c = 0
-        nz = [(g, a) for g, a in enumerate(pi.matrix.rows[i]) if not fld.is_zero(a)]
-        for c in range(r):
-            eqs.append({c * dF + g: a for g, a in nz})
-            rhs.append(fld.zero())
-    for rho in kernel:      # t(rho) = rho, one row per coordinate of F
-        rho = {ce: a for ce, a in enumerate(rho) if not fld.is_zero(a)}
+    cov = _cover(M)
+    F, pi = cov.free, cov.pi
+    fld = M.field
+    fixed = {}              # t -> the coordinates of F e_t
+    for f, t in enumerate(cov.tags):
+        fixed.setdefault(t, []).append(f)
+    col, n = [], 0          # unknown k_c[g] is column col[c][g]
+    for i in cov.summands:
+        col.append({g: n + q for q, g in enumerate(fixed[i])})
+        n += len(fixed[i])
+    eqs, rhs = [], []
+    for row in pi.matrix.rows:  # pi . k_c = 0
+        nz = [(g, a) for g, a in enumerate(row) if not fld.is_zero(a)]
+        for cc in col:
+            eq = {cc[g]: a for g, a in nz if g in cc}
+            if eq:
+                eqs.append(eq)
+                rhs.append(fld.zero())
+    acts = {}               # (i, j): (g, f, x) for every entry x at row f of b_j on g in F e_i
+    for rho in cov.kernel:  # t(rho) = rho, one row per coordinate of F
+        rho = {f: a for f, a in enumerate(rho) if not fld.is_zero(a)}
         rows = {f: {} for f in rho}     # rows with no unknowns still count
         for ce, a in rho.items():
-            c, e = divmod(ce, dA)
-            for g, f, x in acts[e]:     # solve_sparse reduces the sums
+            c, j = cov.basis[ce]
+            key = (cov.summands[c], j)
+            if key not in acts:
+                acts[key] = [(g, f, x) for g in fixed[key[0]]
+                             for f, x in F.action[g][j].items()]
+            cc = col[c]
+            for g, f, x in acts[key]:   # solve_sparse reduces the sums
                 row = rows.setdefault(f, {})
-                row[c * dF + g] = row.get(c * dF + g, 0) + a * x
+                row[cc[g]] = row.get(cc[g], 0) + a * x
         for f, row in rows.items():
             eqs.append(row)
             rhs.append(rho.get(f, fld.zero()))
-    sol = solve_sparse(fld, eqs, rhs, r * dF)
+    sol = solve_sparse(fld, eqs, rhs, n)
     split = None
     if sol is not None:
-        # column (c, e) of T is e acting on k_c
-        k = [{g: x for g, x in enumerate(sol[c * dF:(c + 1) * dF]) if not fld.is_zero(x)}
-             for c in range(r)]
-        tcols = [F.act_sparse(k[c], e) for c in range(r) for e in range(dA)]
+        # column (c, j) of T is b_j acting on k_c
+        k = [{g: sol[u] for g, u in cc.items() if not fld.is_zero(sol[u])} for cc in col]
+        tcols = [F.act_sparse(k[c], j) for c, j in cov.basis]
         sigma = right_inverse(pi.matrix)
         s = [list(row) for row in sigma.rows]
         for ce, tcol in enumerate(tcols):   # s = sigma - T . sigma
@@ -265,22 +349,22 @@ def is_projective(M: GradedModule) -> ProjectivityReport:
 
 
 class _Resolver:
-    """Lazily extended free resolution of a flattened module.
+    """Lazily extended projective resolution of a flattened module.
 
-    ranks[i] counts the free copies of F_i, boundaries[i] is the matrix of
-    F_i -> F_{i-1} (for i = 0: F_0 -> M), syzygies[i] is ker(boundaries[i])
-    as an abstract module.  Step i takes the generator cover and its
-    kernel basis cached on the previous module (M or syzygies[i-1]), which
-    is_projective of that module reads too, so each cover is built once.
-    Projectivity of syzygies is tested lazily and one step at a time: past
-    the first projective syzygy the free covers stop being minimal and the
-    ranks grow, so eagerly testing deep syzygies would solve needlessly
-    large systems.
+    covers[i] is the cover of the previous module (M or syzygies[i-1]) by
+    ranks[i] summands e_i A, boundaries[i] is the matrix of F_i -> F_{i-1}
+    (for i = 0: F_0 -> M), and syzygies[i] is ker(boundaries[i]) as an
+    abstract module.  The covers are the ones is_projective reads, so each
+    is built once.  Each syzygy basis vector lies in one syzygy e_t, so
+    later generators are basis vectors; where the algebra has several
+    basis idempotents the ranks then stay near the minimal ones (rank 1 at
+    every step for a simple over a linear quiver).  Projectivity of
+    syzygies is tested lazily, one step at a time.
     """
 
     def __init__(self, M: GradedModule):
         self.module = M
-        self.frees = []
+        self.covers = []
         self.ranks = []
         self.boundaries = []
         self.syzygies = []
@@ -289,17 +373,17 @@ class _Resolver:
     def ensure(self, n):
         while len(self.ranks) < n:
             prev = self.module if not self.syzygies else self.syzygies[-1]
-            F, pi = _generator_cover(prev)
-            self.frees.append(F)
-            self.ranks.append(len(prev.generators()))
+            cov = _cover(prev)
+            self.covers.append(cov)
+            self.ranks.append(len(cov.summands))
             if not self.boundaries:
-                bmat = pi.matrix
+                bmat = cov.pi.matrix
             else:
-                # include the syzygy back into the previous free module
-                bmat = self._incl.mul(pi.matrix)
+                # include the syzygy back into the previous cover
+                bmat = self._incl.mul(cov.pi.matrix)
             self.boundaries.append(bmat)
             # the inclusion is injective, so ker bmat = ker pi
-            syz, incl = module_from_span(F, _cover_kernel(prev), label="z")
+            syz, incl = module_from_span(cov.free, cov.kernel, label="z")
             self.syzygies.append(syz)
             self._incl = incl.matrix
 
@@ -376,46 +460,45 @@ def projective_dimension(M: GradedModule, cutoff=DEFAULT_PD_CUTOFF) -> Verdict:
 # -- Tor ---------------------------------------------------------------------
 
 
-def _tensored_boundary(bmat, copies_src, copies_dst, adim, unit, partner):
-    """Image of a free-module boundary under - (x) partner.
+def _tensored_boundary(bmat, src, dst, idems, partner):
+    """Image of the boundary F_n -> F_n-1 between the covers src and dst
+    under - (x) partner.
 
-    A free copy tensored with the partner collapses to one partner copy;
-    the boundary acts through the partner's action matrices.
+    e_i A (x) N = e_i N: the boundary is fixed by the image w_c of each
+    summand generator e_i(c), and block (d, c) acts on N by the entries of
+    w_c in summand d.  Blocks keep all of N's coordinates: w_c lies in
+    F_n-1 e_i(c), so block (d, c) kills (1 - e_i(c)) N and lands in
+    e_i(d) N, and the rank is that of the map between the e N.
     """
     fld = partner.field
     dP = partner.dim
-    out = Matrix.zeros(fld, copies_dst * dP, copies_src * dP)
-    unit_nz = [(e, x) for e, x in enumerate(unit) if not fld.is_zero(x)]
-    for c in range(copies_src):
-        # image of the c-th free generator, the unit in copy c
-        w = []
-        for row in bmat.rows:
-            acc = fld.zero()
-            for e, x in unit_nz:
-                a = row[c * adim + e]
-                if not fld.is_zero(a):
-                    acc = fld.add(acc, fld.mul(a, x))
-            w.append(acc)
-        for cd in range(copies_dst):
-            for e in range(adim):
-                lam = w[cd * adim + e]
-                if fld.is_zero(lam):
-                    continue
-                act = partner.action_matrix(e)
-                for k in range(dP):
-                    row = out.rows[cd * dP + k]
-                    arow = act.rows[k]
-                    for j in range(dP):
-                        if not fld.is_zero(arow[j]):
-                            row[c * dP + j] = fld.add(row[c * dP + j],
-                                                      fld.mul(lam, arow[j]))
+    out = Matrix.zeros(fld, len(dst.summands) * dP, len(src.summands) * dP)
+    coord = {b: f for f, b in enumerate(src.basis)}
+    for c, i in enumerate(src.summands):
+        gen = [(coord[(c, k)], x) for k, x in idems[i].items()]
+        for f, brow in enumerate(bmat.rows):
+            lam = fld.zero()
+            for g, x in gen:
+                if not fld.is_zero(brow[g]):
+                    lam = fld.add(lam, fld.mul(brow[g], x))
+            if fld.is_zero(lam):
+                continue
+            cd, j = dst.basis[f]
+            act = partner.action_matrix(j)
+            for k in range(dP):
+                row = out.rows[cd * dP + k]
+                arow = act.rows[k]
+                for t in range(dP):
+                    if not fld.is_zero(arow[t]):
+                        row[c * dP + t] = fld.add(row[c * dP + t],
+                                                  fld.mul(lam, arow[t]))
     return out
 
 
 def tor(X: GradedModule, Y: GradedModule, i_max: int, resolve_side="first"):
     """dim Tor_i(X, Y) for 0 <= i <= i_max, X right and Y left.
 
-    resolve_side picks which argument gets the free resolution; the
+    resolve_side picks which argument gets the projective resolution; the
     answer is the same either way (a property the tests exercise).
     """
     if X.side != "right" or Y.side != "left":
@@ -432,7 +515,6 @@ def tor(X: GradedModule, Y: GradedModule, i_max: int, resolve_side="first"):
         resolved, partner = Y, X
     else:
         raise AlgebraError(f"bad resolve_side {resolve_side!r}")
-    A = resolved.algebra
     if X.dim == 0 or Y.dim == 0:
         return [0] * (i_max + 1)
     res = _resolver(resolved)
@@ -444,16 +526,18 @@ def tor(X: GradedModule, Y: GradedModule, i_max: int, resolve_side="first"):
         if verdict.is_finite:
             cap = min(cap, verdict.value)
     res.ensure(cap + 2)
-    ranks = res.ranks
-    tb = []
-    for i in range(1, cap + 2):
-        tb.append(_tensored_boundary(res.boundaries[i], ranks[i], ranks[i - 1],
-                                     A.dim, A.unit, partner))
-    tranks = [rank(m) for m in tb]
-    dims = [ranks[0] * partner.dim - tranks[0]]
+    idems = _idempotents(resolved.algebra)[0]
+    # dim e_i N is the rank of e_i acting on N: all of N for the unit alone
+    edim = ([partner.dim] if len(idems) == 1 else
+            [rank(partner.action_matrix(k)) for e in idems for k in e])
+    covers = res.covers
+    tranks = [rank(_tensored_boundary(res.boundaries[i], covers[i], covers[i - 1],
+                                      idems, partner))
+              for i in range(1, cap + 2)]
+    chains = [sum(edim[i] for i in cov.summands) for cov in covers]
+    dims = [chains[0] - tranks[0]]
     for i in range(1, cap + 1):
-        kernel = ranks[i] * partner.dim - tranks[i - 1]
-        dims.append(kernel - tranks[i])
+        dims.append(chains[i] - tranks[i - 1] - tranks[i])
     dims.extend([0] * (i_max - cap))
     return dims
 

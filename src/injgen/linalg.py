@@ -27,6 +27,8 @@ class Matrix:
         self.nrows = len(self.rows)
         if self.nrows:
             self.ncols = len(self.rows[0])
+            if ncols is not None and ncols != self.ncols:
+                raise ValueError(f"rows have {self.ncols} columns, not {ncols}")
         else:
             self.ncols = 0 if ncols is None else ncols
         for r in self.rows:

@@ -158,13 +158,20 @@ class Env:
         return built.data
 
     def integrity_hyp(self, h):
+        """The recorded construction of h, re-run, rebuilds h, and encoding
+        the run reproduces the recorded params; where they differ the
+        evidence also carries the params the run encodes."""
         built, err = self.rebuild(h)
         if err is not None:
             return _hyp("construction-integrity", "refuted", {"error": err})
         got = object_hash(built.obj)
-        status = "verified" if got == h else "refuted"
-        return _hyp("construction-integrity", status,
-                    {"expected": h, "rebuilt": got})
+        evidence = {"expected": h, "rebuilt": got}
+        record = self.prov(h)
+        params = built.provenance(record["inputs"]).get("params") or {}
+        if params != (record.get("params") or {}):
+            evidence["params"] = params
+        status = "verified" if len(evidence) == 2 and got == h else "refuted"
+        return _hyp("construction-integrity", status, evidence)
 
 
 class Rule:

@@ -12,12 +12,12 @@ from injgen.constructions import covering_ring, morita_ring, \
     regular_right_tuple, trivial_extension
 from injgen.field import QQ, PrimeField, Rationals
 from injgen.groups import FiniteAbelianGroup
-from injgen.homology import (CheckReport, Verdict, _generator_cover,
+from injgen.homology import (CheckReport, Verdict, _cover, _idempotents,
                              _resolver, cleft_vanishing_bound,
                              cleft_vanishing_check, flatten_module,
-                             free_cover, free_module, is_projective,
-                             left_perfect_check, morita_corner_pd,
-                             nilpotency_index, one_dimensional_modules,
+                             is_projective, left_perfect_check,
+                             morita_corner_pd, nilpotency_index,
+                             one_dimensional_modules,
                              pd_bound_check_tensor_powers,
                              power_block_law_check, projective_dimension,
                              resolution_report, tensor_formula_check, tor,
@@ -78,42 +78,44 @@ def test_verdict_json_shapes():
         Verdict("bogus", 1)
 
 
-# -- free covers and projectivity ---------------------------------------------
+# -- covers by idempotent projectives and projectivity -------------------------
 
 
-def test_free_cover_zero_module():
+def test_cover_zero_module():
     D = dual_numbers()
-    F, pi = free_cover(zero_module(D, "right"))
-    assert F.dim == 0 and pi.matrix.ncols == 0
+    cov = _cover(zero_module(D, "right"))
+    assert cov.free.dim == 0 and cov.pi.matrix.ncols == 0 and cov.summands == ()
 
 
-def test_free_cover_scalar_base_is_identity():
+def test_cover_scalar_base_is_identity():
     k = truncated_polynomial(F5, 1)
-    M = regular_module(k, "right")
-    F, pi = free_cover(M)
-    assert F.dim == 1
-    assert pi.matrix.rows == [[ONE]]
+    cov = _cover(regular_module(k, "right"))
+    assert cov.free.dim == 1
+    assert cov.pi.matrix.rows == [[ONE]]
 
 
-def test_free_cover_rank_matches_dimension():
+def test_cover_of_simple_over_dual_numbers():
     D = dual_numbers()
     k = simple_over(D, "right", [1, 0])
-    F, pi = free_cover(k)
+    cov = _cover(k)
     # one free copy, kernel spanned by the nilpotent generator
-    assert F.dim == D.dim
-    assert rank(pi.matrix) == 1
-    from injgen.linalg import kernel_basis
-    kb = kernel_basis(pi.matrix)
-    assert len(kb) == 1
-    assert kb[0][0] == F5.zero() and kb[0][1] != F5.zero()
+    assert cov.free.dim == D.dim and cov.summands == (0,)
+    assert rank(cov.pi.matrix) == 1
+    assert len(cov.kernel) == 1
+    assert cov.kernel[0][0] == F5.zero() and cov.kernel[0][1] != F5.zero()
 
 
-def test_free_cover_of_regular_has_square_shape():
-    D = dual_numbers()
-    M = regular_module(D, "right")
-    F, pi = free_cover(M)
-    assert F.dim == D.dim * M.dim
-    assert rank(pi.matrix) == M.dim
+def test_cover_of_regular_over_a3_is_by_vertex_idempotents():
+    A3 = a3_quiver()
+    idems, left, right = _idempotents(A3)
+    assert len(idems) == 3
+    for side in ("left", "right"):
+        M = regular_module(A3, side)
+        cov = _cover(M)
+        # one summand e_i A per vertex, and pi is an isomorphism
+        assert sorted(cov.summands) == [0, 1, 2]
+        assert cov.free.dim == A3.dim == rank(cov.pi.matrix)
+        assert cov.kernel == []
 
 
 def test_projective_regular_and_witness():
@@ -242,19 +244,24 @@ def _assert_splits(rep):
 
 
 def test_triangular_simple_resolution_is_pinned():
-    # covers are not minimal, so the ranks grow although the ring is tiny
+    # covered by Lambda e_B, then by Lambda e_A + Lambda e_B: the first
+    # syzygy is the projective Lambda e_A plus the simple itself, so the
+    # ranks are the minimal ones
     D = dual_numbers()
     ctx = _triangular_ctx(D, regular_bimodule(D))
     M = ctx.Z_B(simple_over(D, "left", [1, 0])).as_module()
     assert (M.dim, M.algebra.dim) == (1, 6)
+    assert len(_idempotents(M.algebra)[0]) == 2
     rr = resolution_report(M, 5)
     assert rr.pd_verdict == Verdict.at_least(5)
-    assert [s.rank for s in rr.steps] == [1, 3, 5, 7, 9]
-    assert [s.syzygy_dim for s in rr.steps] == [5, 13, 17, 25, 29]
+    assert [s.rank for s in rr.steps] == [1, 2, 2, 2, 2]
+    assert [s.syzygy_dim for s in rr.steps] == [3, 3, 3, 3, 3]
     assert not any(s.syzygy_projective for s in rr.steps)
-    for s in rr.steps:
+    res = _resolver(M)
+    for s, cov in zip(rr.steps, res.covers):
         assert s.syzygy_dim == s.boundary.ncols - rank(s.boundary)
-        _assert_splits(is_projective(free_module(M.algebra, M.side, s.rank)))
+        assert s.boundary.ncols == cov.free.dim
+        _assert_splits(is_projective(cov.free))
 
 
 # -- the retraction test against the splitting system it replaced -------------
@@ -266,7 +273,8 @@ def _splitting_system(M):
     kernel retraction replaced it."""
     M = flatten_module(M)
     A = M.algebra
-    F, pi = _generator_cover(M)
+    cov = _cover(M)
+    F, pi = cov.free, cov.pi
     dM, dF = M.dim, F.dim
     fld = M.field
     zero, one = fld.zero(), fld.one()

@@ -71,6 +71,16 @@ def test_empty_shapes():
     assert solve_linear(n, [Fraction(2)]) == [Fraction(2), Fraction(0)]
 
 
+def test_matrix_rows_must_match_declared_columns():
+    assert Matrix(F5, [[1, 2]], 2).ncols == 2
+    assert Matrix(F5, [[1, 2]]).ncols == 2
+    for ncols in (0, 1, 3):
+        with pytest.raises(ValueError, match="2 columns"):
+            Matrix(F5, [[1, 2]], ncols)
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix(F5, [[1, 2], [3]], 2)
+
+
 def _random_matrix(field, rng, nrows, ncols):
     return Matrix(field, [[field.of_int(rng.randint(-4, 4)) for _ in range(ncols)]
                           for _ in range(nrows)], ncols)

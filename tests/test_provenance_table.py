@@ -76,6 +76,30 @@ def test_forged_zero_context_flag_is_not_trusted(tmp_path):
         assert RULES_BY_ID["R-TRI"].edges(Env(reg), target) == []
 
 
+def test_integrity_compares_the_recorded_params(tmp_path):
+    # the split of the covering of kz2 stored under its honest morita_ring
+    # record, under that record plus a junk param, and under a record whose
+    # zero_context flag disagrees with its pairings: all three rebuild the
+    # hash, only the honest one is verified, with unchanged evidence
+    ctx = split_covering(covering_ring(from_json(dict(corpus_docs())["kz2"])))
+    honest = None
+    for n, change in enumerate(({}, {"junk": 1}, {"zero_context": True})):
+        reg = Registry(tmp_path / f"store{n}")
+        pieces = [reg.store_object(getattr(ctx, p), label=f"s:{p}") for p in "ABNM"]
+        record = constructions.Built("morita_ring", ctx).provenance(pieces)
+        honest = honest or dict(record["params"])
+        record["params"].update(change)
+        h = reg.store_object(ctx.assembled, label="s", provenance=record)
+        hyp = Env(reg).integrity_hyp(h)
+        if not change:
+            assert hyp["status"] == "verified"
+            assert hyp["evidence"] == {"expected": h, "rebuilt": h}
+        else:
+            assert hyp["status"] == "refuted"
+            assert hyp["evidence"] == {"expected": h, "rebuilt": h, "params": honest}
+    assert honest["zero_context"] is False
+
+
 @pytest.mark.parametrize("name, ins, params", [
     ("no_such_construction", [], None),
     ("covering_ring", [], None),

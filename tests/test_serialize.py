@@ -80,6 +80,12 @@ def test_matrix_round_trip():
     assert back.rows == m.rows
 
 
+def test_matrix_from_json_checks_the_column_count():
+    with pytest.raises(SerializeError, match="2 columns, not 1"):
+        matrix_from_json(PrimeField(5), [[1, 2]], 1)
+    assert matrix_from_json(F5, [], 3).ncols == 3
+
+
 # -- canonical hashing ---------------------------------------------------------
 
 

@@ -1,0 +1,143 @@
+"""Paired benchmark runs of a base revision against the working tree.
+
+    python3 tools/bench_pair.py --name NAME [--base REV] [--workload W ...]
+                                [--seed N ...] [--pairs P] [--seconds S]
+
+Exports the base revision (default HEAD) with `git archive` into a
+temporary directory, then runs `perfbench/run.py` of each tree on each
+workload and seed, one process at a time.  The trees alternate within a
+pair, and the tree that goes first alternates between pairs, so drift on
+the machine falls on both sides alike.  Writes BENCH_<NAME>.json at the
+root of the working tree: for every workload, seed and end-to-end metric
+of BENCHMARK.json the base and change medians and quartiles, the number
+of pairs in which the change was better, and whether that counts as a
+gain (better in at least 9 of 10 pairs, and a median better by more than
+the base's interquartile range).  Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--name", required=True, help="writes BENCH_<name>.json")
+    p.add_argument("--base", default="HEAD", help="git revision to compare against")
+    p.add_argument("--workload", action="append", dest="workloads",
+                   help="workload to run (repeatable; default: all of BENCHMARK.json)")
+    p.add_argument("--seed", action="append", type=int, dest="seeds",
+                   help="seed to run (repeatable; default 1)")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=10.0,
+                   help="--seconds of each perfbench run")
+    args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2 for quartiles")
+    return args
+
+
+def export(rev, dest):
+    """The tree of rev, written under dest; returns its full commit hash."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                            cwd=ROOT, check=True, capture_output=True,
+                            text=True).stdout.strip()
+    tar = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as t:
+        t.extractall(dest, filter="data")
+    return commit
+
+
+def run_once(tree, workload, seed, seconds):
+    """The result object that perfbench/run.py prints last."""
+    cmd = [sys.executable, str(Path(tree) / "perfbench" / "run.py"),
+           "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def spread(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs, metrics):
+    """Per-metric summary of paired runs {"base": [...], "change": [...]}."""
+    out = {}
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        base = [r["metrics"][name]["value"] for r in runs["base"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+        b, c = spread(base), spread(change)
+        margin = (b["median"] - c["median"]) if lower else (c["median"] - b["median"])
+        out[name] = {
+            "unit": m["unit"], "better": m["better"], "base": b, "change": c,
+            "change_vs_base": c["median"] / b["median"] - 1 if b["median"] else None,
+            "change_better_pairs": wins,
+            "gain": wins * 10 >= 9 * len(base) and margin > b["q3"] - b["q1"],
+        }
+    return out
+
+
+def main(argv=None):
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    seeds = args.seeds or [1]
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    report = {
+        "name": args.name,
+        "command": "python3 perfbench/run.py --workload W --seed N "
+                   f"--seconds {args.seconds:g}",
+        "pairs": args.pairs,
+        "machine": {"system": platform.system(), "machine": platform.machine(),
+                    "cpus": os.cpu_count(), "python": platform.python_version()},
+        "change": {"head": head, "tree": "working tree"},
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
+        report["base"] = export(args.base, tmp)
+        trees = {"base": tmp, "change": str(ROOT)}
+        for workload in workloads:
+            for seed in seeds:
+                runs = {"base": [], "change": []}
+                for k in range(args.pairs):
+                    order = ("base", "change") if k % 2 == 0 else ("change", "base")
+                    for side in order:
+                        runs[side].append(run_once(trees[side], workload, seed,
+                                                   args.seconds))
+                    print(f"# {workload} seed {seed}: pair {k + 1}/{args.pairs}",
+                          file=sys.stderr)
+                report["workloads"][f"{workload}:{seed}"] = {
+                    "workload": workload, "seed": seed,
+                    "correct": all(r["correct"] for rs in runs.values() for r in rs),
+                    "failed": {side: sum(r["failed"] for r in rs)
+                               for side, rs in runs.items()},
+                    "metrics": summarize(runs, bench["end_to_end"]),
+                    "runs": {side: [{k: v["value"] for k, v in r["metrics"].items()}
+                                    for r in rs] for side, rs in runs.items()},
+                }
+    out = ROOT / f"BENCH_{args.name}.json"
+    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    print(out)
+
+
+if __name__ == "__main__":
+    main()
