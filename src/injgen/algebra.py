@@ -74,8 +74,29 @@ def _sv_accumulate(F, acc, d, c):
             acc[k] = w
 
 
-def _sv_clean(F, d):
-    return {k: v for k, v in d.items() if not F.is_zero(v)}
+def _act_sparse(table, p, v, j):
+    """The sparse vector v ({basis index: coefficient}) acted on by basis
+    element j through the sparse action table: table[i][j] expands the
+    action of e_j on basis vector i.  p is the modulus, None over Q."""
+    acc = {}
+    for i, a in v.items():
+        for k, c in table[i][j].items():
+            acc[k] = acc.get(k, 0) + a * c
+    return _nonzero(p, acc.items())
+
+
+def _close(span, queue, table, p, gens):
+    """Grow span, already mapped into itself by the action of the basis
+    elements gens, to the smallest such subspace that also holds the
+    sparse vectors in queue (consumed).  A full span cannot grow, so the
+    walk stops there."""
+    while queue and span.dim() < span.ncols:
+        v = queue.pop()
+        if not span.add(v):
+            continue
+        # a vector already in the span is dropped when popped
+        queue.extend(_act_sparse(table, p, v, j) for j in gens)
+    return span
 
 
 class GradedAlgebra:
@@ -91,10 +112,11 @@ class GradedAlgebra:
             raise AlgebraError("degree list length mismatch")
         if len(unit) != self.dim:
             raise AlgebraError("unit vector length mismatch")
-        self.unit = list(unit)
+        self._p = p = _modulus(field)
+        self.unit = [c % p for c in unit] if p else list(unit)
         if len(mult) != self.dim or any(len(row) != self.dim for row in mult):
             raise AlgebraError("mult table shape mismatch")
-        self.mult = [[_sv_clean(field, cell) for cell in row] for row in mult]
+        self.mult = [[_nonzero(p, cell.items()) for cell in row] for row in mult]
         self._cache = {}
 
     # -- arithmetic on coefficient vectors ---------------------------------
@@ -137,27 +159,28 @@ class GradedAlgebra:
         the subalgebra generated so far.  Downstream linear systems only
         impose relations at these indices, which is enough because the
         balancing and linearity conditions are multiplicative.
+
+        The subalgebra generated by the picks is the span of the words in
+        the unit and the picks, so the span starts at the unit and is closed
+        under right multiplication by the picks only, on sparse vectors: the
+        closure walk of the right regular module.  A new pick multiplies
+        every row of the span so far; later rows meet every pick in the
+        walk.  Words span the subalgebra only for an associative table.
+        Every algebra that reaches this method has passed the store's axiom
+        check (or was built from such algebras by a construction), and no
+        axiom check calls it.
         """
         if "gens" not in self._cache:
-            F = self.field
-            span = Span(F, self.dim)
-            span.add(list(self.unit))
-            basis_of_span = [list(self.unit)]
+            one, p, mult = self.field.one(), self._p, self.mult
+            span = Span(self.field, self.dim)
+            span.add(self.unit)
             gens = []
             for idx in range(self.dim):
-                if span.contains(self.basis_vec(idx)):
+                if span.contains({idx: one}):
                     continue
                 gens.append(idx)
-                queue = [self.basis_vec(idx)]
-                while queue:
-                    v = queue.pop()
-                    if not span.add(v):
-                        continue
-                    basis_of_span.append(v)
-                    for w in list(basis_of_span):
-                        for p in (self.mul_vec(v, w), self.mul_vec(w, v)):
-                            if not span.contains(p):
-                                queue.append(p)
+                queue = [_act_sparse(mult, p, row, idx) for _, row in span.rows()]
+                _close(span, queue, mult, p, gens)
             self._cache["gens"] = gens
         return self._cache["gens"]
 
@@ -192,8 +215,8 @@ class GradedModule:
             raise AlgebraError("degree list length mismatch")
         if len(action) != self.dim or any(len(row) != algebra.dim for row in action):
             raise AlgebraError("action table shape mismatch")
-        self.action = [[_sv_clean(self.field, cell) for cell in row] for row in action]
-        self._p = _modulus(self.field)
+        self._p = p = _modulus(self.field)
+        self.action = [[_nonzero(p, cell.items()) for cell in row] for row in action]
         self._cache = {}
 
     def zero_vec(self):
@@ -224,12 +247,7 @@ class GradedModule:
     def act_sparse(self, v, j):
         """Action of algebra basis element e_j on the sparse module vector
         v ({basis index: coefficient}), as a sparse vector."""
-        acc = {}
-        action = self.action
-        for i, a in v.items():
-            for k, c in action[i][j].items():
-                acc[k] = acc.get(k, 0) + a * c
-        return _nonzero(self._p, acc.items())
+        return _act_sparse(self.action, self._p, v, j)
 
     def action_matrix(self, j):
         """Matrix of the action of e_j on the module."""
@@ -242,41 +260,36 @@ class GradedModule:
             self._cache[key] = m
         return self._cache[key]
 
-    def _close(self, span, queue, agens):
-        """Grow span to the submodule generated by it and the sparse
-        vectors in queue (consumed); agens generate the algebra.  A full
-        span cannot grow, so the walk stops there."""
-        while queue and span.dim() < self.dim:
-            v = queue.pop()
-            if not span.add(v):
-                continue
-            # a vector already in the span is dropped when popped
-            queue.extend(self.act_sparse(v, j) for j in agens)
-        return span
-
     def generators(self):
-        """Irredundant generating subset of the basis (indices)."""
+        """Irredundant generating subset of the basis (indices).
+
+        Greedy: walk the basis, keep an element whenever it falls outside
+        the submodule generated so far (closed under the algebra's
+        generators, see GradedAlgebra.generators).  The picks depend on the
+        basis order and may overshoot, and a redundant pick inflates every
+        later syzygy in a resolution, so a pick is then dropped, latest
+        first, when the cyclic submodules of the others already sum to the
+        whole module.  The last pick is never tried: it lies outside the
+        submodule of the earlier picks.  Cyclic submodules are built the
+        first time a trial needs them.
+        """
         if "gens" not in self._cache:
-            one = self.field.one()
-            span = Span(self.field, self.dim)
+            one, p, action = self.field.one(), self._p, self.action
             agens = self.algebra.generators()
+            span = Span(self.field, self.dim)
             gens = []
             for idx in range(self.dim):
                 if not span.contains({idx: one}):
                     gens.append(idx)
-                    self._close(span, [{idx: one}], agens)
-            # greedy picks depend on basis order and may overshoot; a
-            # redundant pick inflates every later syzygy in a resolution.
-            # A pick is dropped when the cyclic submodules of the others
-            # already sum to the whole module.
-            cyclic = {g: self._close(Span(self.field, self.dim), [{g: one}], agens).rows()
-                      for g in gens} if len(gens) > 1 else {}
-            for g in reversed(list(gens)):
-                if len(gens) == 1:
-                    break
+                    _close(span, [{idx: one}], action, p, agens)
+            cyclic = {}
+            for g in reversed(gens[:-1]):
                 trial = [i for i in gens if i != g]
                 total = Span(self.field, self.dim)
                 for i in trial:
+                    if i not in cyclic:
+                        cyclic[i] = _close(Span(self.field, self.dim), [{i: one}],
+                                           action, p, agens).rows()
                     for _, row in cyclic[i]:
                         total.add(row)
                 if total.dim() == self.dim:
@@ -320,9 +333,9 @@ class GradedBimodule:
         self.labels = [str(s) for s in labels]
         self.dim = len(self.labels)
         self.degree = [self.group.reduce(d) for d in degree]
-        F = self.field
-        self.left_action = [[_sv_clean(F, c) for c in row] for row in left_action]
-        self.right_action = [[_sv_clean(F, c) for c in row] for row in right_action]
+        p = _modulus(self.field)
+        self.left_action = [[_nonzero(p, c.items()) for c in row] for row in left_action]
+        self.right_action = [[_nonzero(p, c.items()) for c in row] for row in right_action]
         if (len(self.left_action) != self.dim
                 or any(len(r) != left_algebra.dim for r in self.left_action)):
             raise AlgebraError("left action shape mismatch")
@@ -607,7 +620,7 @@ def vector_degree(group, degree_list, vec, field):
 def _closure_span(M: GradedModule, vectors) -> Span:
     """Span of the submodule generated by the given dense vectors."""
     queue = [_nonzero(M._p, enumerate(v)) for v in vectors]
-    return M._close(Span(M.field, M.dim), queue, M.algebra.generators())
+    return _close(Span(M.field, M.dim), queue, M.action, M._p, M.algebra.generators())
 
 
 def submodule_closure(M: GradedModule, vectors):

@@ -2,11 +2,12 @@
 
 Layout: <root>/objects/<hash>.json holds the canonical document bytes,
 <root>/index.json maps hashes to file, label, kind, and provenance.
-Storing the same document twice is a no-op; labels are conveniences and
-never enter the hash.  store and load admit an object only if its document
-parses and it satisfies its axioms, once per hash.  Writers to one store
-take an exclusive lock on <root>/index.lock and re-read the index under it,
-so concurrent processes never drop each other's entries.
+Storing the same document twice is a no-op that leaves index.json
+untouched; labels are conveniences and never enter the hash.  store and
+load admit an object only if its document parses and it satisfies its
+axioms, once per hash.  Writers to one store take an exclusive lock on
+<root>/index.lock and re-read the index under it, so concurrent processes
+never drop each other's entries.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ class Registry:
             if not path.exists():
                 path.write_bytes(canonical_bytes(doc))
             entry = index["objects"].get(h)
+            changed = entry is None
             if entry is None:
                 entry = {"file": rel, "kind": object_kind(doc),
                          "provenance": doc.get("provenance")}
@@ -91,9 +93,12 @@ class Registry:
                 # a provenance-bearing re-store enriches a bare entry
                 entry["provenance"] = doc["provenance"]
                 path.write_bytes(canonical_bytes(doc))
-            if label is not None:
+                changed = True
+            if label is not None and entry.get("label") != label:
                 entry["label"] = label
-            self._write_index()
+                changed = True
+            if changed:
+                self._write_index()
         return h
 
     def store_object(self, obj, label=None, provenance=None) -> str:

@@ -1,21 +1,30 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from injgen.algebra import (GradedModule, check_algebra_axioms,
+from injgen.algebra import (GradedAlgebra, GradedBimodule, GradedModule,
+                            check_algebra_axioms,
                             check_bimodule_axioms,
                             check_module_axioms, component_bimodule,
                             degree_zero_subalgebra, direct_sum, dual,
                             opposite, quotient_module, regular_bimodule,
                             regular_module, module_from_span,
                             strongly_graded_check, trivially_graded, twist)
+from injgen.bundled import corpus_docs
+from injgen.constructions import covering_ring, morita_ring, tensor_ring
 from injgen.field import QQ, PrimeField
 from injgen.groups import FiniteAbelianGroup, TRIVIAL_GROUP
+from injgen.homology import _resolver, flatten_module
 from injgen.homs import find_isomorphism, hom_space, invert_hom, is_module_hom
+from injgen.linalg import Span
 from injgen.quiver import path_algebra
 from injgen.samples import (group_algebra, product_field_algebra,
                             random_graded_algebra, random_graded_module,
+                            random_module, random_upper_half_zero_algebra,
                             truncated_polynomial)
+from injgen.serialize import content_hash, from_json, object_kind, to_json
 from injgen.tensors import tensor_over_algebra
 
 F5 = PrimeField(5)
@@ -264,3 +273,206 @@ def test_trivially_graded_forgets():
     T = trivially_graded(A)
     assert T.group is TRIVIAL_GROUP or T.group.is_trivial
     assert check_algebra_axioms(T).passed
+
+
+def test_tables_hold_reduced_residues():
+    # over F_5 the unit [6] and the product {0: 6} are the unit and the
+    # product 1; the tables keep one representative, so both spellings are
+    # equal objects and a stored copy equals the object it came from
+    F7 = PrimeField(7)
+    A6 = GradedAlgebra(F5, TRIVIAL_GROUP, ["e"], [()], [6], [[{0: 6}]])
+    A1 = GradedAlgebra(F5, TRIVIAL_GROUP, ["e"], [()], [1], [[{0: 1}]])
+    assert check_algebra_axioms(A6).passed
+    assert A6.unit == [1] and A6.mult == [[{0: 1}]]
+    assert A6 == A1 and from_json(to_json(A6)) == A6
+    assert content_hash(to_json(A6)) == content_hash(to_json(A1))
+    assert GradedAlgebra(F7, TRIVIAL_GROUP, ["e"], [()], [-6], [[{0: 8}]]).unit == [1]
+    M = GradedModule(A6, "right", ["m", "n"], [(), ()], [[{0: 6, 1: 10}], [{1: -4}]])
+    assert M.action == [[{0: 1}], [{1: 1}]]
+    assert M == GradedModule(A1, "right", ["m", "n"], [(), ()], [[{0: 1}], [{1: 1}]])
+    B = GradedBimodule(A6, A6, ["b"], [()], [[{0: 11}]], [[{0: -9, 1: 5}]])
+    assert B.left_action == B.right_action == [[{0: 1}]]
+    # over Q the cells are filtered, never reduced
+    Q = GradedAlgebra(QQ, TRIVIAL_GROUP, ["e"], [()], [1], [[{0: 1, 1: 0}]])
+    assert Q.mult == [[{0: 1}]]
+
+
+# -- generators against the closures they replaced ------------------------------
+
+
+def _pairwise_generators(A):
+    """The closure GradedAlgebra.generators used before the word closure:
+    each new span vector is multiplied with every earlier one in both
+    orders, on dense vectors.  Kept as an oracle."""
+    span = Span(A.field, A.dim)
+    span.add(list(A.unit))
+    basis_of_span = [list(A.unit)]
+    gens = []
+    for idx in range(A.dim):
+        if span.contains(A.basis_vec(idx)):
+            continue
+        gens.append(idx)
+        queue = [A.basis_vec(idx)]
+        while queue:
+            v = queue.pop()
+            if not span.add(v):
+                continue
+            basis_of_span.append(v)
+            for w in list(basis_of_span):
+                for prod in (A.mul_vec(v, w), A.mul_vec(w, v)):
+                    if not span.contains(prod):
+                        queue.append(prod)
+    return gens
+
+
+def _submodule(M, idxs):
+    """Span of the submodule generated by the given basis vectors, closed
+    under every algebra basis element."""
+    A = M.algebra
+    span = Span(M.field, M.dim)
+    queue = [M.basis_vec(i) for i in idxs]
+    while queue:
+        v = queue.pop()
+        if span.add(v):
+            queue.extend(M.act_vec(v, A.basis_vec(j)) for j in range(A.dim))
+    return span
+
+
+def _pruned_generators(M):
+    """GradedModule.generators as it was before the last pick was exempted
+    from pruning: greedy picks, then every pick, latest first, is dropped
+    when the others still generate.  Kept as an oracle."""
+    gens, span = [], Span(M.field, M.dim)
+    for idx in range(M.dim):
+        if not span.contains(M.basis_vec(idx)):
+            gens.append(idx)
+            span = _submodule(M, gens)
+    for g in reversed(list(gens)):
+        if len(gens) == 1:
+            break
+        trial = [i for i in gens if i != g]
+        if _submodule(M, trial).dim() == M.dim:
+            gens = trial
+    return gens
+
+
+def _assert_algebra_generators(A):
+    assert A.generators() == _pairwise_generators(A), A
+
+
+def _linear_quiver(fld, n, r):
+    verts = [str(i + 1) for i in range(n)]
+    arrows = [(f"a{i}", verts[i], verts[i + 1]) for i in range(n - 1)]
+    rels = [tuple(f"a{j}" for j in range(i, i + r)) for i in range(n - r)]
+    return path_algebra(fld, verts, arrows, rels).algebra
+
+
+def _coverings(fld):
+    for m in (2, 3, 4):
+        for n in (2, 3, 4):
+            yield covering_ring(truncated_polynomial(fld, m, FiniteAbelianGroup((n,)), (1,))).algebra
+
+
+def test_corpus_algebra_generators_match_the_pairwise_closure():
+    algebras = [from_json(doc) for _, doc in corpus_docs() if object_kind(doc) == "algebra"]
+    assert len(algebras) == 17
+    for A in algebras:
+        for B in (A, degree_zero_subalgebra(A), trivially_graded(A)):
+            _assert_algebra_generators(B)
+
+
+def test_quiver_and_covering_generators_match_the_pairwise_closure():
+    for fld in (F5, QQ):
+        for n in range(2, 6):
+            for r in range(2, n + 1):
+                _assert_algebra_generators(_linear_quiver(fld, n, r))
+    for A in _coverings(F5):
+        _assert_algebra_generators(A)
+
+
+FIELDS = (PrimeField(2), F5, QQ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), fld=st.sampled_from(FIELDS),
+       upper=st.booleans())
+def test_random_algebra_generators_match_the_pairwise_closure(seed, fld, upper):
+    rng = random.Random(seed)
+    A = (random_upper_half_zero_algebra(fld, rng, rng.randint(1, 3)) if upper
+         else random_graded_algebra(fld, rng))
+    _assert_algebra_generators(A)
+    _assert_algebra_generators(opposite(A))
+
+
+def _character(A, side, hot):
+    action = [[{0: A.field.one()} if j == hot else {} for j in range(A.dim)]]
+    return GradedModule(A, side, ["s"], [A.group.zero()], action)
+
+
+def _family_modules(fld):
+    """Simples and regular modules over the algebras of the pd and Tor
+    sweeps: the triangular ring over the dual numbers, coverings of
+    k[x]/(x^m), linear quivers with relations and the k^3 chain tensor
+    ring."""
+    D = truncated_polynomial(fld, 2)
+    L = morita_ring(D, D, regular_bimodule(D),
+                    GradedBimodule(D, D, [], [], [], [])).assembled
+    kn = product_field_algebra(fld, 3)
+    one = fld.one()
+    W = GradedBimodule(kn, kn, ["t0", "t1"], [(), ()],
+                       [[{i: one} if j == i else {} for j in range(3)] for i in range(2)],
+                       [[{i: one} if j == i + 1 else {} for j in range(3)] for i in range(2)])
+    algebras = [L, tensor_ring(kn, W, 3).algebra, *list(_coverings(fld))[:4],
+                _linear_quiver(fld, 3, 2), _linear_quiver(fld, 4, 2), _linear_quiver(fld, 4, 3)]
+    for A in algebras:
+        for side in ("right", "left"):
+            yield regular_module(A, side)
+            for j in range(0, A.dim, 2):
+                M = _character(A, side, j)
+                if check_module_axioms(M).passed:
+                    yield M
+
+
+def test_family_syzygy_generators_match_the_pruning_oracle():
+    count = 0
+    for fld in (F5, QQ):
+        for M in _family_modules(fld):
+            res = _resolver(flatten_module(M))
+            res.ensure(3)
+            for X in [res.module, *res.syzygies]:
+                assert X.generators() == _pruned_generators(X)
+                count += 1
+    assert count > 100
+
+
+def _shuffled(M, rng):
+    """M with its basis in a random order, so that early greedy picks are
+    often redundant."""
+    order = list(range(M.dim))
+    rng.shuffle(order)
+    pos = {i: q for q, i in enumerate(order)}
+    action = [[{pos[k]: c for k, c in M.action[i][j].items()} for j in range(M.algebra.dim)]
+              for i in order]
+    return GradedModule(M.algebra, M.side, [M.labels[i] for i in order],
+                        [M.degree[i] for i in order], action)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), fld=st.sampled_from(FIELDS),
+       side=st.sampled_from(("right", "left")))
+def test_random_module_generators_match_the_pruning_oracle(seed, fld, side):
+    rng = random.Random(seed)
+    A = random_graded_algebra(fld, rng, max_dim=6, max_group=4)
+    M = random_module(A, rng, side, max_summands=3)
+    for X in (M, flatten_module(M), _shuffled(M, rng)):
+        assert X.generators() == _pruned_generators(X)
+
+
+def test_pruning_drops_a_redundant_first_pick():
+    # k[x]/(x^2) in the basis (x, 1): the greedy picks are x and 1, and x
+    # lies in the submodule that 1 generates
+    A = truncated_polynomial(F5, 2)
+    M = GradedModule(A, "right", ["x", "1"], [(), ()],
+                     [[{0: 1}, {}], [{1: 1}, {0: 1}]])
+    assert check_module_axioms(M).passed
+    assert M.generators() == _pruned_generators(M) == [1]

@@ -200,6 +200,31 @@ def test_registry_provenance_enrichment(tmp_path):
     assert reg.label_of(h0) == "plain"      # first label sticks
 
 
+def test_registry_leaves_the_index_alone_on_a_no_op_store(tmp_path):
+    # an identical re-store, from this or another registry instance, adds
+    # no entry, provenance or label, so index.json is not rewritten; a new
+    # label still is written
+    root = tmp_path / "store"
+    index = root / "index.json"
+    reg = Registry(root)
+    A = product_field_algebra(F5, 2)
+    h = reg.store_object(A, label="kxk")
+
+    def state():
+        st = index.stat()
+        return index.read_bytes(), st.st_mtime_ns, st.st_ino
+
+    before = state()
+    assert reg.store_object(A, label="kxk") == h
+    assert reg.store(to_json(A)) == h
+    assert Registry(root).store_object(A, label="kxk") == h
+    assert state() == before
+    reg.store_object(A, label="k2")
+    after = state()
+    assert after[0] != before[0] and after[2] != before[2]
+    assert Registry(root).label_of(h) == "k2"
+
+
 def test_registry_derived_from(tmp_path):
     reg = Registry(tmp_path / "store")
     A = product_field_algebra(F5, 2)
