@@ -14,7 +14,7 @@ trust their inputs and do not re-check what they build.
 from __future__ import annotations
 
 from .groups import FiniteAbelianGroup, TRIVIAL_GROUP
-from .linalg import Matrix, Span, _modulus, _nonzero
+from .linalg import Matrix, Span, _dense, _modulus, _nonzero
 
 
 class AlgebraError(ValueError):
@@ -60,20 +60,6 @@ class AxiomReport:
                 "violation_count": len(self.violations)}
 
 
-def _sv_accumulate(F, acc, d, c):
-    """acc += c * d for sparse dicts."""
-    for k, v in d.items():
-        w = F.mul(c, v)
-        if k in acc:
-            s = F.add(acc[k], w)
-            if F.is_zero(s):
-                del acc[k]
-            else:
-                acc[k] = s
-        elif not F.is_zero(w):
-            acc[k] = w
-
-
 def _act_sparse(table, p, v, j):
     """The sparse vector v ({basis index: coefficient}) acted on by basis
     element j through the sparse action table: table[i][j] expands the
@@ -82,7 +68,43 @@ def _act_sparse(table, p, v, j):
     for i, a in v.items():
         for k, c in table[i][j].items():
             acc[k] = acc.get(k, 0) + a * c
-    return _nonzero(p, acc.items())
+    return _nonzero(p, acc.items()) if acc else acc
+
+
+def _act_by(table, p, i, v):
+    """Basis vector i acted on by the sparse vector v ({algebra basis
+    index: coefficient}): sum over k of v_k table[i][k], as a sparse vector."""
+    acc = {}
+    row = table[i]
+    for k, a in v.items():
+        for t, c in row[k].items():
+            acc[t] = acc.get(t, 0) + a * c
+    return _nonzero(p, acc.items()) if acc else acc
+
+
+def _apply_table(table, p, u, v, field, dim):
+    """The dense vector sum over i of u_i (table[i] acted on by v), for
+    dense coefficient vectors u and v."""
+    vs = _nonzero(p, enumerate(v))
+    acc = {}
+    for i, a in _nonzero(p, enumerate(u)).items():
+        for t, c in _act_by(table, p, i, vs).items():
+            acc[t] = acc.get(t, 0) + a * c
+    return _dense(field, _nonzero(p, acc.items()), dim)
+
+
+def _support(cells):
+    """Indices of the nonempty cells of a table row."""
+    return [l for l, c in enumerate(cells) if c]
+
+
+def _reach(supports, v, extra):
+    """Sorted indices l where sum over k of v_k row_k[l] can be nonzero
+    (supports[k] is the support of row k), joined with extra."""
+    out = set(extra)
+    for k in v:
+        out.update(supports[k])
+    return sorted(out)
 
 
 def _close(span, queue, table, p, gens):
@@ -130,20 +152,7 @@ class GradedAlgebra:
         return v
 
     def mul_vec(self, u, v):
-        F = self.field
-        acc = {}
-        for i, a in enumerate(u):
-            if F.is_zero(a):
-                continue
-            mrow = self.mult[i]
-            for j, b in enumerate(v):
-                if F.is_zero(b):
-                    continue
-                _sv_accumulate(F, acc, mrow[j], F.mul(a, b))
-        out = self.zero_vec()
-        for k, c in acc.items():
-            out[k] = c
-        return out
+        return _apply_table(self.mult, self._p, u, v, self.field, self.dim)
 
     def component_indices(self, gamma):
         key = ("comp", gamma)
@@ -229,20 +238,7 @@ class GradedModule:
 
     def act_vec(self, mvec, avec):
         """Action of algebra vector avec on module vector mvec."""
-        F = self.field
-        acc = {}
-        for i, a in enumerate(mvec):
-            if F.is_zero(a):
-                continue
-            arow = self.action[i]
-            for j, b in enumerate(avec):
-                if F.is_zero(b):
-                    continue
-                _sv_accumulate(F, acc, arow[j], F.mul(a, b))
-        out = self.zero_vec()
-        for k, c in acc.items():
-            out[k] = c
-        return out
+        return _apply_table(self.action, self._p, mvec, avec, self.field, self.dim)
 
     def act_sparse(self, v, j):
         """Action of algebra basis element e_j on the sparse module vector
@@ -401,112 +397,89 @@ class ModuleHom:
 
 
 def check_algebra_axioms(A: GradedAlgebra) -> AxiomReport:
-    F = A.field
-    group = A.group
+    group, p, mult = A.group, A._p, A.mult
     out = []
     zero_deg = group.zero()
-    for i, c in enumerate(A.unit):
-        if not F.is_zero(c) and A.degree[i] != zero_deg:
+    unit = _nonzero(p, enumerate(A.unit))
+    for i in unit:
+        if A.degree[i] != zero_deg:
             out.append(Violation("unit-not-degree-zero", (i,)))
     # unit laws
     for i in range(A.dim):
-        left = A.mul_vec(A.unit, A.basis_vec(i))
-        if left != A.basis_vec(i):
+        e = {i: A.field.one()}
+        if _act_sparse(mult, p, unit, i) != e:
             out.append(Violation("left-unit", (i,)))
-        right = A.mul_vec(A.basis_vec(i), A.unit)
-        if right != A.basis_vec(i):
+        if _act_by(mult, p, i, unit) != e:
             out.append(Violation("right-unit", (i,)))
     # grading of products
     for i in range(A.dim):
         di = A.degree[i]
         for j in range(A.dim):
             target = group.add(di, A.degree[j])
-            for k in A.mult[i][j]:
+            for k in mult[i][j]:
                 if A.degree[k] != target:
                     out.append(Violation("product-grading", (i, j, k)))
-    # associativity; skip triples where both association orders are empty
-    mult = A.mult
+    # associativity, (e_i e_j) e_l = e_i (e_j e_l); a triple where both
+    # association orders are empty holds, so l runs only where one of
+    # them can be nonzero
+    support = [_support(row) for row in mult]
     for i in range(A.dim):
-        mi = mult[i]
         for j in range(A.dim):
-            mij = mi[j]
-            mj = mult[j]
-            for l in range(A.dim):
-                mjl = mj[l]
-                if not mij and not mjl:
-                    continue
-                acc1 = {}
-                for k, c in mij.items():
-                    _sv_accumulate(F, acc1, mult[k][l], c)
-                acc2 = {}
-                for k, c in mjl.items():
-                    _sv_accumulate(F, acc2, mi[k], c)
-                if acc1 != acc2:
+            mij = mult[i][j]
+            for l in _reach(support, mij, support[j]):
+                if _act_sparse(mult, p, mij, l) != _act_by(mult, p, i, mult[j][l]):
                     out.append(Violation("associativity", (i, j, l)))
     return AxiomReport(out)
 
 
 def check_module_axioms(M: GradedModule) -> AxiomReport:
     A = M.algebra
-    F = M.field
-    group = A.group
+    group, p, action = A.group, M._p, M.action
     out = []
-    unit = A.unit
+    unit = _nonzero(p, enumerate(A.unit))
     for i in range(M.dim):
-        if M.act_vec(M.basis_vec(i), unit) != M.basis_vec(i):
+        if _act_by(action, p, i, unit) != {i: M.field.one()}:
             out.append(Violation("unit-action", (i,)))
     for i in range(M.dim):
         di = M.degree[i]
         for j in range(A.dim):
             target = group.add(di, A.degree[j])
-            for k in M.action[i][j]:
+            for k in action[i][j]:
                 if M.degree[k] != target:
                     out.append(Violation("action-grading", (i, j, k)))
     # compatibility with multiplication, (m e_j) e_l = m (e_j e_l); a left
     # module is checked as a right module over the transposed product,
-    # whose case (l, j) is e_j (e_l m) = (e_j e_l) m
+    # whose case (l, j) is e_j (e_l m) = (e_j e_l) m.  A triple where both
+    # sides are empty holds, so l runs only where one of them can be nonzero
+    right = M.side == "right"
+    support = [_support(row) for row in A.mult]
+    steps = [_support(row) for row in action]
     for i in range(M.dim):
         for j in range(A.dim):
-            for l in range(A.dim):
-                first, then = (j, l) if M.side == "right" else (l, j)
-                step = M.action[i][first]
-                if not step and not A.mult[j][l]:
-                    continue
-                acc1 = {}
-                for k, c in step.items():
-                    _sv_accumulate(F, acc1, M.action[k][then], c)
-                acc2 = {}
-                for k, c in A.mult[j][l].items():
-                    _sv_accumulate(F, acc2, M.action[i][k], c)
-                if acc1 != acc2:
+            ls = (_reach(steps, action[i][j], support[j]) if right
+                  else sorted({*steps[i], *support[j]}))
+            for l in ls:
+                first, then = (j, l) if right else (l, j)
+                if (_act_sparse(action, p, action[i][first], then)
+                        != _act_by(action, p, i, A.mult[j][l])):
                     out.append(Violation("action-associativity", (i, j, l)))
     return AxiomReport(out)
 
 
 def check_bimodule_axioms(B: GradedBimodule) -> AxiomReport:
     out = []
-    left = B.as_left_module()
-    right = B.as_right_module()
-    rl = check_module_axioms(left)
-    rr = check_module_axioms(right)
-    out.extend(Violation("left-" + v.kind, v.where, v.detail) for v in rl.violations)
-    out.extend(Violation("right-" + v.kind, v.where, v.detail) for v in rr.violations)
-    # (e_j m) e_l = e_j (m e_l)
-    F = B.field
+    for side, M in (("left-", B.as_left_module()), ("right-", B.as_right_module())):
+        out.extend(Violation(side + v.kind, v.where, v.detail)
+                   for v in check_module_axioms(M).violations)
+    # (e_j m) e_l = e_j (m e_l), where one of the two sides can be nonzero
+    p = _modulus(B.field)
+    support = [_support(row) for row in B.right_action]
     for i in range(B.dim):
         for j in range(B.left_algebra.dim):
             lm = B.left_action[i][j]
-            for l in range(B.right_algebra.dim):
-                rm = B.right_action[i][l]
-                if not lm and not rm:
-                    continue
-                acc1 = {}
-                for k, c in lm.items():
-                    _sv_accumulate(F, acc1, B.right_action[k][l], c)
-                acc2 = {}
-                for k, c in rm.items():
-                    _sv_accumulate(F, acc2, B.left_action[k][j], c)
-                if acc1 != acc2:
+            for l in _reach(support, lm, support[i]):
+                if (_act_sparse(B.right_action, p, lm, l)
+                        != _act_sparse(B.left_action, p, B.right_action[i][l], j)):
                     out.append(Violation("bimodule-compatibility", (i, j, l)))
     return AxiomReport(out)
 

@@ -7,8 +7,11 @@ products along a bicharacter, and the triangular/corner data attached to
 a nonnegatively graded algebra.
 
 Constructions check the data a caller supplies (shapes, sides, pairings,
-degrees of maps) and raise ConstructionError with a witness.  They trust
-their input objects, which the store checks on entry, and do not re-check
+degrees of maps) and raise ConstructionError with a witness.  A nonzero
+pairing (phi and psi of a Morita context, theta of an extension) is
+valid exactly when the ring it defines is a graded associative algebra,
+so it is checked through that ring's axioms.  Constructions trust their
+input objects, which the store checks on entry, and do not re-check
 their output; the test suite checks every construction's output.
 
 RECIPES, at the end, maps each construction name a provenance record
@@ -20,8 +23,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
-                      GradedBimodule, GradedModule, ModuleHom,
+from .algebra import (ConstructionError, GradedAlgebra, GradedBimodule,
+                      GradedModule, ModuleHom, check_algebra_axioms,
                       degree_zero_subalgebra, regular_bimodule,
                       trivially_graded, zero_module)
 from .groups import TRIVIAL_GROUP, FiniteAbelianGroup
@@ -32,10 +35,9 @@ from .tensors import (bilinear_through_tensor, tensor_bimodule_with_module,
                       tensor_bimodules, tensor_module_with_bimodule)
 
 __all__ = [
-    "BimoduleHom", "bimodule_hom_violations",
     "CoveringData", "covering_ring", "covering_module",
     "covering_module_inverse",
-    "MoritaContext", "morita_ring", "split_covering", "verify_zero_context",
+    "MoritaContext", "morita_ring", "split_covering",
     "TupleModule", "tuple_module",
     "TensorTower", "TensorRingData", "tensor_ring",
     "ThetaData", "theta_extension", "trivial_extension",
@@ -43,7 +45,7 @@ __all__ = [
     "Bicharacter", "twisted_tensor", "twisted_module",
     "tensor_product_algebra",
     "BeilinsonData", "beilinson",
-    "CleftFunctors", "theta_cleft_functors",
+    "CleftFunctors",
     "RECIPES", "Built", "construct", "reconstruct",
 ]
 
@@ -67,48 +69,13 @@ def _check_degrees(matrix, source_degrees, target_degrees, what):
                                         f"column {t} reaches row {k}")
 
 
-class BimoduleHom:
-    """Linear map between bimodules, matrix indexed target x source."""
-
-    def __init__(self, source: GradedBimodule, target: GradedBimodule, matrix: Matrix):
-        if matrix.nrows != target.dim or matrix.ncols != source.dim:
-            raise AlgebraError(f"hom matrix shape {matrix.nrows}x{matrix.ncols} "
-                               f"does not match {target.dim}x{source.dim}")
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-
-    def apply(self, vec):
-        return self.matrix.apply(vec)
-
-    def is_zero(self):
-        return self.matrix.is_zero()
-
-    def __repr__(self):
-        return f"BimoduleHom({self.source.dim} -> {self.target.dim})"
-
-
-def bimodule_hom_violations(h: BimoduleHom):
-    """Two-sided linearity failures of h, as witness strings.
-
-    Checked against algebra generators only; linearity at products follows.
-    """
-    out = []
-    src_l = h.source.as_left_module()
-    src_r = h.source.as_right_module()
-    tgt_l = h.target.as_left_module()
-    tgt_r = h.target.as_right_module()
-    for j in h.source.left_algebra.generators():
-        lhs = h.matrix.mul(src_l.action_matrix(j))
-        rhs = tgt_l.action_matrix(j).mul(h.matrix)
-        if lhs != rhs:
-            out.append(f"left action of {h.source.left_algebra.labels[j]}")
-    for j in h.source.right_algebra.generators():
-        lhs = h.matrix.mul(src_r.action_matrix(j))
-        rhs = tgt_r.action_matrix(j).mul(h.matrix)
-        if lhs != rhs:
-            out.append(f"right action of {h.source.right_algebra.labels[j]}")
-    return out
+def _check_assembled(ring, what):
+    """Raise on the first axiom violation of a ring assembled around a
+    pairing, naming the violated axiom and its basis elements."""
+    bad = check_algebra_axioms(ring).violations
+    if bad:
+        names = ", ".join(ring.labels[i] for i in bad[0].where)
+        raise ConstructionError(f"{what} fails {bad[0].kind} at ({names})")
 
 
 # -- coverings ---------------------------------------------------------------
@@ -246,18 +213,16 @@ def covering_module_inverse(V: GradedModule, cov: CoveringData) -> GradedModule:
 class MoritaContext:
     """Two rings glued along a pair of bimodules into one square ring.
 
-    N is an (A, B)-bimodule, M a (B, A)-bimodule; psi maps N (x)_B M into
-    A and phi maps M (x)_A N into B.  assembled carries the 2x2 block
-    multiplication, basis ordered A, N, M, B.
+    N is an (A, B)-bimodule, M a (B, A)-bimodule; psi_raw pairs N x M
+    into A and phi_raw pairs M x N into B.  assembled carries the 2x2
+    block multiplication, basis ordered A, N, M, B.
     """
 
-    def __init__(self, A, B, N, M, phi, psi, phi_raw, psi_raw, assembled):
+    def __init__(self, A, B, N, M, phi_raw, psi_raw, assembled):
         self.A = A
         self.B = B
         self.N = N
         self.M = M
-        self.phi = phi
-        self.psi = psi
         self.phi_raw = phi_raw
         self.psi_raw = psi_raw
         self.assembled = assembled
@@ -336,9 +301,6 @@ class MoritaContext:
         f = ModuleHom(MX, Y, Matrix.zeros(Z.field, Y.dim, MX.dim))
         g = ModuleHom(NY, X, Matrix.zeros(Z.field, X.dim, NY.dim))
         return TupleModule(self, X, Y, f, g, S_MX, S_NY)
-
-    def U_A(self, t: "TupleModule") -> GradedModule:
-        return t.X
 
     def __repr__(self):
         return (f"MoritaContext(A={self.A.dim}, N={self.N.dim}, "
@@ -544,9 +506,12 @@ def morita_ring(A, B, N, M, phi_raw=None, psi_raw=None) -> MoritaContext:
     phi_raw: Matrix of shape dim B x (dim M * dim N), column m*dimN + n,
     giving the pairing M x N -> B on basis pairs; psi_raw likewise with
     shape dim A x (dim N * dim M), column n*dimM + m.  None means zero.
-    Both pairings must preserve degrees, descend to the balanced tensor
-    product, be two-sided linear, and satisfy the mixed associativity
-    constraints; violations raise with a witness.
+    The pairings are valid exactly when the assembled ring is a graded
+    associative algebra: balanced, two-sided linear, mixed-associative and
+    degree-preserving.  When one of them is nonzero the assembled ring's
+    axioms are checked and the first violation raises, naming its basis
+    elements by their assembled labels (a:, n:, m:, b:); zero pairings
+    satisfy every condition.
     """
     if N.left_algebra != A or N.right_algebra != B:
         raise ConstructionError("N must be an (A, B)-bimodule")
@@ -562,31 +527,6 @@ def morita_ring(A, B, N, M, phi_raw=None, psi_raw=None) -> MoritaContext:
         raise ConstructionError("phi matrix has the wrong shape")
     if (psi_raw.nrows, psi_raw.ncols) != (dA, dN * dM):
         raise ConstructionError("psi matrix has the wrong shape")
-    add = A.group.add
-    _check_degrees(phi_raw, [add(m, n) for m in M.degree for n in N.degree],
-                   B.degree, "phi")
-    _check_degrees(psi_raw, [add(n, m) for n in N.degree for m in M.degree],
-                   A.degree, "psi")
-
-    T_NM, S_NM = tensor_bimodules(N, M)
-    psi_ind = bilinear_through_tensor(S_NM, psi_raw, dA)
-    if psi_ind is None:
-        raise ConstructionError("psi is not balanced over B")
-    psi = BimoduleHom(T_NM, regular_bimodule(A), psi_ind)
-    bad = bimodule_hom_violations(psi)
-    if bad:
-        raise ConstructionError(f"psi is not two-sided linear: {bad[0]}")
-    T_MN, S_MN = tensor_bimodules(M, N)
-    phi_ind = bilinear_through_tensor(S_MN, phi_raw, dB)
-    if phi_ind is None:
-        raise ConstructionError("phi is not balanced over A")
-    phi = BimoduleHom(T_MN, regular_bimodule(B), phi_ind)
-    bad = bimodule_hom_violations(phi)
-    if bad:
-        raise ConstructionError(f"phi is not two-sided linear: {bad[0]}")
-
-    _check_mixed_associativity(M, N, phi_raw, psi_raw)
-    _check_mixed_associativity(N, M, psi_raw, phi_raw)
 
     oA, oN, oM, oB = 0, dA, dA + dN, dA + dN + dM
     dim = dA + dN + dM + dB
@@ -618,36 +558,9 @@ def morita_ring(A, B, N, M, phi_raw=None, psi_raw=None) -> MoritaContext:
               + [f"m:{s}" for s in M.labels] + [f"b:{s}" for s in B.labels])
     degrees = list(A.degree) + list(N.degree) + list(M.degree) + list(B.degree)
     assembled = GradedAlgebra(F, A.group, labels, degrees, unit, mult)
-    return MoritaContext(A, B, N, M, phi, psi, phi_raw, psi_raw, assembled)
-
-
-def _check_mixed_associativity(P, Q, pq_raw, qp_raw):
-    """(p q) p2 = p (q p2) on all basis triples of P x Q x P.
-
-    P and Q are the two bimodules of a context, in either order; pq_raw
-    pairs P x Q (column p*dimQ + q) into the ring acting on P's left,
-    qp_raw pairs Q x P (column q*dimP + p) into the ring acting on its right.
-    """
-    F = P.field
-
-    def act(table, coeffs):
-        out = P.zero_vec()
-        for r, c in coeffs.items():
-            for k, c2 in table[r].items():
-                out[k] = F.add(out[k], F.mul(c, c2))
-        return out
-
-    for p in range(P.dim):
-        for q in range(Q.dim):
-            pq = _sparse(F, pq_raw.column(p * Q.dim + q))
-            for p2 in range(P.dim):
-                qp = _sparse(F, qp_raw.column(q * P.dim + p2))
-                lhs = act(P.left_action[p2], pq)
-                rhs = act(P.right_action[p], qp)
-                if lhs != rhs:
-                    raise ConstructionError(
-                        f"context compatibility fails at ({P.labels[p]}, "
-                        f"{Q.labels[q]}, {P.labels[p2]})")
+    if not (phi_raw.is_zero() and psi_raw.is_zero()):
+        _check_assembled(assembled, "context ring")
+    return MoritaContext(A, B, N, M, phi_raw, psi_raw, assembled)
 
 
 def split_covering(cov: CoveringData, k=None) -> MoritaContext:
@@ -730,11 +643,6 @@ def split_covering(cov: CoveringData, k=None) -> MoritaContext:
     ctx.block_relabel = relabel
     ctx.split_index = k
     return ctx
-
-
-def verify_zero_context(ctx: MoritaContext) -> bool:
-    """True iff both pairings of the context vanish identically."""
-    return ctx.is_zero_context
 
 
 # -- tensor rings ------------------------------------------------------------
@@ -893,15 +801,14 @@ def tensor_ring(R: GradedAlgebra, M: GradedBimodule, nilpotency_index: int) -> T
 class ThetaData:
     """Extension of a ring by a bimodule with a chosen pairing on it.
 
-    algebra has basis base then bimodule; theta is None exactly when the
-    pairing is identically zero and was never materialized.
+    algebra has basis base then bimodule; theta_raw pairs the bimodule
+    with itself.
     """
 
-    def __init__(self, algebra, base, bim, theta, theta_raw):
+    def __init__(self, algebra, base, bim, theta_raw):
         self.algebra = algebra
         self.base = base
         self.bim = bim
-        self.theta = theta
         self.theta_raw = theta_raw
 
     def __repr__(self):
@@ -933,9 +840,11 @@ def theta_extension(R: GradedAlgebra, M: GradedBimodule, theta_raw=None) -> Thet
     """Ring on R + M where two bimodule elements multiply through theta.
 
     theta_raw: Matrix of shape dim M x (dim M)^2, column i*dimM + j for
-    the pair (m_i, m_j); None means the zero pairing.  theta must descend
-    to the balanced product, be a two-sided module map, and associate
-    with itself; each failure raises with a witness.
+    the pair (m_i, m_j); None means the zero pairing.  theta is valid
+    exactly when the extension ring is associative: balanced, two-sided
+    linear and associative with itself.  A nonzero theta is checked
+    through the extension ring's axioms and the first violation raises,
+    naming its basis elements by their labels (r:, m:).
     """
     if M.left_algebra != R or M.right_algebra != R:
         raise ConstructionError("extension needs a bimodule over the base on both sides")
@@ -945,35 +854,10 @@ def theta_extension(R: GradedAlgebra, M: GradedBimodule, theta_raw=None) -> Thet
         theta_raw = Matrix.zeros(F, dM, dM * dM)
     if (theta_raw.nrows, theta_raw.ncols) != (dM, dM * dM):
         raise ConstructionError("theta matrix has the wrong shape")
-    theta = None
+    algebra = _theta_tables(R, M, theta_raw)
     if not theta_raw.is_zero():
-        T_MM, S_MM = tensor_bimodules(M, M)
-        ind = bilinear_through_tensor(S_MM, theta_raw, dM)
-        if ind is None:
-            raise ConstructionError("theta is not balanced over the base ring")
-        theta = BimoduleHom(T_MM, M, ind)
-        bad = bimodule_hom_violations(theta)
-        if bad:
-            raise ConstructionError(f"theta is not two-sided linear: {bad[0]}")
-        # theta must associate with itself
-        for i in range(dM):
-            for j in range(dM):
-                v = theta_raw.column(i * dM + j)
-                for k in range(dM):
-                    lhs = [F.zero()] * dM
-                    for l, c in _sparse(F, v).items():
-                        for t, a in _sparse(F, theta_raw.column(l * dM + k)).items():
-                            lhs[t] = F.add(lhs[t], F.mul(c, a))
-                    w = theta_raw.column(j * dM + k)
-                    rhs = [F.zero()] * dM
-                    for l, c in _sparse(F, w).items():
-                        for t, a in _sparse(F, theta_raw.column(i * dM + l)).items():
-                            rhs[t] = F.add(rhs[t], F.mul(c, a))
-                    if lhs != rhs:
-                        raise ConstructionError(
-                            f"theta is not associative at ({M.labels[i]}, "
-                            f"{M.labels[j]}, {M.labels[k]})")
-    return ThetaData(_theta_tables(R, M, theta_raw), R, M, theta, theta_raw)
+        _check_assembled(algebra, "extension ring")
+    return ThetaData(algebra, R, M, theta_raw)
 
 
 def trivial_extension(R: GradedAlgebra, M: GradedBimodule) -> ThetaData:
@@ -981,7 +865,7 @@ def trivial_extension(R: GradedAlgebra, M: GradedBimodule) -> ThetaData:
     if M.left_algebra != R or M.right_algebra != R:
         raise ConstructionError("extension needs a bimodule over the base on both sides")
     zero = Matrix.zeros(R.field, M.dim, M.dim * M.dim)
-    return ThetaData(_theta_tables(R, M, zero), R, M, None, zero)
+    return ThetaData(_theta_tables(R, M, zero), R, M, zero)
 
 
 def split_positively_graded(Lam: GradedAlgebra):
@@ -1384,10 +1268,6 @@ class CleftFunctors:
         self._check_base(X)
         out, _ = tensor_module_with_bimodule(X, self._pair)
         return out
-
-
-def theta_cleft_functors(td: ThetaData) -> CleftFunctors:
-    return CleftFunctors(td)
 
 
 # -- provenance ----------------------------------------------------------------

@@ -545,10 +545,6 @@ def tor(X: GradedModule, Y: GradedModule, i_max: int, resolve_side="first"):
 # -- nilpotency ----------------------------------------------------------------
 
 
-def _tower(R: GradedAlgebra, M: GradedBimodule) -> TensorTower:
-    return TensorTower(R, M)
-
-
 def nilpotency_index(M: GradedBimodule, cutoff=DEFAULT_NIL_CUTOFF,
                      dim_limit=DEFAULT_DIM_LIMIT, tower=None) -> Verdict:
     """Smallest k with the k-th power zero; AtLeast(c) if powers 1..c are
@@ -558,7 +554,7 @@ def nilpotency_index(M: GradedBimodule, cutoff=DEFAULT_NIL_CUTOFF,
     if cutoff < 1:
         raise AlgebraError("cutoff must be at least 1")
     if tower is None:
-        tower = _tower(M.left_algebra, M)
+        tower = TensorTower(M.left_algebra, M)
     for k in range(1, cutoff + 1):
         d = tower.power(k).dim
         if d == 0:
@@ -628,7 +624,7 @@ def left_perfect_check(R: GradedAlgebra, M: GradedBimodule,
     """
     if M.left_algebra != R or M.right_algebra != R:
         raise AlgebraError("left_perfect_check needs an (R, R)-bimodule")
-    tower = _tower(R, M)
+    tower = TensorTower(R, M)
     nil = nilpotency_index(M, nil_cutoff, tower=tower)
     if not nil.is_conclusive:
         pdM = projective_dimension(flatten_module(M.as_left_module()), pd_cutoff)
@@ -1067,7 +1063,7 @@ def power_block_law_check(A: GradedAlgebra, N: GradedBimodule, i_max=2, j_max=2,
     identity for the first power pair is verified when its hypothesis
     (vanishing of Tor against N) holds.
     """
-    tower = _tower(A, N)
+    tower = TensorTower(A, N)
     nil = nilpotency_index(N, nil_cutoff, tower=tower)
     if not nil.is_conclusive:
         raise ConstructionError("nilpotency not confirmed")
@@ -1076,7 +1072,7 @@ def power_block_law_check(A: GradedAlgebra, N: GradedBimodule, i_max=2, j_max=2,
     Lam = ctx.assembled
     fld = Lam.field
     M = _block_pattern_bimodule(ctx, tower, 1)
-    towerM = _tower(Lam, M)
+    towerM = TensorTower(Lam, M)
     oA, _, _, oB = ctx.offsets
     idems = {}
     for name, off in (("top", oA), ("bot", oB)):

@@ -148,7 +148,7 @@ def test_build_unbalanced_theta_exits_1(runner, store):
     result = invoke(runner, store, "build", "theta", "a3-r0", "a3-pos",
                     "--theta", theta, code=1)
     assert isinstance(result.exception, SystemExit)
-    assert "not balanced" in result.output
+    assert "extension ring fails associativity at (m:a, r:e_1, m:a)" in result.output
 
 
 # -- homology wrappers ---------------------------------------------------------

@@ -16,13 +16,13 @@ from injgen.algebra import (GradedAlgebra, check_axioms, component_bimodule,
                             degree_zero_subalgebra, regular_bimodule,
                             regular_module)
 from injgen.bundled import corpus_docs
-from injgen.constructions import (Bicharacter, MoritaContext, TensorTower,
-                                  ThetaData, beilinson, construct,
+from injgen.constructions import (Bicharacter, CleftFunctors, MoritaContext,
+                                  TensorTower, ThetaData, beilinson, construct,
                                   covering_module, covering_module_inverse,
                                   covering_ring, regular_right_tuple,
                                   split_covering, split_positively_graded,
                                   tensor_product_algebra, tensor_ring,
-                                  theta_cleft_functors, trivial_extension,
+                                  trivial_extension,
                                   twisted_module, twisted_tensor)
 from injgen.field import QQ, PrimeField
 from injgen.groups import FiniteAbelianGroup
@@ -94,7 +94,7 @@ def _check_extension(td):
     valid(td.base)
     valid(td.bim)
     valid(td.algebra)
-    cf = theta_cleft_functors(td)
+    cf = CleftFunctors(td)
     for bim in (cf._up, cf._down, cf._pair):
         valid(bim)
     E = td.algebra

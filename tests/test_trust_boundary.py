@@ -189,10 +189,16 @@ ONE, ZERO = Matrix(F5, [[1]]), Matrix(F5, [[0]])
 def test_ill_graded_context_pairings_are_rejected():
     k = k_over(Z2, (0,))
     N, M = line(k, (1,)), line(k, (0,))
-    with pytest.raises(ConstructionError, match="phi does not preserve degrees"):
+    # psi sends n m (degree 1) to a (degree 0); phi sends m n likewise to b
+    with pytest.raises(ConstructionError,
+                       match=r"context ring fails product-grading at \(n:v, m:v, a:1\)"):
         morita_ring(k, k, N, M, ONE, ONE)
-    with pytest.raises(ConstructionError, match="psi does not preserve degrees"):
+    with pytest.raises(ConstructionError,
+                       match=r"context ring fails product-grading at \(n:v, m:v, a:1\)"):
         morita_ring(k, k, N, M, ZERO, ONE)
+    with pytest.raises(ConstructionError,
+                       match=r"context ring fails product-grading at \(m:v, n:v, b:1\)"):
+        morita_ring(k, k, N, M, ONE, ZERO)
     # forgetting the grading leaves a valid context
     k0 = k_over(TRIVIAL_GROUP, ())
     ctx = morita_ring(k0, k0, line(k0, ()), line(k0, ()), ONE, ONE)

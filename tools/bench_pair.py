@@ -4,8 +4,10 @@
                                 [--seed N ...] [--pairs P] [--seconds S]
 
 Exports the base revision (default HEAD) with `git archive` into a
-temporary directory, then runs `perfbench/run.py` of each tree on each
-workload and seed, one process at a time.  The trees alternate within a
+temporary directory and copies the working tree (its tracked files and
+its untracked, non-ignored ones) beside it, so both sides run from fresh
+copies; then runs `perfbench/run.py` of each copy on each workload and
+seed, one process at a time.  The trees alternate within a
 pair, and the tree that goes first alternates between pairs, so drift on
 the machine falls on both sides alike.  Writes BENCH_<NAME>.json at the
 root of the working tree: for every workload, seed and end-to-end metric
@@ -22,6 +24,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -59,6 +62,20 @@ def export(rev, dest):
     with tarfile.open(fileobj=io.BytesIO(tar)) as t:
         t.extractall(dest, filter="data")
     return commit
+
+
+def snapshot(dest):
+    """Copy the working tree's tracked files, and its untracked files that
+    are not ignored, under dest."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], cwd=ROOT, check=True,
+                           capture_output=True).stdout.split(b"\0")
+    for name in map(os.fsdecode, filter(None, names)):
+        src = ROOT / name
+        if src.is_file():  # a tracked file deleted from the tree is skipped
+            target = Path(dest) / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, target)
 
 
 def run_once(tree, workload, seed, seconds):
@@ -109,12 +126,14 @@ def main(argv=None):
         "pairs": args.pairs,
         "machine": {"system": platform.system(), "machine": platform.machine(),
                     "cpus": os.cpu_count(), "python": platform.python_version()},
-        "change": {"head": head, "tree": "working tree"},
+        "change": {"head": head, "tree": "copy of the working tree (tracked and "
+                   "untracked, non-ignored files)"},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
-        report["base"] = export(args.base, tmp)
-        trees = {"base": tmp, "change": str(ROOT)}
+        trees = {"base": os.path.join(tmp, "base"), "change": os.path.join(tmp, "change")}
+        report["base"] = export(args.base, trees["base"])
+        snapshot(trees["change"])
         for workload in workloads:
             for seed in seeds:
                 runs = {"base": [], "change": []}
