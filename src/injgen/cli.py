@@ -70,6 +70,8 @@ def _read_json(path):
         _fail(EXIT_INPUT, f"cannot read {path}: {e}")
     except ValueError as e:
         _fail(EXIT_INPUT, f"{path} is not JSON: {e}")
+    except RecursionError:
+        _fail(EXIT_INPUT, f"{path} is nested too deeply to read")
 
 
 def _load_ref(opts, ref):
@@ -113,7 +115,8 @@ def _register(opts, obj, label, provenance=None, out=None):
               help=f"[default: {DEFAULT_PD_CUTOFF}; validate-cert: the certificate's]")
 @click.option("--nil-cutoff", type=int, default=None,
               help=f"[default: {DEFAULT_NIL_CUTOFF}; validate-cert: the certificate's]")
-@click.option("--seed", default=17, show_default=True)
+@click.option("--seed", default=17, show_default=True,
+              help="seed for verify-theorems only")
 @click.option("--strict", is_flag=True,
               help="exit 3 when the outcome is only inconclusive")
 @click.option("--field", default=None, metavar="fp:<p>|q",
@@ -447,8 +450,7 @@ def derive_cmd(opts, target, depth, out):
     h = _load_ref(opts, target)
     try:
         tree = derive(opts.reg, h, max_depth=depth,
-                      pd_cutoff=opts.pd_cutoff, nil_cutoff=opts.nil_cutoff,
-                      seed=opts.seed)
+                      pd_cutoff=opts.pd_cutoff, nil_cutoff=opts.nil_cutoff)
     except (RegistryError, ReductionError) as e:
         _fail(EXIT_INPUT, str(e))
     cert = emit_certificate(tree)
@@ -465,8 +467,7 @@ def derive_cmd(opts, target, depth, out):
 def validate_cert_cmd(opts, path):
     """Recheck every step of a stored certificate."""
     cert = _read_json(path)
-    ok, status, problems = validate_cert(cert, opts.reg, seed=opts.seed,
-                                         **opts.given_cutoffs)
+    ok, status, problems = validate_cert(cert, opts.reg, **opts.given_cutoffs)
     click.echo(json.dumps({"valid": ok, "recomputed_status": status,
                            "problems": problems}, indent=1))
     if not ok:

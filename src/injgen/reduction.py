@@ -13,19 +13,18 @@ from the rebuilt data and never from a recorded param.
 
 Statuses form a ladder: Established needs every hypothesis verified and
 every leaf a base fact; one inconclusive hypothesis anywhere drops the
-grade to Refutation-free-but-Conditional; anything else is Unknown.  A
-refuted hypothesis only disqualifies the rule application.  The engine
-never concludes a negative.
+grade to Refutation-free-but-Conditional, and nothing else does; anything
+else is Unknown.  A refuted hypothesis only disqualifies the rule
+application.  The engine never concludes a negative.
 """
 
 from __future__ import annotations
 
 import json
-import random
 
 from .algebra import (AlgebraError, ConstructionError, component_bimodule,
-                      degree_zero_subalgebra, dual, quotient_module,
-                      regular_module, strongly_graded_check)
+                      degree_zero_subalgebra, dual, regular_module,
+                      strongly_graded_check)
 from .constructions import construct, reconstruct
 from .homology import (DEFAULT_NIL_CUTOFF, DEFAULT_PD_CUTOFF, is_projective,
                        left_perfect_check, nilpotency_index,
@@ -76,13 +75,12 @@ def _perfect_hyp(name, report):
 class Edge:
     """One candidate application of a rule at a fixed claim."""
 
-    __slots__ = ("direction", "premises", "hypotheses", "cap")
+    __slots__ = ("direction", "premises", "hypotheses")
 
-    def __init__(self, direction, premises, hypotheses, cap=ESTABLISHED):
+    def __init__(self, direction, premises, hypotheses):
         self.direction = direction
         self.premises = list(premises)
         self.hypotheses = list(hypotheses)
-        self.cap = cap
 
     @property
     def refuted(self):
@@ -90,21 +88,19 @@ class Edge:
 
     @property
     def grade_cap(self):
-        g = _GRADE[self.cap]
         if any(h["status"] == "inconclusive" for h in self.hypotheses):
-            g = min(g, _GRADE[CONDITIONAL])
-        return g
+            return _GRADE[CONDITIONAL]
+        return _GRADE[ESTABLISHED]
 
 
 class Env:
     """Registry access plus caches and cutoffs shared by one derivation."""
 
     def __init__(self, reg, pd_cutoff=DEFAULT_PD_CUTOFF,
-                 nil_cutoff=DEFAULT_NIL_CUTOFF, seed=17):
+                 nil_cutoff=DEFAULT_NIL_CUTOFF):
         self.reg = reg
         self.pd_cutoff = pd_cutoff
         self.nil_cutoff = nil_cutoff
-        self.seed = seed
         self._rebuilt = {}
         self._deg0 = {}
 
@@ -462,51 +458,10 @@ class SelfInjectiveBase(Rule):
                            {"dual_of_regular_projective": rep.projective})])]
 
 
-class SemisimpleSampleBase(Rule):
-    rule_id = "BASE-SS"
-    citation = ("All modules over a semisimple ring are injective; random "
-                "cyclic quotients being projective is heuristic evidence "
-                "of semisimplicity, so this grade is capped.")
-
-    SAMPLES_PER_DEGREE = 2
-
-    def edges(self, env, h):
-        A = env.obj(h)
-        rng = random.Random(f"{env.seed}:{h}")
-        R = regular_module(A, "right")
-        vectors = [R.basis_vec(i) for i in range(A.dim)]
-        by_degree = {}
-        for i, d in enumerate(A.degree):
-            by_degree.setdefault(d, []).append(i)
-        for idxs in by_degree.values():
-            for _ in range(self.SAMPLES_PER_DEGREE):
-                v = A.zero_vec()
-                for i in idxs:
-                    v[i] = A.field.random(rng)
-                vectors.append(v)
-        checked = 0
-        witness = None
-        for v in vectors:
-            if all(A.field.is_zero(c) for c in v):
-                continue
-            Q, _ = quotient_module(R, [v])
-            checked += 1
-            if not is_projective(Q).projective:
-                witness = [A.field.enc(c) for c in v]
-                break
-        if witness is not None:
-            hyp = _hyp("cyclic-quotients-projective", "refuted",
-                       {"witness_generator": witness})
-        else:
-            hyp = _hyp("cyclic-quotients-projective", "verified",
-                       {"samples": checked})
-        return [Edge("base", [], [hyp], cap=CONDITIONAL)]
-
-
 RULES = [CoveringRule(), StronglyGradedRule(), TriangularRule(), MoritaRule(),
          BeilinsonRule(), TensorRingRule(), ThetaRule(),
          PositivelyGradedRule(), TwistedTensorRule(), CommutativeBase(),
-         SelfInjectiveBase(), SemisimpleSampleBase()]
+         SelfInjectiveBase()]
 
 RULES_BY_ID = {r.rule_id: r for r in RULES}
 
@@ -568,8 +523,8 @@ def _derive(env, h, depth, stack):
 
 
 def derive(reg, target, max_depth=6, pd_cutoff=DEFAULT_PD_CUTOFF,
-           nil_cutoff=DEFAULT_NIL_CUTOFF, seed=17) -> DerivationTree:
-    env = Env(reg, pd_cutoff=pd_cutoff, nil_cutoff=nil_cutoff, seed=seed)
+           nil_cutoff=DEFAULT_NIL_CUTOFF) -> DerivationTree:
+    env = Env(reg, pd_cutoff=pd_cutoff, nil_cutoff=nil_cutoff)
     h = reg.resolve(target)
     if reg.entry(h).get("kind") != "algebra":
         raise ReductionError("claims are about algebras; got a "
@@ -592,13 +547,51 @@ def _json_form(value):
     return json.loads(json.dumps(value))
 
 
-def _revalidate(env, node, problems, path):
-    claim = node.get("claim", {})
-    h = claim.get("hash")
-    status = node.get("status")
+def _on_ladder(status, ladder):
+    return isinstance(status, str) and status in ladder
+
+
+def _objects(value):
+    return isinstance(value, list) and all(isinstance(v, dict) for v in value)
+
+
+def _form_problems(node, where, problems):
+    """Record where node, or a node below it, does not have the shape the
+    validator reads, or records a status that is off its ladder."""
+    if not isinstance(node, dict) or not isinstance(node.get("claim"), dict):
+        problems.append(f"{where}: a node must be an object with a claim object")
+        return
+    if not _on_ladder(node.get("status"), _GRADE):
+        problems.append(f"{where}: status {node.get('status')!r} is not one "
+                        f"of {list(_GRADE)}")
     steps = node.get("steps", [])
-    where = path or "root"
-    if h is None or h not in env.reg:
+    if not _objects(steps):
+        problems.append(f"{where}: steps must be a list of objects")
+        return
+    for step in steps:
+        hyps, premises = step.get("hypotheses", []), step.get("premises", [])
+        if not (isinstance(step.get("rule"), str) and _objects(hyps)
+                and isinstance(premises, list)):
+            problems.append(f"{where}: a step needs a rule name, a list of "
+                            "hypothesis objects and a list of premises")
+            continue
+        for rec in hyps:
+            if not (isinstance(rec.get("name"), str)
+                    and _on_ladder(rec.get("status"), _HYP_GRADE)):
+                problems.append(
+                    f"{where}: hypothesis {rec.get('name')!r} needs a string "
+                    f"name and a status in {list(_HYP_GRADE)}, not "
+                    f"{rec.get('status')!r}")
+        for i, p in enumerate(premises):
+            _form_problems(p, f"{where}.{i}", problems)
+
+
+def _revalidate(env, node, problems, where):
+    """Replay one node whose form _form_problems has accepted."""
+    h = node["claim"].get("hash")
+    status = node["status"]
+    steps = node.get("steps", [])
+    if not isinstance(h, str) or h not in env.reg:
         problems.append(f"{where}: claim hash missing from the store")
         return UNKNOWN
     if not steps:
@@ -606,15 +599,15 @@ def _revalidate(env, node, problems, path):
             problems.append(f"{where}: status {status} with no derivation step")
         return UNKNOWN
     step = steps[0]
-    rule = RULES_BY_ID.get(step.get("rule"))
+    rule = RULES_BY_ID.get(step["rule"])
     if rule is None:
-        problems.append(f"{where}: unknown rule {step.get('rule')!r}")
+        problems.append(f"{where}: unknown rule {step['rule']!r}")
         return UNKNOWN
     if step.get("citation") != rule.citation:
         problems.append(f"{where}: citation does not match rule {rule.rule_id}")
         return UNKNOWN
     premise_nodes = step.get("premises", [])
-    premise_hashes = [p.get("claim", {}).get("hash") for p in premise_nodes]
+    premise_hashes = [p["claim"].get("hash") for p in premise_nodes]
     try:
         env.obj(h)
         edges = rule.edges(env, h)
@@ -628,16 +621,16 @@ def _revalidate(env, node, problems, path):
         return UNKNOWN
     fresh = {hy["name"]: hy for hy in edge.hypotheses}
     for rec in step.get("hypotheses", []):
-        f = fresh.get(rec.get("name"))
+        f = fresh.get(rec["name"])
         if f is None:
-            problems.append(f"{where}: hypothesis {rec.get('name')!r} not "
+            problems.append(f"{where}: hypothesis {rec['name']!r} not "
                             "reproducible")
             return UNKNOWN
-        if _HYP_GRADE[f["status"]] < _HYP_GRADE.get(rec.get("status"), 2):
+        if _HYP_GRADE[f["status"]] < _HYP_GRADE[rec["status"]]:
             problems.append(
                 f"{where}: hypothesis {rec['name']!r} degraded from "
-                f"{rec.get('status')} to {f['status']}")
-        elif f["status"] == rec.get("status") and (
+                f"{rec['status']} to {f['status']}")
+        elif f["status"] == rec["status"] and (
                 _json_form(f["evidence"]) != _json_form(rec.get("evidence"))):
             # an upgraded hypothesis may carry new evidence; an unchanged
             # status must come with the evidence that was recorded
@@ -651,7 +644,7 @@ def _revalidate(env, node, problems, path):
         sub = _revalidate(env, p, problems, f"{where}.{i}")
         grade = min(grade, _GRADE[sub])
     recomputed = next(s for s, g in _GRADE.items() if g == grade)
-    if grade < _GRADE.get(status, 0):
+    if grade < _GRADE[status]:
         problems.append(f"{where}: recorded status {status} but recomputed "
                         f"{recomputed}")
     return recomputed
@@ -668,21 +661,24 @@ def _recorded_cutoffs(cert):
     return rec
 
 
-def validate_cert(cert: dict, reg, pd_cutoff=None, nil_cutoff=None, seed=17):
+def validate_cert(cert: dict, reg, pd_cutoff=None, nil_cutoff=None):
     """Replay every step of a certificate against the store.
 
     Hypotheses are recomputed at the cutoffs the certificate records,
     unless pd_cutoff or nil_cutoff is given.  Returns (ok,
     recomputed_status, problems).  ok means the recorded status is
-    supported by freshly recomputed hypotheses and premises.
+    supported by freshly recomputed hypotheses and premises.  A
+    certificate of the wrong shape is invalid and is not replayed.
     """
+    problems = []
+    _form_problems(cert, "root", problems)
+    if problems:
+        return (False, UNKNOWN, problems)
     recorded = _recorded_cutoffs(cert)
     if recorded is None:
         return (False, UNKNOWN, [f"root: malformed cutoffs {cert.get('cutoffs')!r}"])
     env = Env(reg,
               pd_cutoff=recorded["pd_cutoff"] if pd_cutoff is None else pd_cutoff,
-              nil_cutoff=recorded["nil_cutoff"] if nil_cutoff is None else nil_cutoff,
-              seed=seed)
-    problems = []
-    recomputed = _revalidate(env, cert, problems, "")
+              nil_cutoff=recorded["nil_cutoff"] if nil_cutoff is None else nil_cutoff)
+    recomputed = _revalidate(env, cert, problems, "root")
     return (not problems, recomputed, problems)

@@ -208,6 +208,27 @@ def test_validate_cert_rejects_tampering(runner, store, tmp_path):
     assert not json.loads(result.output)["valid"]
 
 
+def test_validate_cert_reports_a_malformed_certificate(runner, store, tmp_path):
+    loaded(runner, store)
+    cert = tmp_path / "c.json"
+    invoke(runner, store, "derive", "kz2", "--out", str(cert))
+    doc = json.loads(cert.read_text())
+    doc["steps"][0]["premises"] = [5]
+    cert.write_text(json.dumps(doc))
+    result = invoke(runner, store, "validate-cert", str(cert), code=1)
+    assert isinstance(result.exception, SystemExit) and result.stderr == ""
+    out = json.loads(result.stdout)
+    assert not out["valid"] and out["problems"][0].startswith("root.0: ")
+
+
+def test_validate_cert_refuses_a_deeply_nested_file(runner, store, tmp_path):
+    cert = tmp_path / "c.json"
+    cert.write_text("[" * 100000 + "]" * 100000)
+    result = invoke(runner, store, "validate-cert", str(cert), code=2)
+    assert isinstance(result.exception, SystemExit)
+    assert "nested too deeply" in result.stderr
+
+
 def test_validate_cert_uses_recorded_cutoffs_unless_given(runner, store, tmp_path):
     loaded(runner, store)
     cert = tmp_path / "c.json"

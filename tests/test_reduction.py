@@ -5,13 +5,14 @@ import pytest
 
 from injgen.algebra import GradedAlgebra
 from injgen.bundled import corpus_docs, load_corpus
-from injgen.field import PrimeField
-from injgen.groups import TRIVIAL_GROUP
+from injgen.field import QQ, PrimeField
+from injgen.groups import TRIVIAL_GROUP, FiniteAbelianGroup
 from injgen.quiver import path_algebra
 from injgen.reduction import (CONDITIONAL, ESTABLISHED, UNKNOWN, Env,
                               ReductionError, RULES, RULES_BY_ID, _GRADE,
                               derive, emit_certificate, validate_cert)
 from injgen.registry import Registry
+from injgen.samples import group_algebra, product_field_algebra
 
 F5 = PrimeField(5)
 
@@ -152,25 +153,25 @@ def test_cutoff_monotonicity(corpus):
         assert half in (ESTABLISHED, CONDITIONAL, UNKNOWN)
 
 
-def test_semisimple_sampling_caps_at_conditional(tmp_path):
-    reg = Registry(tmp_path / "s")
-    h = reg.store_object(matrix_algebra_2x2(), label="m2")
-    env = Env(reg)
-    edges = RULES_BY_ID["BASE-SS"].edges(env, h)
-    assert len(edges) == 1
-    assert edges[0].cap == CONDITIONAL
-    assert edges[0].grade_cap == _GRADE[CONDITIONAL]
-    assert all(y["status"] == "verified" for y in edges[0].hypotheses)
+SEMISIMPLE = {
+    "M2(F5)": lambda: matrix_algebra_2x2(),
+    "M2(Q)": lambda: matrix_algebra_2x2(QQ),
+    "F5^3": lambda: product_field_algebra(F5, 3),
+    "Q^3": lambda: product_field_algebra(QQ, 3),
+    "F5[Z3]": lambda: group_algebra(F5, FiniteAbelianGroup([3])),
+    "F5[Z2xZ2]": lambda: group_algebra(F5, FiniteAbelianGroup([2, 2])),
+    "Q[Z4]": lambda: group_algebra(QQ, FiniteAbelianGroup([4])),
+    "F2[Z3]": lambda: group_algebra(PrimeField(2), FiniteAbelianGroup([3])),
+}
 
 
-def test_semisimple_sampling_refutes_on_witness(tmp_path):
+@pytest.mark.parametrize("name", sorted(SEMISIMPLE))
+def test_semisimple_algebras_are_self_injective(tmp_path, name):
+    # a semisimple algebra is self-injective, so BASE-SELFINJ covers it
     reg = Registry(tmp_path / "s")
-    A = path_algebra(F5, ["1", "2"], [("a", "1", "2")]).algebra
-    h = reg.store_object(A, label="ka2")
-    env = Env(reg)
-    edges = RULES_BY_ID["BASE-SS"].edges(env, h)
-    assert edges[0].refuted
-    assert edges[0].hypotheses[0]["status"] == "refuted"
+    h = reg.store_object(SEMISIMPLE[name](), label=name)
+    edges = RULES_BY_ID["BASE-SELFINJ"].edges(Env(reg), h)
+    assert [y["status"] for e in edges for y in e.hypotheses] == ["verified"]
 
 
 def test_refuted_hypothesis_skips_edge_not_contrapositive(tmp_path):
@@ -188,7 +189,7 @@ def test_refuted_hypothesis_skips_edge_not_contrapositive(tmp_path):
 def test_rule_order_is_fixed():
     assert [r.rule_id for r in RULES] == [
         "R-COV", "R-STR", "R-TRI", "R-MOR", "R-BEIL", "R-TEN", "R-THETA",
-        "R-POSGR", "R-TWIST", "BASE-COMM", "BASE-SELFINJ", "BASE-SS"]
+        "R-POSGR", "R-TWIST", "BASE-COMM", "BASE-SELFINJ"]
 
 
 def test_depth_limit_blocks_reduction_chains(corpus):
@@ -214,6 +215,17 @@ def test_validator_rejects_wrong_rule(corpus):
     bad["steps"][0]["rule"] = "R-COV"
     ok, status, problems = validate_cert(bad, reg)
     assert not ok and problems
+
+
+def test_validator_rejects_a_retired_rule(tmp_path):
+    reg = Registry(tmp_path / "s")
+    h = reg.store_object(matrix_algebra_2x2(), label="m2")
+    cert = emit_certificate(derive(reg, h))
+    assert cert["steps"][0]["rule"] == "BASE-SELFINJ"
+    cert["steps"][0]["rule"] = "BASE-SS"
+    ok, status, problems = validate_cert(cert, reg)
+    assert not ok and status == UNKNOWN
+    assert problems == ["root: unknown rule 'BASE-SS'"]
 
 
 def test_validator_rejects_inflated_status(corpus):
@@ -349,3 +361,64 @@ def test_validator_rejects_every_forged_evidence_field(corpus, label):
             assert not ok and problems, (label, rec["name"], path)
             forged_fields += 1
     assert forged_fields > 0
+
+
+def _nodes(node):
+    yield node
+    for step in node.get("steps", []):
+        for p in step["premises"]:
+            yield from _nodes(p)
+
+
+@pytest.mark.parametrize("label", sorted(CORPUS_EXPECT))
+def test_validator_rejects_every_status_off_the_ladder(corpus, label):
+    # "Verified" is off both ladders: statuses are compared as written
+    reg, labels = corpus
+    cert = json.loads(json.dumps(emit_certificate(derive(reg, labels[label]))))
+    n_hyps = len(list(_hypothesis_records(cert)))
+    n_nodes = len(list(_nodes(cert)))
+    assert n_hyps and n_nodes
+    for forged in ("banana", None, "Verified"):
+        for records, count in ((_hypothesis_records, n_hyps), (_nodes, n_nodes)):
+            for k in range(count):
+                bad = copy.deepcopy(cert)
+                list(records(bad))[k]["status"] = forged
+                ok, status, problems = validate_cert(bad, reg)
+                assert not ok and status == UNKNOWN, (label, records, k, forged)
+                assert any(repr(forged) in p for p in problems), problems
+
+
+def _set(path, value):
+    def forge(cert):
+        holder = cert
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        return cert
+    return forge
+
+
+MALFORMED = [
+    (_set(["status"], ["x"]), "root: status ['x']"),
+    (_set(["steps"], "x"), "root: steps must be"),
+    (_set(["steps", 0, "premises", 0], 5), "root.0: a node must be"),
+    (_set(["claim"], 3), "root: a node must be"),
+    (_set(["steps", 0, "hypotheses", 0], 7), "root: a step needs"),
+    (_set(["steps", 0, "premises"], {"0": 5}), "root: a step needs"),
+    (_set(["steps", 0, "rule"], ["R-TEN"]), "root: a step needs"),
+    (_set(["steps", 0, "hypotheses", 0, "name"], ["x"]), "root: hypothesis ['x']"),
+    (_set(["steps", 0, "premises", 0, "claim", "hash"], ["x"]),
+     "root: rule R-TEN no longer yields this edge"),
+    (_set(["claim", "hash"], {"x": 1}), "root: claim hash missing"),
+    (lambda cert: [1], "root: a node must be"),
+]
+
+
+@pytest.mark.parametrize("forge,problem", MALFORMED,
+                         ids=[problem for _, problem in MALFORMED])
+def test_validator_reports_malformed_shapes(corpus, forge, problem):
+    cert, reg = sample_cert(corpus)
+    bad = forge(json.loads(json.dumps(cert)))
+    ok, status, problems = validate_cert(bad, reg)
+    assert not ok and status == UNKNOWN
+    assert any(p.startswith(problem) for p in problems), problems
