@@ -7,12 +7,15 @@ products along a bicharacter, and the triangular/corner data attached to
 a nonnegatively graded algebra.
 
 Constructions check the data a caller supplies (shapes, sides, pairings,
-degrees of maps) and raise ConstructionError with a witness.  A nonzero
+tuple maps) and raise ConstructionError with a witness.  A nonzero
 pairing (phi and psi of a Morita context, theta of an extension) is
 valid exactly when the ring it defines is a graded associative algebra,
-so it is checked through that ring's axioms.  Constructions trust their
-input objects, which the store checks on entry, and do not re-check
-their output; the test suite checks every construction's output.
+so it is checked through that ring's axioms; caller-supplied tuple maps
+are valid exactly when the tuple is a module over its context ring, so
+they are checked through that module's axioms.  Constructions trust
+their input objects, which the store checks on entry, and do not
+re-check their output; the test suite checks every construction's
+output.
 
 RECIPES, at the end, maps each construction name a provenance record
 can carry to how that construction runs and how its params are read and
@@ -24,15 +27,15 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebra import (ConstructionError, GradedAlgebra, GradedBimodule,
-                      GradedModule, ModuleHom, check_algebra_axioms,
+                      GradedModule, ModuleHom, check_axioms,
                       degree_zero_subalgebra, regular_bimodule,
                       trivially_graded, zero_module)
 from .groups import TRIVIAL_GROUP, FiniteAbelianGroup
 from .linalg import Matrix, Span, inverse
 from .serialize import (SerializeError, matrix_from_json, matrix_to_json,
                         provenance_record)
-from .tensors import (bilinear_through_tensor, tensor_bimodule_with_module,
-                      tensor_bimodules, tensor_module_with_bimodule)
+from .tensors import (tensor_bimodule_with_module, tensor_bimodules,
+                      tensor_module_with_bimodule)
 
 __all__ = [
     "CoveringData", "covering_ring", "covering_module",
@@ -58,24 +61,32 @@ def _gl(g):
     return ",".join(str(x) for x in g) if g else "0"
 
 
-def _check_degrees(matrix, source_degrees, target_degrees, what):
-    """Raise unless the map (target x source matrix) sends each basis vector
-    into the component of its own degree."""
-    F = matrix.field
-    for k, row in enumerate(matrix.rows):
-        for t, c in enumerate(row):
-            if not F.is_zero(c) and source_degrees[t] != target_degrees[k]:
-                raise ConstructionError(f"{what} does not preserve degrees: "
-                                        f"column {t} reaches row {k}")
-
-
-def _check_assembled(ring, what):
+def _check_assembled(obj, what):
     """Raise on the first axiom violation of a ring assembled around a
-    pairing, naming the violated axiom and its basis elements."""
-    bad = check_algebra_axioms(ring).violations
+    pairing, or of a tuple's module over its context ring, naming the
+    violated axiom and its basis elements."""
+    bad = check_axioms(obj).violations
     if bad:
-        names = ", ".join(ring.labels[i] for i in bad[0].where)
-        raise ConstructionError(f"{what} fails {bad[0].kind} at ({names})")
+        kind, where = bad[0].kind, bad[0].where
+        if isinstance(obj, GradedModule):
+            # a module index, a ring index, then a module index for a
+            # grading violation and a ring index for an associativity one
+            ring = obj.algebra.labels
+            scopes = (obj.labels, ring, obj.labels if kind == "action-grading" else ring)
+        else:
+            scopes = (obj.labels,) * 3
+        names = ", ".join(labels[i] for labels, i in zip(scopes, where))
+        raise ConstructionError(f"{what} fails {kind} at ({names})")
+
+
+def _on_section(F, nrows, T, value):
+    """The matrix on T's basis of a balanced bilinear map, read off at
+    T's section pairs; value(i, j) is its sparse value on the pair."""
+    out = Matrix.zeros(F, nrows, T.dim)
+    for s, (i, j) in enumerate(T.section):
+        for k, c in value(i, j).items():
+            out.rows[k][s] = c
+    return out
 
 
 # -- coverings ---------------------------------------------------------------
@@ -269,21 +280,16 @@ class MoritaContext:
         q (x) (p (x) z) to (q p) z through the pairing."""
         ring, P, Q, pair = self._corner(corner)
         _require_left_module(Z, ring, f"T_{corner}")
+        F = Z.field
         W, S_PZ = tensor_bimodule_with_module(P, Z)
-        ident = ModuleHom(W, W, Matrix.identity(Z.field, W.dim))
-        back_raw = Matrix.zeros(Z.field, Z.dim, Q.dim * W.dim)
-        for q in range(Q.dim):
-            for t in range(W.dim):
-                pt, zt = S_PZ.section[t]
-                val = Z.act_vec(Z.basis_vec(zt), pair(q, pt))
-                col = q * W.dim + t
-                for k, c in enumerate(val):
-                    back_raw.rows[k][col] = c
+        ident = ModuleHom(W, W, Matrix.identity(F, W.dim))
         QW, S_QW = tensor_bimodule_with_module(Q, W)
-        back_mat = bilinear_through_tensor(S_QW, back_raw, Z.dim)
-        if back_mat is None:
-            raise ConstructionError("context data is inconsistent (tuple structure map)")
-        back = ModuleHom(QW, Z, back_mat)
+
+        def back_at(q, t):
+            p, z = S_PZ.section[t]
+            return _sparse(F, Z.act_vec(Z.basis_vec(z), pair(q, p)))
+
+        back = ModuleHom(QW, Z, _on_section(F, Z.dim, S_QW, back_at))
         if corner == "A":
             return TupleModule(self, Z, W, ident, back, S_PZ, S_QW)
         return TupleModule(self, W, Z, back, ident, S_QW, S_PZ)
@@ -319,9 +325,9 @@ class TupleModule:
     B-module, f: M (x)_A X -> Y and g: N (x)_B Y -> X.  A right tuple has
     X a right A-module, Y a right B-module, f: X (x)_A N -> Y and
     g: Y (x)_B M -> X.  S_X and S_Y are the tensor spaces f and g start
-    from.  Construction validates the shapes and degrees of both structure
-    maps, that they are module maps, and the two compatibility squares on
-    all basis triples.
+    from.  Like GradedModule, construction checks nothing: the tuple is
+    valid exactly when as_module() satisfies the module axioms over the
+    assembled ring, which tuple_module checks for caller-supplied maps.
     """
 
     def __init__(self, ctx: MoritaContext, X, Y, f: ModuleHom, g: ModuleHom,
@@ -335,7 +341,6 @@ class TupleModule:
         self.S_Y = S_Y
         self.side = X.side
         self._mod = None
-        self._validate()
 
     def _factors(self, v, b):
         """Module index v and bimodule index b in tensor-factor order: the
@@ -349,50 +354,6 @@ class TupleModule:
     def g_at(self, y, b):
         """g on basis vector y of Y paired with basis vector b of its bimodule."""
         return self.g.apply(self.S_Y.project_pair(*self._factors(y, b)))
-
-    def _validate(self):
-        from .homs import is_module_hom
-        ctx, X, Y = self.ctx, self.X, self.Y
-        if self.f.source.dim != self.S_X.dim or self.f.target.dim != Y.dim:
-            raise ConstructionError("tuple map f has the wrong shape")
-        if self.g.source.dim != self.S_Y.dim or self.g.target.dim != X.dim:
-            raise ConstructionError("tuple map g has the wrong shape")
-        for name, h in (("f", self.f), ("g", self.g)):
-            _check_degrees(h.matrix, h.source.degree, h.target.degree,
-                           f"tuple map {name}")
-        if not is_module_hom(self.f):
-            raise ConstructionError("tuple map f is not a module map")
-        if not is_module_hom(self.g):
-            raise ConstructionError("tuple map g is not a module map")
-        # psi(n (x) m) on X through f and g, phi(m (x) n) on Y through g and f
-        self._check_square(X, ctx.N, ctx.M, ctx._psi_pair, self.f_at,
-                           self.g, self.S_Y)
-        self._check_square(Y, ctx.M, ctx.N, ctx._phi_pair, self.g_at,
-                           self.f, self.S_X)
-
-    def _check_square(self, Z, P, Q, pair, first_at, second, S_second):
-        """(p q) acting on Z equals the two bimodule factors acting one after
-        the other through the structure maps: q first on a left tuple,
-        p first on a right one.  first_at(z, b) is the first map's value on
-        a basis pair; second maps S_second back into Z."""
-        F = Z.field
-        right = self.side == "right"
-        for p in range(P.dim):
-            for q in range(Q.dim):
-                zvec = pair(p, q)
-                near, far = (p, q) if right else (q, p)
-                for z in range(Z.dim):
-                    mid = first_at(z, near)
-                    dense = [F.zero()] * (S_second.dimX * S_second.dimY)
-                    for j, c in enumerate(mid):
-                        dense[S_second.pair_col(*self._factors(j, far))] = c
-                    lhs = second.apply(S_second.project_vec(dense))
-                    rhs = Z.act_vec(Z.basis_vec(z), zvec)
-                    if lhs != rhs:
-                        names = [P.labels[p], Q.labels[q]]
-                        names.insert(0 if right else 2, Z.labels[z])
-                        raise ConstructionError(
-                            f"tuple square fails at ({', '.join(names)})")
 
     @property
     def dim(self):
@@ -434,10 +395,14 @@ class TupleModule:
 
 
 def tuple_module(ctx: MoritaContext, X, Y, f_matrix: Matrix, g_matrix: Matrix):
-    """Wrap user-supplied structure maps into a validated left tuple.
+    """Wrap user-supplied structure maps into a checked left tuple.
 
     f_matrix maps the computed M (x)_A X onto Y's coordinates, g_matrix
-    the computed N (x)_B Y onto X's.
+    the computed N (x)_B Y onto X's.  The maps are valid exactly when the
+    tuple is a module over the context ring: degree-preserving, module
+    maps, and compatible with the pairings.  The first violated module
+    axiom raises, naming its basis elements by their labels in the
+    tuple's module (x:, y:) and the context ring (a:, n:, m:, b:).
     """
     _require_left_module(X, ctx.A, "tuple_module")
     _require_left_module(Y, ctx.B, "tuple_module")
@@ -445,7 +410,9 @@ def tuple_module(ctx: MoritaContext, X, Y, f_matrix: Matrix, g_matrix: Matrix):
     NY, S_NY = tensor_bimodule_with_module(ctx.N, Y)
     f = ModuleHom(MX, Y, f_matrix)
     g = ModuleHom(NY, X, g_matrix)
-    return TupleModule(ctx, X, Y, f, g, S_MX, S_NY)
+    t = TupleModule(ctx, X, Y, f, g, S_MX, S_NY)
+    _check_assembled(t.as_module(), "tuple module")
+    return t
 
 
 def regular_right_tuple(ctx: MoritaContext) -> TupleModule:
@@ -474,30 +441,22 @@ def regular_right_tuple(ctx: MoritaContext) -> TupleModule:
     Y = GradedModule(ctx.B, "right",
                      [f"n.{s}" for s in ctx.N.labels] + [f"b.{s}" for s in ctx.B.labels],
                      list(ctx.N.degree) + list(ctx.B.degree), yact)
-    f_raw = Matrix.zeros(F, Y.dim, X.dim * dN)
-    for n in range(dN):
-        for i in range(dA):
-            for k, c in ctx.N.left_action[n][i].items():
-                f_raw.rows[k][i * dN + n] = c
-        for j in range(dM):
-            for k, c in _sparse(F, ctx._phi_pair(j, n)).items():
-                f_raw.rows[dN + k][(dA + j) * dN + n] = c
-    g_raw = Matrix.zeros(F, X.dim, Y.dim * dM)
-    for m in range(dM):
-        for i in range(dN):
-            for k, c in _sparse(F, ctx._psi_pair(i, m)).items():
-                g_raw.rows[k][i * dM + m] = c
-        for j in range(dB):
-            for k, c in ctx.M.left_action[m][j].items():
-                g_raw.rows[dA + k][(dN + j) * dM + m] = c
+
+    def f_at(i, n):  # a n in N, m n = phi(m, n) in B
+        if i < dA:
+            return ctx.N.left_action[n][i]
+        return {dN + k: c for k, c in _sparse(F, ctx._phi_pair(i - dA, n)).items()}
+
+    def g_at(i, m):  # n m = psi(n, m) in A, b m in M
+        if i < dN:
+            return _sparse(F, ctx._psi_pair(i, m))
+        return {dA + k: c for k, c in ctx.M.left_action[m][i - dN].items()}
+
     XN, S_XN = tensor_module_with_bimodule(X, ctx.N)
     YM, S_YM = tensor_module_with_bimodule(Y, ctx.M)
-    f_mat = bilinear_through_tensor(S_XN, f_raw, Y.dim)
-    g_mat = bilinear_through_tensor(S_YM, g_raw, X.dim)
-    if f_mat is None or g_mat is None:
-        raise ConstructionError("context data is inconsistent (regular tuple)")
-    return TupleModule(ctx, X, Y, ModuleHom(XN, Y, f_mat),
-                       ModuleHom(YM, X, g_mat), S_XN, S_YM)
+    return TupleModule(ctx, X, Y, ModuleHom(XN, Y, _on_section(F, Y.dim, S_XN, f_at)),
+                       ModuleHom(YM, X, _on_section(F, X.dim, S_YM, g_at)),
+                       S_XN, S_YM)
 
 
 def morita_ring(A, B, N, M, phi_raw=None, psi_raw=None) -> MoritaContext:
@@ -568,8 +527,8 @@ def split_covering(cov: CoveringData, k=None) -> MoritaContext:
 
     Rows and columns with residue <= k form the A corner; k defaults to
     the half split (group order a power of two, k = order/2 - 1).  The
-    assembled context ring is checked to reproduce the covering's
-    multiplication constant-for-constant under the block relabeling.
+    context ring is the covering with its basis reordered into the blocks
+    A, N, M, B.
     """
     group = cov.base.group
     if len(group.factors) != 1:
@@ -634,13 +593,6 @@ def split_covering(cov: CoveringData, k=None) -> MoritaContext:
                 phi_raw.rows[locB[t]][mm * dN + n] = c
 
     ctx = morita_ring(A_alg, B_alg, N_bim, M_bim, phi_raw, psi_raw)
-    relabel = idxA + idxN + idxM + idxB
-    for p in range(ctx.assembled.dim):
-        for q in range(ctx.assembled.dim):
-            got = {relabel[t]: c for t, c in ctx.assembled.mult[p][q].items()}
-            if got != covm[relabel[p]][relabel[q]]:
-                raise ConstructionError("split does not reassemble the covering")
-    ctx.block_relabel = relabel
     ctx.split_index = k
     return ctx
 

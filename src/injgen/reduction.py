@@ -586,8 +586,9 @@ def _form_problems(node, where, problems):
             _form_problems(p, f"{where}.{i}", problems)
 
 
-def _revalidate(env, node, problems, where):
-    """Replay one node whose form _form_problems has accepted."""
+def _revalidate(env, node, problems, where, may_rise):
+    """Replay one node whose form _form_problems has accepted; may_rise
+    lets an inconclusive hypothesis recompute to verified."""
     h = node["claim"].get("hash")
     status = node["status"]
     steps = node.get("steps", [])
@@ -626,14 +627,16 @@ def _revalidate(env, node, problems, where):
             problems.append(f"{where}: hypothesis {rec['name']!r} not "
                             "reproducible")
             return UNKNOWN
-        if _HYP_GRADE[f["status"]] < _HYP_GRADE[rec["status"]]:
-            problems.append(
-                f"{where}: hypothesis {rec['name']!r} degraded from "
-                f"{rec['status']} to {f['status']}")
-        elif f["status"] == rec["status"] and (
-                _json_form(f["evidence"]) != _json_form(rec.get("evidence"))):
-            # an upgraded hypothesis may carry new evidence; an unchanged
-            # status must come with the evidence that was recorded
+        if rec["status"] == "refuted":
+            problems.append(f"{where}: hypothesis {rec['name']!r} is recorded "
+                            "refuted")
+        elif f["status"] != rec["status"]:
+            if not (may_rise and (rec["status"], f["status"])
+                    == ("inconclusive", "verified")):
+                problems.append(
+                    f"{where}: hypothesis {rec['name']!r} recorded "
+                    f"{rec['status']} but recomputed {f['status']}")
+        elif _json_form(f["evidence"]) != _json_form(rec.get("evidence")):
             problems.append(f"{where}: hypothesis {rec['name']!r} evidence "
                             "differs from the recomputed evidence")
     if edge.refuted:
@@ -641,7 +644,7 @@ def _revalidate(env, node, problems, where):
         return UNKNOWN
     grade = edge.grade_cap
     for i, p in enumerate(premise_nodes):
-        sub = _revalidate(env, p, problems, f"{where}.{i}")
+        sub = _revalidate(env, p, problems, f"{where}.{i}", may_rise)
         grade = min(grade, _GRADE[sub])
     recomputed = next(s for s, g in _GRADE.items() if g == grade)
     if grade < _GRADE[status]:
@@ -665,10 +668,14 @@ def validate_cert(cert: dict, reg, pd_cutoff=None, nil_cutoff=None):
     """Replay every step of a certificate against the store.
 
     Hypotheses are recomputed at the cutoffs the certificate records,
-    unless pd_cutoff or nil_cutoff is given.  Returns (ok,
-    recomputed_status, problems).  ok means the recorded status is
-    supported by freshly recomputed hypotheses and premises.  A
-    certificate of the wrong shape is invalid and is not replayed.
+    unless pd_cutoff or nil_cutoff is given.  At the recorded cutoffs each
+    hypothesis must recompute to exactly its recorded status and
+    evidence; at other cutoffs an inconclusive one may also recompute to
+    verified, with new evidence.  A hypothesis recorded refuted is always
+    a problem.  Returns (ok, recomputed_status, problems).  ok means the
+    recorded status is supported by freshly recomputed hypotheses and
+    premises.  A certificate of the wrong shape is invalid and is not
+    replayed.
     """
     problems = []
     _form_problems(cert, "root", problems)
@@ -677,8 +684,8 @@ def validate_cert(cert: dict, reg, pd_cutoff=None, nil_cutoff=None):
     recorded = _recorded_cutoffs(cert)
     if recorded is None:
         return (False, UNKNOWN, [f"root: malformed cutoffs {cert.get('cutoffs')!r}"])
-    env = Env(reg,
-              pd_cutoff=recorded["pd_cutoff"] if pd_cutoff is None else pd_cutoff,
-              nil_cutoff=recorded["nil_cutoff"] if nil_cutoff is None else nil_cutoff)
-    recomputed = _revalidate(env, cert, problems, "root")
+    cutoffs = {"pd_cutoff": recorded["pd_cutoff"] if pd_cutoff is None else pd_cutoff,
+               "nil_cutoff": recorded["nil_cutoff"] if nil_cutoff is None else nil_cutoff}
+    recomputed = _revalidate(Env(reg, **cutoffs), cert, problems, "root",
+                             cutoffs != recorded)
     return (not problems, recomputed, problems)

@@ -152,27 +152,3 @@ def tensor_bimodules(P: GradedBimodule, Q: GradedBimodule):
     B = GradedBimodule(R, S, labels, T.degrees, left_action, right_action)
     return B, T
 
-
-def bilinear_through_tensor(T: TensorSpace, raw_matrix: Matrix, target_dim):
-    """Factor a bilinear map through the quotient T.
-
-    raw_matrix sends the pair grid (column index i*dimY+j) to the target.
-    Returns the induced matrix on T's basis, or None if the map does not
-    kill the balancing relations (checked exactly).
-    """
-    F = T.field
-    # induced matrix: evaluate on section representatives
-    out = Matrix.zeros(F, target_dim, T.dim)
-    for t, (i, j) in enumerate(T.section):
-        col = T.pair_col(i, j)
-        for k in range(target_dim):
-            out.rows[k][t] = raw_matrix.rows[k][col]
-    # well-definedness: raw must agree with induced-after-projection
-    for i in range(T.dimX):
-        for j in range(T.dimY):
-            pv = T.project_pair(i, j)
-            want = [raw_matrix.rows[k][T.pair_col(i, j)] for k in range(target_dim)]
-            got = out.apply(pv)
-            if want != got:
-                return None
-    return out

@@ -1,0 +1,50 @@
+"""tools/bench_pair.py summarize on synthetic paired runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pair():
+    spec = importlib.util.spec_from_file_location("bench_pair", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+           {"name": "ratio", "unit": "ratio", "better": "higher", "bound": 0.25}]
+
+
+def _runs(base, change):
+    """Ten pairs around the given medians, each side with a small spread;
+    the higher-is-better metric moves by the same share the other way."""
+    def side(median):
+        return [{"metrics": {"wall_s": {"value": median * (1 + k / 100)},
+                             "ratio": {"value": 2 - median * (1 + k / 100)}}}
+                for k in range(-5, 5)]
+    return {"base": side(base), "change": side(change)}
+
+
+@pytest.mark.parametrize("change,gain,regressed", [
+    (0.8, True, False),    # 20% faster
+    (1.1, False, False),   # 10% slower, inside the 25% bound
+    (1.4, False, True),    # 40% slower, past it
+])
+def test_summarize_flags_gains_and_regressions(bench_pair, capsys, change, gain,
+                                               regressed):
+    out = bench_pair.summarize(_runs(1.0, change), METRICS)
+    wall = out["wall_s"]
+    assert (wall["gain"], wall["regressed"], wall["bound"]) == (gain, regressed, 0.25)
+    assert wall["change_better_pairs"] == (10 if gain else 0)
+    assert wall["change_vs_base"] == pytest.approx(change - 1)
+    # ratio goes from 1.0 to 2 - change, the mirror of wall_s
+    assert (out["ratio"]["gain"], out["ratio"]["regressed"]) == (gain, regressed)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 * regressed
+    assert all(line.startswith("# regressed: ") and "25%" in line for line in err)
+    assert any("wall_s" in line for line in err) == regressed

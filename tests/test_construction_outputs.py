@@ -73,11 +73,30 @@ def positively_graded():
 
 
 def _splits(A):
-    """Contexts cut from the covering at the first and the middle index."""
+    """(covering, context cut from it) at the first and the middle index."""
     if len(A.group.factors) != 1 or A.group.order < 2:
         return []
     cov = covering_ring(A)
-    return [split_covering(cov, k) for k in sorted({0, A.group.order // 2 - 1})]
+    return [(cov, split_covering(cov, k)) for k in sorted({0, A.group.order // 2 - 1})]
+
+
+def _reassembles(cov, ctx):
+    """The context ring is the covering with its basis reordered into the
+    blocks A, N, M, B, constant for constant."""
+    top = {(r,) for r in range(ctx.split_index + 1)}
+
+    def block(rows_top, cols_top):
+        return [i for i, (g, h, _) in enumerate(cov.basis_triples)
+                if (g in top) == rows_top and (h in top) == cols_top]
+
+    relabel = block(True, True) + block(True, False) + block(False, True) \
+        + block(False, False)
+    L, covm = ctx.assembled, cov.algebra.mult
+    assert sorted(relabel) == list(range(cov.algebra.dim)) and L.dim == len(relabel)
+    for p in range(L.dim):
+        for q in range(L.dim):
+            got = {relabel[t]: c for t, c in L.mult[p][q].items()}
+            assert got == covm[relabel[p]][relabel[q]], (p, q)
 
 
 def _check_context(ctx):
@@ -115,7 +134,8 @@ def test_coverings(algebras):
 def test_split_coverings_and_tuples(algebras, positively_graded):
     zero_contexts = 0
     for A in algebras + positively_graded:
-        for ctx in _splits(A):
+        for cov, ctx in _splits(A):
+            _reassembles(cov, ctx)
             _check_context(ctx)
             zero_contexts += ctx.is_zero_context
     assert zero_contexts  # the Z_A/Z_B functors were reached

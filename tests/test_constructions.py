@@ -3,8 +3,9 @@ import random
 import pytest
 
 from injgen.algebra import (ConstructionError, GradedBimodule, ModuleHom,
-                            direct_sum, dual, regular_bimodule, regular_module,
-                            trivially_graded, twist)
+                            check_module_axioms, direct_sum, dual,
+                            regular_bimodule, regular_module, trivially_graded,
+                            twist)
 from injgen.constructions import (Bicharacter, CleftFunctors, TupleModule,
                                   beilinson, covering_module,
                                   covering_module_inverse, covering_ring,
@@ -605,8 +606,14 @@ def test_square_check_rejects_perturbed_right_tuple():
     t = regular_right_tuple(ctx)
     zero_g = ModuleHom(t.g.source, t.g.target,
                        Matrix.zeros(F5, t.g.matrix.nrows, t.g.matrix.ncols))
-    with pytest.raises(ConstructionError, match="square"):
-        TupleModule(ctx, t.X, t.Y, t.f, zero_g, t.S_X, t.S_Y)
+    assert check_module_axioms(t.as_module()).passed
+    # with g zero, x n m = x psi(n, m) fails: the square is an associativity
+    bad = TupleModule(ctx, t.X, t.Y, t.f, zero_g, t.S_X, t.S_Y).as_module()
+    first = check_module_axioms(bad).violations[0]
+    assert first.kind == "action-associativity"
+    x, n, m = first.where
+    assert (bad.labels[x][:2], ctx.assembled.labels[n][:2],
+            ctx.assembled.labels[m][:2]) == ("x:", "n:", "m:")
 
 
 def test_zero_partner_needs_zero_pairings():
@@ -648,7 +655,8 @@ def test_tuple_module_wrapper_validates_squares():
     ctx2 = split_covering(covering_ring(G))
     X2 = regular_module(ctx2.A, "left")
     Y2 = regular_module(ctx2.B, "left")
-    with pytest.raises(ConstructionError, match="square"):
+    with pytest.raises(ConstructionError, match=r"tuple module fails "
+                       r"action-associativity at \(x:.*, n:.*, m:.*\)"):
         tuple_module(ctx2, X2, Y2,
                      Matrix.zeros(F5, 1, 1), Matrix.zeros(F5, 1, 1))
 

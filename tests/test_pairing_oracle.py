@@ -1,13 +1,18 @@
-"""Context and extension pairings against the checks they replaced.
+"""Context and extension pairings, and tuple maps, against the checks
+they replaced.
 
 morita_ring and theta_extension decide a nonzero pairing by the axioms of
 the ring it assembles.  Before, they checked each condition on its own:
 degrees of phi and psi, balance through the tensor space, two-sided
 linearity on algebra generators, mixed associativity, and theta's
-associativity with itself.  Those checks are kept here as an oracle, and
-the constructions must accept and reject exactly the pairings it does.
-Tuple structure maps keep their own check in TupleModule; their oracle is
-the module axioms of the tuple over the assembled ring.
+associativity with itself.  tuple_module decides caller-supplied tuple
+maps by the module axioms of the tuple over the context ring.  Before,
+TupleModule checked the degrees of f and g, that they are module maps,
+and the two compatibility squares.  Those checks are kept here as an
+oracle, and the constructions must accept and reject exactly what it
+does.  The tuples that the constructions build read their structure maps
+off the tensor space's section pairs; the descent check those reads
+replaced is kept here too, and the built maps must pass it.
 """
 
 import random
@@ -20,15 +25,16 @@ from injgen.algebra import (ConstructionError, GradedAlgebra, GradedBimodule,
                             ModuleHom, check_module_axioms, regular_bimodule,
                             regular_module)
 from injgen.constructions import (TupleModule, covering_ring, morita_ring,
-                                  split_covering, split_positively_graded,
-                                  theta_extension, tuple_module)
+                                  regular_right_tuple, split_covering,
+                                  split_positively_graded, theta_extension,
+                                  tuple_module)
 from injgen.field import QQ, PrimeField
 from injgen.groups import FiniteAbelianGroup
+from injgen.homs import is_module_hom
 from injgen.linalg import Matrix
 from injgen.samples import (group_algebra, random_upper_half_zero_algebra,
                             truncated_polynomial)
-from injgen.tensors import (bilinear_through_tensor, tensor_bimodule_with_module,
-                            tensor_bimodules)
+from injgen.tensors import tensor_bimodule_with_module, tensor_bimodules
 
 F2, F5 = PrimeField(2), PrimeField(5)
 FIELDS = (F2, F5, QQ)
@@ -55,11 +61,26 @@ def _two_sided_linear(source, target, matrix):
     return True
 
 
+def _through_tensor(T, raw, target_dim):
+    """raw (target x pair grid, column i*dimY + j) on T's basis, or None
+    unless it kills the balancing relations (checked exactly)."""
+    out = Matrix.zeros(T.field, target_dim, T.dim)
+    for t, (i, j) in enumerate(T.section):
+        for k in range(target_dim):
+            out.rows[k][t] = raw.rows[k][T.pair_col(i, j)]
+    for i in range(T.dimX):
+        for j in range(T.dimY):
+            want = [raw.rows[k][T.pair_col(i, j)] for k in range(target_dim)]
+            if out.apply(T.project_pair(i, j)) != want:
+                return None
+    return out
+
+
 def _descends(P, Q, raw, target):
     """raw, a pairing P x Q -> target on basis pairs, is balanced over the
     middle algebra and two-sided linear."""
     T, S = tensor_bimodules(P, Q)
-    induced = bilinear_through_tensor(S, raw, target.dim)
+    induced = _through_tensor(S, raw, target.dim)
     return induced is not None and _two_sided_linear(T, target, induced)
 
 
@@ -112,27 +133,54 @@ def _theta_oracle(R, M, theta):
     return True
 
 
-def _tuple_oracle(ctx, X, Y, f, g):
-    """The tuple's module over the assembled ring satisfies the module
-    axioms (built without TupleModule's own checks)."""
+def _square_holds(t, Z, P, Q, pair, first_at, second, S_second):
+    """(p q) acting on Z equals the two bimodule factors acting one after
+    the other through the structure maps: q first on a left tuple, p first
+    on a right one.  first_at(z, b) is the first map's value on a basis
+    pair; second maps S_second back into Z."""
+    F = Z.field
+    right = t.side == "right"
+    for p in range(P.dim):
+        for q in range(Q.dim):
+            near, far = (p, q) if right else (q, p)
+            for z in range(Z.dim):
+                dense = [F.zero()] * (S_second.dimX * S_second.dimY)
+                for j, c in enumerate(first_at(z, near)):
+                    dense[S_second.pair_col(*t._factors(j, far))] = c
+                if (second.apply(S_second.project_vec(dense))
+                        != Z.act_vec(Z.basis_vec(z), pair(p, q))):
+                    return False
+    return True
+
+
+def _tuple_oracle(t):
+    """f and g preserve degrees and are module maps, and both squares
+    hold: psi(n (x) m) on X through f and g, phi(m (x) n) on Y through g
+    and f."""
+    ctx = t.ctx
+    return (all(_preserves_degrees(h.matrix, h.source.degree, h.target.degree)
+                and is_module_hom(h) for h in (t.f, t.g))
+            and _square_holds(t, t.X, ctx.N, ctx.M, ctx._psi_pair, t.f_at, t.g, t.S_Y)
+            and _square_holds(t, t.Y, ctx.M, ctx.N, ctx._phi_pair, t.g_at, t.f, t.S_X))
+
+
+def _left_tuple(ctx, X, Y, f, g):
+    """The tuple with these maps, built without tuple_module's check."""
     MX, S_MX = tensor_bimodule_with_module(ctx.M, X)
     NY, S_NY = tensor_bimodule_with_module(ctx.N, Y)
-    t = TupleModule.__new__(TupleModule)
-    t.ctx, t.X, t.Y, t.S_X, t.S_Y, t.side, t._mod = ctx, X, Y, S_MX, S_NY, X.side, None
-    t.f, t.g = ModuleHom(MX, Y, f), ModuleHom(NY, X, g)
-    return check_module_axioms(t.as_module()).passed
+    return TupleModule(ctx, X, Y, ModuleHom(MX, Y, f), ModuleHom(NY, X, g),
+                       S_MX, S_NY)
 
 
-def _decides(build, oracle_says, ring=None):
-    """build() accepts exactly when the oracle does; a rejection of a
-    pairing names the ring, the violated axiom and its basis labels.
-    Returns the decision."""
+def _decides(build, oracle_says, what):
+    """build() accepts exactly when the oracle does; a rejection names
+    the ring or module, the violated axiom and its basis labels.  Returns
+    the decision."""
     try:
         build()
     except ConstructionError as e:
         assert not oracle_says, e
-        if ring is not None:
-            assert re.fullmatch(ring + r" ring fails [a-z-]+ at \([a-z]:.*\)", str(e)), e
+        assert re.fullmatch(what + r" fails [a-z-]+ at \([a-z]:.*\)", str(e)), e
         return False
     assert oracle_says
     return True
@@ -223,7 +271,7 @@ def test_context_pairings_decide_as_the_replaced_checks(fld):
         for phi in _variants(ctx.phi_raw, rng):
             for psi in _variants(ctx.psi_raw, rng):
                 seen.append(_decides(lambda: morita_ring(A, B, N, M, phi, psi),
-                                     _context_oracle(A, B, N, M, phi, psi), "context"))
+                                     _context_oracle(A, B, N, M, phi, psi), "context ring"))
     assert any(seen) and not all(seen)
 
 
@@ -256,7 +304,7 @@ def test_graded_line_pairings_decide_as_the_replaced_checks():
                         phi, psi = Matrix(F5, [[a]]), Matrix(F5, [[b]])
                         decisions.append(_decides(
                             lambda: morita_ring(k, k, N, M, phi, psi),
-                            _context_oracle(k, k, N, M, phi, psi), "context"))
+                            _context_oracle(k, k, N, M, phi, psi), "context ring"))
     assert len(decisions) == 261
     assert sum(decisions) == 47
 
@@ -268,14 +316,16 @@ def test_theta_decides_as_the_replaced_checks(fld):
     for R, M, theta in _extensions(fld, rng):
         for th in _variants(theta, rng):
             seen.append(_decides(lambda: theta_extension(R, M, th),
-                                 _theta_oracle(R, M, th), "extension"))
+                                 _theta_oracle(R, M, th), "extension ring"))
     assert any(seen) and not all(seen)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=str)
 def test_tuple_maps_decide_as_module_axioms(fld):
+    """tuple_module on left tuples, and the module axioms of right ones,
+    accept exactly the structure maps the replaced check accepts."""
     rng = random.Random(3)
-    seen = []
+    seen, right = [], []
     for ctx in _contexts(fld, rng):
         for t in (ctx.T_A(regular_module(ctx.A, "left")),
                   ctx.T_B(regular_module(ctx.B, "left"))):
@@ -283,5 +333,65 @@ def test_tuple_maps_decide_as_module_axioms(fld):
             for f in _variants(t.f.matrix, rng)[::2]:
                 for g in _variants(t.g.matrix, rng)[::2]:
                     seen.append(_decides(lambda: tuple_module(ctx, X, Y, f, g),
-                                         _tuple_oracle(ctx, X, Y, f, g)))
+                                         _tuple_oracle(_left_tuple(ctx, X, Y, f, g)),
+                                         "tuple module"))
+        rt = regular_right_tuple(ctx)
+        for g in _variants(rt.g.matrix, rng)[::2]:
+            t = TupleModule(ctx, rt.X, rt.Y, rt.f, ModuleHom(rt.g.source, rt.g.target, g),
+                            rt.S_X, rt.S_Y)
+            decision = check_module_axioms(t.as_module()).passed
+            assert decision == _tuple_oracle(t)
+            right.append(decision)
     assert any(seen) and not all(seen)
+    assert any(right) and not all(right)
+
+
+def _blocks(ctx):
+    """The assembled indices of the blocks A, N, M, B."""
+    ends = ctx.offsets + (ctx.assembled.dim,)
+    return [list(range(a, b)) for a, b in zip(ends, ends[1:])]
+
+
+def _raw(ctx, value, rows, cols, target):
+    """The bilinear map value(r, c), a sparse vector of the assembled
+    ring, for r in rows and c in cols, as a matrix from the pair grid
+    onto target, a list of assembled indices."""
+    at = {c: k for k, c in enumerate(target)}
+    raw = Matrix.zeros(ctx.assembled.field, len(target), len(rows) * len(cols))
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            for t, a in value(r, c).items():
+                raw.rows[at[t]][i * len(cols) + j] = a
+    return raw
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=str)
+def test_built_tuple_maps_descend(fld):
+    """The structure maps of the built tuples are the block products of
+    the assembled ring, which kill the balancing relations."""
+    rng = random.Random(4)
+    for ctx in _contexts(fld, rng):
+        L = ctx.assembled
+        A, N, M, B = _blocks(ctx)
+
+        def product(*idx):
+            v = L.basis_vec(idx[0])
+            for i in idx[1:]:
+                v = L.mul_vec(v, L.basis_vec(i))
+            return {k: c for k, c in enumerate(v) if not fld.is_zero(c)}
+
+        rt = regular_right_tuple(ctx)
+        assert _through_tensor(rt.S_X, _raw(ctx, product, A + M, N, N + B),
+                               rt.Y.dim) == rt.f.matrix
+        assert _through_tensor(rt.S_Y, _raw(ctx, product, N + B, M, A + M),
+                               rt.X.dim) == rt.g.matrix
+        # the map back into the regular corner Z sends q (x) class(p (x) z)
+        # to (q p) z
+        for corner, Z, P, Q, S_back, back in (
+                ("A", A, M, N, "S_Y", "g"), ("B", B, N, M, "S_X", "f")):
+            ring = ctx.A if corner == "A" else ctx.B
+            t = getattr(ctx, f"T_{corner}")(regular_module(ring, "left"))
+            S, S_PZ = getattr(t, S_back), (t.S_X if S_back == "S_Y" else t.S_Y)
+            W = [(P[p], Z[z]) for p, z in S_PZ.section]
+            raw = _raw(ctx, lambda q, w: product(q, *W[w]), Q, range(len(W)), Z)
+            assert _through_tensor(S, raw, len(Z)) == getattr(t, back).matrix

@@ -301,6 +301,22 @@ def test_validator_rejects_forged_cutoffs(corpus, cutoffs):
     assert not ok and problems
 
 
+@pytest.mark.parametrize("forged_status", ["inconclusive", "refuted"])
+def test_validator_rejects_a_hypothesis_recorded_below_its_status(corpus, forged_status):
+    cert, reg = sample_cert(corpus)
+    bad = json.loads(json.dumps(cert))
+    rec = next(y for y in bad["steps"][0]["hypotheses"]
+               if y["name"] == "construction-integrity")
+    rec.update(status=forged_status, evidence={"forged": 1})
+    ok, status, problems = validate_cert(bad, reg)
+    assert not ok and problems
+    assert any("'construction-integrity'" in p for p in problems), problems
+    if forged_status == "refuted":  # not even at other cutoffs
+        assert cert["cutoffs"] == {"pd_cutoff": 24, "nil_cutoff": 16}
+        ok, _, problems = validate_cert(bad, reg, pd_cutoff=25, nil_cutoff=17)
+        assert not ok and problems
+
+
 def test_validator_roundtrips_json(corpus):
     cert, reg = sample_cert(corpus)
     again = json.loads(json.dumps(cert))

@@ -12,9 +12,12 @@ pair, and the tree that goes first alternates between pairs, so drift on
 the machine falls on both sides alike.  Writes BENCH_<NAME>.json at the
 root of the working tree: for every workload, seed and end-to-end metric
 of BENCHMARK.json the base and change medians and quartiles, the number
-of pairs in which the change was better, and whether that counts as a
-gain (better in at least 9 of 10 pairs, and a median better by more than
-the base's interquartile range).  Uses the standard library only.
+of pairs in which the change was better, whether that counts as a gain
+(better in at least 9 of 10 pairs, and a median better by more than the
+base's interquartile range), and whether it counts as a regression (a
+median worse than the base's by more than the metric's `bound` share);
+each regression is also printed to stderr.  Uses the standard library
+only.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ def spread(values):
 
 
 def summarize(runs, metrics):
-    """Per-metric summary of paired runs {"base": [...], "change": [...]}."""
+    """Per-metric summary of paired runs {"base": [...], "change": [...]};
+    metrics are BENCHMARK.json's end-to-end entries."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -103,11 +107,16 @@ def summarize(runs, metrics):
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         b, c = spread(base), spread(change)
         margin = (b["median"] - c["median"]) if lower else (c["median"] - b["median"])
+        regressed = -margin > m["bound"] * abs(b["median"])
+        if regressed:
+            print(f"# regressed: {name} median {b['median']:g} -> {c['median']:g} "
+                  f"{m['unit']}, past its bound of {m['bound']:.0%}", file=sys.stderr)
         out[name] = {
             "unit": m["unit"], "better": m["better"], "base": b, "change": c,
             "change_vs_base": c["median"] / b["median"] - 1 if b["median"] else None,
             "change_better_pairs": wins,
             "gain": wins * 10 >= 9 * len(base) and margin > b["q3"] - b["q1"],
+            "bound": m["bound"], "regressed": regressed,
         }
     return out
 
