@@ -9,6 +9,13 @@ Axiom checking returns violation lists rather than raising: callers decide
 whether a violation is an error.  check_axioms picks the checker by type.
 Objects are checked once, where they enter the object store; constructions
 trust their inputs and do not re-check what they build.
+
+Tables are cleaned once, where they enter: the public constructors (and
+the serialize decoders, which call them) reduce degrees and residues and
+drop zero coefficients.  Builders inside the library make clean tables
+and pass them to the private _trusted constructors, which store them as
+they are.  So tables are shared between objects, and the library never
+mutates one: a caller that edits a table in place copies it first.
 """
 
 from __future__ import annotations
@@ -123,22 +130,41 @@ def _close(span, queue, table, p, gens):
 
 class GradedAlgebra:
     def __init__(self, field, group: FiniteAbelianGroup, labels, degree, unit, mult):
+        labels = [str(s) for s in labels]
+        dim = len(labels)
+        if dim == 0:
+            raise AlgebraError("zero-dimensional algebras are not admitted")
+        degree = [group.reduce(d) for d in degree]
+        if len(degree) != dim:
+            raise AlgebraError("degree list length mismatch")
+        if len(unit) != dim:
+            raise AlgebraError("unit vector length mismatch")
+        if len(mult) != dim or any(len(row) != dim for row in mult):
+            raise AlgebraError("mult table shape mismatch")
+        p = _modulus(field)
+        self._hold(field, group, labels, degree,
+                   [c % p for c in unit] if p else list(unit),
+                   [[_nonzero(p, cell.items()) for cell in row] for row in mult])
+
+    @classmethod
+    def _trusted(cls, field, group, labels, degree, unit, mult):
+        """The algebra holding the given lists as they are, for builders
+        whose tables are clean: string labels, reduced degrees, a reduced
+        unit and cells holding only nonzero reduced residues.  Nothing is
+        checked or copied, so the lists are shared with the caller."""
+        A = cls.__new__(cls)
+        A._hold(field, group, labels, degree, unit, mult)
+        return A
+
+    def _hold(self, field, group, labels, degree, unit, mult):
         self.field = field
         self.group = group
-        self.labels = [str(s) for s in labels]
-        self.dim = len(self.labels)
-        if self.dim == 0:
-            raise AlgebraError("zero-dimensional algebras are not admitted")
-        self.degree = [group.reduce(d) for d in degree]
-        if len(self.degree) != self.dim:
-            raise AlgebraError("degree list length mismatch")
-        if len(unit) != self.dim:
-            raise AlgebraError("unit vector length mismatch")
-        self._p = p = _modulus(field)
-        self.unit = [c % p for c in unit] if p else list(unit)
-        if len(mult) != self.dim or any(len(row) != self.dim for row in mult):
-            raise AlgebraError("mult table shape mismatch")
-        self.mult = [[_nonzero(p, cell.items()) for cell in row] for row in mult]
+        self.labels = labels
+        self.dim = len(labels)
+        self.degree = degree
+        self._p = _modulus(field)
+        self.unit = unit
+        self.mult = mult
         self._cache = {}
 
     # -- arithmetic on coefficient vectors ---------------------------------
@@ -214,18 +240,33 @@ class GradedModule:
     def __init__(self, algebra: GradedAlgebra, side, labels, degree, action):
         if side not in ("left", "right"):
             raise AlgebraError(f"bad side {side!r}")
+        labels = [str(s) for s in labels]
+        degree = [algebra.group.reduce(d) for d in degree]
+        if len(degree) != len(labels):
+            raise AlgebraError("degree list length mismatch")
+        if len(action) != len(labels) or any(len(row) != algebra.dim for row in action):
+            raise AlgebraError("action table shape mismatch")
+        p = _modulus(algebra.field)
+        self._hold(algebra, side, labels, degree,
+                   [[_nonzero(p, cell.items()) for cell in row] for row in action])
+
+    @classmethod
+    def _trusted(cls, algebra, side, labels, degree, action):
+        """The module holding the given lists as they are; see
+        GradedAlgebra._trusted."""
+        M = cls.__new__(cls)
+        M._hold(algebra, side, labels, degree, action)
+        return M
+
+    def _hold(self, algebra, side, labels, degree, action):
         self.algebra = algebra
         self.field = algebra.field
         self.side = side
-        self.labels = [str(s) for s in labels]
-        self.dim = len(self.labels)
-        self.degree = [algebra.group.reduce(d) for d in degree]
-        if len(self.degree) != self.dim:
-            raise AlgebraError("degree list length mismatch")
-        if len(action) != self.dim or any(len(row) != algebra.dim for row in action):
-            raise AlgebraError("action table shape mismatch")
-        self._p = p = _modulus(self.field)
-        self.action = [[_nonzero(p, cell.items()) for cell in row] for row in action]
+        self.labels = labels
+        self.dim = len(labels)
+        self.degree = degree
+        self._p = _modulus(self.field)
+        self.action = action
         self._cache = {}
 
     def zero_vec(self):
@@ -322,31 +363,48 @@ class GradedBimodule:
             raise AlgebraError("bimodule requires a common grading group")
         if left_algebra.field != right_algebra.field:
             raise AlgebraError("bimodule requires a common field")
+        labels = [str(s) for s in labels]
+        dim = len(labels)
+        degree = [left_algebra.group.reduce(d) for d in degree]
+        if len(left_action) != dim or any(len(r) != left_algebra.dim for r in left_action):
+            raise AlgebraError("left action shape mismatch")
+        if (len(right_action) != dim
+                or any(len(r) != right_algebra.dim for r in right_action)):
+            raise AlgebraError("right action shape mismatch")
+        p = _modulus(left_algebra.field)
+        self._hold(left_algebra, right_algebra, labels, degree,
+                   [[_nonzero(p, c.items()) for c in row] for row in left_action],
+                   [[_nonzero(p, c.items()) for c in row] for row in right_action])
+
+    @classmethod
+    def _trusted(cls, left_algebra, right_algebra, labels, degree,
+                 left_action, right_action):
+        """The bimodule holding the given lists as they are; see
+        GradedAlgebra._trusted."""
+        B = cls.__new__(cls)
+        B._hold(left_algebra, right_algebra, labels, degree, left_action, right_action)
+        return B
+
+    def _hold(self, left_algebra, right_algebra, labels, degree,
+              left_action, right_action):
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
         self.field = left_algebra.field
         self.group = left_algebra.group
-        self.labels = [str(s) for s in labels]
-        self.dim = len(self.labels)
-        self.degree = [self.group.reduce(d) for d in degree]
-        p = _modulus(self.field)
-        self.left_action = [[_nonzero(p, c.items()) for c in row] for row in left_action]
-        self.right_action = [[_nonzero(p, c.items()) for c in row] for row in right_action]
-        if (len(self.left_action) != self.dim
-                or any(len(r) != left_algebra.dim for r in self.left_action)):
-            raise AlgebraError("left action shape mismatch")
-        if (len(self.right_action) != self.dim
-                or any(len(r) != right_algebra.dim for r in self.right_action)):
-            raise AlgebraError("right action shape mismatch")
+        self.labels = labels
+        self.dim = len(labels)
+        self.degree = degree
+        self.left_action = left_action
+        self.right_action = right_action
 
     def as_left_module(self):
         """The underlying left module over left_algebra."""
-        return GradedModule(self.left_algebra, "left", self.labels, self.degree,
-                            self.left_action)
+        return GradedModule._trusted(self.left_algebra, "left", self.labels,
+                                     self.degree, self.left_action)
 
     def as_right_module(self):
-        return GradedModule(self.right_algebra, "right", self.labels, self.degree,
-                            self.right_action)
+        return GradedModule._trusted(self.right_algebra, "right", self.labels,
+                                     self.degree, self.right_action)
 
     def zero_vec(self):
         return [self.field.zero()] * self.dim
@@ -498,22 +556,22 @@ def check_axioms(obj) -> AxiomReport:
 # -- basic constructions on modules ---------------------------------------
 
 
+def _transposed(table):
+    """The table with its two indices swapped; the cells are shared."""
+    return [list(col) for col in zip(*table)]
+
+
 def regular_module(A: GradedAlgebra, side) -> GradedModule:
-    if side == "right":
-        action = [[dict(A.mult[i][j]) for j in range(A.dim)] for i in range(A.dim)]
-    else:
-        action = [[dict(A.mult[j][i]) for j in range(A.dim)] for i in range(A.dim)]
-    return GradedModule(A, side, A.labels, A.degree, action)
+    action = A.mult if side == "right" else _transposed(A.mult)
+    return GradedModule._trusted(A, side, A.labels, A.degree, action)
 
 
 def regular_bimodule(A: GradedAlgebra) -> GradedBimodule:
-    left = [[dict(A.mult[j][i]) for j in range(A.dim)] for i in range(A.dim)]
-    right = [[dict(A.mult[i][j]) for j in range(A.dim)] for i in range(A.dim)]
-    return GradedBimodule(A, A, A.labels, A.degree, left, right)
+    return GradedBimodule._trusted(A, A, A.labels, A.degree, _transposed(A.mult), A.mult)
 
 
 def zero_module(A: GradedAlgebra, side) -> GradedModule:
-    return GradedModule(A, side, [], [], [])
+    return GradedModule._trusted(A, side, [], [], [])
 
 
 def twist(M: GradedModule, gamma) -> GradedModule:
@@ -521,14 +579,14 @@ def twist(M: GradedModule, gamma) -> GradedModule:
     gamma + g of M, so basis degrees drop by gamma."""
     g = M.algebra.group.reduce(gamma)
     degs = [M.algebra.group.sub(d, g) for d in M.degree]
-    return GradedModule(M.algebra, M.side, M.labels, degs, M.action)
+    return GradedModule._trusted(M.algebra, M.side, M.labels, degs, M.action)
 
 
 def opposite(A: GradedAlgebra) -> GradedAlgebra:
     """Opposite algebra: products reversed, degrees negated."""
-    mult = [[dict(A.mult[j][i]) for j in range(A.dim)] for i in range(A.dim)]
     degs = [A.group.neg(d) for d in A.degree]
-    return GradedAlgebra(A.field, A.group, A.labels, degs, A.unit, mult)
+    return GradedAlgebra._trusted(A.field, A.group, A.labels, degs, A.unit,
+                                  _transposed(A.mult))
 
 
 def dual(M: GradedModule) -> GradedModule:
@@ -550,7 +608,7 @@ def dual(M: GradedModule) -> GradedModule:
                 action[i][j][k] = c
     degs = [A.group.neg(d) for d in M.degree]
     labels = [s + "*" for s in M.labels]
-    return GradedModule(A, new_side, labels, degs, action)
+    return GradedModule._trusted(A, new_side, labels, degs, action)
 
 
 def direct_sum(mods):
@@ -574,7 +632,7 @@ def direct_sum(mods):
             action.append([{k + off: c for k, c in m.action[i][j].items()}
                            for j in range(A.dim)])
         off += m.dim
-    return GradedModule(A, side, labels, degree, action), offsets
+    return GradedModule._trusted(A, side, labels, degree, action), offsets
 
 
 def vector_degree(group, degree_list, vec, field):
@@ -622,11 +680,10 @@ def quotient_module(M: GradedModule, vectors, label="q"):
     for t, c in enumerate(free):
         row = []
         for j in range(M.algebra.dim):
-            img = M.act_vec(M.basis_vec(c), M.algebra.basis_vec(j))
-            red = reduce(img)
+            red = reduce(_dense(M.field, M.action[c][j], M.dim))
             row.append({k: x for k, x in enumerate(red) if not M.field.is_zero(x)})
         action.append(row)
-    Q = GradedModule(M.algebra, M.side, labels, degree, action)
+    Q = GradedModule._trusted(M.algebra, M.side, labels, degree, action)
     pm = Matrix.zeros(M.field, qdim, M.dim)
     for c in range(M.dim):
         red = reduce(M.basis_vec(c))
@@ -655,7 +712,7 @@ def module_from_span(M: GradedModule, vectors, label="s"):
     action = [[{pos[c]: x for c, x in sorted(M.act_sparse(row, j).items()) if c in pos}
                for j in range(M.algebra.dim)] for _, row in rows]
     labels = [f"{label}{t}" for t in range(len(rows))]
-    S = GradedModule(M.algebra, M.side, labels, degree, action)
+    S = GradedModule._trusted(M.algebra, M.side, labels, degree, action)
     inc = (Matrix.from_columns(M.field, span.basis(), M.dim) if rows
            else Matrix.zeros(M.field, M.dim, 0))
     return S, ModuleHom(S, M, inc)
@@ -697,7 +754,7 @@ def degree_zero_subalgebra(A: GradedAlgebra) -> GradedAlgebra:
     unit = [A.unit[i] for i in idx]
     mult = [[{pos[k]: c for k, c in A.mult[i][j].items()} for j in idx] for i in idx]
     degs = [() for _ in idx]
-    return GradedAlgebra(A.field, TRIVIAL_GROUP, labels, degs, unit, mult)
+    return GradedAlgebra._trusted(A.field, TRIVIAL_GROUP, labels, degs, unit, mult)
 
 
 def component_bimodule(A: GradedAlgebra, gamma, A0: GradedAlgebra | None = None):
@@ -712,10 +769,10 @@ def component_bimodule(A: GradedAlgebra, gamma, A0: GradedAlgebra | None = None)
     left = [[{pos[k]: c for k, c in A.mult[j][i].items()} for j in zidx] for i in cidx]
     right = [[{pos[k]: c for k, c in A.mult[i][j].items()} for j in zidx] for i in cidx]
     degs = [() for _ in cidx]
-    return GradedBimodule(A0, A0, labels, degs, left, right)
+    return GradedBimodule._trusted(A0, A0, labels, degs, left, right)
 
 
 def trivially_graded(A: GradedAlgebra) -> GradedAlgebra:
     """Forget the grading (same constants over the trivial group)."""
     degs = [() for _ in range(A.dim)]
-    return GradedAlgebra(A.field, TRIVIAL_GROUP, A.labels, degs, A.unit, A.mult)
+    return GradedAlgebra._trusted(A.field, TRIVIAL_GROUP, A.labels, degs, A.unit, A.mult)

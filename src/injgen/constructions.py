@@ -31,7 +31,7 @@ from .algebra import (ConstructionError, GradedAlgebra, GradedBimodule,
                       degree_zero_subalgebra, regular_bimodule,
                       trivially_graded, zero_module)
 from .groups import TRIVIAL_GROUP, FiniteAbelianGroup
-from .linalg import Matrix, Span, inverse
+from .linalg import Matrix, Span, _modulus, _nonzero, inverse
 from .serialize import (SerializeError, matrix_from_json, matrix_to_json,
                         provenance_record)
 from .tensors import (tensor_bimodule_with_module, tensor_bimodules,
@@ -54,7 +54,9 @@ __all__ = [
 
 
 def _sparse(field, vec):
-    return {k: c for k, c in enumerate(vec) if not field.is_zero(c)}
+    """The nonzero entries of vec as reduced residues: the raw pairing
+    matrices a caller hands to a construction are cleaned here."""
+    return _nonzero(_modulus(field), enumerate(vec))
 
 
 def _gl(g):
@@ -155,7 +157,7 @@ def covering_ring(R: GradedAlgebra) -> CoveringData:
             if not F.is_zero(c):
                 unit[pos[(g, g, i)]] = c
     labels = [f"({_gl(g)}>{_gl(h)}){R.labels[i]}" for (g, h, i) in triples]
-    alg = GradedAlgebra(F, TRIVIAL_GROUP, labels, [()] * dim, unit, mult)
+    alg = GradedAlgebra._trusted(F, TRIVIAL_GROUP, labels, [()] * dim, unit, mult)
     return CoveringData(alg, R, triples, block_index, pos)
 
 
@@ -173,9 +175,9 @@ def covering_module(M: GradedModule, cov: CoveringData) -> GradedModule:
     action = []
     for i in range(M.dim):
         gi = M.degree[i]
-        action.append([dict(M.action[i][x]) if gi == g else {}
+        action.append([M.action[i][x] if gi == g else {}
                        for (g, h, x) in cov.basis_triples])
-    return GradedModule(cov.algebra, "right", list(M.labels), [()] * M.dim, action)
+    return GradedModule._trusted(cov.algebra, "right", M.labels, [()] * M.dim, action)
 
 
 def covering_module_inverse(V: GradedModule, cov: CoveringData) -> GradedModule:
@@ -215,7 +217,7 @@ def covering_module_inverse(V: GradedModule, cov: CoveringData) -> GradedModule:
             row.append(_sparse(F, Pinv.apply(w)))
         action.append(row)
     labels = [f"c{i}" for i in range(len(new_basis))]
-    return GradedModule(R, "right", labels, degrees, action)
+    return GradedModule._trusted(R, "right", labels, degrees, action)
 
 
 # -- Morita contexts ---------------------------------------------------------
@@ -375,7 +377,7 @@ class TupleModule:
         action = [[{} for _ in range(Lam.dim)] for _ in range(dim)]
         for i in range(dX):
             for a in range(ctx.A.dim):
-                action[i][oA + a] = dict(X.action[i][a])
+                action[i][oA + a] = X.action[i][a]
             for b in range(PX.dim):
                 out = self.f_at(i, b)
                 action[i][oX + b] = {dX + k: c for k, c in _sparse(F, out).items()}
@@ -386,8 +388,8 @@ class TupleModule:
             for b in range(PY.dim):
                 action[dX + j][oY + b] = _sparse(F, self.g_at(j, b))
         labels = [f"x:{s}" for s in X.labels] + [f"y:{s}" for s in Y.labels]
-        degrees = list(X.degree) + list(Y.degree)
-        self._mod = GradedModule(Lam, self.side, labels, degrees, action)
+        degrees = X.degree + Y.degree
+        self._mod = GradedModule._trusted(Lam, self.side, labels, degrees, action)
         return self._mod
 
     def __repr__(self):
@@ -423,24 +425,20 @@ def regular_right_tuple(ctx: MoritaContext) -> TupleModule:
     """
     F = ctx.A.field
     dA, dN, dM, dB = ctx.A.dim, ctx.N.dim, ctx.M.dim, ctx.B.dim
-    xact = []
-    for i in range(dA):
-        xact.append([dict(ctx.A.mult[i][a]) for a in range(dA)])
+    xact = list(ctx.A.mult)
     for j in range(dM):
         xact.append([{dA + k: c for k, c in ctx.M.right_action[j][a].items()}
                      for a in range(dA)])
-    X = GradedModule(ctx.A, "right",
-                     [f"a.{s}" for s in ctx.A.labels] + [f"m.{s}" for s in ctx.M.labels],
-                     list(ctx.A.degree) + list(ctx.M.degree), xact)
-    yact = []
-    for i in range(dN):
-        yact.append([dict(ctx.N.right_action[i][b]) for b in range(dB)])
+    X = GradedModule._trusted(
+        ctx.A, "right", [f"a.{s}" for s in ctx.A.labels] + [f"m.{s}" for s in ctx.M.labels],
+        ctx.A.degree + ctx.M.degree, xact)
+    yact = list(ctx.N.right_action)
     for j in range(dB):
         yact.append([{dN + k: c for k, c in ctx.B.mult[j][b].items()}
                      for b in range(dB)])
-    Y = GradedModule(ctx.B, "right",
-                     [f"n.{s}" for s in ctx.N.labels] + [f"b.{s}" for s in ctx.B.labels],
-                     list(ctx.N.degree) + list(ctx.B.degree), yact)
+    Y = GradedModule._trusted(
+        ctx.B, "right", [f"n.{s}" for s in ctx.N.labels] + [f"b.{s}" for s in ctx.B.labels],
+        ctx.N.degree + ctx.B.degree, yact)
 
     def f_at(i, n):  # a n in N, m n = phi(m, n) in B
         if i < dA:
@@ -515,8 +513,8 @@ def morita_ring(A, B, N, M, phi_raw=None, psi_raw=None) -> MoritaContext:
     unit = ([c for c in A.unit] + [F.zero()] * (dN + dM) + [c for c in B.unit])
     labels = ([f"a:{s}" for s in A.labels] + [f"n:{s}" for s in N.labels]
               + [f"m:{s}" for s in M.labels] + [f"b:{s}" for s in B.labels])
-    degrees = list(A.degree) + list(N.degree) + list(M.degree) + list(B.degree)
-    assembled = GradedAlgebra(F, A.group, labels, degrees, unit, mult)
+    degrees = A.degree + N.degree + M.degree + B.degree
+    assembled = GradedAlgebra._trusted(F, A.group, labels, degrees, unit, mult)
     if not (phi_raw.is_zero() and psi_raw.is_zero()):
         _check_assembled(assembled, "context ring")
     return MoritaContext(A, B, N, M, phi_raw, psi_raw, assembled)
@@ -560,7 +558,8 @@ def split_covering(cov: CoveringData, k=None) -> MoritaContext:
                  for q in indices] for p in indices]
         unit = [cov.algebra.unit[p] for p in indices]
         labels = [cov.algebra.labels[p] for p in indices]
-        alg = GradedAlgebra(F, TRIVIAL_GROUP, labels, [()] * len(indices), unit, mult)
+        alg = GradedAlgebra._trusted(F, TRIVIAL_GROUP, labels, [()] * len(indices),
+                                     unit, mult)
         return alg, local
 
     A_alg, locA = subalgebra(idxA)
@@ -576,9 +575,9 @@ def split_covering(cov: CoveringData, k=None) -> MoritaContext:
         return labels, left, right
 
     labN, leftN, rightN = subbimodule(idxN, idxA, idxB)
-    N_bim = GradedBimodule(A_alg, B_alg, labN, [()] * len(idxN), leftN, rightN)
+    N_bim = GradedBimodule._trusted(A_alg, B_alg, labN, [()] * len(idxN), leftN, rightN)
     labM, leftM, rightM = subbimodule(idxM, idxB, idxA)
-    M_bim = GradedBimodule(B_alg, A_alg, labM, [()] * len(idxM), leftM, rightM)
+    M_bim = GradedBimodule._trusted(B_alg, A_alg, labM, [()] * len(idxM), leftM, rightM)
 
     dN, dM = len(idxN), len(idxM)
     psi_raw = Matrix.zeros(F, len(idxA), dN * dM)
@@ -622,8 +621,8 @@ class TensorTower:
         while len(self.powers) <= i:
             prev = self.powers[-1]
             if prev.dim == 0:
-                self.powers.append(GradedBimodule(self.base, self.base,
-                                                  [], [], [], []))
+                self.powers.append(GradedBimodule._trusted(self.base, self.base,
+                                                           [], [], [], []))
                 self.spaces.append(None)
                 continue
             nxt, space = tensor_bimodules(prev, self.bim)
@@ -743,7 +742,7 @@ def tensor_ring(R: GradedAlgebra, M: GradedBimodule, nilpotency_index: int) -> T
     unit = [F.zero()] * dim
     for t, c in enumerate(R.unit):
         unit[t] = c
-    alg = GradedAlgebra(F, group, labels, degrees, unit, mult)
+    alg = GradedAlgebra._trusted(F, group, labels, degrees, unit, mult)
     return TensorRingData(alg, tower, k, n, offsets)
 
 
@@ -774,7 +773,7 @@ def _theta_tables(R, M, theta_raw):
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
     for i in range(dR):
         for j in range(dR):
-            mult[i][j] = dict(R.mult[i][j])
+            mult[i][j] = R.mult[i][j]
         for j in range(dM):
             mult[i][dR + j] = {dR + k: c for k, c in M.left_action[j][i].items()}
     for i in range(dM):
@@ -785,7 +784,7 @@ def _theta_tables(R, M, theta_raw):
             mult[dR + i][dR + j] = {dR + k: c for k, c in _sparse(F, col).items()}
     unit = list(R.unit) + [F.zero()] * dM
     labels = [f"r:{s}" for s in R.labels] + [f"m:{s}" for s in M.labels]
-    return GradedAlgebra(F, TRIVIAL_GROUP, labels, [()] * dim, unit, mult)
+    return GradedAlgebra._trusted(F, TRIVIAL_GROUP, labels, [()] * dim, unit, mult)
 
 
 def theta_extension(R: GradedAlgebra, M: GradedBimodule, theta_raw=None) -> ThetaData:
@@ -850,7 +849,7 @@ def split_positively_graded(Lam: GradedAlgebra):
     left = [[restrict(Lam.mult[g0][gp], locp) for g0 in zero_idx] for gp in pos_idx]
     right = [[restrict(Lam.mult[gp][g0], locp) for g0 in zero_idx] for gp in pos_idx]
     labels = [Lam.labels[i] for i in pos_idx]
-    M = GradedBimodule(R0, R0, labels, [()] * len(pos_idx), left, right)
+    M = GradedBimodule._trusted(R0, R0, labels, [()] * len(pos_idx), left, right)
     dM = len(pos_idx)
     theta_raw = Matrix.zeros(F, dM, dM * dM)
     for i, gi in enumerate(pos_idx):
@@ -979,7 +978,7 @@ def twisted_tensor(A: GradedAlgebra, B: GradedAlgebra, t: Bicharacter) -> Graded
         for j, cb in enumerate(B.unit):
             if not F.is_zero(cb):
                 unit[i * dB + j] = F.mul(ca, cb)
-    return GradedAlgebra(F, group, labels, degrees, unit, mult)
+    return GradedAlgebra._trusted(F, group, labels, degrees, unit, mult)
 
 
 def tensor_product_algebra(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
@@ -1013,7 +1012,7 @@ def tensor_product_algebra(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
             c = F.mul(ca, cb)
             if not F.is_zero(c):
                 unit[i * dB + j] = c
-    return GradedAlgebra(F, group, labels, degrees, unit, mult)
+    return GradedAlgebra._trusted(F, group, labels, degrees, unit, mult)
 
 
 def twisted_module(M: GradedModule, N: GradedModule, t: Bicharacter,
@@ -1055,7 +1054,7 @@ def twisted_module(M: GradedModule, N: GradedModule, t: Bicharacter,
                         for s, cn in nb.items():
                             cell[r * dN + s] = F.mul(coef, F.mul(cm, cn))
                     action[row][k * dB + l] = cell
-    return GradedModule(AtB, "right", labels, degrees, action)
+    return GradedModule._trusted(AtB, "right", labels, degrees, action)
 
 
 # -- triangular data of a nonnegatively graded algebra -----------------------
@@ -1118,7 +1117,7 @@ def beilinson(Lam: GradedAlgebra, level: int) -> BeilinsonData:
             if not F.is_zero(v):
                 unit[bpos[(r, r, i)]] = v
     blabels = [f"b[{r},{c}]{Lam.labels[i]}" for (r, c, i) in btrip]
-    balg = GradedAlgebra(F, TRIVIAL_GROUP, blabels, [()] * dimb, unit, mult)
+    balg = GradedAlgebra._trusted(F, TRIVIAL_GROUP, blabels, [()] * dimb, unit, mult)
 
     lower = [(r, c) for r in range(l) for c in range(r + 1)]
     xtrip, xpos = build(lower, lambda r, c: l - r + c)
@@ -1144,7 +1143,7 @@ def beilinson(Lam: GradedAlgebra, level: int) -> BeilinsonData:
                     cell[xpos[(r, c2, k)]] = v
                 right[q][p] = cell
     xlabels = [f"x[{r},{c}]{Lam.labels[i]}" for (r, c, i) in xtrip]
-    xbim = GradedBimodule(balg, balg, xlabels, [()] * dimx, left, right)
+    xbim = GradedBimodule._trusted(balg, balg, xlabels, [()] * dimx, left, right)
     return BeilinsonData(balg, xbim, l)
 
 
@@ -1167,16 +1166,15 @@ class CleftFunctors:
         base = R if R.group.is_trivial else trivially_graded(R)
         self.base = base
         dR, dE = R.dim, E.dim
-        left = [[dict(E.mult[j][i]) for j in range(dR)] for i in range(dE)]
-        right = [[dict(E.mult[i][j]) for j in range(dE)] for i in range(dE)]
-        self._up = GradedBimodule(base, E, E.labels, [()] * dE, left, right)
-        lp = [[dict(base.mult[j][i]) if j < dR else {} for j in range(dE)]
+        left = [[E.mult[j][i] for j in range(dR)] for i in range(dE)]
+        self._up = GradedBimodule._trusted(base, E, E.labels, [()] * dE, left, E.mult)
+        lp = [[base.mult[j][i] if j < dR else {} for j in range(dE)]
               for i in range(dR)]
-        rp = [[dict(base.mult[i][j]) for j in range(dR)] for i in range(dR)]
-        self._down = GradedBimodule(E, base, base.labels, [()] * dR, lp, rp)
+        self._down = GradedBimodule._trusted(E, base, base.labels, [()] * dR, lp,
+                                             base.mult)
         bm = td.bim
-        self._pair = GradedBimodule(base, base, bm.labels, [()] * bm.dim,
-                                    bm.left_action, bm.right_action)
+        self._pair = GradedBimodule._trusted(base, base, bm.labels, [()] * bm.dim,
+                                             bm.left_action, bm.right_action)
 
     def _check_base(self, X):
         if X.side != "right" or X.algebra != self.base:
@@ -1203,17 +1201,18 @@ class CleftFunctors:
         """Plain restriction along the inclusion of the base."""
         self._check_ext(Y)
         dR = self.base.dim
-        action = [[dict(Y.action[i][j]) for j in range(dR)] for i in range(Y.dim)]
-        return GradedModule(self.base, "right", Y.labels, [()] * Y.dim, action)
+        action = [row[:dR] for row in Y.action]
+        return GradedModule._trusted(self.base, "right", Y.labels, [()] * Y.dim, action)
 
     def Z(self, X: GradedModule) -> GradedModule:
         """Inflation: the bimodule part acts by zero."""
         self._check_base(X)
         dR = self.base.dim
         dE = self.ext.algebra.dim
-        action = [[dict(X.action[i][j]) if j < dR else {} for j in range(dE)]
+        action = [[X.action[i][j] if j < dR else {} for j in range(dE)]
                   for i in range(X.dim)]
-        return GradedModule(self.ext.algebra, "right", X.labels, [()] * X.dim, action)
+        return GradedModule._trusted(self.ext.algebra, "right", X.labels, [()] * X.dim,
+                                     action)
 
     def F(self, X: GradedModule) -> GradedModule:
         """X paired with the bimodule (stays over the base)."""

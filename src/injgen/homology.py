@@ -143,7 +143,7 @@ def flatten_module(M: GradedModule) -> GradedModule:
         return M
     if "flat" not in M._cache:
         degs = [()] * M.dim
-        M._cache["flat"] = GradedModule(flat, M.side, M.labels, degs, M.action)
+        M._cache["flat"] = GradedModule._trusted(flat, M.side, M.labels, degs, M.action)
     return M._cache["flat"]
 
 
@@ -207,8 +207,8 @@ def _projective(A: GradedAlgebra, side, summands):
         action = [[{coord[(c, k)]: x for k, x in (A.mult[j][e] if side == "right"
                                                   else A.mult[e][j]).items()}
                    for e in range(A.dim)] for c, j in basis]
-        F = GradedModule(A, side, [f"{A.labels[j]}#{c}" for c, j in basis],
-                         [A.degree[j] for _, j in basis], action)
+        F = GradedModule._trusted(A, side, [f"{A.labels[j]}#{c}" for c, j in basis],
+                                  [A.degree[j] for _, j in basis], action)
         A._cache[key] = (F, basis, [tag[j] for _, j in basis])
     return A._cache[key]
 
@@ -793,8 +793,8 @@ def one_dimensional_modules(A: GradedAlgebra, limit=2 ** 16):
         if good:
             action = [[{0: F.enc(int(lam[j]))} if lam[j] else {}
                        for j in range(A.dim)]]
-            out.append(GradedModule(A, "right", [f"s{len(out)}"], [A.group.zero()],
-                                    action))
+            out.append(GradedModule._trusted(A, "right", [f"s{len(out)}"],
+                                             [A.group.zero()], action))
     return out
 
 
@@ -815,9 +815,9 @@ def _base_as_module_over_extension(td: ThetaData, side) -> GradedModule:
                 cell = R.mult[j][i] if side == "left" else R.mult[i][j]
             else:
                 cell = {}
-            row.append(dict(cell))
+            row.append(cell)
         action.append(row)
-    return GradedModule(E, side, list(R.labels), [E.group.zero()] * dR, action)
+    return GradedModule._trusted(E, side, R.labels, [E.group.zero()] * dR, action)
 
 
 def cleft_vanishing_bound(td: ThetaData, pd_cutoff=DEFAULT_PD_CUTOFF,
@@ -1025,7 +1025,7 @@ def _block_pattern_bimodule(ctx: MoritaContext, tower: TensorTower, k: int):
                 right[offs[src] + i][oN + nn] = {
                     offs[dst] + kk: c for kk, c in enumerate(col)
                     if not fld.is_zero(c)}
-    return GradedBimodule(Lam, Lam, labels, degrees, left, right)
+    return GradedBimodule._trusted(Lam, Lam, labels, degrees, left, right)
 
 
 def _corner_dims(Lam: GradedAlgebra, V: GradedBimodule, idem_vectors):
@@ -1067,7 +1067,7 @@ def power_block_law_check(A: GradedAlgebra, N: GradedBimodule, i_max=2, j_max=2,
     nil = nilpotency_index(N, nil_cutoff, tower=tower)
     if not nil.is_conclusive:
         raise ConstructionError("nilpotency not confirmed")
-    zero_bim = GradedBimodule(A, A, [], [], [], [])
+    zero_bim = GradedBimodule._trusted(A, A, [], [], [], [])
     ctx = morita_ring(A, A, N, zero_bim)
     Lam = ctx.assembled
     fld = Lam.field

@@ -39,6 +39,8 @@ def path_algebra(field, vertices, arrows, relations=(), group=TRIVIAL_GROUP,
     degrees: dict arrow name -> group element (default all zero).
     """
     vertices = [str(v) for v in vertices]
+    if not vertices:
+        raise AlgebraError("a quiver needs at least one vertex")
     if len(set(vertices)) != len(vertices):
         raise AlgebraError("duplicate vertex names")
     arr = {}
@@ -136,7 +138,7 @@ def path_algebra(field, vertices, arrows, relations=(), group=TRIVIAL_GROUP,
         unit[index[("", v)]] = F.one()
     labels = [_path_label(p) for p in paths]
     degs = [path_degree(p) for p in paths]
-    A = GradedAlgebra(F, group, labels, degs, unit, mult)
+    A = GradedAlgebra._trusted(F, group, labels, degs, unit, mult)
     vertex_index = {v: index[("", v)] for v in vertices}
     return PathAlgebraData(A, paths, vertex_index)
 

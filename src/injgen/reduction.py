@@ -60,6 +60,13 @@ def _nil_hyp(name, verdict):
     return _hyp(name, status, {"nilpotency": verdict.to_json()})
 
 
+def _reads_cutoff(hyp):
+    """Whether a hypothesis's verdict reads a cutoff: those built by
+    _pd_hyp, _nil_hyp and _perfect_hyp, whose evidence holds a pd or a
+    nilpotency verdict.  Only these may rise at other cutoffs."""
+    return "pd" in hyp["evidence"] or "nilpotency" in hyp["evidence"]
+
+
 def _perfect_hyp(name, report):
     status = {"LeftPerfect": "verified", "NotLeftPerfect": "refuted",
               "Inconclusive": "inconclusive"}[report.verdict]
@@ -588,7 +595,8 @@ def _form_problems(node, where, problems):
 
 def _revalidate(env, node, problems, where, may_rise):
     """Replay one node whose form _form_problems has accepted; may_rise
-    lets an inconclusive hypothesis recompute to verified."""
+    lets an inconclusive hypothesis whose verdict reads a cutoff recompute
+    to verified."""
     h = node["claim"].get("hash")
     status = node["status"]
     steps = node.get("steps", [])
@@ -631,7 +639,7 @@ def _revalidate(env, node, problems, where, may_rise):
             problems.append(f"{where}: hypothesis {rec['name']!r} is recorded "
                             "refuted")
         elif f["status"] != rec["status"]:
-            if not (may_rise and (rec["status"], f["status"])
+            if not (may_rise and _reads_cutoff(f) and (rec["status"], f["status"])
                     == ("inconclusive", "verified")):
                 problems.append(
                     f"{where}: hypothesis {rec['name']!r} recorded "
@@ -670,8 +678,9 @@ def validate_cert(cert: dict, reg, pd_cutoff=None, nil_cutoff=None):
     Hypotheses are recomputed at the cutoffs the certificate records,
     unless pd_cutoff or nil_cutoff is given.  At the recorded cutoffs each
     hypothesis must recompute to exactly its recorded status and
-    evidence; at other cutoffs an inconclusive one may also recompute to
-    verified, with new evidence.  A hypothesis recorded refuted is always
+    evidence; at other cutoffs an inconclusive one whose verdict reads a
+    cutoff (pd, nilpotency, perfectness) may also recompute to verified,
+    with new evidence.  A hypothesis recorded refuted is always
     a problem.  Returns (ok, recomputed_status, problems).  ok means the
     recorded status is supported by freshly recomputed hypotheses and
     premises.  A certificate of the wrong shape is invalid and is not

@@ -9,14 +9,16 @@ twisted regular modules).
 
 from __future__ import annotations
 
-from .algebra import (GradedAlgebra, GradedModule, direct_sum, quotient_module,
-                      regular_module, twist, vector_degree)
+from .algebra import (AlgebraError, GradedAlgebra, GradedModule, direct_sum,
+                      quotient_module, regular_module, twist, vector_degree)
 from .groups import FiniteAbelianGroup, TRIVIAL_GROUP
 from .quiver import path_algebra
 
 
 def truncated_polynomial(field, m, group=TRIVIAL_GROUP, xdeg=None):
     """k[x]/(x^m) with deg x = xdeg (default zero)."""
+    if m < 1:
+        raise AlgebraError(f"k[x]/(x^m) needs m >= 1, got {m}")
     d = group.reduce(xdeg) if xdeg is not None else group.zero()
     labels = ["1"] + [f"x{i}" if i > 1 else "x" for i in range(1, m)]
     degs = []
@@ -27,7 +29,7 @@ def truncated_polynomial(field, m, group=TRIVIAL_GROUP, xdeg=None):
     mult = [[({i + j: field.one()} if i + j < m else {}) for j in range(m)]
             for i in range(m)]
     unit = [field.one()] + [field.zero()] * (m - 1)
-    return GradedAlgebra(field, group, labels, degs, unit, mult)
+    return GradedAlgebra._trusted(field, group, labels, degs, unit, mult)
 
 
 def group_algebra(field, group: FiniteAbelianGroup):
@@ -38,16 +40,18 @@ def group_algebra(field, group: FiniteAbelianGroup):
     mult = [[{index[group.add(g, h)]: field.one()} for h in els] for g in els]
     unit = [field.zero()] * len(els)
     unit[index[group.zero()]] = field.one()
-    return GradedAlgebra(field, group, labels, list(els), unit, mult)
+    return GradedAlgebra._trusted(field, group, labels, list(els), unit, mult)
 
 
 def product_field_algebra(field, n, group=TRIVIAL_GROUP):
     """k x k x ... x k (n factors), trivially graded."""
+    if n < 1:
+        raise AlgebraError(f"a product of fields needs n >= 1 factors, got {n}")
     labels = [f"e{i+1}" for i in range(n)]
     mult = [[({i: field.one()} if i == j else {}) for j in range(n)] for i in range(n)]
     unit = [field.one()] * n
     degs = [group.zero()] * n
-    return GradedAlgebra(field, group, labels, degs, unit, mult)
+    return GradedAlgebra._trusted(field, group, labels, degs, unit, mult)
 
 
 def _random_group(rng, max_order):

@@ -127,7 +127,7 @@ def tensor_module_with_bimodule(X: GradedModule, P: GradedBimodule):
     S = P.right_algebra
     action = _induced_action(T, P.right_action, S.dim, on_first=False)
     labels = [f"t{k}" for k in range(T.dim)]
-    return GradedModule(S, "right", labels, T.degrees, action), T
+    return GradedModule._trusted(S, "right", labels, T.degrees, action), T
 
 
 def tensor_bimodule_with_module(P: GradedBimodule, Y: GradedModule):
@@ -136,7 +136,7 @@ def tensor_bimodule_with_module(P: GradedBimodule, Y: GradedModule):
     S = P.left_algebra
     action = _induced_action(T, P.left_action, S.dim, on_first=True)
     labels = [f"t{k}" for k in range(T.dim)]
-    return GradedModule(S, "left", labels, T.degrees, action), T
+    return GradedModule._trusted(S, "left", labels, T.degrees, action), T
 
 
 def tensor_bimodules(P: GradedBimodule, Q: GradedBimodule):
@@ -149,6 +149,6 @@ def tensor_bimodules(P: GradedBimodule, Q: GradedBimodule):
     left_action = _induced_action(T, P.left_action, R.dim, on_first=True)
     right_action = _induced_action(T, Q.right_action, S.dim, on_first=False)
     labels = [f"t{k}" for k in range(T.dim)]
-    B = GradedBimodule(R, S, labels, T.degrees, left_action, right_action)
+    B = GradedBimodule._trusted(R, S, labels, T.degrees, left_action, right_action)
     return B, T
 

@@ -48,3 +48,14 @@ def test_summarize_flags_gains_and_regressions(bench_pair, capsys, change, gain,
     assert len(err) == 2 * regressed
     assert all(line.startswith("# regressed: ") and "25%" in line for line in err)
     assert any("wall_s" in line for line in err) == regressed
+
+
+def test_pair_ratio_reads_each_pair(bench_pair):
+    # the medians of the two sides move with the machine; the ratio
+    # within each pair does not
+    speed = [1.0, 1.3, 0.8, 1.1, 0.9]
+    runs = {"base": [{"metrics": {"wall_s": {"value": 2 * s}}} for s in speed],
+            "change": [{"metrics": {"wall_s": {"value": r * 2 * s}}}
+                       for s, r in zip(speed, [0.7, 0.75, 0.8, 0.65, 0.9])]}
+    ratio = bench_pair.summarize(runs, METRICS[:1])["wall_s"]["pair_ratio"]
+    assert ratio == pytest.approx({"median": 0.75, "min": 0.65, "max": 0.9})

@@ -311,10 +311,12 @@ def test_validator_rejects_a_hypothesis_recorded_below_its_status(corpus, forged
     ok, status, problems = validate_cert(bad, reg)
     assert not ok and problems
     assert any("'construction-integrity'" in p for p in problems), problems
-    if forged_status == "refuted":  # not even at other cutoffs
-        assert cert["cutoffs"] == {"pd_cutoff": 24, "nil_cutoff": 16}
-        ok, _, problems = validate_cert(bad, reg, pd_cutoff=25, nil_cutoff=17)
-        assert not ok and problems
+    # not even at other cutoffs: the integrity check reads none, so its
+    # status cannot rise there
+    assert cert["cutoffs"] == {"pd_cutoff": 24, "nil_cutoff": 16}
+    ok, _, problems = validate_cert(bad, reg, pd_cutoff=25, nil_cutoff=17)
+    assert not ok and problems
+    assert any("'construction-integrity'" in p for p in problems), problems
 
 
 def test_validator_roundtrips_json(corpus):

@@ -12,7 +12,9 @@ pair, and the tree that goes first alternates between pairs, so drift on
 the machine falls on both sides alike.  Writes BENCH_<NAME>.json at the
 root of the working tree: for every workload, seed and end-to-end metric
 of BENCHMARK.json the base and change medians and quartiles, the number
-of pairs in which the change was better, whether that counts as a gain
+of pairs in which the change was better, the median, min and max over
+the pairs of change/base (steadier than the two medians when the
+machine's speed drifts between pairs), whether that counts as a gain
 (better in at least 9 of 10 pairs, and a median better by more than the
 base's interquartile range), and whether it counts as a regression (a
 median worse than the base's by more than the metric's `bound` share);
@@ -106,6 +108,7 @@ def summarize(runs, metrics):
         change = [r["metrics"][name]["value"] for r in runs["change"]]
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         b, c = spread(base), spread(change)
+        ratios = [y / x for x, y in zip(base, change) if x]
         margin = (b["median"] - c["median"]) if lower else (c["median"] - b["median"])
         regressed = -margin > m["bound"] * abs(b["median"])
         if regressed:
@@ -114,6 +117,8 @@ def summarize(runs, metrics):
         out[name] = {
             "unit": m["unit"], "better": m["better"], "base": b, "change": c,
             "change_vs_base": c["median"] / b["median"] - 1 if b["median"] else None,
+            "pair_ratio": ({"median": statistics.median(ratios), "min": min(ratios),
+                            "max": max(ratios)} if ratios else None),
             "change_better_pairs": wins,
             "gain": wins * 10 >= 9 * len(base) and margin > b["q3"] - b["q1"],
             "bound": m["bound"], "regressed": regressed,
