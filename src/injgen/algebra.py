@@ -21,7 +21,7 @@ mutates one: a caller that edits a table in place copies it first.
 from __future__ import annotations
 
 from .groups import FiniteAbelianGroup, TRIVIAL_GROUP
-from .linalg import Matrix, Span, _dense, _modulus, _nonzero
+from .linalg import Matrix, Span, _dense, _modulus, _nonzero, row_space_reducer
 
 
 class AlgebraError(ValueError):
@@ -86,6 +86,15 @@ def _act_by(table, p, i, v):
     for k, a in v.items():
         for t, c in row[k].items():
             acc[t] = acc.get(t, 0) + a * c
+    return _nonzero(p, acc.items()) if acc else acc
+
+
+def _sum_cells(p, terms):
+    """The sparse vector sum of c * cell over the (c, cell) pairs of terms."""
+    acc = {}
+    for c, cell in terms:
+        for k, a in cell.items():
+            acc[k] = acc.get(k, 0) + c * a
     return _nonzero(p, acc.items()) if acc else acc
 
 
@@ -654,40 +663,26 @@ def _closure_span(M: GradedModule, vectors) -> Span:
     return _close(Span(M.field, M.dim), queue, M.action, M._p, M.algebra.generators())
 
 
-def submodule_closure(M: GradedModule, vectors):
-    """Span basis of the submodule generated by the given vectors."""
-    return _closure_span(M, vectors).basis()
-
-
 def quotient_module(M: GradedModule, vectors, label="q"):
     """Quotient of M by the submodule generated by the given vectors.
 
     Each generator must be homogeneous (for the trivially graded case every
     vector is).  Returns (Q, projection hom M -> Q).
     """
-    from .linalg import row_space_reducer
-    closure = submodule_closure(M, vectors)
-    for v in closure:
-        if vector_degree(M.algebra.group, M.degree, v, M.field) is None:
+    span = _closure_span(M, vectors)
+    for _, row in span.rows():
+        if len({M.degree[k] for k in row}) != 1:
             raise AlgebraError("quotient by a non-homogeneous submodule")
-    rel = Matrix(M.field, closure, M.dim)
-    reduce, free = row_space_reducer(rel)
+    reduce, free = row_space_reducer(span)
     labels = [f"{label}{t}" for t in range(len(free))]
     degree = [M.degree[c] for c in free]
-    qdim = len(free)
     # action on the class of coordinate c: act on e_c in M, then reduce
-    action = []
-    for t, c in enumerate(free):
-        row = []
-        for j in range(M.algebra.dim):
-            red = reduce(_dense(M.field, M.action[c][j], M.dim))
-            row.append({k: x for k, x in enumerate(red) if not M.field.is_zero(x)})
-        action.append(row)
+    action = [[reduce(cell) for cell in M.action[c]] for c in free]
     Q = GradedModule._trusted(M.algebra, M.side, labels, degree, action)
-    pm = Matrix.zeros(M.field, qdim, M.dim)
+    one = M.field.one()
+    pm = Matrix.zeros(M.field, len(free), M.dim)
     for c in range(M.dim):
-        red = reduce(M.basis_vec(c))
-        for k, x in enumerate(red):
+        for k, x in reduce({c: one}).items():
             pm.rows[k][c] = x
     return Q, ModuleHom(M, Q, pm)
 

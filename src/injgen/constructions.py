@@ -27,9 +27,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebra import (ConstructionError, GradedAlgebra, GradedBimodule,
-                      GradedModule, ModuleHom, check_axioms,
-                      degree_zero_subalgebra, regular_bimodule,
-                      trivially_graded, zero_module)
+                      GradedModule, ModuleHom, _act_by, _act_sparse, _sum_cells,
+                      _transposed, check_axioms, degree_zero_subalgebra,
+                      regular_bimodule, trivially_graded, zero_module)
 from .groups import TRIVIAL_GROUP, FiniteAbelianGroup
 from .linalg import Matrix, Span, _modulus, _nonzero, inverse
 from .serialize import (SerializeError, matrix_from_json, matrix_to_json,
@@ -79,6 +79,11 @@ def _check_assembled(obj, what):
             scopes = (obj.labels,) * 3
         names = ", ".join(labels[i] for labels, i in zip(scopes, where))
         raise ConstructionError(f"{what} fails {kind} at ({names})")
+
+
+def _columns(F, matrix):
+    """The columns of a dense matrix as sparse vectors."""
+    return [_sparse(F, matrix.column(s)) for s in range(matrix.ncols)]
 
 
 def _on_section(F, nrows, T, value):
@@ -146,11 +151,14 @@ def covering_ring(R: GradedAlgebra) -> CoveringData:
             block_index[(g, h)] = idxs
     dim = len(triples)
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for p, (g, h, i) in enumerate(triples):
-        for q, (g2, h2, j) in enumerate(triples):
-            if h != g2:
-                continue
-            mult[p][q] = {pos[(g, h2, k)]: c for k, c in R.mult[i][j].items()}
+    # slot (g, h) composes with the slots (h, k) only
+    for (g, h), left in block_index.items():
+        for k in els:
+            right = block_index[(h, k)]
+            for p in left:
+                row, i = mult[p], triples[p][2]
+                for q in right:
+                    row[q] = {pos[(g, k, t)]: c for t, c in R.mult[i][triples[q][2]].items()}
     unit = [F.zero()] * dim
     for g in els:
         for i, c in enumerate(R.unit):
@@ -289,7 +297,7 @@ class MoritaContext:
 
         def back_at(q, t):
             p, z = S_PZ.section[t]
-            return _sparse(F, Z.act_vec(Z.basis_vec(z), pair(q, p)))
+            return _act_by(Z.action, Z._p, z, _sparse(F, pair(q, p)))
 
         back = ModuleHom(QW, Z, _on_section(F, Z.dim, S_QW, back_at))
         if corner == "A":
@@ -342,6 +350,9 @@ class TupleModule:
         self.S_X = S_X
         self.S_Y = S_Y
         self.side = X.side
+        self._p = _modulus(X.field)
+        self._f_cols = _columns(X.field, f.matrix)
+        self._g_cols = _columns(X.field, g.matrix)
         self._mod = None
 
     def _factors(self, v, b):
@@ -350,12 +361,16 @@ class TupleModule:
         return (v, b) if self.side == "right" else (b, v)
 
     def f_at(self, x, b):
-        """f on basis vector x of X paired with basis vector b of its bimodule."""
-        return self.f.apply(self.S_X.project_pair(*self._factors(x, b)))
+        """f on basis vector x of X paired with basis vector b of its
+        bimodule, as a sparse cell over Y."""
+        cell = self.S_X.project_pair(*self._factors(x, b))
+        return _sum_cells(self._p, ((c, self._f_cols[s]) for s, c in cell.items()))
 
     def g_at(self, y, b):
-        """g on basis vector y of Y paired with basis vector b of its bimodule."""
-        return self.g.apply(self.S_Y.project_pair(*self._factors(y, b)))
+        """g on basis vector y of Y paired with basis vector b of its
+        bimodule, as a sparse cell over X."""
+        cell = self.S_Y.project_pair(*self._factors(y, b))
+        return _sum_cells(self._p, ((c, self._g_cols[s]) for s, c in cell.items()))
 
     @property
     def dim(self):
@@ -366,7 +381,6 @@ class TupleModule:
         if self._mod is not None:
             return self._mod
         ctx, X, Y = self.ctx, self.X, self.Y
-        F = X.field
         Lam = ctx.assembled
         oA, oN, oM, oB = ctx.offsets
         # the bimodule X pairs with sends X into Y, the other one Y into X
@@ -379,14 +393,13 @@ class TupleModule:
             for a in range(ctx.A.dim):
                 action[i][oA + a] = X.action[i][a]
             for b in range(PX.dim):
-                out = self.f_at(i, b)
-                action[i][oX + b] = {dX + k: c for k, c in _sparse(F, out).items()}
+                action[i][oX + b] = {dX + k: c for k, c in self.f_at(i, b).items()}
         for j in range(Y.dim):
             for b in range(ctx.B.dim):
                 action[dX + j][oB + b] = {dX + k: c
                                           for k, c in Y.action[j][b].items()}
             for b in range(PY.dim):
-                action[dX + j][oY + b] = _sparse(F, self.g_at(j, b))
+                action[dX + j][oY + b] = self.g_at(j, b)
         labels = [f"x:{s}" for s in X.labels] + [f"y:{s}" for s in Y.labels]
         degrees = X.degree + Y.degree
         self._mod = GradedModule._trusted(Lam, self.side, labels, degrees, action)
@@ -604,8 +617,9 @@ class TensorTower:
 
     power(i) is the i-fold product (power(0) is the base as a bimodule
     over itself); mu(i, j) is the concatenation pairing
-    power(i) x power(j) -> power(i+j) as a raw matrix on basis pairs,
-    column u * dim power(j) + v.
+    power(i) x power(j) -> power(i+j) as a cell table like mult:
+    mu(i, j)[u][v] is the sparse cell over power(i+j) of the product of
+    basis vectors u of power(i) and v of power(j).
     """
 
     def __init__(self, R: GradedAlgebra, M: GradedBimodule):
@@ -630,53 +644,28 @@ class TensorTower:
             self.spaces.append(space)
         return self.powers[i]
 
-    def mu(self, i: int, j: int) -> Matrix:
+    def mu(self, i: int, j: int):
         key = (i, j)
         if key in self._mu:
             return self._mu[key]
-        F = self.base.field
         Pi, Pj, Pij = self.power(i), self.power(j), self.power(i + j)
-        out = Matrix.zeros(F, Pij.dim, Pi.dim * Pj.dim)
         if Pij.dim == 0 or Pi.dim == 0 or Pj.dim == 0:
-            pass
+            out = [[{} for _ in range(Pj.dim)] for _ in range(Pi.dim)]
         elif j == 0:
-            for u in range(Pi.dim):
-                for r in range(self.base.dim):
-                    for k, c in Pi.right_action[u][r].items():
-                        out.rows[k][u * Pj.dim + r] = c
+            out = Pi.right_action
         elif i == 0:
-            for r in range(self.base.dim):
-                for v in range(Pj.dim):
-                    for k, c in Pj.left_action[v][r].items():
-                        out.rows[k][r * Pj.dim + v] = c
+            out = _transposed(Pj.left_action)
         elif j == 1:
-            space = self.spaces[i + 1]
-            for u in range(Pi.dim):
-                for v in range(Pj.dim):
-                    col = u * Pj.dim + v
-                    for k, c in enumerate(space.project_pair(u, v)):
-                        out.rows[k][col] = c
+            pair = self.spaces[i + 1].project_pair
+            out = [[pair(u, v) for v in range(Pj.dim)] for u in range(Pi.dim)]
         else:
+            # u (w m) = (u w) m for the section pair (w, m) of v
+            p = _modulus(self.base.field)
             inner = self.mu(i, j - 1)
             outer = self.mu(i + j - 1, 1)
-            space = self.spaces[j]
-            dmid = self.power(i + j - 1).dim
-            for v in range(Pj.dim):
-                w, mlast = space.section[v]
-                for u in range(Pi.dim):
-                    col = u * Pj.dim + v
-                    uw = inner.column(u * self.power(j - 1).dim + w)
-                    acc = [F.zero()] * Pij.dim
-                    for t in range(dmid):
-                        c = uw[t]
-                        if F.is_zero(c):
-                            continue
-                        piece = outer.column(t * self.bim.dim + mlast)
-                        for k, a in enumerate(piece):
-                            if not F.is_zero(a):
-                                acc[k] = F.add(acc[k], F.mul(c, a))
-                    for k, a in enumerate(acc):
-                        out.rows[k][col] = a
+            section = self.spaces[j].section
+            out = [[_act_sparse(outer, p, inner[u][w], mlast) for (w, mlast) in section]
+                   for u in range(Pi.dim)]
         self._mu[key] = out
         return out
 
@@ -730,15 +719,12 @@ def tensor_ring(R: GradedAlgebra, M: GradedBimodule, nilpotency_index: int) -> T
             Pj = tower.power(j)
             if Pi.dim == 0 or Pj.dim == 0 or tower.power(i + j).dim == 0:
                 continue
-            m = tower.mu(i, j)
-            for u in range(Pi.dim):
-                for v in range(Pj.dim):
-                    col = u * Pj.dim + v
-                    cell = {offsets[i + j] + t: m.rows[t][col]
-                            for t in range(m.nrows)
-                            if not F.is_zero(m.rows[t][col])}
+            off = offsets[i + j]
+            for u, cells in enumerate(tower.mu(i, j)):
+                row = mult[offsets[i] + u]
+                for v, cell in enumerate(cells):
                     if cell:
-                        mult[offsets[i] + u][offsets[j] + v] = cell
+                        row[offsets[j] + v] = {off + t: c for t, c in cell.items()}
     unit = [F.zero()] * dim
     for t, c in enumerate(R.unit):
         unit[t] = c

@@ -27,12 +27,12 @@ from __future__ import annotations
 import itertools
 
 from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
-                      GradedBimodule, GradedModule, ModuleHom, direct_sum,
-                      module_from_span, regular_module, trivially_graded,
-                      zero_module)
+                      GradedBimodule, GradedModule, ModuleHom, _sum_cells,
+                      direct_sum, module_from_span, regular_module,
+                      trivially_graded, zero_module)
 from .constructions import MoritaContext, TensorTower, ThetaData, \
     TupleModule, morita_ring
-from .linalg import (Matrix, Span, kernel_basis, rank, right_inverse,
+from .linalg import (Matrix, Span, _modulus, kernel_basis, rank, right_inverse,
                      solve_sparse)
 from .tensors import tensor_over_algebra
 
@@ -891,18 +891,6 @@ def cleft_vanishing_check(td: ThetaData, modules=None,
 # -- tensor product formula ----------------------------------------------------
 
 
-def _outer_pair(fld, u, v):
-    dv = len(v)
-    out = [fld.zero()] * (len(u) * dv)
-    for i, a in enumerate(u):
-        if fld.is_zero(a):
-            continue
-        for j, b in enumerate(v):
-            if not fld.is_zero(b):
-                out[i * dv + j] = fld.mul(a, b)
-    return out
-
-
 def tensor_formula_check(ctx: MoritaContext, rt: TupleModule,
                          lt: TupleModule) -> CheckReport:
     """Tensor over the assembled ring against the two-block quotient formula.
@@ -917,6 +905,7 @@ def tensor_formula_check(ctx: MoritaContext, rt: TupleModule,
     if rt.ctx is not ctx or lt.ctx is not ctx:
         raise ConstructionError("tuples must live over the given context")
     fld = ctx.A.field
+    p = _modulus(fld)
     V = rt.as_module()
     W = lt.as_module()
     big = tensor_over_algebra(V, W, ctx.assembled)
@@ -926,34 +915,39 @@ def tensor_formula_check(ctx: MoritaContext, rt: TupleModule,
     H = Span(fld, ddim)
     dX, dY = rt.X.dim, rt.Y.dim
     dXp, dYp = lt.X.dim, lt.Y.dim
+
+    def relation(xx, yy):
+        """Add xx - yy to H; xx and yy list (coefficient, pair) terms of
+        S_XX and of S_YY."""
+        row = _sum_cells(p, ((c, S_XX.project_pair(*ik)) for c, ik in xx))
+        for k, c in _sum_cells(p, ((c, S_YY.project_pair(*jl)) for c, jl in yy)).items():
+            row[S_XX.dim + k] = -c
+        H.add(row)
+
     # relations g(y (x) m) (x) x' = y (x) f'(m (x) x')
     for j in range(dY):
         for m in range(ctx.M.dim):
             gv = rt.g_at(j, m)
             for k in range(dXp):
-                fv = lt.f_at(k, m)
-                left = S_XX.project_vec(_outer_pair(fld, gv, [fld.one() if t == k else fld.zero() for t in range(dXp)]))
-                right = S_YY.project_vec(_outer_pair(fld, [fld.one() if t == j else fld.zero() for t in range(dY)], fv))
-                H.add(list(left) + [fld.neg(c) for c in right])
+                relation([(c, (t, k)) for t, c in gv.items()],
+                         [(c, (j, q)) for q, c in lt.f_at(k, m).items()])
     # relations x (x) g'(n (x) y') = f(x (x) n) (x) y'
     for i in range(dX):
         for nn in range(ctx.N.dim):
             fv = rt.f_at(i, nn)
             for l in range(dYp):
-                gv = lt.g_at(l, nn)
-                left = S_XX.project_vec(_outer_pair(fld, [fld.one() if t == i else fld.zero() for t in range(dX)], gv))
-                right = S_YY.project_vec(_outer_pair(fld, fv, [fld.one() if t == l else fld.zero() for t in range(dYp)]))
-                H.add(list(left) + [fld.neg(c) for c in right])
+                relation([(c, (i, q)) for q, c in lt.g_at(l, nn).items()],
+                         [(c, (t, l)) for t, c in fv.items()])
     quotient_dim = ddim - H.dim()
     # comparison map on block representatives
-    cols = []
-    for (i, k) in S_XX.section:
-        cols.append(big.project_pair(i, k))
-    for (j, l) in S_YY.section:
-        cols.append(big.project_pair(dX + j, dXp + l))
-    phi = Matrix.from_columns(fld, cols, big.dim) if cols else Matrix.zeros(fld, big.dim, 0)
-    kills = all(all(fld.is_zero(c) for c in phi.apply(h)) for h in H.basis())
-    surjective = rank(phi) == big.dim
+    cols = ([big.project_pair(i, k) for (i, k) in S_XX.section]
+            + [big.project_pair(dX + j, dXp + l) for (j, l) in S_YY.section])
+    kills = all(not _sum_cells(p, ((c, cols[t]) for t, c in row.items()))
+                for _, row in H.rows())
+    image = Span(fld, big.dim)
+    for col in cols:
+        image.add(col)
+    surjective = image.dim() == big.dim
     ok = (quotient_dim == big.dim) and kills and surjective
     details = {"direct_dim": big.dim, "block_dim": ddim,
                "relation_rank": H.dim(), "quotient_dim": quotient_dim,
@@ -976,7 +970,6 @@ def _block_pattern_bimodule(ctx: MoritaContext, tower: TensorTower, k: int):
     triangular ring.  Off-diagonal corner elements act through the
     concatenation pairings of the power tower."""
     Lam = ctx.assembled
-    fld = Lam.field
     dA, dN = ctx.A.dim, ctx.N.dim
     oA, oN, _, oB = ctx.offsets
     pows = [2 * k, 2 * k + 1, 2 * k - 1, 2 * k]
@@ -1011,20 +1004,16 @@ def _block_pattern_bimodule(ctx: MoritaContext, tower: TensorTower, k: int):
         mu = tower.mu(1, pows[src])
         for i in range(dims[src]):
             for nn in range(dN):
-                col = mu.column(nn * dims[src] + i)
                 left[offs[src] + i][oN + nn] = {
-                    offs[dst] + kk: c for kk, c in enumerate(col)
-                    if not fld.is_zero(c)}
+                    offs[dst] + kk: c for kk, c in mu[nn][i].items()}
     for (src, dst) in ((0, 1), (2, 3)):
         if dims[src] == 0 or dN == 0:
             continue
         mu = tower.mu(pows[src], 1)
         for i in range(dims[src]):
             for nn in range(dN):
-                col = mu.column(i * dN + nn)
                 right[offs[src] + i][oN + nn] = {
-                    offs[dst] + kk: c for kk, c in enumerate(col)
-                    if not fld.is_zero(c)}
+                    offs[dst] + kk: c for kk, c in mu[i][nn].items()}
     return GradedBimodule._trusted(Lam, Lam, labels, degrees, left, right)
 
 

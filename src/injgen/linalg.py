@@ -1,14 +1,16 @@
 """Exact linear algebra over a coefficient field, on one sparse engine.
 
 Matrix holds dense row-major lists, but every elimination (rref, rank,
-kernels, inverses, linear solves, quotient reduction, Span) runs on one
-sparse echelon engine whose rows are {column: value} dicts of the nonzero
-entries: the systems that decide projectivity have thousands of rows and
-well under 1% nonzero entries.  Pivots are the first nonzero columns;
-forward reduction runs in increasing pivot order, then back-substitution
-clears the pivot columns.  Over F_p the reduction mod p is inlined, over Q
-the entries are Fractions.  The reduced row echelon form is unique, so no
-result depends on the order of the work.  Functions never mutate inputs.
+kernels, inverses, linear solves, Span) runs on one sparse echelon engine
+whose rows are {column: value} dicts of the nonzero entries: the systems
+that decide projectivity have thousands of rows and well under 1% nonzero
+entries.  Quotient reduction (row_space_reducer) reads the reduced rows
+of a Span and maps sparse vectors to sparse vectors.  Pivots are the
+first nonzero columns; forward reduction runs in increasing pivot order,
+then back-substitution clears the pivot columns.  Over F_p the reduction
+mod p is inlined, over Q the entries are Fractions.  The reduced row
+echelon form is unique, so no result depends on the order of the work.
+Functions never mutate inputs.
 """
 
 from __future__ import annotations
@@ -289,9 +291,12 @@ class Span:
         self._p = _modulus(field)
         self._rows = {}   # pivot column -> reduced sparse row
 
-    def _reduce(self, v):
+    def _clean(self, v):
         items = v.items() if isinstance(v, dict) else enumerate(v)
-        return _clear(_nonzero(self._p, items), self._rows, self._p)
+        return _nonzero(self._p, items)
+
+    def _reduce(self, v):
+        return _clear(self._clean(v), self._rows, self._p)
 
     def add(self, v) -> bool:
         """Insert v; returns True if the span grew."""
@@ -321,36 +326,41 @@ class Span:
         return [(c, self._rows[c]) for c in sorted(self._rows)]
 
     def coordinates(self, v):
-        """Coordinates of v over basis(), or None if v is outside."""
-        if not self.contains(v):
+        """Coordinates of v over basis(), or None if v is outside: the
+        entries of the cleaned v at the pivots."""
+        row = self._clean(v)
+        if _clear(dict(row), self._rows, self._p):
             return None
-        return [v[c] for c in sorted(self._rows)]
+        z = self.field.zero()
+        return [row.get(c, z) for c in sorted(self._rows)]
 
 
-def row_space_reducer(mat: Matrix):
-    """Precompute reduction modulo the row space of mat.
+def row_space_reducer(span: Span):
+    """Precompute reduction modulo a Span.
 
-    Returns (reduce, free_cols) where reduce(v) maps a length-ncols vector
-    to its coordinates over the free columns, after subtracting the unique
-    row-space element matching v at the pivot columns.  This is the
-    workhorse for quotient spaces: the classes of the free coordinates form
-    a basis of k^ncols / rowspace(mat).
+    Returns (reduce, free_cols) where reduce maps a sparse vector
+    {column: value} over range(span.ncols) to its sparse coordinates
+    {k: value} over the free columns (k indexing free_cols), after
+    subtracting the unique span element matching v at the pivot columns.
+    This is the workhorse for quotient spaces: the classes of the free
+    coordinates form a basis of k^ncols / span.
     """
-    p = _modulus(mat.field)
-    piv = _echelon(mat.field, _sparse(mat))
-    free = [c for c in range(mat.ncols) if c not in piv]
+    p = span._p
+    free = [c for c in range(span.ncols) if c not in span._rows]
     pos = {c: k for k, c in enumerate(free)}
     # off its pivot, a reduced row has entries at free columns only
-    prows = [(pc, [(pos[j], a) for j, a in row.items() if j != pc])
-             for pc, row in sorted(piv.items())]
+    prows = {pc: [(pos[j], a) for j, a in row.items() if j != pc]
+             for pc, row in span._rows.items()}
 
     def reduce(v):
-        out = [v[c] for c in free]
-        for pc, prow in prows:
-            f = v[pc]
-            if f:
-                for k, a in prow:
-                    out[k] -= f * a
-        return [a % p for a in out] if p else out
+        out = {}
+        for c, f in v.items():
+            if c in pos:
+                k = pos[c]
+                out[k] = out.get(k, 0) + f
+            else:
+                for k, a in prows[c]:
+                    out[k] = out.get(k, 0) - f * a
+        return _nonzero(p, out.items())
 
     return reduce, free

@@ -1,17 +1,20 @@
 """Balanced tensor products X (x)_A Y as explicit quotient spaces.
 
-The carrier is the full pair grid X (x)_k Y; the quotient is by the span of
-xa (x) y - x (x) ay for a running over a generating subset of A's basis
-(sufficient: the balancing relation for a product follows from the two
-factors').  Every relation vector is homogeneous, so Gaussian elimination
-never mixes degrees and the quotient basis inherits well-defined degrees.
+The carrier is the full pair grid X (x)_k Y, pair (i, j) at column
+i * dim Y + j; the quotient is by the Span of xa (x) y - x (x) ay for a
+running over a generating subset of A's basis (sufficient: the balancing
+relation for a product follows from the two factors').  Every relation
+vector is homogeneous, so the elimination never mixes degrees and the
+quotient basis inherits well-defined degrees.  Relations, classes of
+pairs and induced actions are sparse cells {index: coefficient}, the form
+of the action tables; no dense pair-grid vector is built.
 """
 
 from __future__ import annotations
 
 from .algebra import (AlgebraError, GradedAlgebra, GradedBimodule, GradedModule,
-                      ModuleHom)
-from .linalg import Matrix, row_space_reducer
+                      _sum_cells)
+from .linalg import Span, _modulus, row_space_reducer
 
 
 def _side_data(X, algebra, side):
@@ -31,8 +34,9 @@ class TensorSpace:
     """Quotient presentation of X (x)_A Y.
 
     dim: quotient dimension; section: list of representative pairs (i, j)
-    (one per quotient basis vector); project_pair(i, j) gives the quotient
-    coordinates of the class of x_i (x) y_j.
+    (one per quotient basis vector); project_pair(i, j) gives the class of
+    x_i (x) y_j as a sparse cell over the quotient basis, shared and never
+    to be mutated.
     """
 
     def __init__(self, field, group, dimX, dimY, reduce, free_cols, degrees):
@@ -47,50 +51,33 @@ class TensorSpace:
         self.degrees = degrees
         self._pair_cache = {}
 
-    def pair_col(self, i, j):
-        return i * self.dimY + j
-
-    def project_vec(self, dense_pair_vec):
-        return self._reduce(dense_pair_vec)
-
     def project_pair(self, i, j):
         key = (i, j)
         if key not in self._pair_cache:
-            F = self.field
-            v = [F.zero()] * (self.dimX * self.dimY)
-            v[self.pair_col(i, j)] = F.one()
-            self._pair_cache[key] = self._reduce(v)
+            self._pair_cache[key] = self._reduce({i * self.dimY + j: self.field.one()})
         return self._pair_cache[key]
 
 
 def tensor_over_algebra(X, Y, algebra: GradedAlgebra) -> TensorSpace:
     dimX, Xact, degX = _side_data(X, algebra, "right")
     dimY, Yact, degY = _side_data(Y, algebra, "left")
-    F = algebra.field
     group = algebra.group
-    ncols = dimX * dimY
-    rows = []
-    gens = algebra.generators()
-    for j in gens:
+    rel = Span(algebra.field, dimX * dimY)
+    for j in algebra.generators():
         for i in range(dimX):
             xa = Xact[i][j]
             for k in range(dimY):
                 ay = Yact[k][j]
                 if not xa and not ay:
                     continue
-                row = [F.zero()] * ncols
-                for l, c in xa.items():
-                    col = l * dimY + k
-                    row[col] = F.add(row[col], c)
+                row = {l * dimY + k: c for l, c in xa.items()}
                 for q, c in ay.items():
                     col = i * dimY + q
-                    row[col] = F.sub(row[col], c)
-                if any(not F.is_zero(a) for a in row):
-                    rows.append(row)
-    rel = Matrix(F, rows, ncols)
+                    row[col] = row.get(col, 0) - c
+                rel.add(row)
     reduce, free = row_space_reducer(rel)
     degrees = [group.add(degX[c // dimY], degY[c % dimY]) for c in free]
-    return TensorSpace(F, group, dimX, dimY, reduce, free, degrees)
+    return TensorSpace(algebra.field, group, dimX, dimY, reduce, free, degrees)
 
 
 def _induced_action(T: TensorSpace, action, dim, on_first):
@@ -102,19 +89,16 @@ def _induced_action(T: TensorSpace, action, dim, on_first):
     descends because the outer action maps balancing relations to
     balancing relations.
     """
-    F = T.field
+    p = _modulus(T.field)
+    pair = T.project_pair
     table = []
     for (i, j) in T.section:
-        row = []
-        for s in range(dim):
-            acc = [F.zero()] * T.dim
-            for u, c in action[i if on_first else j][s].items():
-                pv = T.project_pair(u, j) if on_first else T.project_pair(i, u)
-                for k, a in enumerate(pv):
-                    if not F.is_zero(a):
-                        acc[k] = F.add(acc[k], F.mul(c, a))
-            row.append({k: a for k, a in enumerate(acc) if not F.is_zero(a)})
-        table.append(row)
+        if on_first:
+            table.append([_sum_cells(p, ((c, pair(u, j)) for u, c in action[i][s].items()))
+                          for s in range(dim)])
+        else:
+            table.append([_sum_cells(p, ((c, pair(i, u)) for u, c in action[j][s].items()))
+                          for s in range(dim)])
     return table
 
 

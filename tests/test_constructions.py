@@ -370,9 +370,8 @@ def _concat_theta_data(kk, arrow, k):
             for u in range(Pi.dim):
                 for v in range(Pj.dim):
                     col = (offs[bi] + u) * off + (offs[bj] + v)
-                    for t, c in enumerate(mu.column(u * Pj.dim + v)):
-                        if not kk.field.is_zero(c):
-                            theta_raw.rows[offs[s - 1] + t][col] = c
+                    for t, c in mu[u][v].items():
+                        theta_raw.rows[offs[s - 1] + t][col] = c
     return tr, theta_extension(kk, big, theta_raw)
 
 
@@ -402,9 +401,8 @@ def test_concatenation_theta_reproduces_tensor_ring():
     for u in range(blocks[0].dim):
         for v in range(blocks[0].dim):
             col = u * off + v
-            for t, c in enumerate(mu.column(u * blocks[0].dim + v)):
-                if not F5.is_zero(c):
-                    theta_raw.rows[offs[1] + t][col] = c
+            for t, c in mu[u][v].items():
+                theta_raw.rows[offs[1] + t][col] = c
     td = theta_extension(kk, big, theta_raw)
     flat = trivially_graded(tr.algebra)
     assert td.algebra.mult == flat.mult

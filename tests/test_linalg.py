@@ -145,6 +145,13 @@ def test_span_coordinates():
         acc = [a + c * x for a, x in zip(acc, b)]
     assert acc == v
     assert sp.coordinates([Fraction(0), Fraction(0), Fraction(1)]) is None
+    # sparse input, and coordinates read as reduced residues
+    fp = Span(F5, 3)
+    fp.add([1, 0, 0])
+    fp.add([0, 1, 0])
+    assert fp.coordinates({0: 1}) == [1, 0]
+    assert fp.coordinates([6, 0, 0]) == [1, 0]
+    assert fp.coordinates({2: 3}) is None
 
 
 # -- the sparse engine against a dense reference -------------------------------
@@ -237,13 +244,14 @@ def _check_against_reference(m, rng):
         f = F.of_int(rng.randint(-2, 2))
         combo = [F.add(a, F.mul(f, b)) for a, b in zip(combo, row)]
     assert sp.coordinates(combo) == [combo[pc] for pc in ref_piv]
-    reduce, got_free = row_space_reducer(m)
+    reduce, got_free = row_space_reducer(sp)
     assert got_free == free
     v = [F.of_int(rng.randint(-4, 4)) for _ in range(n)]
     red = list(v)
     for i, pc in enumerate(ref_piv):
         red = [F.sub(a, F.mul(v[pc], b)) for a, b in zip(red, ref[i])]
-    assert reduce(v) == [red[c] for c in free]
+    assert reduce({j: a for j, a in enumerate(v) if not F.is_zero(a)}) == {
+        k: red[c] for k, c in enumerate(free) if not F.is_zero(red[c])}
     assert (sp.coordinates(v) is None) == any(not F.is_zero(red[c]) for c in free)
 
 

@@ -31,7 +31,7 @@ from injgen.constructions import (TupleModule, covering_ring, morita_ring,
 from injgen.field import QQ, PrimeField
 from injgen.groups import FiniteAbelianGroup
 from injgen.homs import is_module_hom
-from injgen.linalg import Matrix
+from injgen.linalg import Matrix, _dense
 from injgen.samples import (group_algebra, random_upper_half_zero_algebra,
                             truncated_polynomial)
 from injgen.tensors import tensor_bimodule_with_module, tensor_bimodules
@@ -67,11 +67,11 @@ def _through_tensor(T, raw, target_dim):
     out = Matrix.zeros(T.field, target_dim, T.dim)
     for t, (i, j) in enumerate(T.section):
         for k in range(target_dim):
-            out.rows[k][t] = raw.rows[k][T.pair_col(i, j)]
+            out.rows[k][t] = raw.rows[k][i * T.dimY + j]
     for i in range(T.dimX):
         for j in range(T.dimY):
-            want = [raw.rows[k][T.pair_col(i, j)] for k in range(target_dim)]
-            if out.apply(T.project_pair(i, j)) != want:
+            want = [raw.rows[k][i * T.dimY + j] for k in range(target_dim)]
+            if out.apply(_dense(T.field, T.project_pair(i, j), T.dim)) != want:
                 return None
     return out
 
@@ -144,11 +144,11 @@ def _square_holds(t, Z, P, Q, pair, first_at, second, S_second):
         for q in range(Q.dim):
             near, far = (p, q) if right else (q, p)
             for z in range(Z.dim):
-                dense = [F.zero()] * (S_second.dimX * S_second.dimY)
-                for j, c in enumerate(first_at(z, near)):
-                    dense[S_second.pair_col(*t._factors(j, far))] = c
-                if (second.apply(S_second.project_vec(dense))
-                        != Z.act_vec(Z.basis_vec(z), pair(p, q))):
+                image = [F.zero()] * S_second.dim
+                for j, c in first_at(z, near).items():
+                    for k, a in S_second.project_pair(*t._factors(j, far)).items():
+                        image[k] = F.add(image[k], F.mul(c, a))
+                if second.apply(image) != Z.act_vec(Z.basis_vec(z), pair(p, q)):
                     return False
     return True
 
