@@ -11,8 +11,9 @@ Objects are checked once, where they enter the object store; constructions
 trust their inputs and do not re-check what they build.
 
 Tables are cleaned once, where they enter: the public constructors (and
-the serialize decoders, which call them) reduce degrees and residues and
-drop zero coefficients.  Builders inside the library make clean tables
+the serialize decoders, which call them) reduce degrees and residues,
+drop zero coefficients and refuse a cell key that is not a basis index.
+Builders inside the library make clean tables
 and pass them to the private _trusted constructors, which store them as
 they are.  So tables are shared between objects, and the library never
 mutates one: a caller that edits a table in place copies it first.
@@ -21,7 +22,7 @@ mutates one: a caller that edits a table in place copies it first.
 from __future__ import annotations
 
 from .groups import FiniteAbelianGroup, TRIVIAL_GROUP
-from .linalg import Matrix, Span, _dense, _modulus, _nonzero, row_space_reducer
+from .linalg import Matrix, Span, _modulus, _nonzero, row_space_reducer
 
 
 class AlgebraError(ValueError):
@@ -98,15 +99,16 @@ def _sum_cells(p, terms):
     return _nonzero(p, acc.items()) if acc else acc
 
 
-def _apply_table(table, p, u, v, field, dim):
-    """The dense vector sum over i of u_i (table[i] acted on by v), for
-    dense coefficient vectors u and v."""
-    vs = _nonzero(p, enumerate(v))
-    acc = {}
-    for i, a in _nonzero(p, enumerate(u)).items():
-        for t, c in _act_by(table, p, i, vs).items():
-            acc[t] = acc.get(t, 0) + a * c
-    return _dense(field, _nonzero(p, acc.items()), dim)
+def _clean_table(p, table, dim):
+    """The table with each cell cleaned to its nonzero reduced residues;
+    AlgebraError on a cell key that is not a basis index in range(dim),
+    by the rule the serialize decoders apply."""
+    for row in table:
+        for cell in row:
+            for k in cell:
+                if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < dim:
+                    raise AlgebraError(f"basis index {k!r} out of range for dim {dim}")
+    return [[_nonzero(p, cell.items()) for cell in row] for row in table]
 
 
 def _support(cells):
@@ -153,7 +155,7 @@ class GradedAlgebra:
         p = _modulus(field)
         self._hold(field, group, labels, degree,
                    [c % p for c in unit] if p else list(unit),
-                   [[_nonzero(p, cell.items()) for cell in row] for row in mult])
+                   _clean_table(p, mult, dim))
 
     @classmethod
     def _trusted(cls, field, group, labels, degree, unit, mult):
@@ -185,9 +187,6 @@ class GradedAlgebra:
         v = self.zero_vec()
         v[i] = self.field.one()
         return v
-
-    def mul_vec(self, u, v):
-        return _apply_table(self.mult, self._p, u, v, self.field, self.dim)
 
     def component_indices(self, gamma):
         key = ("comp", gamma)
@@ -256,8 +255,7 @@ class GradedModule:
         if len(action) != len(labels) or any(len(row) != algebra.dim for row in action):
             raise AlgebraError("action table shape mismatch")
         p = _modulus(algebra.field)
-        self._hold(algebra, side, labels, degree,
-                   [[_nonzero(p, cell.items()) for cell in row] for row in action])
+        self._hold(algebra, side, labels, degree, _clean_table(p, action, len(labels)))
 
     @classmethod
     def _trusted(cls, algebra, side, labels, degree, action):
@@ -285,10 +283,6 @@ class GradedModule:
         v = self.zero_vec()
         v[i] = self.field.one()
         return v
-
-    def act_vec(self, mvec, avec):
-        """Action of algebra vector avec on module vector mvec."""
-        return _apply_table(self.action, self._p, mvec, avec, self.field, self.dim)
 
     def act_sparse(self, v, j):
         """Action of algebra basis element e_j on the sparse module vector
@@ -382,8 +376,7 @@ class GradedBimodule:
             raise AlgebraError("right action shape mismatch")
         p = _modulus(left_algebra.field)
         self._hold(left_algebra, right_algebra, labels, degree,
-                   [[_nonzero(p, c.items()) for c in row] for row in left_action],
-                   [[_nonzero(p, c.items()) for c in row] for row in right_action])
+                   _clean_table(p, left_action, dim), _clean_table(p, right_action, dim))
 
     @classmethod
     def _trusted(cls, left_algebra, right_algebra, labels, degree,
@@ -418,11 +411,6 @@ class GradedBimodule:
     def zero_vec(self):
         return [self.field.zero()] * self.dim
 
-    def basis_vec(self, i):
-        v = self.zero_vec()
-        v[i] = self.field.one()
-        return v
-
     def __eq__(self, other):
         return (isinstance(other, GradedBimodule)
                 and self.left_algebra == other.left_algebra
@@ -445,13 +433,6 @@ class ModuleHom:
         self.source = source
         self.target = target
         self.matrix = matrix
-
-    def apply(self, vec):
-        return self.matrix.apply(vec)
-
-    def compose(self, other: "ModuleHom"):
-        """self after other."""
-        return ModuleHom(other.source, self.target, self.matrix.mul(other.matrix))
 
     def is_zero(self):
         return self.matrix.is_zero()
@@ -730,10 +711,7 @@ def strongly_graded_check(A: GradedAlgebra):
             span = Span(A.field, A.dim)
             for i in gi:
                 for j in hi:
-                    vec = A.zero_vec()
-                    for k, c in A.mult[i][j].items():
-                        vec[k] = c
-                    span.add(vec)
+                    span.add(A.mult[i][j])
             if span.dim() != len(target):
                 failures.append((g, h))
     return (not failures), failures

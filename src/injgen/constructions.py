@@ -31,7 +31,7 @@ from .algebra import (ConstructionError, GradedAlgebra, GradedBimodule,
                       _transposed, check_axioms, degree_zero_subalgebra,
                       regular_bimodule, trivially_graded, zero_module)
 from .groups import TRIVIAL_GROUP, FiniteAbelianGroup
-from .linalg import Matrix, Span, _modulus, _nonzero, inverse
+from .linalg import Matrix, Span, _modulus, _nonzero, row_space_reducer
 from .serialize import (SerializeError, matrix_from_json, matrix_to_json,
                         provenance_record)
 from .tensors import (tensor_bimodule_with_module, tensor_bimodules,
@@ -115,14 +115,9 @@ class CoveringData:
         self.pos = pos
 
     def idempotent(self, g):
-        """The diagonal unit block at g, as a covering vector."""
-        F = self.base.field
-        v = self.algebra.zero_vec()
+        """The diagonal unit block at g, as a sparse covering vector."""
         g = self.base.group.reduce(g)
-        for i, c in enumerate(self.base.unit):
-            if not F.is_zero(c):
-                v[self.pos[(g, g, i)]] = c
-        return v
+        return {self.pos[(g, g, i)]: c for i, c in enumerate(self.base.unit) if c}
 
     def __repr__(self):
         return f"CoveringData(dim={self.algebra.dim} over {self.base!r})"
@@ -191,40 +186,44 @@ def covering_module(M: GradedModule, cov: CoveringData) -> GradedModule:
 def covering_module_inverse(V: GradedModule, cov: CoveringData) -> GradedModule:
     """Graded module recovered from a covering-ring module.
 
-    The degree-g part is the image of the diagonal idempotent at g; the
-    base ring acts through single-slot covering elements.
+    The degree-g part is the image of the diagonal idempotent at g; a Span
+    picks a basis w_k of it among the images of V's basis vectors.  The
+    base ring acts through single-slot covering elements, and coordinates
+    over the picked w_k are read from the Span of the rows (w_k | -e_k) of
+    width 2 dim V: when the w_k form a basis of V, the first dim V columns
+    are its pivots, and reducing (w | 0) leaves (0 | coordinates of w).
+    Everything runs on sparse cells.
     """
     if V.side != "right" or V.algebra != cov.algebra:
         raise ConstructionError("input must be a right module over the covering ring")
     R = cov.base
-    F = R.field
+    F, p, n = R.field, V._p, V.dim
     group = R.group
-    new_basis = []
+    picked = []
     degrees = []
     for g in group.elements():
         u = cov.idempotent(g)
-        seen = Span(F, V.dim)
-        for i in range(V.dim):
-            w = V.act_vec(V.basis_vec(i), u)
+        seen = Span(F, n)
+        for i in range(n):
+            w = _act_by(V.action, p, i, u)
             if seen.add(w):
-                new_basis.append(w)
+                picked.append(w)
                 degrees.append(g)
-    if len(new_basis) != V.dim:
+    if len(picked) != n:
         raise ConstructionError("idempotent images do not decompose the module")
-    P = Matrix.from_columns(F, new_basis, V.dim)
-    Pinv = inverse(P)
-    if Pinv is None:
+    graph = Span(F, 2 * n)
+    minus_one = F.neg(F.one())
+    for k, w in enumerate(picked):
+        graph.add({**w, n + k: minus_one})
+    reduce, free = row_space_reducer(graph)
+    if any(c < n for c in free):
         raise ConstructionError("idempotent images do not decompose the module")
     action = []
-    for i, v in enumerate(new_basis):
-        gi = degrees[i]
-        row = []
-        for x in range(R.dim):
-            slot = cov.pos[(gi, group.add(gi, R.degree[x]), x)]
-            w = V.act_vec(v, V.algebra.basis_vec(slot))
-            row.append(_sparse(F, Pinv.apply(w)))
-        action.append(row)
-    labels = [f"c{i}" for i in range(len(new_basis))]
+    for w, g in zip(picked, degrees):
+        action.append([reduce(_act_sparse(V.action, p, w,
+                                          cov.pos[(g, group.add(g, R.degree[x]), x)]))
+                       for x in range(R.dim)])
+    labels = [f"c{i}" for i in range(n)]
     return GradedModule._trusted(R, "right", labels, degrees, action)
 
 

@@ -32,8 +32,8 @@ from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
                       trivially_graded, zero_module)
 from .constructions import MoritaContext, TensorTower, ThetaData, \
     TupleModule, morita_ring
-from .linalg import (Matrix, Span, _modulus, kernel_basis, rank, right_inverse,
-                     solve_sparse)
+from .linalg import (Matrix, Span, _modulus, _sparse, kernel_basis, rank,
+                     right_inverse, solve_sparse)
 from .tensors import tensor_over_algebra
 
 DEFAULT_PD_CUTOFF = 24
@@ -253,7 +253,7 @@ class _Cover:
             for k, x in M.act_sparse(gens[c][1], j).items():
                 pi.rows[k][f] = x
         self.pi = ModuleHom(self.free, M, pi)
-        self.kernel = kernel_basis(pi)
+        self.kernel = kernel_basis(fld, _sparse(pi), pi.ncols)
 
 
 def _cover(M: GradedModule) -> _Cover:
@@ -415,10 +415,6 @@ class ResolutionStep:
         self.boundary = boundary
         self.syzygy_dim = syzygy_dim
         self.syzygy_projectivity = syzygy_projectivity
-
-    @property
-    def syzygy_projective(self):
-        return self.syzygy_projectivity.projective
 
 
 class ResolutionReport:
@@ -678,50 +674,7 @@ def left_perfect_check(R: GradedAlgebra, M: GradedBimodule,
                              "LeftPerfect", mirror_consistent=consistent)
 
 
-def pd_bound_check_tensor_powers(R: GradedAlgebra, M: GradedBimodule,
-                                 pd_cutoff=DEFAULT_PD_CUTOFF,
-                                 nil_cutoff=DEFAULT_NIL_CUTOFF) -> CheckReport:
-    """pd(M^(x)i) <= i * pd(M) for all powers below the vanishing index."""
-    per = left_perfect_check(R, M, pd_cutoff, nil_cutoff)
-    if not per.is_left_perfect:
-        raise ConstructionError("left perfectness not confirmed; "
-                                f"verdict was {per.verdict}")
-    d = per.pd.value
-    values, ok = {}, True
-    for j, v in sorted(per.power_pds.items()):
-        values[j] = v.value
-        if v.value > j * d:
-            ok = False
-    return CheckReport("pd-bound-tensor-powers", ok,
-                       {"pd": d, "values": values,
-                        "bounds": {j: j * d for j in values}})
-
-
 # -- pd over assembled context rings -------------------------------------------
-
-
-def triangular_pd_check(ctx: MoritaContext, t: TupleModule,
-                        cutoff=DEFAULT_PD_CUTOFF) -> CheckReport:
-    """Finiteness of pd over the triangular ring against the corner pds.
-
-    Over [[C, N], [0, D]] with pd_C N finite, the tuple has finite pd
-    precisely when both components do.  Conclusive verdicts on all three
-    make the check decisive; any cutoff leaves it inconclusive.
-    """
-    if ctx.M.dim != 0:
-        raise ConstructionError("triangular check needs a vanishing lower-left corner")
-    pdN = projective_dimension(flatten_module(ctx.N.as_left_module()), cutoff)
-    if not pdN.is_finite:
-        raise ConstructionError("projective dimension of the glueing bimodule "
-                                "is not confirmed finite")
-    pdT = projective_dimension(flatten_module(t.as_module()), cutoff)
-    pdX = projective_dimension(flatten_module(t.X), cutoff)
-    pdY = projective_dimension(flatten_module(t.Y), cutoff)
-    details = {"pd_tuple": pdT, "pd_X": pdX, "pd_Y": pdY, "pd_N": pdN}
-    if pdT.is_finite and pdX.is_finite and pdY.is_finite:
-        return CheckReport("triangular-pd", True, details)
-    # all-finite is the only conclusively checkable branch of the iff
-    return CheckReport("triangular-pd", None, details)
 
 
 def morita_corner_pd(ctx: MoritaContext, pd_cutoff=DEFAULT_PD_CUTOFF,

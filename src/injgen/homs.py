@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from .algebra import AlgebraError, GradedModule, ModuleHom
-from .linalg import Matrix, inverse, kernel_basis, rank
+from .linalg import Matrix, kernel_basis, rank
 
 
 def hom_space(M: GradedModule, N: GradedModule, graded: bool = True):
@@ -31,29 +31,24 @@ def hom_space(M: GradedModule, N: GradedModule, graded: bool = True):
     gens = A.generators()
     for i in range(M.dim):
         for j in gens:
-            # h(act(m_i, e_j)) - act(h(m_i), e_j) = 0, one row per target coord
+            # h(act(m_i, e_j)) - act(h(m_i), e_j) = 0, one row per target
+            # coord; kernel_basis reduces the sums
             step = M.action[i][j]
             row_for = [dict() for _ in range(N.dim)]
             for l, c in step.items():
                 for k in range(N.dim):
                     if (k, l) in pos:
                         d = row_for[k]
-                        d[pos[(k, l)]] = F.add(d.get(pos[(k, l)], F.zero()), c)
+                        d[pos[(k, l)]] = d.get(pos[(k, l)], 0) + c
             for k in range(N.dim):
                 if (k, i) not in pos:
                     continue
                 t = pos[(k, i)]
                 for p, c in N.action[k][j].items():
                     d = row_for[p]
-                    d[t] = F.sub(d.get(t, F.zero()), c)
-            for p in range(N.dim):
-                if row_for[p]:
-                    dense = [F.zero()] * len(unknowns)
-                    for t, c in row_for[p].items():
-                        dense[t] = c
-                    rows.append(dense)
-    mat = Matrix(F, rows, len(unknowns))
-    basis = kernel_basis(mat)
+                    d[t] = d.get(t, 0) - c
+            rows.extend(row_for)
+    basis = kernel_basis(F, rows, len(unknowns))
     homs = []
     for v in basis:
         m = Matrix.zeros(F, N.dim, M.dim)
@@ -153,25 +148,3 @@ def find_isomorphism(M: GradedModule, N: GradedModule, graded: bool = True,
         if _is_invertible(F, m):
             return IsoReport(ModuleHom(M, N, m), True, "found")
     return IsoReport(None, False, f"no isomorphism in {samples} samples")
-
-
-def invert_hom(h: ModuleHom) -> ModuleHom:
-    if h.matrix.nrows != h.matrix.ncols:
-        raise AlgebraError("only square homs invert")
-    inv = inverse(h.matrix)
-    if inv is None:
-        raise AlgebraError("hom is not invertible")
-    return ModuleHom(h.target, h.source, inv)
-
-
-def is_module_hom(h: ModuleHom) -> bool:
-    """Verify linearity on algebra generators (exact)."""
-    M, N = h.source, h.target
-    A = M.algebra
-    for i in range(M.dim):
-        for j in A.generators():
-            lhs = h.apply(M.act_vec(M.basis_vec(i), A.basis_vec(j)))
-            rhs = N.act_vec(h.apply(M.basis_vec(i)), A.basis_vec(j))
-            if lhs != rhs:
-                return False
-    return True

@@ -1,16 +1,19 @@
 """Exact linear algebra over a coefficient field, on one sparse engine.
 
 Matrix holds dense row-major lists, but every elimination (rref, rank,
-kernels, inverses, linear solves, Span) runs on one sparse echelon engine
-whose rows are {column: value} dicts of the nonzero entries: the systems
-that decide projectivity have thousands of rows and well under 1% nonzero
-entries.  Quotient reduction (row_space_reducer) reads the reduced rows
-of a Span and maps sparse vectors to sparse vectors.  Pivots are the
-first nonzero columns; forward reduction runs in increasing pivot order,
-then back-substitution clears the pivot columns.  Over F_p the reduction
-mod p is inlined, over Q the entries are Fractions.  The reduced row
-echelon form is unique, so no result depends on the order of the work.
-Functions never mutate inputs.
+kernels, right inverses, linear solves, Span) runs on one sparse echelon
+engine whose rows are {column: value} dicts of the nonzero entries: the
+systems that decide projectivity have thousands of rows and well under 1%
+nonzero entries.  solve_sparse(field, rows, rhs, ncols) and
+kernel_basis(field, rows, ncols) take such sparse rows directly (zero and
+unreduced entries allowed); both return dense vectors.  Quotient
+reduction (row_space_reducer) reads the reduced rows of a Span and maps
+sparse vectors to sparse vectors.  Pivots are the first nonzero columns;
+forward reduction runs in increasing pivot order, then back-substitution
+clears the pivot columns.  Over F_p the reduction mod p is inlined, over
+Q the entries are Fractions.  The reduced row echelon form is unique, so
+no result depends on the order of the work.  Functions never mutate
+inputs.
 """
 
 from __future__ import annotations
@@ -60,10 +63,6 @@ class Matrix:
     def column(self, j):
         return [r[j] for r in self.rows]
 
-    def transpose(self):
-        return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
-                                   for j in range(self.ncols)], self.nrows)
-
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
@@ -83,19 +82,6 @@ class Matrix:
             out.append(acc)
         return Matrix(F, out, other.ncols)
 
-    def apply(self, vec):
-        """Matrix-vector product (vec indexed by columns)."""
-        F = self.field
-        z = F.zero()
-        out = [z] * self.nrows
-        for i, row in enumerate(self.rows):
-            acc = z
-            for a, x in zip(row, vec):
-                if not (F.is_zero(a) or F.is_zero(x)):
-                    acc = F.add(acc, F.mul(a, x))
-            out[i] = acc
-        return out
-
     def is_zero(self):
         F = self.field
         return all(F.is_zero(a) for r in self.rows for a in r)
@@ -107,9 +93,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
-
-    def to_lists(self):
-        return [list(r) for r in self.rows]
 
 
 # -- the sparse echelon engine: a row is a dict {column: value} of nonzero
@@ -205,20 +188,22 @@ def rank(mat: Matrix) -> int:
     return len(_echelon(mat.field, _sparse(mat), back=False))
 
 
-def kernel_basis(mat: Matrix):
-    """Basis of the right kernel {v : mat @ v = 0}, as a list of vectors.
+def kernel_basis(field, rows, ncols):
+    """Basis of the kernel {x : sum_j rows[i][j] * x_j = 0 for every i}
+    over range(ncols), as a list of dense vectors.
 
-    Each basis vector has entry one at its free column and zeros at the
-    other free columns, so coordinates w.r.t. this basis can be read off.
+    Row i is a dict {column: coefficient}, zeros allowed, as for
+    solve_sparse.  Each basis vector has entry one at its free column and
+    zeros at the other free columns, so coordinates w.r.t. this basis can
+    be read off.
     """
-    F = mat.field
-    piv = _echelon(F, _sparse(mat))
-    basis = {fc: _dense(F, {fc: F.one()}, mat.ncols)
-             for fc in range(mat.ncols) if fc not in piv}
+    piv = _echelon(field, [_nonzero(_modulus(field), row.items()) for row in rows])
+    basis = {fc: _dense(field, {fc: field.one()}, ncols)
+             for fc in range(ncols) if fc not in piv}
     for pc, row in piv.items():
         for j, a in row.items():
             if j != pc:
-                basis[j][pc] = F.neg(a)
+                basis[j][pc] = field.neg(a)
     return list(basis.values())
 
 
@@ -238,13 +223,6 @@ def right_inverse(mat: Matrix):
     z = [F.zero()] * m
     return Matrix(F, [_dense(F, piv[c], n + m)[n:] if c in piv else z
                       for c in range(n)], m)
-
-
-def inverse(mat: Matrix):
-    """Inverse of a square matrix, or None if singular."""
-    if mat.nrows != mat.ncols:
-        raise ValueError("inverse of a non-square matrix")
-    return right_inverse(mat)
 
 
 def solve_sparse(field, rows, rhs, ncols):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from injgen.algebra import (GradedAlgebra, GradedBimodule, GradedModule,
-                            check_algebra_axioms,
+from dense_modules import dense_act, dense_apply, dense_mul, is_module_hom
+from injgen.algebra import (AlgebraError, GradedAlgebra, GradedBimodule,
+                            GradedModule, check_algebra_axioms,
                             check_bimodule_axioms,
                             check_module_axioms, component_bimodule,
                             degree_zero_subalgebra, direct_sum, dual,
@@ -17,8 +18,8 @@ from injgen.constructions import covering_ring, morita_ring, tensor_ring
 from injgen.field import QQ, PrimeField
 from injgen.groups import FiniteAbelianGroup, TRIVIAL_GROUP
 from injgen.homology import _resolver, flatten_module
-from injgen.homs import find_isomorphism, hom_space, invert_hom, is_module_hom
-from injgen.linalg import Span
+from injgen.homs import find_isomorphism, hom_space
+from injgen.linalg import Matrix, Span, right_inverse
 from injgen.quiver import path_algebra
 from injgen.samples import (group_algebra, product_field_algebra,
                             random_graded_algebra, random_graded_module,
@@ -92,10 +93,10 @@ def test_path_algebra_a2_products():
     assert A.dim == 3
     i1, i2 = pa.vertex_index["1"], pa.vertex_index["2"]
     ia = A.labels.index("a")
-    assert A.mul_vec(A.basis_vec(i1), A.basis_vec(ia)) == A.basis_vec(ia)
-    assert A.mul_vec(A.basis_vec(ia), A.basis_vec(i2)) == A.basis_vec(ia)
-    assert A.mul_vec(A.basis_vec(ia), A.basis_vec(i1)) == A.zero_vec()
-    assert A.mul_vec(A.basis_vec(ia), A.basis_vec(ia)) == A.zero_vec()
+    assert dense_mul(A, A.basis_vec(i1), A.basis_vec(ia)) == A.basis_vec(ia)
+    assert dense_mul(A, A.basis_vec(ia), A.basis_vec(i2)) == A.basis_vec(ia)
+    assert dense_mul(A, A.basis_vec(ia), A.basis_vec(i1)) == A.zero_vec()
+    assert dense_mul(A, A.basis_vec(ia), A.basis_vec(ia)) == A.zero_vec()
 
 
 def test_regular_module_axioms_and_generators():
@@ -160,8 +161,8 @@ def test_double_dual_isomorphic():
     assert DD.side == "right"
     rep = find_isomorphism(M, DD, graded=True)
     assert rep.found and rep.conclusive
-    inv = invert_hom(rep.hom)
-    assert inv.matrix.mul(rep.hom.matrix) == __import__("injgen.linalg", fromlist=["Matrix"]).Matrix.identity(F5, M.dim)
+    inv = right_inverse(rep.hom.matrix)
+    assert inv.mul(rep.hom.matrix) == Matrix.identity(F5, M.dim)
 
 
 def test_dual_of_left_regular_is_right_module():
@@ -209,7 +210,7 @@ def test_quotient_and_span_of_regular():
     assert Q.dim == 2
     assert check_module_axioms(Q).passed
     # projection then inclusion composes to zero on the ideal
-    assert proj.apply(inc.apply(S.basis_vec(0))) == Q.zero_vec()
+    assert dense_apply(proj.matrix, dense_apply(inc.matrix, S.basis_vec(0))) == Q.zero_vec()
 
 
 def test_tensor_regular_collapses_to_algebra():
@@ -290,11 +291,30 @@ def test_tables_hold_reduced_residues():
     M = GradedModule(A6, "right", ["m", "n"], [(), ()], [[{0: 6, 1: 10}], [{1: -4}]])
     assert M.action == [[{0: 1}], [{1: 1}]]
     assert M == GradedModule(A1, "right", ["m", "n"], [(), ()], [[{0: 1}], [{1: 1}]])
-    B = GradedBimodule(A6, A6, ["b"], [()], [[{0: 11}]], [[{0: -9, 1: 5}]])
-    assert B.left_action == B.right_action == [[{0: 1}]]
+    B = GradedBimodule(A6, A6, ["b", "c"], [(), ()], [[{0: 11}], [{1: 1}]],
+                       [[{0: -9, 1: 5}], [{1: 6}]])
+    assert B.left_action == B.right_action == [[{0: 1}], [{1: 1}]]
     # over Q the cells are filtered, never reduced
-    Q = GradedAlgebra(QQ, TRIVIAL_GROUP, ["e"], [()], [1], [[{0: 1, 1: 0}]])
-    assert Q.mult == [[{0: 1}]]
+    Q = GradedAlgebra(QQ, TRIVIAL_GROUP, ["e", "f"], [(), ()], [1, 0],
+                      [[{0: 1, 1: 0}, {}], [{}, {}]])
+    assert Q.mult[0][0] == {0: 1}
+
+
+@pytest.mark.parametrize("key", [5, -1, "0", False], ids=repr)
+def test_constructors_refuse_cell_keys_outside_the_basis(key):
+    # by the decoders' rule: an int, not a bool, in range(dim); -1 once
+    # wrapped round to the last basis element, and a key past the end
+    # raised IndexError only in check_axioms
+    A = GradedAlgebra(F5, TRIVIAL_GROUP, ["e"], [()], [1], [[{0: 1}]])
+    builds = [
+        lambda: GradedAlgebra(F5, TRIVIAL_GROUP, ["e"], [()], [1], [[{key: 1}]]),
+        lambda: GradedModule(A, "right", ["m"], [()], [[{key: 1}]]),
+        lambda: GradedBimodule(A, A, ["b"], [()], [[{key: 1}]], [[{0: 1}]]),
+        lambda: GradedBimodule(A, A, ["b"], [()], [[{0: 1}]], [[{key: 1}]]),
+    ]
+    for build in builds:
+        with pytest.raises(AlgebraError, match="out of range"):
+            build()
 
 
 # -- generators against the closures they replaced ------------------------------
@@ -319,7 +339,7 @@ def _pairwise_generators(A):
                 continue
             basis_of_span.append(v)
             for w in list(basis_of_span):
-                for prod in (A.mul_vec(v, w), A.mul_vec(w, v)):
+                for prod in (dense_mul(A, v, w), dense_mul(A, w, v)):
                     if not span.contains(prod):
                         queue.append(prod)
     return gens
@@ -334,7 +354,7 @@ def _submodule(M, idxs):
     while queue:
         v = queue.pop()
         if span.add(v):
-            queue.extend(M.act_vec(v, A.basis_vec(j)) for j in range(A.dim))
+            queue.extend(dense_act(M, v, A.basis_vec(j)) for j in range(A.dim))
     return span
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dense_modules import dense_act, dense_mul, is_module_hom
 from injgen.algebra import (ConstructionError, GradedBimodule, ModuleHom,
                             check_module_axioms, direct_sum, dual,
                             regular_bimodule, regular_module, trivially_graded,
@@ -16,8 +17,8 @@ from injgen.constructions import (Bicharacter, CleftFunctors, TupleModule,
                                   tuple_module, twisted_module, twisted_tensor)
 from injgen.field import PrimeField, Rationals
 from injgen.groups import FiniteAbelianGroup
-from injgen.homs import find_isomorphism, hom_space, is_module_hom
-from injgen.linalg import Matrix, Span
+from injgen.homs import find_isomorphism, hom_space
+from injgen.linalg import Matrix, Span, _dense
 from injgen.samples import (group_algebra, product_field_algebra,
                             random_graded_algebra, random_graded_module,
                             random_upper_half_zero_algebra,
@@ -55,11 +56,12 @@ def test_covering_dimension_and_blocks():
     cov = covering_ring(R)
     assert cov.algebra.dim == R.group.order * R.dim == 4
     assert cov.algebra.labels == ['(0>0)1', '(0>1)x', '(1>0)x', '(1>1)1']
-    # diagonal idempotents sum to the unit
+    # diagonal idempotents, as sparse cells, sum to the unit
+    assert [cov.idempotent(g) for g in R.group.elements()] == [{0: 1}, {3: 1}]
     total = cov.algebra.zero_vec()
     for g in R.group.elements():
-        u = cov.idempotent(g)
-        assert cov.algebra.mul_vec(u, u) == u
+        u = _dense(cov.algebra.field, cov.idempotent(g), cov.algebra.dim)
+        assert dense_mul(cov.algebra, u, u) == u
         total = [R.field.add(a, b) for a, b in zip(total, u)]
     assert total == cov.algebra.unit
 
@@ -91,10 +93,10 @@ def _idempotent_image_dims(V, cov):
     F = V.field
     out = {}
     for g in cov.base.group.elements():
-        u = cov.idempotent(g)
+        u = _dense(F, cov.idempotent(g), cov.algebra.dim)
         sp = Span(F, V.dim)
         for i in range(V.dim):
-            sp.add(V.act_vec(V.basis_vec(i), u))
+            sp.add(dense_act(V, V.basis_vec(i), u))
         out[g] = sp.dim()
     return out
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_modules import is_module_hom
 from injgen.algebra import (AlgebraError, ConstructionError, GradedAlgebra,
                             GradedBimodule, GradedModule, ModuleHom,
                             direct_sum, regular_bimodule, regular_module,
@@ -18,11 +19,8 @@ from injgen.homology import (CheckReport, Verdict, _cover, _idempotents,
                              is_projective, left_perfect_check,
                              morita_corner_pd, nilpotency_index,
                              one_dimensional_modules,
-                             pd_bound_check_tensor_powers,
                              power_block_law_check, projective_dimension,
-                             resolution_report, tensor_formula_check, tor,
-                             triangular_pd_check)
-from injgen.homs import is_module_hom
+                             resolution_report, tensor_formula_check, tor)
 from injgen.linalg import Matrix, rank, solve_sparse
 from injgen.quiver import path_algebra
 from injgen.samples import (product_field_algebra, random_graded_algebra,
@@ -212,7 +210,7 @@ def test_resolution_invariants_periodic():
     assert rr.pd_verdict == Verdict.at_least(4)
     assert len(rr.steps) == 4
     for s in rr.steps:
-        assert s.rank == 1 and s.syzygy_dim == 1 and not s.syzygy_projective
+        assert s.rank == 1 and s.syzygy_dim == 1 and not s.syzygy_projectivity.projective
     # consecutive boundaries compose to zero; syzygy = kernel of boundary
     for i in range(1, len(rr.steps)):
         comp = rr.steps[i - 1].boundary.mul(rr.steps[i].boundary)
@@ -228,7 +226,7 @@ def test_resolution_finite_with_split_witness():
     assert rr.pd_verdict == Verdict.finite(1)
     assert len(rr.steps) == 1
     last = rr.steps[-1]
-    assert last.syzygy_projective
+    assert last.syzygy_projectivity.projective
     w = last.syzygy_projectivity
     comp = w.cover.matrix.mul(w.splitting.matrix)
     assert all(comp.rows[i][j] == (ONE if i == j else F5.zero())
@@ -256,7 +254,7 @@ def test_triangular_simple_resolution_is_pinned():
     assert rr.pd_verdict == Verdict.at_least(5)
     assert [s.rank for s in rr.steps] == [1, 2, 2, 2, 2]
     assert [s.syzygy_dim for s in rr.steps] == [3, 3, 3, 3, 3]
-    assert not any(s.syzygy_projective for s in rr.steps)
+    assert not any(s.syzygy_projectivity.projective for s in rr.steps)
     res = _resolver(M)
     for s, cov in zip(rr.steps, res.covers):
         assert s.syzygy_dim == s.boundary.ncols - rank(s.boundary)
@@ -525,25 +523,11 @@ def test_left_perfect_nontrivial_pd():
     assert per.mirror_table == {(1, 1): 0}
 
 
-def test_pd_bound_on_tensor_powers():
+def test_left_perfect_chain_power_pds():
     k3 = product_field_algebra(F5, 3)
-    rep = pd_bound_check_tensor_powers(k3, chain_bimodule(k3, 3))
-    assert rep.ok is True
-    assert rep.details["values"] == {1: 0, 2: 0}
-    A3 = a3_quiver()
-    w = GradedBimodule(A3, A3, ["w"], [()],
-                       [[{}, {}, {0: ONE}, {}, {}, {}]],
-                       [[{0: ONE}, {}, {}, {}, {}, {}]])
-    rep = pd_bound_check_tensor_powers(A3, w)
-    assert rep.ok is True and rep.details["pd"] == 1
-
-
-def test_pd_bound_requires_perfectness():
-    A2 = a2_quiver()
-    w = GradedBimodule(A2, A2, ["w"], [()],
-                       [[{}, {0: ONE}, {}]], [[{0: ONE}, {}, {}]])
-    with pytest.raises(ConstructionError):
-        pd_bound_check_tensor_powers(A2, w)
+    per = left_perfect_check(k3, chain_bimodule(k3, 3))
+    assert per.is_left_perfect
+    assert per.power_pds == {1: Verdict.finite(0), 2: Verdict.finite(0)}
 
 
 # -- pd over assembled rings ----------------------------------------------------
@@ -552,42 +536,6 @@ def test_pd_bound_requires_perfectness():
 def _triangular_ctx(A, N):
     zb = GradedBimodule(A, A, [], [], [], [])
     return morita_ring(A, A, N, zb)
-
-
-def test_triangular_pd_all_finite():
-    kk = product_field_algebra(F5, 2)
-    ctx = _triangular_ctx(kk, arrow_bimodule(kk))
-    rep = triangular_pd_check(ctx, ctx.Z_A(regular_module(kk, "left")))
-    assert rep.ok is True
-    assert rep.details["pd_tuple"] == Verdict.finite(0)
-
-
-def test_triangular_pd_zero_partner_matches_corner():
-    A2 = a2_quiver()
-    ctx = _triangular_ctx(A2, regular_bimodule(A2))
-    s2 = simple_over(A2, "left", [0, 1, 0])
-    t = ctx.Z_A(s2)
-    rep = triangular_pd_check(ctx, t)
-    assert rep.ok is True
-    # (X, 0) has the same projective dimension over the square ring
-    assert rep.details["pd_tuple"] == rep.details["pd_X"] == Verdict.finite(1)
-
-
-def test_triangular_pd_inconclusive_propagates():
-    D = dual_numbers()
-    ctx = _triangular_ctx(D, regular_bimodule(D))
-    k = simple_over(D, "left", [1, 0])
-    rep = triangular_pd_check(ctx, ctx.Z_B(k), cutoff=4)
-    assert rep.ok is None
-    assert rep.details["pd_Y"] == Verdict.at_least(4)
-
-
-def test_triangular_pd_requires_vanishing_corner():
-    kk = product_field_algebra(F5, 2)
-    arrow = arrow_bimodule(kk)
-    ctx = morita_ring(kk, kk, arrow, arrow)   # both glueing corners filled
-    with pytest.raises(ConstructionError):
-        triangular_pd_check(ctx, ctx.T_A(regular_module(kk, "left")))
 
 
 def test_regular_tuples_are_projective():
