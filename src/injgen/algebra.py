@@ -22,7 +22,7 @@ mutates one: a caller that edits a table in place copies it first.
 from __future__ import annotations
 
 from .groups import FiniteAbelianGroup, TRIVIAL_GROUP
-from .linalg import Matrix, Span, _modulus, _nonzero, row_space_reducer
+from .linalg import Span, _modulus, _nonzero, render_columns, row_space_reducer
 
 
 class AlgebraError(ValueError):
@@ -289,17 +289,6 @@ class GradedModule:
         v ({basis index: coefficient}), as a sparse vector."""
         return _act_sparse(self.action, self._p, v, j)
 
-    def action_matrix(self, j):
-        """Matrix of the action of e_j on the module."""
-        key = ("am", j)
-        if key not in self._cache:
-            m = Matrix.zeros(self.field, self.dim, self.dim)
-            for i in range(self.dim):
-                for k, c in self.action[i][j].items():
-                    m.rows[k][i] = c
-            self._cache[key] = m
-        return self._cache[key]
-
     def generators(self):
         """Irredundant generating subset of the basis (indices).
 
@@ -408,9 +397,6 @@ class GradedBimodule:
         return GradedModule._trusted(self.right_algebra, "right", self.labels,
                                      self.degree, self.right_action)
 
-    def zero_vec(self):
-        return [self.field.zero()] * self.dim
-
     def __eq__(self, other):
         return (isinstance(other, GradedBimodule)
                 and self.left_algebra == other.left_algebra
@@ -424,18 +410,25 @@ class GradedBimodule:
 
 
 class ModuleHom:
-    """Linear map between modules, matrix indexed target x source."""
+    """Linear map between modules as sparse columns: cols[i] is the image
+    of source basis vector i, a cell {index: coeff} over the target basis.
 
-    def __init__(self, source, target, matrix: Matrix):
-        if matrix.nrows != target.dim or matrix.ncols != source.dim:
-            raise AlgebraError(f"hom matrix shape {matrix.nrows}x{matrix.ncols} "
-                               f"does not match {target.dim}x{source.dim}")
+    matrix is the dense target x source Matrix, rendered on first read and
+    kept, for the resolution report, the JSON edge and the tests."""
+
+    def __init__(self, source, target, cols):
+        if len(cols) != source.dim:
+            raise AlgebraError(f"hom has {len(cols)} columns, not {source.dim}")
         self.source = source
         self.target = target
-        self.matrix = matrix
+        self.cols = cols
+        self._matrix = None
 
-    def is_zero(self):
-        return self.matrix.is_zero()
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix = render_columns(self.source.field, self.cols, self.target.dim)
+        return self._matrix
 
     def __repr__(self):
         return f"ModuleHom({self.source.dim} -> {self.target.dim})"
@@ -639,8 +632,10 @@ def vector_degree(group, degree_list, vec, field):
 
 
 def _closure_span(M: GradedModule, vectors) -> Span:
-    """Span of the submodule generated by the given dense vectors."""
-    queue = [_nonzero(M._p, enumerate(v)) for v in vectors]
+    """Span of the submodule generated by the given vectors, dense (lists)
+    or sparse ({index: coeff} dicts) as Span takes them."""
+    queue = [_nonzero(M._p, v.items() if isinstance(v, dict) else enumerate(v))
+             for v in vectors]
     return _close(Span(M.field, M.dim), queue, M.action, M._p, M.algebra.generators())
 
 
@@ -661,11 +656,7 @@ def quotient_module(M: GradedModule, vectors, label="q"):
     action = [[reduce(cell) for cell in M.action[c]] for c in free]
     Q = GradedModule._trusted(M.algebra, M.side, labels, degree, action)
     one = M.field.one()
-    pm = Matrix.zeros(M.field, len(free), M.dim)
-    for c in range(M.dim):
-        for k, x in reduce({c: one}).items():
-            pm.rows[k][c] = x
-    return Q, ModuleHom(M, Q, pm)
+    return Q, ModuleHom(M, Q, [reduce({c: one}) for c in range(M.dim)])
 
 
 def module_from_span(M: GradedModule, vectors, label="s"):
@@ -689,9 +680,7 @@ def module_from_span(M: GradedModule, vectors, label="s"):
                for j in range(M.algebra.dim)] for _, row in rows]
     labels = [f"{label}{t}" for t in range(len(rows))]
     S = GradedModule._trusted(M.algebra, M.side, labels, degree, action)
-    inc = (Matrix.from_columns(M.field, span.basis(), M.dim) if rows
-           else Matrix.zeros(M.field, M.dim, 0))
-    return S, ModuleHom(S, M, inc)
+    return S, ModuleHom(S, M, [row for _, row in rows])
 
 
 def strongly_graded_check(A: GradedAlgebra):

@@ -111,9 +111,9 @@ def _register(opts, obj, label, provenance=None, out=None):
 @click.group()
 @click.option("--store", default=".injgen-store", show_default=True,
               envvar="INJGEN_STORE", help="object store directory")
-@click.option("--pd-cutoff", type=int, default=None,
+@click.option("--pd-cutoff", type=click.IntRange(min=1), default=None,
               help=f"[default: {DEFAULT_PD_CUTOFF}; validate-cert: the certificate's]")
-@click.option("--nil-cutoff", type=int, default=None,
+@click.option("--nil-cutoff", type=click.IntRange(min=1), default=None,
               help=f"[default: {DEFAULT_NIL_CUTOFF}; validate-cert: the certificate's]")
 @click.option("--seed", default=17, show_default=True,
               help="seed for verify-theorems only")

@@ -27,11 +27,12 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebra import (ConstructionError, GradedAlgebra, GradedBimodule,
-                      GradedModule, ModuleHom, _act_by, _act_sparse, _sum_cells,
-                      _transposed, check_axioms, degree_zero_subalgebra,
+                      GradedModule, ModuleHom, _act_by, _act_sparse, _clean_table,
+                      _sum_cells, _transposed, check_axioms, degree_zero_subalgebra,
                       regular_bimodule, trivially_graded, zero_module)
 from .groups import TRIVIAL_GROUP, FiniteAbelianGroup
-from .linalg import Matrix, Span, _modulus, _nonzero, row_space_reducer
+from .linalg import (Span, _modulus, _nonzero, render_columns,
+                     row_space_reducer)
 from .serialize import (SerializeError, matrix_from_json, matrix_to_json,
                         provenance_record)
 from .tensors import (tensor_bimodule_with_module, tensor_bimodules,
@@ -51,12 +52,6 @@ __all__ = [
     "CleftFunctors",
     "RECIPES", "Built", "construct", "reconstruct",
 ]
-
-
-def _sparse(field, vec):
-    """The nonzero entries of vec as reduced residues: the raw pairing
-    matrices a caller hands to a construction are cleaned here."""
-    return _nonzero(_modulus(field), enumerate(vec))
 
 
 def _gl(g):
@@ -81,19 +76,29 @@ def _check_assembled(obj, what):
         raise ConstructionError(f"{what} fails {kind} at ({names})")
 
 
-def _columns(F, matrix):
-    """The columns of a dense matrix as sparse vectors."""
-    return [_sparse(F, matrix.column(s)) for s in range(matrix.ncols)]
-
-
-def _on_section(F, nrows, T, value):
-    """The matrix on T's basis of a balanced bilinear map, read off at
+def _on_section(T, value):
+    """The columns on T's basis of a balanced bilinear map, read off at
     T's section pairs; value(i, j) is its sparse value on the pair."""
-    out = Matrix.zeros(F, nrows, T.dim)
-    for s, (i, j) in enumerate(T.section):
-        for k, c in value(i, j).items():
-            out.rows[k][s] = c
-    return out
+    return [value(i, j) for i, j in T.section]
+
+
+def _is_zero(table):
+    return not any(cell for row in table for cell in row)
+
+
+def _zero_table(nrows, ncols):
+    return [[{} for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _checked_table(p, table, nrows, ncols, dim, what):
+    """A caller's table of nrows x ncols cells over range(dim), cleaned to
+    nonzero reduced residues: ConstructionError on a wrong shape, and
+    AlgebraError on a cell key outside range(dim)."""
+    if (not isinstance(table, list) or len(table) != nrows
+            or any(not isinstance(row, list) or len(row) != ncols
+                   or not all(isinstance(cell, dict) for cell in row) for row in table)):
+        raise ConstructionError(f"{what} has the wrong shape")
+    return _clean_table(p, table, dim)
 
 
 # -- coverings ---------------------------------------------------------------
@@ -233,30 +238,25 @@ def covering_module_inverse(V: GradedModule, cov: CoveringData) -> GradedModule:
 class MoritaContext:
     """Two rings glued along a pair of bimodules into one square ring.
 
-    N is an (A, B)-bimodule, M a (B, A)-bimodule; psi_raw pairs N x M
-    into A and phi_raw pairs M x N into B.  assembled carries the 2x2
-    block multiplication, basis ordered A, N, M, B.
+    N is an (A, B)-bimodule, M a (B, A)-bimodule; the cell table psi
+    pairs N x M into A (psi[n][m] is a cell over A) and phi pairs M x N
+    into B (phi[m][n] over B), in the form of mult.  assembled carries the
+    2x2 block multiplication, basis ordered A, N, M, B.
     """
 
-    def __init__(self, A, B, N, M, phi_raw, psi_raw, assembled):
+    def __init__(self, A, B, N, M, phi, psi, assembled):
         self.A = A
         self.B = B
         self.N = N
         self.M = M
-        self.phi_raw = phi_raw
-        self.psi_raw = psi_raw
+        self.phi = phi
+        self.psi = psi
         self.assembled = assembled
         self.offsets = (0, A.dim, A.dim + N.dim, A.dim + N.dim + M.dim)
 
     @property
     def is_zero_context(self):
-        return self.phi_raw.is_zero() and self.psi_raw.is_zero()
-
-    def _psi_pair(self, n, m):
-        return self.psi_raw.column(n * self.M.dim + m)
-
-    def _phi_pair(self, m, n):
-        return self.phi_raw.column(m * self.N.dim + n)
+        return _is_zero(self.phi) and _is_zero(self.psi)
 
     # tuple functors; modules here are left modules over the corners
 
@@ -278,10 +278,10 @@ class MoritaContext:
 
     def _corner(self, corner):
         """(corner ring, bimodule out of it, bimodule back into it, pairing
-        (back, out) -> corner ring) for corner "A" or "B"."""
+        table back x out -> corner ring) for corner "A" or "B"."""
         if corner == "A":
-            return self.A, self.M, self.N, self._psi_pair
-        return self.B, self.N, self.M, self._phi_pair
+            return self.A, self.M, self.N, self.psi
+        return self.B, self.N, self.M, self.phi
 
     def _induced_tuple(self, Z, corner):
         """Z at its own corner and W = P (x) Z at the other one; the
@@ -289,16 +289,16 @@ class MoritaContext:
         q (x) (p (x) z) to (q p) z through the pairing."""
         ring, P, Q, pair = self._corner(corner)
         _require_left_module(Z, ring, f"T_{corner}")
-        F = Z.field
+        one = Z.field.one()
         W, S_PZ = tensor_bimodule_with_module(P, Z)
-        ident = ModuleHom(W, W, Matrix.identity(F, W.dim))
+        ident = ModuleHom(W, W, [{i: one} for i in range(W.dim)])
         QW, S_QW = tensor_bimodule_with_module(Q, W)
 
         def back_at(q, t):
             p, z = S_PZ.section[t]
-            return _act_by(Z.action, Z._p, z, _sparse(F, pair(q, p)))
+            return _act_by(Z.action, Z._p, z, pair[q][p])
 
-        back = ModuleHom(QW, Z, _on_section(F, Z.dim, S_QW, back_at))
+        back = ModuleHom(QW, Z, _on_section(S_QW, back_at))
         if corner == "A":
             return TupleModule(self, Z, W, ident, back, S_PZ, S_QW)
         return TupleModule(self, W, Z, back, ident, S_QW, S_PZ)
@@ -313,8 +313,8 @@ class MoritaContext:
             X, Y = zero_module(self.A, "left"), Z
         MX, S_MX = tensor_bimodule_with_module(self.M, X)
         NY, S_NY = tensor_bimodule_with_module(self.N, Y)
-        f = ModuleHom(MX, Y, Matrix.zeros(Z.field, Y.dim, MX.dim))
-        g = ModuleHom(NY, X, Matrix.zeros(Z.field, X.dim, NY.dim))
+        f = ModuleHom(MX, Y, [{} for _ in range(MX.dim)])
+        g = ModuleHom(NY, X, [{} for _ in range(NY.dim)])
         return TupleModule(self, X, Y, f, g, S_MX, S_NY)
 
     def __repr__(self):
@@ -350,8 +350,6 @@ class TupleModule:
         self.S_Y = S_Y
         self.side = X.side
         self._p = _modulus(X.field)
-        self._f_cols = _columns(X.field, f.matrix)
-        self._g_cols = _columns(X.field, g.matrix)
         self._mod = None
 
     def _factors(self, v, b):
@@ -363,13 +361,13 @@ class TupleModule:
         """f on basis vector x of X paired with basis vector b of its
         bimodule, as a sparse cell over Y."""
         cell = self.S_X.project_pair(*self._factors(x, b))
-        return _sum_cells(self._p, ((c, self._f_cols[s]) for s, c in cell.items()))
+        return _sum_cells(self._p, ((c, self.f.cols[s]) for s, c in cell.items()))
 
     def g_at(self, y, b):
         """g on basis vector y of Y paired with basis vector b of its
         bimodule, as a sparse cell over X."""
         cell = self.S_Y.project_pair(*self._factors(y, b))
-        return _sum_cells(self._p, ((c, self._g_cols[s]) for s, c in cell.items()))
+        return _sum_cells(self._p, ((c, self.g.cols[s]) for s, c in cell.items()))
 
     @property
     def dim(self):
@@ -408,22 +406,26 @@ class TupleModule:
         return f"TupleModule({self.side}, X={self.X.dim}, Y={self.Y.dim})"
 
 
-def tuple_module(ctx: MoritaContext, X, Y, f_matrix: Matrix, g_matrix: Matrix):
+def tuple_module(ctx: MoritaContext, X, Y, f_cols, g_cols):
     """Wrap user-supplied structure maps into a checked left tuple.
 
-    f_matrix maps the computed M (x)_A X onto Y's coordinates, g_matrix
-    the computed N (x)_B Y onto X's.  The maps are valid exactly when the
-    tuple is a module over the context ring: degree-preserving, module
-    maps, and compatible with the pairings.  The first violated module
-    axiom raises, naming its basis elements by their labels in the
-    tuple's module (x:, y:) and the context ring (a:, n:, m:, b:).
+    f_cols lists the images in Y, as sparse cells {index: coeff}, of the
+    basis vectors of the computed M (x)_A X, and g_cols those in X of the
+    basis of the computed N (x)_B Y.  A list of the wrong length, or a
+    cell key outside the target's basis, raises; the cells are cleaned to
+    nonzero reduced residues.  The maps are valid exactly when the tuple
+    is a module over the context ring: degree-preserving, module maps,
+    and compatible with the pairings.  The first violated module axiom
+    raises, naming its basis elements by their labels in the tuple's
+    module (x:, y:) and the context ring (a:, n:, m:, b:).
     """
     _require_left_module(X, ctx.A, "tuple_module")
     _require_left_module(Y, ctx.B, "tuple_module")
     MX, S_MX = tensor_bimodule_with_module(ctx.M, X)
     NY, S_NY = tensor_bimodule_with_module(ctx.N, Y)
-    f = ModuleHom(MX, Y, f_matrix)
-    g = ModuleHom(NY, X, g_matrix)
+    p = _modulus(X.field)
+    f = ModuleHom(MX, Y, _checked_table(p, [f_cols], 1, MX.dim, Y.dim, "map f")[0])
+    g = ModuleHom(NY, X, _checked_table(p, [g_cols], 1, NY.dim, X.dim, "map g")[0])
     t = TupleModule(ctx, X, Y, f, g, S_MX, S_NY)
     _check_assembled(t.as_module(), "tuple module")
     return t
@@ -435,7 +437,6 @@ def regular_right_tuple(ctx: MoritaContext) -> TupleModule:
     X is the first block column A + M (a right A-module), Y the second
     block column N + B; the structure maps are the block multiplications.
     """
-    F = ctx.A.field
     dA, dN, dM, dB = ctx.A.dim, ctx.N.dim, ctx.M.dim, ctx.B.dim
     xact = list(ctx.A.mult)
     for j in range(dM):
@@ -455,26 +456,27 @@ def regular_right_tuple(ctx: MoritaContext) -> TupleModule:
     def f_at(i, n):  # a n in N, m n = phi(m, n) in B
         if i < dA:
             return ctx.N.left_action[n][i]
-        return {dN + k: c for k, c in _sparse(F, ctx._phi_pair(i - dA, n)).items()}
+        return {dN + k: c for k, c in ctx.phi[i - dA][n].items()}
 
     def g_at(i, m):  # n m = psi(n, m) in A, b m in M
         if i < dN:
-            return _sparse(F, ctx._psi_pair(i, m))
+            return ctx.psi[i][m]
         return {dA + k: c for k, c in ctx.M.left_action[m][i - dN].items()}
 
     XN, S_XN = tensor_module_with_bimodule(X, ctx.N)
     YM, S_YM = tensor_module_with_bimodule(Y, ctx.M)
-    return TupleModule(ctx, X, Y, ModuleHom(XN, Y, _on_section(F, Y.dim, S_XN, f_at)),
-                       ModuleHom(YM, X, _on_section(F, X.dim, S_YM, g_at)),
-                       S_XN, S_YM)
+    return TupleModule(ctx, X, Y, ModuleHom(XN, Y, _on_section(S_XN, f_at)),
+                       ModuleHom(YM, X, _on_section(S_YM, g_at)), S_XN, S_YM)
 
 
-def morita_ring(A, B, N, M, phi_raw=None, psi_raw=None) -> MoritaContext:
+def morita_ring(A, B, N, M, phi=None, psi=None) -> MoritaContext:
     """Assemble the square ring [[A, N], [M, B]].
 
-    phi_raw: Matrix of shape dim B x (dim M * dim N), column m*dimN + n,
-    giving the pairing M x N -> B on basis pairs; psi_raw likewise with
-    shape dim A x (dim N * dim M), column n*dimM + m.  None means zero.
+    phi: cell table of the pairing M x N -> B in the form of mult,
+    phi[m][n] the sparse cell {index: coeff} over B of the pair of basis
+    vectors (m, n); psi likewise, psi[n][m] a cell over A.  None means
+    zero.  A table of the wrong shape or with a key outside its ring's
+    basis raises, and the cells are cleaned to nonzero reduced residues.
     The pairings are valid exactly when the assembled ring is a graded
     associative algebra: balanced, two-sided linear, mixed-associative and
     degree-preserving.  When one of them is nonzero the assembled ring's
@@ -487,15 +489,10 @@ def morita_ring(A, B, N, M, phi_raw=None, psi_raw=None) -> MoritaContext:
     if M.left_algebra != B or M.right_algebra != A:
         raise ConstructionError("M must be a (B, A)-bimodule")
     F = A.field
+    p = _modulus(F)
     dA, dN, dM, dB = A.dim, N.dim, M.dim, B.dim
-    if phi_raw is None:
-        phi_raw = Matrix.zeros(F, dB, dM * dN)
-    if psi_raw is None:
-        psi_raw = Matrix.zeros(F, dA, dN * dM)
-    if (phi_raw.nrows, phi_raw.ncols) != (dB, dM * dN):
-        raise ConstructionError("phi matrix has the wrong shape")
-    if (psi_raw.nrows, psi_raw.ncols) != (dA, dN * dM):
-        raise ConstructionError("psi matrix has the wrong shape")
+    phi = _zero_table(dM, dN) if phi is None else _checked_table(p, phi, dM, dN, dB, "phi")
+    psi = _zero_table(dN, dM) if psi is None else _checked_table(p, psi, dN, dM, dA, "psi")
 
     oA, oN, oM, oB = 0, dA, dA + dN, dA + dN + dM
     dim = dA + dN + dM + dB
@@ -507,16 +504,14 @@ def morita_ring(A, B, N, M, phi_raw=None, psi_raw=None) -> MoritaContext:
             mult[oA + i][oN + j] = {oN + k: c for k, c in N.left_action[j][i].items()}
     for i in range(dN):
         for j in range(dM):
-            mult[oN + i][oM + j] = {oA + k: c for k, c in
-                                    _sparse(F, psi_raw.column(i * dM + j)).items()}
+            mult[oN + i][oM + j] = {oA + k: c for k, c in psi[i][j].items()}
         for j in range(dB):
             mult[oN + i][oB + j] = {oN + k: c for k, c in N.right_action[i][j].items()}
     for i in range(dM):
         for j in range(dA):
             mult[oM + i][oA + j] = {oM + k: c for k, c in M.right_action[i][j].items()}
         for j in range(dN):
-            mult[oM + i][oN + j] = {oB + k: c for k, c in
-                                    _sparse(F, phi_raw.column(i * dN + j)).items()}
+            mult[oM + i][oN + j] = {oB + k: c for k, c in phi[i][j].items()}
     for i in range(dB):
         for j in range(dM):
             mult[oB + i][oM + j] = {oM + k: c for k, c in M.left_action[j][i].items()}
@@ -527,9 +522,10 @@ def morita_ring(A, B, N, M, phi_raw=None, psi_raw=None) -> MoritaContext:
               + [f"m:{s}" for s in M.labels] + [f"b:{s}" for s in B.labels])
     degrees = A.degree + N.degree + M.degree + B.degree
     assembled = GradedAlgebra._trusted(F, A.group, labels, degrees, unit, mult)
-    if not (phi_raw.is_zero() and psi_raw.is_zero()):
+    ctx = MoritaContext(A, B, N, M, phi, psi, assembled)
+    if not ctx.is_zero_context:
         _check_assembled(assembled, "context ring")
-    return MoritaContext(A, B, N, M, phi_raw, psi_raw, assembled)
+    return ctx
 
 
 def split_covering(cov: CoveringData, k=None) -> MoritaContext:
@@ -591,19 +587,9 @@ def split_covering(cov: CoveringData, k=None) -> MoritaContext:
     labM, leftM, rightM = subbimodule(idxM, idxB, idxA)
     M_bim = GradedBimodule._trusted(B_alg, A_alg, labM, [()] * len(idxM), leftM, rightM)
 
-    dN, dM = len(idxN), len(idxM)
-    psi_raw = Matrix.zeros(F, len(idxA), dN * dM)
-    for n, gn in enumerate(idxN):
-        for mm, gm in enumerate(idxM):
-            for t, c in covm[gn][gm].items():
-                psi_raw.rows[locA[t]][n * dM + mm] = c
-    phi_raw = Matrix.zeros(F, len(idxB), dM * dN)
-    for mm, gm in enumerate(idxM):
-        for n, gn in enumerate(idxN):
-            for t, c in covm[gm][gn].items():
-                phi_raw.rows[locB[t]][mm * dN + n] = c
-
-    ctx = morita_ring(A_alg, B_alg, N_bim, M_bim, phi_raw, psi_raw)
+    psi = [[{locA[t]: c for t, c in covm[gn][gm].items()} for gm in idxM] for gn in idxN]
+    phi = [[{locB[t]: c for t, c in covm[gm][gn].items()} for gn in idxN] for gm in idxM]
+    ctx = morita_ring(A_alg, B_alg, N_bim, M_bim, phi, psi)
     ctx.split_index = k
     return ctx
 
@@ -737,21 +723,22 @@ def tensor_ring(R: GradedAlgebra, M: GradedBimodule, nilpotency_index: int) -> T
 class ThetaData:
     """Extension of a ring by a bimodule with a chosen pairing on it.
 
-    algebra has basis base then bimodule; theta_raw pairs the bimodule
-    with itself.
+    algebra has basis base then bimodule; the cell table theta pairs the
+    bimodule with itself, theta[i][j] the cell over the bimodule of the
+    pair of basis vectors (m_i, m_j).
     """
 
-    def __init__(self, algebra, base, bim, theta_raw):
+    def __init__(self, algebra, base, bim, theta):
         self.algebra = algebra
         self.base = base
         self.bim = bim
-        self.theta_raw = theta_raw
+        self.theta = theta
 
     def __repr__(self):
         return f"ThetaData(dim={self.algebra.dim})"
 
 
-def _theta_tables(R, M, theta_raw):
+def _theta_tables(R, M, theta):
     F = R.field
     dR, dM = R.dim, M.dim
     dim = dR + dM
@@ -765,18 +752,19 @@ def _theta_tables(R, M, theta_raw):
         for j in range(dR):
             mult[dR + i][j] = {dR + k: c for k, c in M.right_action[i][j].items()}
         for j in range(dM):
-            col = theta_raw.column(i * dM + j)
-            mult[dR + i][dR + j] = {dR + k: c for k, c in _sparse(F, col).items()}
+            mult[dR + i][dR + j] = {dR + k: c for k, c in theta[i][j].items()}
     unit = list(R.unit) + [F.zero()] * dM
     labels = [f"r:{s}" for s in R.labels] + [f"m:{s}" for s in M.labels]
     return GradedAlgebra._trusted(F, TRIVIAL_GROUP, labels, [()] * dim, unit, mult)
 
 
-def theta_extension(R: GradedAlgebra, M: GradedBimodule, theta_raw=None) -> ThetaData:
+def theta_extension(R: GradedAlgebra, M: GradedBimodule, theta=None) -> ThetaData:
     """Ring on R + M where two bimodule elements multiply through theta.
 
-    theta_raw: Matrix of shape dim M x (dim M)^2, column i*dimM + j for
-    the pair (m_i, m_j); None means the zero pairing.  theta is valid
+    theta: cell table of the pairing in the form of mult, theta[i][j] the
+    sparse cell {index: coeff} over M of the pair (m_i, m_j); None means
+    the zero pairing.  A table of the wrong shape or with a key outside
+    M's basis raises, and the cells are cleaned.  theta is valid
     exactly when the extension ring is associative: balanced, two-sided
     linear and associative with itself.  A nonzero theta is checked
     through the extension ring's axioms and the first violation raises,
@@ -784,23 +772,20 @@ def theta_extension(R: GradedAlgebra, M: GradedBimodule, theta_raw=None) -> Thet
     """
     if M.left_algebra != R or M.right_algebra != R:
         raise ConstructionError("extension needs a bimodule over the base on both sides")
-    F = R.field
     dM = M.dim
-    if theta_raw is None:
-        theta_raw = Matrix.zeros(F, dM, dM * dM)
-    if (theta_raw.nrows, theta_raw.ncols) != (dM, dM * dM):
-        raise ConstructionError("theta matrix has the wrong shape")
-    algebra = _theta_tables(R, M, theta_raw)
-    if not theta_raw.is_zero():
+    theta = (_zero_table(dM, dM) if theta is None
+             else _checked_table(_modulus(R.field), theta, dM, dM, dM, "theta"))
+    algebra = _theta_tables(R, M, theta)
+    if not _is_zero(theta):
         _check_assembled(algebra, "extension ring")
-    return ThetaData(algebra, R, M, theta_raw)
+    return ThetaData(algebra, R, M, theta)
 
 
 def trivial_extension(R: GradedAlgebra, M: GradedBimodule) -> ThetaData:
     """Square-zero extension of R by M (independent of the theta path)."""
     if M.left_algebra != R or M.right_algebra != R:
         raise ConstructionError("extension needs a bimodule over the base on both sides")
-    zero = Matrix.zeros(R.field, M.dim, M.dim * M.dim)
+    zero = _zero_table(M.dim, M.dim)
     return ThetaData(_theta_tables(R, M, zero), R, M, zero)
 
 
@@ -814,11 +799,9 @@ def split_positively_graded(Lam: GradedAlgebra):
     """
     if len(Lam.group.factors) != 1:
         raise ConstructionError("positive splitting needs a cyclic grading group")
-    F = Lam.field
     zero_idx = [i for i, d in enumerate(Lam.degree) if d == Lam.group.zero()]
     pos_idx = [i for i, d in enumerate(Lam.degree) if d != Lam.group.zero()]
     R0 = degree_zero_subalgebra(Lam)
-    loc0 = {gi: i for i, gi in enumerate(zero_idx)}
     locp = {gi: i for i, gi in enumerate(pos_idx)}
 
     def restrict(row_global, local):
@@ -835,13 +818,8 @@ def split_positively_graded(Lam: GradedAlgebra):
     right = [[restrict(Lam.mult[gp][g0], locp) for g0 in zero_idx] for gp in pos_idx]
     labels = [Lam.labels[i] for i in pos_idx]
     M = GradedBimodule._trusted(R0, R0, labels, [()] * len(pos_idx), left, right)
-    dM = len(pos_idx)
-    theta_raw = Matrix.zeros(F, dM, dM * dM)
-    for i, gi in enumerate(pos_idx):
-        for j, gj in enumerate(pos_idx):
-            for t, c in restrict(Lam.mult[gi][gj], locp).items():
-                theta_raw.rows[t][i * dM + j] = c
-    td = theta_extension(R0, M, theta_raw)
+    theta = [[restrict(Lam.mult[gi][gj], locp) for gj in pos_idx] for gi in pos_idx]
+    td = theta_extension(R0, M, theta)
     perm = [None] * Lam.dim
     for i, gi in enumerate(zero_idx):
         perm[gi] = i
@@ -1228,6 +1206,23 @@ def _matrix_param(field, params, key, nrows, ncols):
     return m
 
 
+def _pairing_param(field, params, key, dim, d1, d2):
+    """params[key], recorded as a dim x (d1 d2) matrix whose column
+    a d2 + b holds the pairing of basis vectors a and b, as a d1 x d2
+    cell table over range(dim); None (zero) when absent."""
+    m = _matrix_param(field, params, key, dim, d1 * d2)
+    if m is None:
+        return None
+    p = _modulus(field)
+    return [[_nonzero(p, ((k, row[a * d2 + b]) for k, row in enumerate(m.rows)))
+             for b in range(d2)] for a in range(d1)]
+
+
+def _pairing_json(field, table, dim):
+    """The pairing table as the matrix _pairing_param reads."""
+    return matrix_to_json(field, render_columns(field, [c for row in table for c in row], dim))
+
+
 def _int_args(params, key):
     if type(params.get(key)) is not int:
         raise SerializeError(f"param {key!r} must be an integer")
@@ -1236,15 +1231,15 @@ def _int_args(params, key):
 
 def _decode_pairings(ins, params):
     A, B, N, M = ins
-    return (_matrix_param(A.field, params, "phi", B.dim, M.dim * N.dim),
-            _matrix_param(A.field, params, "psi", A.dim, N.dim * M.dim))
+    return (_pairing_param(A.field, params, "phi", B.dim, M.dim, N.dim),
+            _pairing_param(A.field, params, "psi", A.dim, N.dim, M.dim))
 
 
 def _encode_pairings(ctx, _args):
     params = {"zero_context": ctx.is_zero_context}
-    for key, mat in (("phi", ctx.phi_raw), ("psi", ctx.psi_raw)):
-        if not mat.is_zero():
-            params[key] = matrix_to_json(ctx.A.field, mat)
+    for key, table, ring in (("phi", ctx.phi, ctx.B), ("psi", ctx.psi, ctx.A)):
+        if not _is_zero(table):
+            params[key] = _pairing_json(ctx.A.field, table, ring.dim)
     return params
 
 
@@ -1293,10 +1288,10 @@ RECIPES = {
         encode=lambda data, args: {"nilpotency_index": args[0]}),
     "theta_extension": Recipe(
         2, lambda R, W, theta: theta_extension(R, W, theta),
-        lambda ins, p: (_matrix_param(ins[0].field, p, "theta", ins[1].dim,
-                                      ins[1].dim ** 2),),
-        encode=lambda td, args: None if td.theta_raw.is_zero() else
-        {"theta": matrix_to_json(td.base.field, td.theta_raw)}),
+        lambda ins, p: (_pairing_param(ins[0].field, p, "theta", ins[1].dim,
+                                       ins[1].dim, ins[1].dim),),
+        encode=lambda td, args: None if _is_zero(td.theta) else
+        {"theta": _pairing_json(td.base.field, td.theta, td.bim.dim)}),
     "trivial_extension": Recipe(2, lambda R, W: trivial_extension(R, W)),
     "beilinson": Recipe(1, lambda Lam, level: _pattern_extension(Lam, level),
                         lambda ins, p: _int_args(p, "level"),

@@ -27,12 +27,12 @@ from __future__ import annotations
 import itertools
 
 from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
-                      GradedBimodule, GradedModule, ModuleHom, _sum_cells,
+                      GradedBimodule, GradedModule, ModuleHom, _act_by, _sum_cells,
                       direct_sum, module_from_span, regular_module,
                       trivially_graded, zero_module)
 from .constructions import MoritaContext, TensorTower, ThetaData, \
     TupleModule, morita_ring
-from .linalg import (Matrix, Span, _modulus, _sparse, kernel_basis, rank,
+from .linalg import (Span, _modulus, _nonzero, kernel_basis, rank,
                      right_inverse, solve_sparse)
 from .tensors import tensor_over_algebra
 
@@ -224,11 +224,13 @@ class _Cover:
     one free copy per generator.  summands[c] is i(c); free, basis and
     tags are those of _projective.
 
-    kernel is kernel_basis(pi), and each of its vectors lies in one
-    (ker pi) e_t: pi maps F e_t into M e_t, these images are independent,
-    so a non-pivot column is a combination of the pivot columns of its own
-    tag.  The reduced rows of a syzygy spanned by them keep that, which is
-    why the basis vectors of every syzygy each lie in one syzygy e_t.
+    pi holds the map as columns and rows as sparse rows, one per basis
+    vector of M.  kernel is kernel_basis(rows), and each of its vectors
+    lies in one (ker pi) e_t: pi maps F e_t into M e_t, these images are
+    independent, so a non-pivot column is a combination of the pivot
+    columns of its own tag.  The reduced rows of a syzygy spanned by them
+    keep that, which is why the basis vectors of every syzygy each lie in
+    one syzygy e_t.
     """
 
     def __init__(self, M: GradedModule):
@@ -248,12 +250,13 @@ class _Cover:
         self.summands = tuple(i for i, _ in gens)
         self.free, self.basis, self.tags = _projective(M.algebra, M.side, self.summands)
         # column (c, j) of the projection is b_j acting on generator c
-        pi = Matrix.zeros(fld, M.dim, self.free.dim)
-        for f, (c, j) in enumerate(self.basis):
-            for k, x in M.act_sparse(gens[c][1], j).items():
-                pi.rows[k][f] = x
-        self.pi = ModuleHom(self.free, M, pi)
-        self.kernel = kernel_basis(fld, _sparse(pi), pi.ncols)
+        cols = [M.act_sparse(gens[c][1], j) for c, j in self.basis]
+        self.pi = ModuleHom(self.free, M, cols)
+        self.rows = [{} for _ in range(M.dim)]
+        for f, col in enumerate(cols):
+            for k, x in col.items():
+                self.rows[k][f] = x
+        self.kernel = kernel_basis(fld, self.rows, self.free.dim)
 
 
 def _cover(M: GradedModule) -> _Cover:
@@ -306,16 +309,14 @@ def is_projective(M: GradedModule) -> ProjectivityReport:
         col.append({g: n + q for q, g in enumerate(fixed[i])})
         n += len(fixed[i])
     eqs, rhs = [], []
-    for row in pi.matrix.rows:  # pi . k_c = 0
-        nz = [(g, a) for g, a in enumerate(row) if not fld.is_zero(a)]
+    for row in cov.rows:    # pi . k_c = 0
         for cc in col:
-            eq = {cc[g]: a for g, a in nz if g in cc}
+            eq = {cc[g]: a for g, a in row.items() if g in cc}
             if eq:
                 eqs.append(eq)
                 rhs.append(fld.zero())
     acts = {}               # (i, j): (g, f, x) for every entry x at row f of b_j on g in F e_i
     for rho in cov.kernel:  # t(rho) = rho, one row per coordinate of F
-        rho = {f: a for f, a in enumerate(rho) if not fld.is_zero(a)}
         rows = {f: {} for f in rho}     # rows with no unknowns still count
         for ce, a in rho.items():
             c, j = cov.basis[ce]
@@ -336,14 +337,10 @@ def is_projective(M: GradedModule) -> ProjectivityReport:
         # column (c, j) of T is b_j acting on k_c
         k = [{g: sol[u] for g, u in cc.items() if not fld.is_zero(sol[u])} for cc in col]
         tcols = [F.act_sparse(k[c], j) for c, j in cov.basis]
-        sigma = right_inverse(pi.matrix)
-        s = [list(row) for row in sigma.rows]
-        for ce, tcol in enumerate(tcols):   # s = sigma - T . sigma
-            for i, a in enumerate(sigma.rows[ce]):
-                if not fld.is_zero(a):
-                    for f, x in tcol.items():
-                        s[f][i] = fld.sub(s[f][i], fld.mul(a, x))
-        split = ModuleHom(M, F, Matrix(fld, s, M.dim))
+        # s = sigma - T . sigma, column by column
+        split = ModuleHom(M, F, [
+            _sum_cells(M._p, [(1, sig)] + [(-a, tcols[ce]) for ce, a in sig.items()])
+            for sig in right_inverse(fld, cov.rows, F.dim)])
     rep = M._cache["projres"] = ProjectivityReport(M, sol is not None, pi, split)
     return rep
 
@@ -352,7 +349,7 @@ class _Resolver:
     """Lazily extended projective resolution of a flattened module.
 
     covers[i] is the cover of the previous module (M or syzygies[i-1]) by
-    ranks[i] summands e_i A, boundaries[i] is the matrix of F_i -> F_{i-1}
+    ranks[i] summands e_i A, boundaries[i] is the ModuleHom F_i -> F_{i-1}
     (for i = 0: F_0 -> M), and syzygies[i] is ker(boundaries[i]) as an
     abstract module.  The covers are the ones is_projective reads, so each
     is built once.  Each syzygy basis vector lies in one syzygy e_t, so
@@ -376,16 +373,17 @@ class _Resolver:
             cov = _cover(prev)
             self.covers.append(cov)
             self.ranks.append(len(cov.summands))
-            if not self.boundaries:
-                bmat = cov.pi.matrix
-            else:
+            bd = cov.pi
+            if self.boundaries:
                 # include the syzygy back into the previous cover
-                bmat = self._incl.mul(cov.pi.matrix)
-            self.boundaries.append(bmat)
-            # the inclusion is injective, so ker bmat = ker pi
-            syz, incl = module_from_span(cov.free, cov.kernel, label="z")
+                incl, p = self._incl, prev._p
+                bd = ModuleHom(cov.free, incl.target, [
+                    _sum_cells(p, ((c, incl.cols[t]) for t, c in col.items()))
+                    for col in cov.pi.cols])
+            self.boundaries.append(bd)
+            # the inclusion is injective, so ker bd = ker pi
+            syz, self._incl = module_from_span(cov.free, cov.kernel, label="z")
             self.syzygies.append(syz)
-            self._incl = incl.matrix
 
     def proj_report(self, i):
         if i not in self.proj:
@@ -441,7 +439,7 @@ def resolution_report(M: GradedModule, cutoff=DEFAULT_PD_CUTOFF) -> ResolutionRe
     verdict = res.pd_verdict(cutoff)
     nsteps = verdict.value if verdict.is_finite else cutoff
     res.ensure(nsteps)
-    steps = [ResolutionStep(res.ranks[i], res.boundaries[i],
+    steps = [ResolutionStep(res.ranks[i], res.boundaries[i].matrix,
                             res.syzygies[i].dim, res.proj_report(i))
              for i in range(nsteps)]
     return ResolutionReport(Mf, steps, verdict, cutoff)
@@ -456,39 +454,31 @@ def projective_dimension(M: GradedModule, cutoff=DEFAULT_PD_CUTOFF) -> Verdict:
 # -- Tor ---------------------------------------------------------------------
 
 
-def _tensored_boundary(bmat, src, dst, idems, partner):
-    """Image of the boundary F_n -> F_n-1 between the covers src and dst
-    under - (x) partner.
+def _tensored_boundary(bd, src, dst, idems, partner):
+    """Columns of the image of the boundary bd: F_n -> F_n-1 between the
+    covers src and dst under - (x) partner.
 
     e_i A (x) N = e_i N: the boundary is fixed by the image w_c of each
     summand generator e_i(c), and block (d, c) acts on N by the entries of
-    w_c in summand d.  Blocks keep all of N's coordinates: w_c lies in
+    w_c in summand d, so column (c, t) gathers, over the entries lam at
+    the basis vectors (d, j) of w_c, lam times b_j acting on basis vector
+    t of N, in block d.  Blocks keep all of N's coordinates: w_c lies in
     F_n-1 e_i(c), so block (d, c) kills (1 - e_i(c)) N and lands in
     e_i(d) N, and the rank is that of the map between the e N.
     """
-    fld = partner.field
-    dP = partner.dim
-    out = Matrix.zeros(fld, len(dst.summands) * dP, len(src.summands) * dP)
+    p, dP = partner._p, partner.dim
     coord = {b: f for f, b in enumerate(src.basis)}
+    cols = []
     for c, i in enumerate(src.summands):
-        gen = [(coord[(c, k)], x) for k, x in idems[i].items()]
-        for f, brow in enumerate(bmat.rows):
-            lam = fld.zero()
-            for g, x in gen:
-                if not fld.is_zero(brow[g]):
-                    lam = fld.add(lam, fld.mul(brow[g], x))
-            if fld.is_zero(lam):
-                continue
-            cd, j = dst.basis[f]
-            act = partner.action_matrix(j)
-            for k in range(dP):
-                row = out.rows[cd * dP + k]
-                arow = act.rows[k]
-                for t in range(dP):
-                    if not fld.is_zero(arow[t]):
-                        row[c * dP + t] = fld.add(row[c * dP + t],
-                                                  fld.mul(lam, arow[t]))
-    return out
+        w = _sum_cells(p, ((x, bd.cols[coord[(c, k)]]) for k, x in idems[i].items()))
+        for t in range(dP):
+            col = {}
+            for f, lam in w.items():
+                cd, j = dst.basis[f]
+                for k, a in partner.action[t][j].items():
+                    col[cd * dP + k] = col.get(cd * dP + k, 0) + lam * a
+            cols.append(_nonzero(p, col.items()))
+    return cols
 
 
 def tor(X: GradedModule, Y: GradedModule, i_max: int, resolve_side="first"):
@@ -523,12 +513,13 @@ def tor(X: GradedModule, Y: GradedModule, i_max: int, resolve_side="first"):
             cap = min(cap, verdict.value)
     res.ensure(cap + 2)
     idems = _idempotents(resolved.algebra)[0]
+    fld = partner.field
     # dim e_i N is the rank of e_i acting on N: all of N for the unit alone
     edim = ([partner.dim] if len(idems) == 1 else
-            [rank(partner.action_matrix(k)) for e in idems for k in e])
+            [rank(fld, [row[k] for row in partner.action]) for e in idems for k in e])
     covers = res.covers
-    tranks = [rank(_tensored_boundary(res.boundaries[i], covers[i], covers[i - 1],
-                                      idems, partner))
+    tranks = [rank(fld, _tensored_boundary(res.boundaries[i], covers[i], covers[i - 1],
+                                           idems, partner))
               for i in range(1, cap + 2)]
     chains = [sum(edim[i] for i in cov.summands) for cov in covers]
     dims = [chains[0] - tranks[0]]
@@ -906,8 +897,8 @@ def tensor_formula_check(ctx: MoritaContext, rt: TupleModule,
                "relation_rank": H.dim(), "quotient_dim": quotient_dim,
                "kills_relations": kills, "surjective": surjective}
     if ctx.M.dim == 0:
-        gm = lt.g.matrix
-        if gm.nrows == gm.ncols and rank(gm) == gm.nrows:
+        g = lt.g
+        if g.source.dim == g.target.dim and rank(fld, g.cols) == g.target.dim:
             # second factor is induced from its Y'; the product collapses
             # onto Y (x)_B Y'
             details["collapsed_dim"] = S_YY.dim
@@ -970,26 +961,18 @@ def _block_pattern_bimodule(ctx: MoritaContext, tower: TensorTower, k: int):
     return GradedBimodule._trusted(Lam, Lam, labels, degrees, left, right)
 
 
-def _corner_dims(Lam: GradedAlgebra, V: GradedBimodule, idem_vectors):
-    """dim of e_r V e_c for the given idempotent vectors."""
-    fld = Lam.field
-
-    def act_matrix(action, avec):
-        m = Matrix.zeros(fld, V.dim, V.dim)
-        for i in range(V.dim):
-            for j, c in enumerate(avec):
-                if fld.is_zero(c):
-                    continue
-                for k, x in action[i][j].items():
-                    m.rows[k][i] = fld.add(m.rows[k][i], fld.mul(c, x))
-        return m
-
+def _corner_dims(V: GradedBimodule, idems):
+    """dim of e_r V e_c for the given idempotents (sparse ring vectors):
+    the rank of the columns of v -> e_r v e_c."""
+    p = _modulus(V.field)
     out = {}
-    for rname, rv in idem_vectors.items():
-        L = act_matrix(V.left_action, rv)
-        for cname, cv in idem_vectors.items():
-            R = act_matrix(V.right_action, cv)
-            out[(rname, cname)] = rank(L.mul(R))
+    for rname, rv in idems.items():
+        left = [_act_by(V.left_action, p, i, rv) for i in range(V.dim)]
+        for cname, cv in idems.items():
+            cols = [_sum_cells(p, ((c, left[t]) for t, c in
+                                   _act_by(V.right_action, p, i, cv).items()))
+                    for i in range(V.dim)]
+            out[(rname, cname)] = rank(V.field, cols)
     return out
 
 
@@ -1012,16 +995,11 @@ def power_block_law_check(A: GradedAlgebra, N: GradedBimodule, i_max=2, j_max=2,
     zero_bim = GradedBimodule._trusted(A, A, [], [], [], [])
     ctx = morita_ring(A, A, N, zero_bim)
     Lam = ctx.assembled
-    fld = Lam.field
     M = _block_pattern_bimodule(ctx, tower, 1)
     towerM = TensorTower(Lam, M)
     oA, _, _, oB = ctx.offsets
-    idems = {}
-    for name, off in (("top", oA), ("bot", oB)):
-        v = [fld.zero()] * Lam.dim
-        for e, c in enumerate(A.unit):
-            v[off + e] = c
-        idems[name] = v
+    idems = {name: {off + e: c for e, c in enumerate(A.unit) if c}
+             for name, off in (("top", oA), ("bot", oB))}
     dim_rows, corner_rows, iso_rows = [], [], []
     ok = True
     from .homs import find_isomorphism
@@ -1034,7 +1012,7 @@ def power_block_law_check(A: GradedAlgebra, N: GradedBimodule, i_max=2, j_max=2,
         if direct.dim != predicted_dim:
             ok = False
             continue
-        corners = _corner_dims(Lam, direct, idems)
+        corners = _corner_dims(direct, idems)
         want = {("top", "top"): p[0], ("top", "bot"): p[1],
                 ("bot", "top"): p[2], ("bot", "bot"): p[0]}
         corner_rows.append((i, corners, want))

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import random
 
-from .algebra import AlgebraError, GradedModule, ModuleHom
-from .linalg import Matrix, kernel_basis, rank
+from .algebra import AlgebraError, GradedModule, ModuleHom, _sum_cells
+from .linalg import kernel_basis, rank
 
 
 def hom_space(M: GradedModule, N: GradedModule, graded: bool = True):
@@ -48,13 +48,13 @@ def hom_space(M: GradedModule, N: GradedModule, graded: bool = True):
                     d = row_for[p]
                     d[t] = d.get(t, 0) - c
             rows.extend(row_for)
-    basis = kernel_basis(F, rows, len(unknowns))
     homs = []
-    for v in basis:
-        m = Matrix.zeros(F, N.dim, M.dim)
-        for t, (k, i) in enumerate(unknowns):
-            m.rows[k][i] = v[t]
-        homs.append(ModuleHom(M, N, m))
+    for v in kernel_basis(F, rows, len(unknowns)):
+        cols = [{} for _ in range(M.dim)]
+        for t, c in v.items():
+            k, i = unknowns[t]
+            cols[i][k] = c
+        homs.append(ModuleHom(M, N, cols))
     return homs
 
 
@@ -83,46 +83,41 @@ class IsoReport:
 EXHAUSTIVE_LIMIT = 2 ** 16
 
 
-def _is_invertible(F, mat):
-    return mat.nrows == mat.ncols and rank(mat) == mat.nrows
-
-
 def find_isomorphism(M: GradedModule, N: GradedModule, graded: bool = True,
                      seed: int = 17, samples: int = 200) -> IsoReport:
+    """Search Hom(M, N) for an isomorphism; modules over different
+    algebras or sides raise AlgebraError, as hom_space does, zero modules
+    included."""
+    if M.algebra != N.algebra or M.side != N.side:
+        raise AlgebraError("hom spaces need a common algebra and side")
     if M.dim != N.dim:
         return IsoReport(None, True, "dimension mismatch")
     if graded and M.dims_by_degree() != N.dims_by_degree():
         return IsoReport(None, True, "dimension-per-degree mismatch")
     if M.dim == 0:
-        return IsoReport(ModuleHom(M, N, Matrix.zeros(M.field, 0, 0)), True,
-                         "zero modules")
+        return IsoReport(ModuleHom(M, N, []), True, "zero modules")
     basis = hom_space(M, N, graded=graded)
     if not basis:
         return IsoReport(None, True, "hom space is zero")
     F = M.field
     d = len(basis)
 
-    def combine(coeffs):
-        m = Matrix.zeros(F, N.dim, M.dim)
-        for c, h in zip(coeffs, basis):
-            if F.is_zero(c):
-                continue
-            for k in range(N.dim):
-                hrow = h.matrix.rows[k]
-                mrow = m.rows[k]
-                for i in range(M.dim):
-                    if not F.is_zero(hrow[i]):
-                        mrow[i] = F.add(mrow[i], F.mul(c, hrow[i]))
-        return m
+    def invertible(coeffs):
+        """The combination of the basis homs when its columns have full
+        rank, else None."""
+        terms = [(c, h.cols) for c, h in zip(coeffs, basis) if not F.is_zero(c)]
+        cols = [_sum_cells(M._p, ((c, hcols[i]) for c, hcols in terms))
+                for i in range(M.dim)]
+        return ModuleHom(M, N, cols) if rank(F, cols) == N.dim else None
 
     # cheap candidates first: single basis homs and the all-ones sum
     one = F.one()
     cheap = [tuple(one if t == s else F.zero() for t in range(d)) for s in range(d)]
     cheap.append(tuple(one for _ in range(d)))
     for coeffs in cheap:
-        m = combine(coeffs)
-        if _is_invertible(F, m):
-            return IsoReport(ModuleHom(M, N, m), True, "found")
+        hom = invertible(coeffs)
+        if hom is not None:
+            return IsoReport(hom, True, "found")
 
     if F.size is not None and F.size ** d <= EXHAUSTIVE_LIMIT:
         # exhaustive over all coefficient tuples
@@ -136,15 +131,15 @@ def find_isomorphism(M: GradedModule, N: GradedModule, graded: bool = True,
         for coeffs in tuples(d):
             if all(F.is_zero(c) for c in coeffs):
                 continue
-            m = combine(coeffs)
-            if _is_invertible(F, m):
-                return IsoReport(ModuleHom(M, N, m), True, "found")
+            hom = invertible(coeffs)
+            if hom is not None:
+                return IsoReport(hom, True, "found")
         return IsoReport(None, True, "exhausted coefficient space")
 
     rng = random.Random(seed)
     for _ in range(samples):
         coeffs = [F.random(rng) for _ in range(d)]
-        m = combine(coeffs)
-        if _is_invertible(F, m):
-            return IsoReport(ModuleHom(M, N, m), True, "found")
+        hom = invertible(coeffs)
+        if hom is not None:
+            return IsoReport(hom, True, "found")
     return IsoReport(None, False, f"no isomorphism in {samples} samples")

@@ -1,19 +1,25 @@
 """Exact linear algebra over a coefficient field, on one sparse engine.
 
-Matrix holds dense row-major lists, but every elimination (rref, rank,
-kernels, right inverses, linear solves, Span) runs on one sparse echelon
-engine whose rows are {column: value} dicts of the nonzero entries: the
-systems that decide projectivity have thousands of rows and well under 1%
-nonzero entries.  solve_sparse(field, rows, rhs, ncols) and
-kernel_basis(field, rows, ncols) take such sparse rows directly (zero and
-unreduced entries allowed); both return dense vectors.  Quotient
-reduction (row_space_reducer) reads the reduced rows of a Span and maps
-sparse vectors to sparse vectors.  Pivots are the first nonzero columns;
-forward reduction runs in increasing pivot order, then back-substitution
-clears the pivot columns.  Over F_p the reduction mod p is inlined, over
-Q the entries are Fractions.  The reduced row echelon form is unique, so
-no result depends on the order of the work.  Functions never mutate
-inputs.
+Vectors and linear maps are sparse: a vector is a dict {index: value} of
+its nonzero entries, a row of a system is such a dict over the unknowns,
+and a linear map is the list of its columns, column i the image of basis
+vector i.  rank(field, rows), kernel_basis(field, rows, ncols),
+right_inverse(field, rows, ncols) and solve_sparse(field, rows, rhs,
+ncols) take sparse rows (zero and unreduced entries allowed); kernels
+and right inverses come back as sparse columns.  Span grows a subspace
+one vector at a time, and row_space_reducer maps sparse vectors to their
+classes modulo a Span.  All of them run on one echelon engine: pivots
+are the first nonzero columns, forward reduction runs in increasing
+pivot order, then back-substitution clears the pivot columns.  Over F_p
+the reduction mod p is inlined, over Q the entries are Fractions.  The
+reduced row echelon form is unique, so no result depends on the order
+of the work.  Functions never mutate inputs.
+
+Matrix is the dense row-major form of a map, for what is read from
+outside: render_columns draws it from sparse columns once, for the JSON
+params of a construction, a resolution report and the tests.  rref,
+solve_linear, Matrix.mul and Span.coordinates take or give the dense
+form and have no caller in the library.
 """
 
 from __future__ import annotations
@@ -40,29 +46,6 @@ class Matrix:
             if len(r) != self.ncols:
                 raise ValueError("ragged rows")
 
-    @classmethod
-    def zeros(cls, field, nrows, ncols):
-        z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
-    def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        one = field.one()
-        for i in range(n):
-            m.rows[i][i] = one
-        return m
-
-    @classmethod
-    def from_columns(cls, field, cols, nrows=None):
-        if not cols:
-            return cls(field, [], 0) if nrows is None else cls.zeros(field, nrows, 0)
-        n = len(cols[0])
-        return cls(field, [[c[i] for c in cols] for i in range(n)])
-
-    def column(self, j):
-        return [r[j] for r in self.rows]
-
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
@@ -81,10 +64,6 @@ class Matrix:
                         acc[j] = F.add(acc[j], F.mul(a, b))
             out.append(acc)
         return Matrix(F, out, other.ncols)
-
-    def is_zero(self):
-        F = self.field
-        return all(F.is_zero(a) for r in self.rows for a in r)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -120,6 +99,16 @@ def _dense(field, row, ncols):
     for j, a in row.items():
         out[j] = a
     return out
+
+
+def render_columns(field, cols, nrows):
+    """The dense nrows x len(cols) Matrix whose column s is the sparse
+    vector cols[s]."""
+    rows = [[field.zero()] * len(cols) for _ in range(nrows)]
+    for s, col in enumerate(cols):
+        for k, a in col.items():
+            rows[k][s] = a
+    return Matrix(field, rows, len(cols))
 
 
 def _sub_multiple(row, f, prow, p):
@@ -184,22 +173,28 @@ def rref(mat: Matrix):
     return Matrix(F, rows, mat.ncols), pivots
 
 
-def rank(mat: Matrix) -> int:
-    return len(_echelon(mat.field, _sparse(mat), back=False))
+def _cleaned(field, rows):
+    p = _modulus(field)
+    return [_nonzero(p, row.items()) for row in rows]
+
+
+def rank(field, rows) -> int:
+    """Rank of the sparse rows ({column: value} dicts, zeros allowed); the
+    columns of a map have its rank too."""
+    return len(_echelon(field, _cleaned(field, rows), back=False))
 
 
 def kernel_basis(field, rows, ncols):
     """Basis of the kernel {x : sum_j rows[i][j] * x_j = 0 for every i}
-    over range(ncols), as a list of dense vectors.
+    over range(ncols), as a list of sparse vectors.
 
     Row i is a dict {column: coefficient}, zeros allowed, as for
     solve_sparse.  Each basis vector has entry one at its free column and
     zeros at the other free columns, so coordinates w.r.t. this basis can
     be read off.
     """
-    piv = _echelon(field, [_nonzero(_modulus(field), row.items()) for row in rows])
-    basis = {fc: _dense(field, {fc: field.one()}, ncols)
-             for fc in range(ncols) if fc not in piv}
+    piv = _echelon(field, _cleaned(field, rows))
+    basis = {fc: {fc: field.one()} for fc in range(ncols) if fc not in piv}
     for pc, row in piv.items():
         for j, a in row.items():
             if j != pc:
@@ -207,22 +202,25 @@ def kernel_basis(field, rows, ncols):
     return list(basis.values())
 
 
-def right_inverse(mat: Matrix):
-    """One X with mat @ X = I, or None if mat is not onto.
+def right_inverse(field, rows, ncols):
+    """The columns of one X with mat @ X = I, or None if mat is not onto;
+    mat has the sparse rows over range(ncols).
 
     Rows of [mat | I] are reduced; X has the identity part of the row with
     pivot c as its row c, and zero rows at the free columns.
     """
-    F, m, n = mat.field, mat.nrows, mat.ncols
-    rows = _sparse(mat)
-    for i, row in enumerate(rows):
-        row[n + i] = F.one()
-    piv = _echelon(F, rows)
-    if any(c >= n for c in piv):      # a pivot in I: some row combination vanishes
+    aug = _cleaned(field, rows)
+    for i, row in enumerate(aug):
+        row[ncols + i] = field.one()
+    piv = _echelon(field, aug)
+    if any(c >= ncols for c in piv):   # a pivot in I: some row combination vanishes
         return None
-    z = [F.zero()] * m
-    return Matrix(F, [_dense(F, piv[c], n + m)[n:] if c in piv else z
-                      for c in range(n)], m)
+    cols = [{} for _ in aug]
+    for c in sorted(piv):
+        for j, a in piv[c].items():
+            if j >= ncols:
+                cols[j - ncols][c] = a
+    return cols
 
 
 def solve_sparse(field, rows, rhs, ncols):
@@ -259,7 +257,7 @@ class Span:
 
     Rows are stored sparse, with unit pivots and cleared pivot columns, so
     membership and coordinates are cheap.  Insertion order is not
-    preserved; basis() returns the reduced rows sorted by pivot.  Vectors
+    preserved; rows() returns the reduced rows sorted by pivot.  Vectors
     may be given dense (lists) or sparse ({column: value} dicts).
     """
 
@@ -295,16 +293,13 @@ class Span:
     def dim(self):
         return len(self._rows)
 
-    def basis(self):
-        return [_dense(self.field, self._rows[c], self.ncols) for c in sorted(self._rows)]
-
     def rows(self):
-        """(pivot, sparse reduced row) pairs sorted by pivot: basis() in
-        sparse form.  A vector v of the span is the sum of v[pivot] * row."""
+        """(pivot, sparse reduced row) pairs sorted by pivot.  A vector v
+        of the span is the sum of v[pivot] * row."""
         return [(c, self._rows[c]) for c in sorted(self._rows)]
 
     def coordinates(self, v):
-        """Coordinates of v over basis(), or None if v is outside: the
+        """Coordinates of v over rows(), or None if v is outside: the
         entries of the cleaned v at the pivots."""
         row = self._clean(v)
         if _clear(dict(row), self._rows, self._p):

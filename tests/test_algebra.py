@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_modules import dense_act, dense_apply, dense_mul, is_module_hom
+from dense_modules import (dense_act, dense_apply, dense_mul, identity,
+                           is_module_hom, sparse_rows)
 from injgen.algebra import (AlgebraError, GradedAlgebra, GradedBimodule,
                             GradedModule, check_algebra_axioms,
                             check_bimodule_axioms,
@@ -12,14 +13,15 @@ from injgen.algebra import (AlgebraError, GradedAlgebra, GradedBimodule,
                             degree_zero_subalgebra, direct_sum, dual,
                             opposite, quotient_module, regular_bimodule,
                             regular_module, module_from_span,
-                            strongly_graded_check, trivially_graded, twist)
+                            strongly_graded_check, trivially_graded, twist,
+                            zero_module)
 from injgen.bundled import corpus_docs
 from injgen.constructions import covering_ring, morita_ring, tensor_ring
 from injgen.field import QQ, PrimeField
 from injgen.groups import FiniteAbelianGroup, TRIVIAL_GROUP
 from injgen.homology import _resolver, flatten_module
 from injgen.homs import find_isomorphism, hom_space
-from injgen.linalg import Matrix, Span, right_inverse
+from injgen.linalg import Span, render_columns, right_inverse
 from injgen.quiver import path_algebra
 from injgen.samples import (group_algebra, product_field_algebra,
                             random_graded_algebra, random_graded_module,
@@ -161,8 +163,8 @@ def test_double_dual_isomorphic():
     assert DD.side == "right"
     rep = find_isomorphism(M, DD, graded=True)
     assert rep.found and rep.conclusive
-    inv = right_inverse(rep.hom.matrix)
-    assert inv.mul(rep.hom.matrix) == Matrix.identity(F5, M.dim)
+    inv = right_inverse(F5, sparse_rows(rep.hom.matrix), M.dim)
+    assert render_columns(F5, inv, M.dim).mul(rep.hom.matrix) == identity(F5, M.dim)
 
 
 def test_dual_of_left_regular_is_right_module():
@@ -257,6 +259,21 @@ def test_find_isomorphism_conclusive_negative():
     rep2 = find_isomorphism(M, T, graded=True)
     # graded dims differ only by position: (0,)->1 for M twice
     assert rep2.hom is not None or rep2.conclusive
+
+
+def test_find_isomorphism_refuses_modules_over_other_algebras_or_sides():
+    # zero modules too: they used to pair as "zero modules" across both
+    A, B = dual_numbers(), a2_quiver().algebra
+    for M, N in ((zero_module(A, "right"), zero_module(B, "left")),
+                 (zero_module(A, "right"), zero_module(B, "right")),
+                 (zero_module(A, "right"), zero_module(A, "left")),
+                 (regular_module(A, "right"), regular_module(A, "left"))):
+        for graded in (True, False):
+            with pytest.raises(AlgebraError, match="common algebra and side"):
+                find_isomorphism(M, N, graded=graded)
+    rep = find_isomorphism(zero_module(A, "left"), zero_module(A, "left"))
+    assert rep.found and rep.conclusive and rep.detail == "zero modules"
+    assert rep.hom.cols == [] and rep.hom.matrix.rows == []
 
 
 def test_randomized_algebra_zoo_axioms():

@@ -243,6 +243,27 @@ def test_validate_cert_uses_recorded_cutoffs_unless_given(runner, store, tmp_pat
     assert out["valid"] and out["recomputed_status"] == ESTABLISHED
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("option,command", [
+    ("--pd-cutoff", ["derive", "a3-graded"]),
+    ("--pd-cutoff", ["validate-cert", "cert.json"]),
+    ("--pd-cutoff", ["pd", "kxk-arrow", "--side", "left"]),
+    ("--pd-cutoff", ["perfect", "kxk-arrow"]),
+    ("--nil-cutoff", ["derive", "a3-graded"]),
+    ("--nil-cutoff", ["nilpotency", "kxk-arrow"]),
+])
+def test_cutoffs_below_one_are_malformed_input(runner, store, tmp_path, option, command,
+                                               value):
+    loaded(runner, store)
+    cert = tmp_path / "cert.json"
+    invoke(runner, store, "derive", "a3-graded", "--out", str(cert))
+    command = [str(cert) if a == "cert.json" else a for a in command]
+    result = invoke(runner, store, option, value, *command, code=2)
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert f"Invalid value for '{option}'" in result.output
+
+
 # -- verify-theorems -----------------------------------------------------------
 
 

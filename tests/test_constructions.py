@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dense_modules import dense_act, dense_mul, is_module_hom
-from injgen.algebra import (ConstructionError, GradedBimodule, ModuleHom,
+from injgen.algebra import (AlgebraError, ConstructionError, GradedBimodule, ModuleHom,
                             check_module_axioms, direct_sum, dual,
                             regular_bimodule, regular_module, trivially_graded,
                             twist)
@@ -18,7 +18,7 @@ from injgen.constructions import (Bicharacter, CleftFunctors, TupleModule,
 from injgen.field import PrimeField, Rationals
 from injgen.groups import FiniteAbelianGroup
 from injgen.homs import find_isomorphism, hom_space
-from injgen.linalg import Matrix, Span, _dense
+from injgen.linalg import Span, _dense
 from injgen.samples import (group_algebra, product_field_algebra,
                             random_graded_algebra, random_graded_module,
                             random_upper_half_zero_algebra,
@@ -172,12 +172,13 @@ def test_morita_four_dimensional_zero_pairings():
 def test_morita_rejects_incompatible_pairings():
     G = group_algebra(F5, Z2)
     ctx = split_covering(covering_ring(G))
-    assert not ctx.phi_raw.is_zero() and not ctx.psi_raw.is_zero()
+    assert not ctx.is_zero_context
+    assert any(c for row in ctx.phi for c in row) and any(c for row in ctx.psi for c in row)
     # dropping psi while keeping phi breaks the mixed associativity
     # (n m) n' = n (m n')
     with pytest.raises(ConstructionError, match=r"context ring fails associativity "
                        r"at \(n:\(0>1\)g1, m:\(1>0\)g1, n:\(0>1\)g1\)"):
-        morita_ring(ctx.A, ctx.B, ctx.N, ctx.M, ctx.phi_raw, None)
+        morita_ring(ctx.A, ctx.B, ctx.N, ctx.M, ctx.phi, None)
 
 
 def test_morita_rejects_bad_shapes():
@@ -186,7 +187,11 @@ def test_morita_rejects_bad_shapes():
     N = GradedBimodule(k, k, ["n"], [()], [[{0: one}]], [[{0: one}]])
     M = GradedBimodule(k, k, ["m"], [()], [[{0: one}]], [[{0: one}]])
     with pytest.raises(ConstructionError, match="shape"):
-        morita_ring(k, k, N, M, Matrix.zeros(F5, 2, 1), None)
+        morita_ring(k, k, N, M, [[{}], [{}]], None)
+    with pytest.raises(ConstructionError, match="shape"):
+        morita_ring(k, k, N, M, None, [[{}, {}]])
+    with pytest.raises(ConstructionError, match="shape"):
+        morita_ring(k, k, N, M, [[[]]], None)
 
 
 # -- splitting coverings ------------------------------------------------------
@@ -301,7 +306,7 @@ def test_zero_theta_equals_trivial_extension_bitwise():
     td = theta_extension(kk, arrow)
     tt = trivial_extension(kk, arrow)
     assert td.algebra == tt.algebra
-    assert td.theta_raw.is_zero()
+    assert td.theta == [[{}]]
 
 
 def test_theta_extension_truncated_polynomial():
@@ -310,9 +315,8 @@ def test_theta_extension_truncated_polynomial():
     one = F5.one()
     M = GradedBimodule(k, k, ["u", "v"], [(), ()],
                        [[{0: one}], [{1: one}]], [[{0: one}], [{1: one}]])
-    theta_raw = Matrix.zeros(F5, 2, 4)
-    theta_raw.rows[1][0] = one  # u*u = v, all other products zero
-    td = theta_extension(k, M, theta_raw)
+    theta = [[{1: one}, {}], [{}, {}]]  # u*u = v, all other products zero
+    td = theta_extension(k, M, theta)
     target = truncated_polynomial(F5, 3)
     assert td.algebra.dim == 3
     # basis order 1, u, v lines up with 1, x, x^2
@@ -325,12 +329,12 @@ def test_theta_must_associate():
     one = F5.one()
     M = GradedBimodule(k, k, ["u", "v"], [(), ()],
                        [[{0: one}], [{1: one}]], [[{0: one}], [{1: one}]])
-    theta_raw = Matrix.zeros(F5, 2, 4)
-    theta_raw.rows[1][0] = one  # u*u = v
-    theta_raw.rows[0][1] = one  # u*v = u, breaks (uu)u = u(uu)
+    theta = [[{1: one},   # u*u = v
+              {0: one}],  # u*v = u, breaks (uu)u = u(uu)
+             [{}, {}]]
     with pytest.raises(ConstructionError,
                        match=r"extension ring fails associativity at \(m:u, m:u, m:u\)"):
-        theta_extension(k, M, theta_raw)
+        theta_extension(k, M, theta)
 
 
 def test_theta_must_be_balanced():
@@ -338,12 +342,11 @@ def test_theta_must_be_balanced():
     arrow = arrow_bimodule(kk)
     # b (x) b dies in the balanced product (e2 against e1), so any nonzero
     # pairing on the raw pair fails to descend
-    theta_raw = Matrix.zeros(F5, 1, 1)
-    theta_raw.rows[0][0] = F5.one()
+    theta = [[{0: F5.one()}]]
     # balance is associativity at (b, e1, b): (b e1) b = 0, b (e1 b) = b b
     with pytest.raises(ConstructionError,
                        match=r"extension ring fails associativity at \(m:b, r:e1, m:b\)"):
-        theta_extension(kk, arrow, theta_raw)
+        theta_extension(kk, arrow, theta)
 
 
 def _concat_theta_data(kk, arrow, k):
@@ -362,7 +365,7 @@ def _concat_theta_data(kk, arrow, k):
                           for j in range(kk.dim)])
         off += P.dim
     big = GradedBimodule(kk, kk, labels, [()] * off, left, right)
-    theta_raw = Matrix.zeros(kk.field, off, off * off)
+    theta = [[{} for _ in range(off)] for _ in range(off)]
     for bi, Pi in enumerate(blocks):
         for bj, Pj in enumerate(blocks):
             s = (bi + 1) + (bj + 1)
@@ -371,10 +374,9 @@ def _concat_theta_data(kk, arrow, k):
             mu = tower.mu(bi + 1, bj + 1)
             for u in range(Pi.dim):
                 for v in range(Pj.dim):
-                    col = (offs[bi] + u) * off + (offs[bj] + v)
-                    for t, c in mu[u][v].items():
-                        theta_raw.rows[offs[s - 1] + t][col] = c
-    return tr, theta_extension(kk, big, theta_raw)
+                    theta[offs[bi] + u][offs[bj] + v] = {
+                        offs[s - 1] + t: c for t, c in mu[u][v].items()}
+    return tr, theta_extension(kk, big, theta)
 
 
 def test_concatenation_theta_reproduces_tensor_ring():
@@ -398,14 +400,12 @@ def test_concatenation_theta_reproduces_tensor_ring():
                            for j in range(kk.dim)])
         off += P.dim
     big = GradedBimodule(kk, kk, labels, [()] * off, left2, right2)
-    theta_raw = Matrix.zeros(F5, off, off * off)
+    theta = [[{} for _ in range(off)] for _ in range(off)]
     mu = tower.mu(1, 1)
     for u in range(blocks[0].dim):
         for v in range(blocks[0].dim):
-            col = u * off + v
-            for t, c in mu[u][v].items():
-                theta_raw.rows[offs[1] + t][col] = c
-    td = theta_extension(kk, big, theta_raw)
+            theta[u][v] = {offs[1] + t: c for t, c in mu[u][v].items()}
+    td = theta_extension(kk, big, theta)
     flat = trivially_graded(tr.algebra)
     assert td.algebra.mult == flat.mult
     assert td.algebra.unit == flat.unit
@@ -514,12 +514,8 @@ def test_twisted_module_twist_compatibility():
     lhs = twisted_module(twist(MA, g), twist(NB, gp), t, AtB)
     rhs = twist(twisted_module(MA, NB, t, AtB), A.group.pair(g, gp))
     # the scaling m (x) n -> t(|m|, gp) m (x) n intertwines the two actions
-    dim = lhs.dim
-    D = Matrix.zeros(F3, dim, dim)
-    for i in range(MA.dim):
-        for j in range(NB.dim):
-            D.rows[i * NB.dim + j][i * NB.dim + j] = t.value(MA.degree[i], gp)
-    h = ModuleHom(lhs, rhs, D)
+    h = ModuleHom(lhs, rhs, [{i * NB.dim + j: t.value(MA.degree[i], gp)}
+                             for i in range(MA.dim) for j in range(NB.dim)])
     assert is_module_hom(h)
     assert find_isomorphism(lhs, rhs).found
 
@@ -604,8 +600,7 @@ def test_regular_right_tuple_recovers_right_regular_module():
 def test_square_check_rejects_perturbed_right_tuple():
     ctx = split_covering(covering_ring(group_algebra(F5, Z2)))
     t = regular_right_tuple(ctx)
-    zero_g = ModuleHom(t.g.source, t.g.target,
-                       Matrix.zeros(F5, t.g.matrix.nrows, t.g.matrix.ncols))
+    zero_g = ModuleHom(t.g.source, t.g.target, [{} for _ in t.g.cols])
     assert check_module_axioms(t.as_module()).passed
     # with g zero, x n m = x psi(n, m) fails: the square is an associativity
     bad = TupleModule(ctx, t.X, t.Y, t.f, zero_g, t.S_X, t.S_Y).as_module()
@@ -634,9 +629,7 @@ def test_tuple_exact_sequence_dimensions():
     # the drop-Y projection is a module map whose kernel is the Y block
     F = F5
     lam = t.as_module()
-    proj = Matrix.zeros(F, zx.as_module().dim, lam.dim)
-    for i in range(t.X.dim):
-        proj.rows[i][i] = F.one()
+    proj = [{i: F.one()} if i < t.X.dim else {} for i in range(lam.dim)]
     h = ModuleHom(lam, zx.as_module(), proj)
     assert is_module_hom(h)
 
@@ -646,10 +639,17 @@ def test_tuple_module_wrapper_validates_squares():
     X = regular_module(ctx.A, "left")
     Y = regular_module(ctx.B, "left")
     # f identity on the 1-dim pairing, g zero: squares hold for zero pairings
-    f = Matrix.identity(F5, 1)
-    g = Matrix.zeros(F5, 1, 1)
-    t = tuple_module(ctx, X, Y, f, g)
+    t = tuple_module(ctx, X, Y, [{0: F5.one()}], [{}])
     assert t.as_module().dim == 2
+    # the maps are cleaned where they enter, and checked for shape
+    t = tuple_module(ctx, X, Y, [{0: 6}], [{0: 5}])
+    assert (t.f.cols, t.g.cols) == ([{0: 1}], [{}])
+    with pytest.raises(ConstructionError, match="map f has the wrong shape"):
+        tuple_module(ctx, X, Y, [{0: 1}, {}], [{}])
+    with pytest.raises(ConstructionError, match="map g has the wrong shape"):
+        tuple_module(ctx, X, Y, [{0: 1}], [[0]])
+    with pytest.raises(AlgebraError, match="out of range"):
+        tuple_module(ctx, X, Y, [{1: 1}], [{}])
     # zero maps fail the squares over a context with nonzero pairings
     G = group_algebra(F5, Z2)
     ctx2 = split_covering(covering_ring(G))
@@ -657,8 +657,7 @@ def test_tuple_module_wrapper_validates_squares():
     Y2 = regular_module(ctx2.B, "left")
     with pytest.raises(ConstructionError, match=r"tuple module fails "
                        r"action-associativity at \(x:.*, n:.*, m:.*\)"):
-        tuple_module(ctx2, X2, Y2,
-                     Matrix.zeros(F5, 1, 1), Matrix.zeros(F5, 1, 1))
+        tuple_module(ctx2, X2, Y2, [{}], [{}])
 
 
 # -- cleft functor package ----------------------------------------------------
@@ -669,9 +668,7 @@ def _theta_cubic():
     one = F5.one()
     M = GradedBimodule(k, k, ["u", "v"], [(), ()],
                        [[{0: one}], [{1: one}]], [[{0: one}], [{1: one}]])
-    theta_raw = Matrix.zeros(F5, 2, 4)
-    theta_raw.rows[1][0] = one
-    return theta_extension(k, M, theta_raw)
+    return theta_extension(k, M, [[{1: one}, {}], [{}, {}]])
 
 
 def test_cleft_up_down_identities():

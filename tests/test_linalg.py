@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_modules import dense_apply
+from dense_modules import dense_apply, identity
 from injgen.field import QQ, PrimeField, field_from_spec, FieldError
-from injgen.linalg import (Matrix, Span, _sparse, kernel_basis, rank,
-                           right_inverse, rref, row_space_reducer,
-                           solve_linear, solve_sparse)
+from injgen.linalg import (Matrix, Span, _dense, _sparse, kernel_basis, rank,
+                           render_columns, right_inverse, rref,
+                           row_space_reducer, solve_linear, solve_sparse)
 
 
 F5 = PrimeField(5)
@@ -51,7 +51,7 @@ def test_kernel_known_rational():
     rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
     ker = kernel_basis(QQ, rows, 2)
     assert len(ker) == 1
-    assert ker[0] == [Fraction(-2), Fraction(1)]
+    assert ker[0] == {0: Fraction(-2), 1: Fraction(1)}
 
 
 def test_solve_known_f5():
@@ -102,7 +102,7 @@ def test_randomized_invariants(fieldspec):
         ker = kernel_basis(field, _sparse(m), ncols)
         assert len(ker) + len(pivots) == ncols
         for v in ker:
-            assert all(field.is_zero(x) for x in dense_apply(m, v))
+            assert all(field.is_zero(x) for x in dense_apply(m, _dense(field, v, ncols)))
         # a random rhs in the column space must be solvable, and the
         # solution must reproduce it
         coeffs = [field.of_int(rng.randint(-3, 3)) for _ in range(ncols)]
@@ -110,8 +110,8 @@ def test_randomized_invariants(fieldspec):
         x = solve_linear(m, rhs)
         assert x is not None
         assert dense_apply(m, x) == rhs
-        transpose = Matrix(field, [m.column(j) for j in range(ncols)], nrows)
-        assert rank(m) == rank(transpose)
+        transpose = Matrix(field, [[r[j] for r in m.rows] for j in range(ncols)], nrows)
+        assert rank(field, _sparse(m)) == rank(field, _sparse(transpose)) == len(pivots)
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,7 +141,7 @@ def test_span_coordinates():
     v = [Fraction(3), Fraction(5), Fraction(2)]
     coords = sp.coordinates(v)
     assert coords is not None
-    basis = sp.basis()
+    basis = [_dense(QQ, row, 3) for _, row in sp.rows()]
     acc = [Fraction(0)] * 3
     for c, b in zip(coords, basis):
         acc = [a + c * x for a, x in zip(acc, b)]
@@ -195,7 +195,9 @@ def _check_against_reference(m, rng):
     ref, ref_piv = dense_rref(F, m.rows, n)
     R, pivots = rref(m)
     assert pivots == ref_piv and R.rows == ref
-    assert rank(m) == len(ref_piv)
+    # rows with zero entries, as the sparse entry points take them
+    sparse_rows = [{j: a for j, a in enumerate(r)} for r in m.rows]
+    assert rank(F, sparse_rows) == len(ref_piv)
     free = [c for c in range(n) if c not in ref_piv]
     ker = []
     for fc in free:
@@ -204,9 +206,7 @@ def _check_against_reference(m, rng):
         for i, pc in enumerate(ref_piv):
             v[pc] = F.neg(ref[i][fc])
         ker.append(v)
-    # rows with zero entries, as solve_sparse takes them
-    sparse_rows = [{j: a for j, a in enumerate(r)} for r in m.rows]
-    assert kernel_basis(F, sparse_rows, n) == ker
+    assert [_dense(F, v, n) for v in kernel_basis(F, sparse_rows, n)] == ker
     # one consistent and one arbitrary right-hand side
     coeffs = [F.of_int(rng.randint(-3, 3)) for _ in range(n)]
     for rhs in (dense_apply(m, coeffs),
@@ -220,27 +220,29 @@ def _check_against_reference(m, rng):
         assert solve_linear(m, rhs) == want
         assert solve_sparse(F, sparse_rows, rhs, n) == want
     if m.nrows == n:
-        ident = Matrix.identity(F, n).rows
+        ident = identity(F, n).rows
         aug, aug_piv = dense_rref(F, [r + e for r, e in zip(m.rows, ident)], 2 * n)
-        inv = right_inverse(m)
+        inv = right_inverse(F, sparse_rows, n)
         if aug_piv[:n] == list(range(n)):
-            assert inv.rows == [row[n:] for row in aug[:n]]
+            assert render_columns(F, inv, n).rows == [row[n:] for row in aug[:n]]
         else:
             assert inv is None
-    rinv = right_inverse(m)
+    rinv = right_inverse(F, sparse_rows, n)
     if len(ref_piv) == m.nrows:
-        assert m.mul(rinv) == Matrix.identity(F, m.nrows)
+        assert len(rinv) == m.nrows
+        assert m.mul(render_columns(F, rinv, n)) == identity(F, m.nrows)
     else:
         assert rinv is None
     sp = Span(F, n)
     for row in m.rows:
         sp.add(row)
-    assert sp.dim() == len(ref_piv) and sp.basis() == ref[:len(ref_piv)]
-    # sparse input gives the same span; rows() is basis() in sparse form
+    assert sp.dim() == len(ref_piv)
+    assert [_dense(F, r, n) for _, r in sp.rows()] == ref[:len(ref_piv)]
+    # sparse input gives the same span
     sparse_sp = Span(F, n)
     for row in m.rows:
         sparse_sp.add({j: a for j, a in enumerate(row) if not F.is_zero(a)})
-    assert sparse_sp.basis() == sp.basis()
+    assert sparse_sp.rows() == sp.rows()
     assert [(c, {j: a for j, a in enumerate(r) if not F.is_zero(a)})
             for c, r in zip(ref_piv, ref)] == sp.rows()
     combo = [F.zero()] * n

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_modules import dense_act, dense_apply
+from dense_modules import columns, dense_act, dense_apply, sparse_rows, zeros
 from injgen import homs
 from injgen.algebra import (ConstructionError, GradedModule, ModuleHom,
                             regular_module, twist)
@@ -33,7 +33,7 @@ from injgen.field import QQ, PrimeField
 from injgen.groups import FiniteAbelianGroup
 from injgen.homs import find_isomorphism, hom_space
 from injgen.linalg import (Matrix, Span, _dense, _echelon, _modulus, _nonzero,
-                           _sparse, right_inverse)
+                           _sparse, render_columns, right_inverse)
 from injgen.samples import (random_graded_algebra, random_graded_module,
                             truncated_polynomial)
 from injgen.serialize import content_hash, from_json
@@ -75,10 +75,11 @@ def _dense_inverse(V, cov):
                 degrees.append(g)
     if len(new_basis) != V.dim:
         raise ConstructionError("idempotent images do not decompose the module")
-    P = Matrix.from_columns(F, new_basis, V.dim)
-    Pinv = right_inverse(P)      # P is square: its inverse
+    P = Matrix(F, [[c[i] for c in new_basis] for i in range(V.dim)], V.dim)
+    Pinv = right_inverse(F, sparse_rows(P), V.dim)      # P is square: its inverse
     if Pinv is None:
         raise ConstructionError("idempotent images do not decompose the module")
+    Pinv = render_columns(F, Pinv, V.dim)
     action = []
     for i, v in enumerate(new_basis):
         gi = degrees[i]
@@ -142,10 +143,10 @@ def _dense_hom_space(M, N, graded=True):
                     rows.append(dense)
     homs_ = []
     for v in _dense_kernel(Matrix(F, rows, len(unknowns))):
-        m = Matrix.zeros(F, N.dim, M.dim)
+        m = zeros(F, N.dim, M.dim)
         for t, (k, i) in enumerate(unknowns):
             m.rows[k][i] = v[t]
-        homs_.append(ModuleHom(M, N, m))
+        homs_.append(ModuleHom(M, N, columns(m)))
     return homs_
 
 

@@ -9,8 +9,10 @@ associativity with itself.  tuple_module decides caller-supplied tuple
 maps by the module axioms of the tuple over the context ring.  Before,
 TupleModule checked the degrees of f and g, that they are module maps,
 and the two compatibility squares.  Those checks are kept here as an
-oracle, and the constructions must accept and reject exactly what it
-does.  The tuples that the constructions build read their structure maps
+oracle, on dense pairing matrices (column a * d2 + b holds the pairing
+of basis vectors a and b) and dense tuple maps, and the constructions,
+handed the same data as cell tables and sparse columns, must accept and
+reject exactly what it does.  The tuples that the constructions build read their structure maps
 off the tensor space's section pairs; the descent check those reads
 replaced is kept here too, and the built maps must pass it.
 """
@@ -21,7 +23,9 @@ from fractions import Fraction
 
 import pytest
 
-from dense_modules import dense_act, dense_apply, dense_mul, is_module_hom
+from dense_modules import (action_matrix, columns, dense_act, dense_apply,
+                           dense_mul, is_module_hom, pairing_matrix,
+                           pairing_table, zeros)
 from injgen.algebra import (ConstructionError, GradedAlgebra, GradedBimodule,
                             ModuleHom, check_module_axioms, regular_bimodule,
                             regular_module)
@@ -56,7 +60,7 @@ def _two_sided_linear(source, target, matrix):
         src = getattr(source, f"as_{side}_module")()
         tgt = getattr(target, f"as_{side}_module")()
         for j in src.algebra.generators():
-            if matrix.mul(src.action_matrix(j)) != tgt.action_matrix(j).mul(matrix):
+            if matrix.mul(action_matrix(src, j)) != action_matrix(tgt, j).mul(matrix):
                 return False
     return True
 
@@ -64,7 +68,7 @@ def _two_sided_linear(source, target, matrix):
 def _through_tensor(T, raw, target_dim):
     """raw (target x pair grid, column i*dimY + j) on T's basis, or None
     unless it kills the balancing relations (checked exactly)."""
-    out = Matrix.zeros(T.field, target_dim, T.dim)
+    out = zeros(T.field, target_dim, T.dim)
     for t, (i, j) in enumerate(T.section):
         for k in range(target_dim):
             out.rows[k][t] = raw.rows[k][i * T.dimY + j]
@@ -89,14 +93,14 @@ def _mixed_associative(P, Q, pq_raw, qp_raw):
     F = P.field
 
     def act(table, coeffs):
-        out = P.zero_vec()
+        out = [F.zero()] * P.dim
         for r, c in enumerate(coeffs):
             for k, c2 in table[r].items():
                 out[k] = F.add(out[k], F.mul(c, c2))
         return out
 
-    return all(act(P.left_action[p2], pq_raw.column(p * Q.dim + q))
-               == act(P.right_action[p], qp_raw.column(q * P.dim + p2))
+    return all(act(P.left_action[p2], _column(pq_raw, p * Q.dim + q))
+               == act(P.right_action[p], _column(qp_raw, q * P.dim + p2))
                for p in range(P.dim) for q in range(Q.dim) for p2 in range(P.dim))
 
 
@@ -113,7 +117,7 @@ def _context_oracle(A, B, N, M, phi, psi):
 
 
 def _theta_oracle(R, M, theta):
-    if theta.is_zero():
+    if theta == zeros(theta.field, theta.nrows, theta.ncols):
         return True
     F, d = R.field, M.dim
     if not _descends(M, M, theta, M):
@@ -122,11 +126,11 @@ def _theta_oracle(R, M, theta):
         for j in range(d):
             for k in range(d):
                 lhs, rhs = [F.zero()] * d, [F.zero()] * d
-                for l, c in enumerate(theta.column(i * d + j)):
-                    for t, a in enumerate(theta.column(l * d + k)):
+                for l, c in enumerate(_column(theta, i * d + j)):
+                    for t, a in enumerate(_column(theta, l * d + k)):
                         lhs[t] = F.add(lhs[t], F.mul(c, a))
-                for l, c in enumerate(theta.column(j * d + k)):
-                    for t, a in enumerate(theta.column(i * d + l)):
+                for l, c in enumerate(_column(theta, j * d + k)):
+                    for t, a in enumerate(_column(theta, i * d + l)):
                         rhs[t] = F.add(rhs[t], F.mul(c, a))
                 if lhs != rhs:
                     return False
@@ -158,18 +162,47 @@ def _tuple_oracle(t):
     hold: psi(n (x) m) on X through f and g, phi(m (x) n) on Y through g
     and f."""
     ctx = t.ctx
+    F = ctx.A.field
+
+    def psi(n, m):
+        return _dense(F, ctx.psi[n][m], ctx.A.dim)
+
+    def phi(m, n):
+        return _dense(F, ctx.phi[m][n], ctx.B.dim)
+
     return (all(_preserves_degrees(h.matrix, h.source.degree, h.target.degree)
                 and is_module_hom(h) for h in (t.f, t.g))
-            and _square_holds(t, t.X, ctx.N, ctx.M, ctx._psi_pair, t.f_at, t.g, t.S_Y)
-            and _square_holds(t, t.Y, ctx.M, ctx.N, ctx._phi_pair, t.g_at, t.f, t.S_X))
+            and _square_holds(t, t.X, ctx.N, ctx.M, psi, t.f_at, t.g, t.S_Y)
+            and _square_holds(t, t.Y, ctx.M, ctx.N, phi, t.g_at, t.f, t.S_X))
 
 
 def _left_tuple(ctx, X, Y, f, g):
     """The tuple with these maps, built without tuple_module's check."""
     MX, S_MX = tensor_bimodule_with_module(ctx.M, X)
     NY, S_NY = tensor_bimodule_with_module(ctx.N, Y)
-    return TupleModule(ctx, X, Y, ModuleHom(MX, Y, f), ModuleHom(NY, X, g),
-                       S_MX, S_NY)
+    return TupleModule(ctx, X, Y, ModuleHom(MX, Y, columns(f)),
+                       ModuleHom(NY, X, columns(g)), S_MX, S_NY)
+
+
+def _column(m, j):
+    return [r[j] for r in m.rows]
+
+
+def _phi_psi(ctx):
+    """The pairings of the context as dense matrices."""
+    F = ctx.A.field
+    return pairing_matrix(F, ctx.phi, ctx.B.dim), pairing_matrix(F, ctx.psi, ctx.A.dim)
+
+
+def _morita(A, B, N, M, phi, psi):
+    """morita_ring on dense pairing matrices."""
+    return morita_ring(A, B, N, M, pairing_table(phi, M.dim, N.dim),
+                       pairing_table(psi, N.dim, M.dim))
+
+
+def _theta(R, M, theta):
+    """theta_extension on a dense pairing matrix."""
+    return theta_extension(R, M, pairing_table(theta, M.dim, M.dim))
 
 
 def _decides(build, oracle_says, what):
@@ -217,7 +250,7 @@ def _poked(m, rng):
 def _variants(m, rng):
     """m, zero, scaled, poked once and twice."""
     F = m.field
-    zero = Matrix.zeros(F, m.nrows, m.ncols)
+    zero = zeros(F, m.nrows, m.ncols)
     return [m, zero, _scaled(m, _coeff(F, rng)), _poked(m, rng),
             _poked(_poked(m, rng), rng)]
 
@@ -247,11 +280,11 @@ def _extensions(fld, rng):
               random_upper_half_zero_algebra(fld, rng, 3),
               random_upper_half_zero_algebra(fld, rng, 3)):
         td, _ = split_positively_graded(A)
-        yield td.base, td.bim, td.theta_raw
+        yield td.base, td.bim, pairing_matrix(fld, td.theta, td.bim.dim)
     ctx = split_covering(covering_ring(group_algebra(fld, FiniteAbelianGroup((4,)))), 1)
     R = ctx.A
     c = _coeff(fld, rng)
-    theta = Matrix.zeros(fld, R.dim, R.dim ** 2)
+    theta = zeros(fld, R.dim, R.dim ** 2)
     for i in range(R.dim):
         for j in range(R.dim):
             for k, a in R.mult[i][j].items():
@@ -268,9 +301,10 @@ def test_context_pairings_decide_as_the_replaced_checks(fld):
     seen = []
     for ctx in _contexts(fld, rng):
         A, B, N, M = ctx.A, ctx.B, ctx.N, ctx.M
-        for phi in _variants(ctx.phi_raw, rng):
-            for psi in _variants(ctx.psi_raw, rng):
-                seen.append(_decides(lambda: morita_ring(A, B, N, M, phi, psi),
+        phi0, psi0 = _phi_psi(ctx)
+        for phi in _variants(phi0, rng):
+            for psi in _variants(psi0, rng):
+                seen.append(_decides(lambda: _morita(A, B, N, M, phi, psi),
                                      _context_oracle(A, B, N, M, phi, psi), "context ring"))
     assert any(seen) and not all(seen)
 
@@ -279,13 +313,14 @@ def test_one_nonzero_pairing_is_checked():
     """Dropping psi while keeping phi (and the reverse) is rejected."""
     ctx = split_covering(covering_ring(group_algebra(F5, FiniteAbelianGroup((2,)))))
     A, B, N, M = ctx.A, ctx.B, ctx.N, ctx.M
-    zero_phi = Matrix.zeros(F5, ctx.phi_raw.nrows, ctx.phi_raw.ncols)
-    zero_psi = Matrix.zeros(F5, ctx.psi_raw.nrows, ctx.psi_raw.ncols)
-    for phi, psi in ((ctx.phi_raw, zero_psi), (zero_phi, ctx.psi_raw)):
+    phi0, psi0 = _phi_psi(ctx)
+    zero_phi = zeros(F5, phi0.nrows, phi0.ncols)
+    zero_psi = zeros(F5, psi0.nrows, psi0.ncols)
+    for phi, psi in ((phi0, zero_psi), (zero_phi, psi0)):
         assert not _context_oracle(A, B, N, M, phi, psi)
         with pytest.raises(ConstructionError, match=r"context ring fails associativity "
                            r"at \((n|m):"):
-            morita_ring(A, B, N, M, phi, psi)
+            _morita(A, B, N, M, phi, psi)
 
 
 def test_graded_line_pairings_decide_as_the_replaced_checks():
@@ -303,7 +338,7 @@ def test_graded_line_pairings_decide_as_the_replaced_checks():
                     for b in range(3):
                         phi, psi = Matrix(F5, [[a]]), Matrix(F5, [[b]])
                         decisions.append(_decides(
-                            lambda: morita_ring(k, k, N, M, phi, psi),
+                            lambda: _morita(k, k, N, M, phi, psi),
                             _context_oracle(k, k, N, M, phi, psi), "context ring"))
     assert len(decisions) == 261
     assert sum(decisions) == 47
@@ -315,7 +350,7 @@ def test_theta_decides_as_the_replaced_checks(fld):
     seen = []
     for R, M, theta in _extensions(fld, rng):
         for th in _variants(theta, rng):
-            seen.append(_decides(lambda: theta_extension(R, M, th),
+            seen.append(_decides(lambda: _theta(R, M, th),
                                  _theta_oracle(R, M, th), "extension ring"))
     assert any(seen) and not all(seen)
 
@@ -332,13 +367,14 @@ def test_tuple_maps_decide_as_module_axioms(fld):
             X, Y = t.X, t.Y
             for f in _variants(t.f.matrix, rng)[::2]:
                 for g in _variants(t.g.matrix, rng)[::2]:
-                    seen.append(_decides(lambda: tuple_module(ctx, X, Y, f, g),
+                    seen.append(_decides(lambda: tuple_module(ctx, X, Y, columns(f),
+                                                              columns(g)),
                                          _tuple_oracle(_left_tuple(ctx, X, Y, f, g)),
                                          "tuple module"))
         rt = regular_right_tuple(ctx)
         for g in _variants(rt.g.matrix, rng)[::2]:
-            t = TupleModule(ctx, rt.X, rt.Y, rt.f, ModuleHom(rt.g.source, rt.g.target, g),
-                            rt.S_X, rt.S_Y)
+            t = TupleModule(ctx, rt.X, rt.Y, rt.f,
+                            ModuleHom(rt.g.source, rt.g.target, columns(g)), rt.S_X, rt.S_Y)
             decision = check_module_axioms(t.as_module()).passed
             assert decision == _tuple_oracle(t)
             right.append(decision)
@@ -357,7 +393,7 @@ def _raw(ctx, value, rows, cols, target):
     ring, for r in rows and c in cols, as a matrix from the pair grid
     onto target, a list of assembled indices."""
     at = {c: k for k, c in enumerate(target)}
-    raw = Matrix.zeros(ctx.assembled.field, len(target), len(rows) * len(cols))
+    raw = zeros(ctx.assembled.field, len(target), len(rows) * len(cols))
     for i, r in enumerate(rows):
         for j, c in enumerate(cols):
             for t, a in value(r, c).items():

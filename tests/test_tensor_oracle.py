@@ -19,6 +19,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_modules import zeros
 from injgen.algebra import (GradedBimodule, GradedModule, _closure_span,
                             quotient_module, regular_bimodule, regular_module)
 from injgen.bundled import corpus_docs
@@ -124,12 +125,16 @@ class _DenseTensor:
 def _dense_quotient(M, vectors):
     """quotient_module's degrees and action table as they were: the dense
     closure basis reduced as a matrix, each action cell densified."""
-    closure = _closure_span(M, vectors).basis()
+    closure = [_dense(M.field, row, M.dim) for _, row in _closure_span(M, vectors).rows()]
     reduce, free = _dense_reducer(Matrix(M.field, closure, M.dim))
     action = [[{k: x for k, x in enumerate(reduce(_dense(M.field, M.action[c][j], M.dim)))
                 if not M.field.is_zero(x)}
                for j in range(M.algebra.dim)] for c in free]
     return [M.degree[c] for c in free], action
+
+
+def _column(m, j):
+    return [r[j] for r in m.rows]
 
 
 def _dense_mu(tower, spaces, memo, i, j):
@@ -140,7 +145,7 @@ def _dense_mu(tower, spaces, memo, i, j):
         return memo[key]
     F = tower.base.field
     Pi, Pj, Pij = tower.power(i), tower.power(j), tower.power(i + j)
-    out = Matrix.zeros(F, Pij.dim, Pi.dim * Pj.dim)
+    out = zeros(F, Pij.dim, Pi.dim * Pj.dim)
     if Pij.dim == 0 or Pi.dim == 0 or Pj.dim == 0:
         pass
     elif j == 0:
@@ -166,12 +171,12 @@ def _dense_mu(tower, spaces, memo, i, j):
         for v in range(Pj.dim):
             w, mlast = spaces[j].section[v]
             for u in range(Pi.dim):
-                uw = inner.column(u * tower.power(j - 1).dim + w)
+                uw = _column(inner, u * tower.power(j - 1).dim + w)
                 acc = [F.zero()] * Pij.dim
                 for t in range(dmid):
                     if F.is_zero(uw[t]):
                         continue
-                    piece = outer.column(t * tower.bim.dim + mlast)
+                    piece = _column(outer, t * tower.bim.dim + mlast)
                     for k, a in enumerate(piece):
                         if not F.is_zero(a):
                             acc[k] = F.add(acc[k], F.mul(uw[t], a))
@@ -246,7 +251,7 @@ def _check_tower(tower, top):
             for u, row in enumerate(cells):
                 assert len(row) == dj
                 for v, cell in enumerate(row):
-                    assert _dense(F, cell, dij) == want.column(u * dj + v)
+                    assert _dense(F, cell, dij) == _column(want, u * dj + v)
 
 
 # -- the pd sweep families --------------------------------------------------------

@@ -27,7 +27,6 @@ from injgen.constructions import (Bicharacter, morita_ring,
                                   twisted_module, twisted_tensor)
 from injgen.field import PrimeField
 from injgen.groups import TRIVIAL_GROUP, FiniteAbelianGroup
-from injgen.linalg import Matrix
 from injgen.reduction import ESTABLISHED, derive, emit_certificate, validate_cert
 from injgen.registry import Registry, RegistryError
 from injgen.samples import group_algebra
@@ -183,7 +182,8 @@ def line(A, degree):
     return GradedBimodule(A, A, ["v"], [degree], [[{0: 1}]], [[{0: 1}]])
 
 
-ONE, ZERO = Matrix(F5, [[1]]), Matrix(F5, [[0]])
+# 1 x 1 pairing tables; their rows are the one-column tuple maps
+ONE, ZERO = [[{0: 1}]], [[{}]]
 
 
 def test_ill_graded_context_pairings_are_rejected():
@@ -214,14 +214,14 @@ def test_ill_graded_tuple_maps_are_rejected():
     ctx = morita_ring(k, k, line(k, (0,)), line(k, (0,)))
     with pytest.raises(ConstructionError,
                        match=r"tuple module fails action-grading at \(x:v, m:v, y:v\)"):
-        tuple_module(ctx, module((0,)), module((1,)), ONE, ZERO)
+        tuple_module(ctx, module((0,)), module((1,)), ONE[0], ZERO[0])
     ctx = morita_ring(k, k, line(k, (1,)), line(k, (0,)))
     with pytest.raises(ConstructionError,
                        match=r"tuple module fails action-grading at \(y:v, n:v, x:v\)"):
-        tuple_module(ctx, module((0,)), module((0,)), ZERO, ONE)
+        tuple_module(ctx, module((0,)), module((0,)), ZERO[0], ONE[0])
     # the same maps between modules of matching degrees form a tuple
     ctx = morita_ring(k, k, line(k, (0,)), line(k, (0,)))
-    t = tuple_module(ctx, module((0,)), module((0,)), ONE, ZERO)
+    t = tuple_module(ctx, module((0,)), module((0,)), ONE[0], ZERO[0])
     assert check_axioms(t.as_module()).passed
 
 
