@@ -662,12 +662,19 @@ def quotient_module(M: GradedModule, vectors, label="q"):
 def module_from_span(M: GradedModule, vectors, label="s"):
     """The submodule generated by the vectors, as an abstract module.
 
-    Returns (S, inclusion hom S -> M).  Basis vectors of S are the reduced
-    rows of the closure's span; as they have unit pivots and zeros at the
-    other pivots, a vector of S has its entries at the pivot columns as
-    coordinates.
+    Returns (S, inclusion hom S -> M), as _span_module builds them from
+    the span of the closure.
     """
-    span = _closure_span(M, vectors)
+    return _span_module(M, _closure_span(M, vectors), label)
+
+
+def _span_module(M: GradedModule, span, label):
+    """The submodule of M that span holds, as an abstract module, with its
+    inclusion.  Basis vectors of S are the reduced rows of span; as they
+    have unit pivots and zeros at the other pivots, a vector of S has its
+    entries at the pivot columns as coordinates.  The rows are unique to
+    the subspace, so any span of the same submodule gives the same S.
+    """
     rows = span.rows()
     pos = {c: t for t, (c, _) in enumerate(rows)}
     degree = []

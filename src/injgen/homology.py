@@ -10,15 +10,22 @@ Covers are by idempotent projectives: when the unit's support is a set of
 orthogonal basis idempotents e_i along which the basis splits, each
 generator m lying in M e_i is covered by e_i A, and the kernel of each
 cover splits along the e_i, so every syzygy basis vector lies in one
-syzygy e_i and the next generators are basis vectors again.  On path
-algebras and their relatives this keeps the ranks at the minimal ones;
-without such idempotents the set is {1} and the cover is free.  Ranks
-count projective summands; the resolutions are not minimal in general.
+syzygy e_i and the next generators are basis vectors again; without such
+idempotents the set is {1} and the cover is free.  Ranks count
+projective summands.  When the e_i are basis vectors and the other basis
+vectors span a nilpotent ideal, that ideal is the radical J (coverings of
+truncated polynomial rings, triangular rings, path algebras, tensor
+rings of chains): the generators are then a lifted basis of M / M J,
+each cover is a projective cover, the resolutions are minimal, and M is
+projective exactly when its cover has zero kernel.  Otherwise (group
+algebras, and algebras whose unit is not a sum of basis idempotents) the
+generators are greedy, the resolutions need not be minimal, and
+projectivity is decided by an A-linear retraction of ker pi -> F with
+unknowns k_c in F e_i(c).
 
 Each module caches its cover pi: F -> M and the kernel of pi, so one cover
-serves both the next resolution step (ker pi is the next syzygy) and the
-projectivity test, which looks for an A-linear retraction of ker pi -> F
-with unknowns k_c in F e_i(c).  Module actions are applied to sparse
+serves both the next resolution step (the span of ker pi is the next
+syzygy) and the projectivity test.  Module actions are applied to sparse
 vectors throughout.
 """
 
@@ -27,8 +34,8 @@ from __future__ import annotations
 import itertools
 
 from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
-                      GradedBimodule, GradedModule, ModuleHom, _act_by, _sum_cells,
-                      direct_sum, module_from_span, regular_module,
+                      GradedBimodule, GradedModule, ModuleHom, _act_by, _act_sparse,
+                      _span_module, _sum_cells, direct_sum, regular_module,
                       trivially_graded, zero_module)
 from .constructions import MoritaContext, TensorTower, ThetaData, \
     TupleModule, morita_ring
@@ -188,6 +195,60 @@ def _idempotents(A: GradedAlgebra):
     return A._cache["idempotents"]
 
 
+def _split_radical(A: GradedAlgebra):
+    """The basis indices spanning J0 = rad A when A splits over its
+    radical on the basis, else None.  Cached on A, never serialized.
+
+    The witness: every e_i of _idempotents is one basis vector u b_k, and
+    the other basis vectors span a two-sided ideal J0 (each product of a
+    J0 vector with a basis vector, on either side, has its support in
+    J0) that is nilpotent.  Then J0 = rad A: a nilpotent ideal lies in
+    the radical, and A/J0 is spanned by n orthogonal idempotents, so it
+    is k^n and semisimple.  Nilpotency is decided exactly.  When the
+    support graph of J0 J0 (j -> l for l in the support of b_j b_a, a in
+    J0) is acyclic, a product of m J0 vectors has its support at the
+    ends of paths with m - 1 edges from its first factor, so
+    J0^(|J0|+1) = 0; otherwise the powers J0^(m+1) = J0^m J0 are
+    computed until they vanish or stop shrinking.
+    """
+    if "radical" not in A._cache:
+        A._cache["radical"] = _find_split_radical(A)
+    return A._cache["radical"]
+
+
+def _find_split_radical(A: GradedAlgebra):
+    idems = _idempotents(A)[0]
+    if any(len(e) != 1 for e in idems):
+        return None
+    tops = {k for e in idems for k in e}
+    rad = [j for j in range(A.dim) if j not in tops]
+    inside = set(rad)
+    succ = {}
+    for j in rad:
+        succ[j] = set()
+        for a in range(A.dim):
+            if not (A.mult[j][a].keys() <= inside and A.mult[a][j].keys() <= inside):
+                return None
+            if a in inside:
+                succ[j].update(A.mult[j][a])
+    layer = inside
+    for _ in rad:   # the ends of paths with one more edge each round
+        layer = set().union(*(succ[j] for j in layer))
+    if not layer:
+        return rad
+    one, p = A.field.one(), A._p
+    power = [{j: one} for j in rad]
+    while power:
+        span = Span(A.field, A.dim)
+        for v in power:
+            for a in rad:
+                span.add(_act_sparse(A.mult, p, v, a))
+        if span.dim() == len(power):    # J0^(m+1) = J0^m is not zero
+            return None
+        power = [row for _, row in span.rows()]
+    return rad
+
+
 def _projective(A: GradedAlgebra, side, summands):
     """(F, basis, tags) for F the direct sum of e_i A over i in summands
     (A e_i for left modules).
@@ -216,13 +277,19 @@ def _projective(A: GradedAlgebra, side, summands):
 class _Cover:
     """The cover pi: F -> M of a flattened module by idempotent projectives.
 
-    Each greedy generator m of M splits as the sum of its components m e_i
-    (e_i m for left modules); every nonzero component c becomes a summand
-    e_i(c) A of F, mapped onto M by e_i a -> m e_i a.  When each basis
-    vector of M lies in one M e_i, as every syzygy built here does, the
-    components are the generators themselves; with the unit alone F is
-    one free copy per generator.  summands[c] is i(c); free, basis and
-    tags are those of _projective.
+    Each generator m of M splits as the sum of its components m e_i (e_i m
+    for left modules); every nonzero component c becomes a summand
+    e_i(c) A of F, mapped onto M by e_i a -> m e_i a.  When A splits over
+    its radical J on the basis (_split_radical), the generators are the
+    components of the basis vectors, walked in (m, i) order, that enlarge
+    the span of M J and the generators before them: their classes are a
+    basis of M / M J, so by Nakayama the cover is a projective cover and
+    its ranks are the minimal ones.  Otherwise the components are those of
+    the greedy generators of M.  When each basis vector of M lies in one
+    M e_i, as every syzygy built here does, the components are the basis
+    vectors themselves; with the unit alone F is one free copy per
+    generator.  summands[c] is i(c); free, basis and tags are those of
+    _projective.
 
     pi holds the map as columns and rows as sparse rows, one per basis
     vector of M.  kernel is kernel_basis(rows), and each of its vectors
@@ -236,17 +303,17 @@ class _Cover:
     def __init__(self, M: GradedModule):
         fld = M.field
         idems = _idempotents(M.algebra)[0]
-        gens = []
-        for g in M.generators():
-            v = {g: fld.one()}
-            if len(idems) == 1:
-                gens.append((0, v))
-                continue
-            for i, e in enumerate(idems):
-                (k, u), = e.items()
-                w = {t: fld.mul(u, x) for t, x in M.act_sparse(v, k).items()}
-                if w:
-                    gens.append((i, w))
+        rad = _split_radical(M.algebra)
+        if rad is None:
+            gens = [c for g in M.generators() for c in _components(M, g, idems)]
+        else:
+            top = Span(fld, M.dim)      # M J, then the generators too
+            for row in M.action:
+                for a in rad:
+                    if row[a]:
+                        top.add(row[a])
+            gens = [c for m in range(M.dim) for c in _components(M, m, idems)
+                    if top.add(c[1])]
         self.summands = tuple(i for i, _ in gens)
         self.free, self.basis, self.tags = _projective(M.algebra, M.side, self.summands)
         # column (c, j) of the projection is b_j acting on generator c
@@ -257,6 +324,21 @@ class _Cover:
             for k, x in col.items():
                 self.rows[k][f] = x
         self.kernel = kernel_basis(fld, self.rows, self.free.dim)
+
+
+def _components(M: GradedModule, m, idems):
+    """(i, m e_i) for the nonzero components of basis vector m (e_i m for
+    left modules); m itself for the unit alone."""
+    fld = M.field
+    if len(idems) == 1:
+        return [(0, {m: fld.one()})]
+    out = []
+    for i, e in enumerate(idems):
+        (k, u), = e.items()
+        w = {t: fld.mul(u, x) for t, x in M.action[m][k].items()}
+        if w:
+            out.append((i, w))
+    return out
 
 
 def _cover(M: GradedModule) -> _Cover:
@@ -282,24 +364,43 @@ class ProjectivityReport:
 
 
 def is_projective(M: GradedModule) -> ProjectivityReport:
-    """Decide projectivity by a retraction onto the kernel of the cover.
+    """Decide projectivity on the cover pi: F -> M, with a splitting s of
+    pi as the witness for independent re-checking.
 
-    With pi: F -> M the cover by summands e_i(c) A and K = ker pi, M is
-    projective iff the inclusion K -> F has an A-linear retraction t.  Such
-    a t is fixed by k_c = t(e_i(c)) for the summand generators, and as
-    k_c = t(e_i(c)) e_i(c) the unknowns are the entries of each k_c in
-    F e_i(c); t sends basis element (c, j) to b_j acting on k_c.  The
-    equations are pi . k_c = 0 for every c and t(rho) = rho for every
-    kernel vector rho; they go to solve_sparse as sparse rows.  When t
-    exists, s = (I - T) . sigma splits pi, for T the matrix of t and sigma
-    any linear section of pi: I - T is A-linear and kills K, so it factors
-    as s . pi.  The witness s is returned for independent re-checking.
+    When A splits over its radical on the basis, the cover is a
+    projective cover, and M is projective iff pi is injective: then the
+    kernel is empty and s is the inverse of pi.  Otherwise the cover need
+    not be minimal, and _retraction decides.
     """
     M = flatten_module(M)
     if "projres" in M._cache:
         return M._cache["projres"]
     cov = _cover(M)
-    F, pi = cov.free, cov.pi
+    if _split_radical(M.algebra) is None:
+        split = _retraction(M, cov)
+    elif cov.kernel:
+        split = None
+    else:
+        split = ModuleHom(M, cov.free, right_inverse(M.field, cov.rows, cov.free.dim))
+    rep = M._cache["projres"] = ProjectivityReport(M, split is not None, cov.pi, split)
+    return rep
+
+
+def _retraction(M: GradedModule, cov: _Cover):
+    """A splitting of the cover pi: F -> M of M, or None if M is not
+    projective, by a retraction onto the kernel of pi.
+
+    With K = ker pi, M is projective iff the inclusion K -> F has an
+    A-linear retraction t.  Such a t is fixed by k_c = t(e_i(c)) for the
+    summand generators, and as k_c = t(e_i(c)) e_i(c) the unknowns are the
+    entries of each k_c in F e_i(c); t sends basis element (c, j) to b_j
+    acting on k_c.  The equations are pi . k_c = 0 for every c and
+    t(rho) = rho for every kernel vector rho; they go to solve_sparse as
+    sparse rows.  When t exists, s = (I - T) . sigma splits pi, for T the
+    matrix of t and sigma any linear section of pi: I - T is A-linear and
+    kills K, so it factors as s . pi.
+    """
+    F = cov.free
     fld = M.field
     fixed = {}              # t -> the coordinates of F e_t
     for f, t in enumerate(cov.tags):
@@ -332,17 +433,15 @@ def is_projective(M: GradedModule) -> ProjectivityReport:
             eqs.append(row)
             rhs.append(rho.get(f, fld.zero()))
     sol = solve_sparse(fld, eqs, rhs, n)
-    split = None
-    if sol is not None:
-        # column (c, j) of T is b_j acting on k_c
-        k = [{g: sol[u] for g, u in cc.items() if not fld.is_zero(sol[u])} for cc in col]
-        tcols = [F.act_sparse(k[c], j) for c, j in cov.basis]
-        # s = sigma - T . sigma, column by column
-        split = ModuleHom(M, F, [
-            _sum_cells(M._p, [(1, sig)] + [(-a, tcols[ce]) for ce, a in sig.items()])
-            for sig in right_inverse(fld, cov.rows, F.dim)])
-    rep = M._cache["projres"] = ProjectivityReport(M, sol is not None, pi, split)
-    return rep
+    if sol is None:
+        return None
+    # column (c, j) of T is b_j acting on k_c
+    k = [{g: sol[u] for g, u in cc.items() if not fld.is_zero(sol[u])} for cc in col]
+    tcols = [F.act_sparse(k[c], j) for c, j in cov.basis]
+    # s = sigma - T . sigma, column by column
+    return ModuleHom(M, F, [
+        _sum_cells(M._p, [(1, sig)] + [(-a, tcols[ce]) for ce, a in sig.items()])
+        for sig in right_inverse(fld, cov.rows, F.dim)])
 
 
 class _Resolver:
@@ -351,12 +450,14 @@ class _Resolver:
     covers[i] is the cover of the previous module (M or syzygies[i-1]) by
     ranks[i] summands e_i A, boundaries[i] is the ModuleHom F_i -> F_{i-1}
     (for i = 0: F_0 -> M), and syzygies[i] is ker(boundaries[i]) as an
-    abstract module.  The covers are the ones is_projective reads, so each
-    is built once.  Each syzygy basis vector lies in one syzygy e_t, so
-    later generators are basis vectors; where the algebra has several
-    basis idempotents the ranks then stay near the minimal ones (rank 1 at
-    every step for a simple over a linear quiver).  Projectivity of
-    syzygies is tested lazily, one step at a time.
+    abstract module, built from the span of the cover's kernel: ker pi
+    is a submodule, and its reduced rows are unique, so no closure runs.
+    The covers are the ones is_projective reads, so each is built once.
+    Each syzygy basis vector lies in one syzygy e_t, so later generators
+    are basis vectors; where the algebra splits over its radical the
+    ranks are the minimal ones (rank 1 at every step for a simple over a
+    linear quiver).  Projectivity of syzygies is tested lazily, one step
+    at a time.
     """
 
     def __init__(self, M: GradedModule):
@@ -381,8 +482,12 @@ class _Resolver:
                     _sum_cells(p, ((c, incl.cols[t]) for t, c in col.items()))
                     for col in cov.pi.cols])
             self.boundaries.append(bd)
-            # the inclusion is injective, so ker bd = ker pi
-            syz, self._incl = module_from_span(cov.free, cov.kernel, label="z")
+            # the inclusion is injective, so ker bd = ker pi, which is a
+            # submodule already: its span needs no closure
+            span = Span(prev.field, cov.free.dim)
+            for v in cov.kernel:
+                span.add(v)
+            syz, self._incl = _span_module(cov.free, span, "z")
             self.syzygies.append(syz)
 
     def proj_report(self, i):
@@ -865,7 +970,7 @@ def tensor_formula_check(ctx: MoritaContext, rt: TupleModule,
         S_XX and of S_YY."""
         row = _sum_cells(p, ((c, S_XX.project_pair(*ik)) for c, ik in xx))
         for k, c in _sum_cells(p, ((c, S_YY.project_pair(*jl)) for c, jl in yy)).items():
-            row[S_XX.dim + k] = -c
+            row[S_XX.dim + k] = fld.neg(c)
         H.add(row)
 
     # relations g(y (x) m) (x) x' = y (x) f'(m (x) x')

@@ -258,7 +258,9 @@ class Span:
     Rows are stored sparse, with unit pivots and cleared pivot columns, so
     membership and coordinates are cheap.  Insertion order is not
     preserved; rows() returns the reduced rows sorted by pivot.  Vectors
-    may be given dense (lists) or sparse ({column: value} dicts).
+    may be given dense (lists, cleaned here) or as clean sparse cells
+    ({column: value} dicts of nonzero reduced entries, the form of the
+    action tables), which are copied, not re-reduced.
     """
 
     def __init__(self, field, ncols):
@@ -268,8 +270,9 @@ class Span:
         self._rows = {}   # pivot column -> reduced sparse row
 
     def _clean(self, v):
-        items = v.items() if isinstance(v, dict) else enumerate(v)
-        return _nonzero(self._p, items)
+        if isinstance(v, dict):
+            return dict(v)
+        return _nonzero(self._p, enumerate(v))
 
     def _reduce(self, v):
         return _clear(self._clean(v), self._rows, self._p)
@@ -300,7 +303,7 @@ class Span:
 
     def coordinates(self, v):
         """Coordinates of v over rows(), or None if v is outside: the
-        entries of the cleaned v at the pivots."""
+        entries of v at the pivots."""
         row = self._clean(v)
         if _clear(dict(row), self._rows, self._p):
             return None

@@ -56,7 +56,7 @@ class Registry:
 
     def _write_index(self):
         tmp = self._index_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(self._index, indent=1, sort_keys=True))
+        tmp.write_text(json.dumps(self._index, sort_keys=True, separators=(",", ":")))
         os.replace(tmp, self._index_path)
 
     def _admit(self, h: str, doc: dict, obj=None):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .algebra import (AlgebraError, GradedAlgebra, GradedBimodule, GradedModule,
                       _sum_cells)
-from .linalg import Span, _modulus, row_space_reducer
+from .linalg import Span, _modulus, _nonzero, row_space_reducer
 
 
 def _side_data(X, algebra, side):
@@ -61,7 +61,7 @@ class TensorSpace:
 def tensor_over_algebra(X, Y, algebra: GradedAlgebra) -> TensorSpace:
     dimX, Xact, degX = _side_data(X, algebra, "right")
     dimY, Yact, degY = _side_data(Y, algebra, "left")
-    group = algebra.group
+    group, p = algebra.group, _modulus(algebra.field)
     rel = Span(algebra.field, dimX * dimY)
     for j in algebra.generators():
         for i in range(dimX):
@@ -74,7 +74,7 @@ def tensor_over_algebra(X, Y, algebra: GradedAlgebra) -> TensorSpace:
                 for q, c in ay.items():
                     col = i * dimY + q
                     row[col] = row.get(col, 0) - c
-                rel.add(row)
+                rel.add(_nonzero(p, row.items()))
     reduce, free = row_space_reducer(rel)
     degrees = [group.add(degX[c // dimY], degY[c % dimY]) for c in free]
     return TensorSpace(algebra.field, group, dimX, dimY, reduce, free, degrees)

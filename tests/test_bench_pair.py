@@ -1,4 +1,4 @@
-"""tools/bench_pair.py summarize on synthetic paired runs."""
+"""tools/bench_pair.py summarize and measure on synthetic runs."""
 
 import importlib.util
 from pathlib import Path
@@ -59,3 +59,33 @@ def test_pair_ratio_reads_each_pair(bench_pair):
                        for s, r in zip(speed, [0.7, 0.75, 0.8, 0.65, 0.9])]}
     ratio = bench_pair.summarize(runs, METRICS[:1])["wall_s"]["pair_ratio"]
     assert ratio == pytest.approx({"median": 0.75, "min": 0.65, "max": 0.9})
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_measure_traces_each_side_once_after_the_pairs(bench_pair, monkeypatch, trace):
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, trace=False):
+        calls.append((tree, trace))
+        if trace:
+            metrics = {"linalg.span.calls": 10 if tree == "b" else 4,
+                       "trace.overhead_s": 0.01}
+        else:
+            metrics = {"wall_s": 1.0 if tree == "b" else 0.8}
+        return {"correct": True, "failed": 0,
+                "metrics": {k: {"value": v} for k, v in metrics.items()}}
+
+    monkeypatch.setattr(bench_pair, "run_once", fake_run)
+    argv = ["--name", "x", "--pairs", "2"] + ["--trace"] * trace
+    args = bench_pair.parse_args(argv)
+    entry = bench_pair.measure({"base": "b", "change": "c"}, "resolve", 1, args,
+                               METRICS[:1])
+    assert calls[:4] == [("b", False), ("c", False), ("c", False), ("b", False)]
+    assert entry["metrics"]["wall_s"]["change_better_pairs"] == 2
+    if trace:
+        assert calls[4:] == [("b", True), ("c", True)]
+        assert entry["trace"] == {
+            "base": {"linalg.span.calls": 10, "trace.overhead_s": 0.01},
+            "change": {"linalg.span.calls": 4, "trace.overhead_s": 0.01}}
+    else:
+        assert len(calls) == 4 and "trace" not in entry

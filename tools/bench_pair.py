@@ -2,6 +2,7 @@
 
     python3 tools/bench_pair.py --name NAME [--base REV] [--workload W ...]
                                 [--seed N ...] [--pairs P] [--seconds S]
+                                [--trace]
 
 Exports the base revision (default HEAD) with `git archive` into a
 temporary directory and copies the working tree (its tracked files and
@@ -18,8 +19,11 @@ machine's speed drifts between pairs), whether that counts as a gain
 (better in at least 9 of 10 pairs, and a median better by more than the
 base's interquartile range), and whether it counts as a regression (a
 median worse than the base's by more than the metric's `bound` share);
-each regression is also printed to stderr.  Uses the standard library
-only.
+each regression is also printed to stderr.  With --trace, one
+`--trace 1` run per side follows the pairs of each workload and seed, and
+its per-layer metrics go under `trace`, so the layers where a change
+saves or spends time sit beside the end-to-end numbers.  Uses the
+standard library only.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ def parse_args(argv):
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=10.0,
                    help="--seconds of each perfbench run")
+    p.add_argument("--trace", action="store_true",
+                   help="after the pairs, one traced run per side for per-layer metrics")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2 for quartiles")
@@ -83,10 +89,12 @@ def snapshot(dest):
             shutil.copy2(src, target)
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed, seconds, trace=False):
     """The result object that perfbench/run.py prints last."""
     cmd = [sys.executable, str(Path(tree) / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    if trace:
+        cmd += ["--trace", "1"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} failed:\n{proc.stderr}")
@@ -126,6 +134,37 @@ def summarize(runs, metrics):
     return out
 
 
+def values(result):
+    """The metrics of a perfbench result, name to value."""
+    return {k: v["value"] for k, v in result["metrics"].items()}
+
+
+def measure(trees, workload, seed, args, metrics):
+    """The report entry of one workload and seed: args.pairs alternating
+    pairs of runs of the trees {"base": dir, "change": dir}, summarized
+    over the end-to-end metrics, then one traced run per side if
+    args.trace."""
+    runs = {"base": [], "change": []}
+    for k in range(args.pairs):
+        order = ("base", "change") if k % 2 == 0 else ("change", "base")
+        for side in order:
+            runs[side].append(run_once(trees[side], workload, seed, args.seconds))
+        print(f"# {workload} seed {seed}: pair {k + 1}/{args.pairs}", file=sys.stderr)
+    entry = {
+        "workload": workload, "seed": seed,
+        "correct": all(r["correct"] for rs in runs.values() for r in rs),
+        "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+        "metrics": summarize(runs, metrics),
+        "runs": {side: [values(r) for r in rs] for side, rs in runs.items()},
+    }
+    if args.trace:
+        traced = {side: run_once(trees[side], workload, seed, args.seconds, trace=True)
+                  for side in ("base", "change")}
+        entry["correct"] = entry["correct"] and all(r["correct"] for r in traced.values())
+        entry["trace"] = {side: values(r) for side, r in traced.items()}
+    return entry
+
+
 def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -136,7 +175,8 @@ def main(argv=None):
     report = {
         "name": args.name,
         "command": "python3 perfbench/run.py --workload W --seed N "
-                   f"--seconds {args.seconds:g}",
+                   f"--seconds {args.seconds:g}"
+                   + (", then one run with --trace 1 per side" if args.trace else ""),
         "pairs": args.pairs,
         "machine": {"system": platform.system(), "machine": platform.machine(),
                     "cpus": os.cpu_count(), "python": platform.python_version()},
@@ -150,23 +190,8 @@ def main(argv=None):
         snapshot(trees["change"])
         for workload in workloads:
             for seed in seeds:
-                runs = {"base": [], "change": []}
-                for k in range(args.pairs):
-                    order = ("base", "change") if k % 2 == 0 else ("change", "base")
-                    for side in order:
-                        runs[side].append(run_once(trees[side], workload, seed,
-                                                   args.seconds))
-                    print(f"# {workload} seed {seed}: pair {k + 1}/{args.pairs}",
-                          file=sys.stderr)
-                report["workloads"][f"{workload}:{seed}"] = {
-                    "workload": workload, "seed": seed,
-                    "correct": all(r["correct"] for rs in runs.values() for r in rs),
-                    "failed": {side: sum(r["failed"] for r in rs)
-                               for side, rs in runs.items()},
-                    "metrics": summarize(runs, bench["end_to_end"]),
-                    "runs": {side: [{k: v["value"] for k, v in r["metrics"].items()}
-                                    for r in rs] for side, rs in runs.items()},
-                }
+                report["workloads"][f"{workload}:{seed}"] = measure(
+                    trees, workload, seed, args, bench["end_to_end"])
     out = ROOT / f"BENCH_{args.name}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(out)
