@@ -662,19 +662,15 @@ def quotient_module(M: GradedModule, vectors, label="q"):
 def module_from_span(M: GradedModule, vectors, label="s"):
     """The submodule generated by the vectors, as an abstract module.
 
-    Returns (S, inclusion hom S -> M), as _span_module builds them from
-    the span of the closure.
+    Returns (S, inclusion hom S -> M).  vectors may also be a Span that
+    holds a submodule already, such as the kernel of a module map; it is
+    then taken as it is, without a closure.  Basis vectors of S are the
+    reduced rows of the span; as they have unit pivots and zeros at the
+    other pivots, a vector of S has its entries at the pivot columns as
+    coordinates.  The rows are unique to the subspace, so any span of the
+    same submodule gives the same S.
     """
-    return _span_module(M, _closure_span(M, vectors), label)
-
-
-def _span_module(M: GradedModule, span, label):
-    """The submodule of M that span holds, as an abstract module, with its
-    inclusion.  Basis vectors of S are the reduced rows of span; as they
-    have unit pivots and zeros at the other pivots, a vector of S has its
-    entries at the pivot columns as coordinates.  The rows are unique to
-    the subspace, so any span of the same submodule gives the same S.
-    """
+    span = vectors if isinstance(vectors, Span) else _closure_span(M, vectors)
     rows = span.rows()
     pos = {c: t for t, (c, _) in enumerate(rows)}
     degree = []

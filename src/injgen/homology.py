@@ -35,7 +35,7 @@ import itertools
 
 from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
                       GradedBimodule, GradedModule, ModuleHom, _act_by, _act_sparse,
-                      _span_module, _sum_cells, direct_sum, regular_module,
+                      _sum_cells, direct_sum, module_from_span, regular_module,
                       trivially_graded, zero_module)
 from .constructions import MoritaContext, TensorTower, ThetaData, \
     TupleModule, morita_ring
@@ -204,12 +204,8 @@ def _split_radical(A: GradedAlgebra):
     J0 vector with a basis vector, on either side, has its support in
     J0) that is nilpotent.  Then J0 = rad A: a nilpotent ideal lies in
     the radical, and A/J0 is spanned by n orthogonal idempotents, so it
-    is k^n and semisimple.  Nilpotency is decided exactly.  When the
-    support graph of J0 J0 (j -> l for l in the support of b_j b_a, a in
-    J0) is acyclic, a product of m J0 vectors has its support at the
-    ends of paths with m - 1 edges from its first factor, so
-    J0^(|J0|+1) = 0; otherwise the powers J0^(m+1) = J0^m J0 are
-    computed until they vanish or stop shrinking.
+    is k^n and semisimple.  Nilpotency is decided exactly: the powers
+    J0^(m+1) = J0^m J0 are computed until they vanish or stop shrinking.
     """
     if "radical" not in A._cache:
         A._cache["radical"] = _find_split_radical(A)
@@ -223,19 +219,10 @@ def _find_split_radical(A: GradedAlgebra):
     tops = {k for e in idems for k in e}
     rad = [j for j in range(A.dim) if j not in tops]
     inside = set(rad)
-    succ = {}
     for j in rad:
-        succ[j] = set()
         for a in range(A.dim):
             if not (A.mult[j][a].keys() <= inside and A.mult[a][j].keys() <= inside):
                 return None
-            if a in inside:
-                succ[j].update(A.mult[j][a])
-    layer = inside
-    for _ in rad:   # the ends of paths with one more edge each round
-        layer = set().union(*(succ[j] for j in layer))
-    if not layer:
-        return rad
     one, p = A.field.one(), A._p
     power = [{j: one} for j in rad]
     while power:
@@ -487,7 +474,7 @@ class _Resolver:
             span = Span(prev.field, cov.free.dim)
             for v in cov.kernel:
                 span.add(v)
-            syz, self._incl = _span_module(cov.free, span, "z")
+            syz, self._incl = module_from_span(cov.free, span, label="z")
             self.syzygies.append(syz)
 
     def proj_report(self, i):

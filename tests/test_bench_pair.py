@@ -61,8 +61,7 @@ def test_pair_ratio_reads_each_pair(bench_pair):
     assert ratio == pytest.approx({"median": 0.75, "min": 0.65, "max": 0.9})
 
 
-@pytest.mark.parametrize("trace", [False, True])
-def test_measure_traces_each_side_once_after_the_pairs(bench_pair, monkeypatch, trace):
+def test_measure_traces_each_side_once_after_the_pairs(bench_pair, monkeypatch):
     calls = []
 
     def fake_run(tree, workload, seed, seconds, trace=False):
@@ -76,16 +75,13 @@ def test_measure_traces_each_side_once_after_the_pairs(bench_pair, monkeypatch, 
                 "metrics": {k: {"value": v} for k, v in metrics.items()}}
 
     monkeypatch.setattr(bench_pair, "run_once", fake_run)
-    argv = ["--name", "x", "--pairs", "2"] + ["--trace"] * trace
-    args = bench_pair.parse_args(argv)
+    args = bench_pair.parse_args(["--name", "x", "--pairs", "2"])
     entry = bench_pair.measure({"base": "b", "change": "c"}, "resolve", 1, args,
                                METRICS[:1])
-    assert calls[:4] == [("b", False), ("c", False), ("c", False), ("b", False)]
+    assert calls == [("b", False), ("c", False), ("c", False), ("b", False),
+                     ("b", True), ("c", True)]
     assert entry["metrics"]["wall_s"]["change_better_pairs"] == 2
-    if trace:
-        assert calls[4:] == [("b", True), ("c", True)]
-        assert entry["trace"] == {
-            "base": {"linalg.span.calls": 10, "trace.overhead_s": 0.01},
-            "change": {"linalg.span.calls": 4, "trace.overhead_s": 0.01}}
-    else:
-        assert len(calls) == 4 and "trace" not in entry
+    assert entry["correct"]
+    assert entry["trace"] == {
+        "base": {"linalg.span.calls": 10, "trace.overhead_s": 0.01},
+        "change": {"linalg.span.calls": 4, "trace.overhead_s": 0.01}}

@@ -2,7 +2,6 @@
 
     python3 tools/bench_pair.py --name NAME [--base REV] [--workload W ...]
                                 [--seed N ...] [--pairs P] [--seconds S]
-                                [--trace]
 
 Exports the base revision (default HEAD) with `git archive` into a
 temporary directory and copies the working tree (its tracked files and
@@ -19,11 +18,10 @@ machine's speed drifts between pairs), whether that counts as a gain
 (better in at least 9 of 10 pairs, and a median better by more than the
 base's interquartile range), and whether it counts as a regression (a
 median worse than the base's by more than the metric's `bound` share);
-each regression is also printed to stderr.  With --trace, one
-`--trace 1` run per side follows the pairs of each workload and seed, and
-its per-layer metrics go under `trace`, so the layers where a change
-saves or spends time sit beside the end-to-end numbers.  Uses the
-standard library only.
+each regression is also printed to stderr.  After the pairs of each
+workload and seed, one `--trace 1` run per side records the per-layer
+metrics under `trace`, so the layers where a change saves or spends time
+sit beside the end-to-end numbers.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -55,8 +53,6 @@ def parse_args(argv):
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=10.0,
                    help="--seconds of each perfbench run")
-    p.add_argument("--trace", action="store_true",
-                   help="after the pairs, one traced run per side for per-layer metrics")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2 for quartiles")
@@ -142,27 +138,24 @@ def values(result):
 def measure(trees, workload, seed, args, metrics):
     """The report entry of one workload and seed: args.pairs alternating
     pairs of runs of the trees {"base": dir, "change": dir}, summarized
-    over the end-to-end metrics, then one traced run per side if
-    args.trace."""
+    over the end-to-end metrics, then one traced run per side."""
     runs = {"base": [], "change": []}
     for k in range(args.pairs):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
         for side in order:
             runs[side].append(run_once(trees[side], workload, seed, args.seconds))
         print(f"# {workload} seed {seed}: pair {k + 1}/{args.pairs}", file=sys.stderr)
-    entry = {
+    traced = {side: run_once(trees[side], workload, seed, args.seconds, trace=True)
+              for side in ("base", "change")}
+    return {
         "workload": workload, "seed": seed,
-        "correct": all(r["correct"] for rs in runs.values() for r in rs),
+        "correct": all(r["correct"] for rs in runs.values() for r in rs)
+        and all(r["correct"] for r in traced.values()),
         "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
         "metrics": summarize(runs, metrics),
         "runs": {side: [values(r) for r in rs] for side, rs in runs.items()},
+        "trace": {side: values(r) for side, r in traced.items()},
     }
-    if args.trace:
-        traced = {side: run_once(trees[side], workload, seed, args.seconds, trace=True)
-                  for side in ("base", "change")}
-        entry["correct"] = entry["correct"] and all(r["correct"] for r in traced.values())
-        entry["trace"] = {side: values(r) for side, r in traced.items()}
-    return entry
 
 
 def main(argv=None):
@@ -175,8 +168,7 @@ def main(argv=None):
     report = {
         "name": args.name,
         "command": "python3 perfbench/run.py --workload W --seed N "
-                   f"--seconds {args.seconds:g}"
-                   + (", then one run with --trace 1 per side" if args.trace else ""),
+                   f"--seconds {args.seconds:g}, then one run with --trace 1 per side",
         "pairs": args.pairs,
         "machine": {"system": platform.system(), "machine": platform.machine(),
                     "cpus": os.cpu_count(), "python": platform.python_version()},
