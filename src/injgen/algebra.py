@@ -544,6 +544,22 @@ def _transposed(table):
     return [list(col) for col in zip(*table)]
 
 
+def _place(out, r0, c0, table, shift=0, swap=False):
+    """Write table (transposed when swap) into out as the block whose top
+    left cell is out[r0][c0], with the keys of each cell raised by shift.
+    Unshifted cells are shared."""
+    for r, row in enumerate(zip(*table) if swap else table, r0):
+        dst = out[r]
+        for c, cell in enumerate(row, c0):
+            dst[c] = {k + shift: x for k, x in cell.items()} if shift else cell
+
+
+def _cut(table, rows, cols, pos):
+    """The block of table at the given row and column indices, with the
+    keys of each cell renamed through pos; KeyError on a key outside pos."""
+    return [[{pos[k]: x for k, x in table[r][c].items()} for c in cols] for r in rows]
+
+
 def regular_module(A: GradedAlgebra, side) -> GradedModule:
     action = A.mult if side == "right" else _transposed(A.mult)
     return GradedModule._trusted(A, side, A.labels, A.degree, action)
@@ -604,17 +620,14 @@ def direct_sum(mods):
     for m in mods:
         if m.algebra != A or m.side != side:
             raise AlgebraError("direct sum requires equal algebra and side")
-    labels, degree, action = [], [], []
-    offsets = []
-    off = 0
+    labels, degree, offsets = [], [], []
     for t, m in enumerate(mods):
-        offsets.append(off)
+        offsets.append(len(labels))
         labels.extend(f"{s}#{t}" for s in m.labels)
         degree.extend(m.degree)
-        for i in range(m.dim):
-            action.append([{k + off: c for k, c in m.action[i][j].items()}
-                           for j in range(A.dim)])
-        off += m.dim
+    action = [[None] * A.dim for _ in labels]
+    for off, m in zip(offsets, mods):
+        _place(action, off, 0, m.action, off)
     return GradedModule._trusted(A, side, labels, degree, action), offsets
 
 
@@ -717,9 +730,9 @@ def degree_zero_subalgebra(A: GradedAlgebra) -> GradedAlgebra:
     pos = {i: t for t, i in enumerate(idx)}
     labels = [A.labels[i] for i in idx]
     unit = [A.unit[i] for i in idx]
-    mult = [[{pos[k]: c for k, c in A.mult[i][j].items()} for j in idx] for i in idx]
     degs = [() for _ in idx]
-    return GradedAlgebra._trusted(A.field, TRIVIAL_GROUP, labels, degs, unit, mult)
+    return GradedAlgebra._trusted(A.field, TRIVIAL_GROUP, labels, degs, unit,
+                                  _cut(A.mult, idx, idx, pos))
 
 
 def component_bimodule(A: GradedAlgebra, gamma, A0: GradedAlgebra | None = None):
@@ -731,10 +744,10 @@ def component_bimodule(A: GradedAlgebra, gamma, A0: GradedAlgebra | None = None)
     cidx = A.component_indices(gamma)
     pos = {i: t for t, i in enumerate(cidx)}
     labels = [A.labels[i] for i in cidx]
-    left = [[{pos[k]: c for k, c in A.mult[j][i].items()} for j in zidx] for i in cidx]
-    right = [[{pos[k]: c for k, c in A.mult[i][j].items()} for j in zidx] for i in cidx]
     degs = [() for _ in cidx]
-    return GradedBimodule._trusted(A0, A0, labels, degs, left, right)
+    return GradedBimodule._trusted(A0, A0, labels, degs,
+                                   _transposed(_cut(A.mult, zidx, cidx, pos)),
+                                   _cut(A.mult, cidx, zidx, pos))
 
 
 def trivially_graded(A: GradedAlgebra) -> GradedAlgebra:

@@ -28,8 +28,9 @@ from collections import namedtuple
 
 from .algebra import (ConstructionError, GradedAlgebra, GradedBimodule,
                       GradedModule, ModuleHom, _act_by, _act_sparse, _clean_table,
-                      _sum_cells, _transposed, check_axioms, degree_zero_subalgebra,
-                      regular_bimodule, trivially_graded, zero_module)
+                      _cut, _place, _sum_cells, _transposed, check_axioms,
+                      degree_zero_subalgebra, regular_bimodule, trivially_graded,
+                      zero_module)
 from .groups import TRIVIAL_GROUP, FiniteAbelianGroup
 from .linalg import (Span, _modulus, _nonzero, render_columns,
                      row_space_reducer)
@@ -384,19 +385,13 @@ class TupleModule:
         (oX, PX), (oY, PY) = ((oN, ctx.N), (oM, ctx.M)) if self.side == "right" \
             else ((oM, ctx.M), (oN, ctx.N))
         dX = X.dim
-        dim = dX + Y.dim
-        action = [[{} for _ in range(Lam.dim)] for _ in range(dim)]
-        for i in range(dX):
-            for a in range(ctx.A.dim):
-                action[i][oA + a] = X.action[i][a]
-            for b in range(PX.dim):
-                action[i][oX + b] = {dX + k: c for k, c in self.f_at(i, b).items()}
-        for j in range(Y.dim):
-            for b in range(ctx.B.dim):
-                action[dX + j][oB + b] = {dX + k: c
-                                          for k, c in Y.action[j][b].items()}
-            for b in range(PY.dim):
-                action[dX + j][oY + b] = self.g_at(j, b)
+        action = [[{} for _ in range(Lam.dim)] for _ in range(dX + Y.dim)]
+        _place(action, 0, oA, X.action)
+        _place(action, 0, oX, [[self.f_at(i, b) for b in range(PX.dim)]
+                               for i in range(dX)], dX)
+        _place(action, dX, oB, Y.action, dX)
+        _place(action, dX, oY, [[self.g_at(j, b) for b in range(PY.dim)]
+                                for j in range(Y.dim)])
         labels = [f"x:{s}" for s in X.labels] + [f"y:{s}" for s in Y.labels]
         degrees = X.degree + Y.degree
         self._mod = GradedModule._trusted(Lam, self.side, labels, degrees, action)
@@ -497,26 +492,14 @@ def morita_ring(A, B, N, M, phi=None, psi=None) -> MoritaContext:
     oA, oN, oM, oB = 0, dA, dA + dN, dA + dN + dM
     dim = dA + dN + dM + dB
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i in range(dA):
-        for j in range(dA):
-            mult[oA + i][oA + j] = {oA + k: c for k, c in A.mult[i][j].items()}
-        for j in range(dN):
-            mult[oA + i][oN + j] = {oN + k: c for k, c in N.left_action[j][i].items()}
-    for i in range(dN):
-        for j in range(dM):
-            mult[oN + i][oM + j] = {oA + k: c for k, c in psi[i][j].items()}
-        for j in range(dB):
-            mult[oN + i][oB + j] = {oN + k: c for k, c in N.right_action[i][j].items()}
-    for i in range(dM):
-        for j in range(dA):
-            mult[oM + i][oA + j] = {oM + k: c for k, c in M.right_action[i][j].items()}
-        for j in range(dN):
-            mult[oM + i][oN + j] = {oB + k: c for k, c in phi[i][j].items()}
-    for i in range(dB):
-        for j in range(dM):
-            mult[oB + i][oM + j] = {oM + k: c for k, c in M.left_action[j][i].items()}
-        for j in range(dB):
-            mult[oB + i][oB + j] = {oB + k: c for k, c in B.mult[i][j].items()}
+    _place(mult, oA, oA, A.mult, oA)
+    _place(mult, oA, oN, N.left_action, oN, swap=True)
+    _place(mult, oN, oM, psi, oA)
+    _place(mult, oN, oB, N.right_action, oN)
+    _place(mult, oM, oA, M.right_action, oM)
+    _place(mult, oM, oN, phi, oB)
+    _place(mult, oB, oM, M.left_action, oM, swap=True)
+    _place(mult, oB, oB, B.mult, oB)
     unit = ([c for c in A.unit] + [F.zero()] * (dN + dM) + [c for c in B.unit])
     labels = ([f"a:{s}" for s in A.labels] + [f"n:{s}" for s in N.labels]
               + [f"m:{s}" for s in M.labels] + [f"b:{s}" for s in B.labels])
@@ -547,48 +530,25 @@ def split_covering(cov: CoveringData, k=None) -> MoritaContext:
     if not 0 <= k <= m - 2:
         raise ConstructionError(f"split index {k} out of range for order {m}")
     top = {(r,) for r in range(k + 1)}
-    F = cov.base.field
-
-    def collect(rows_top, cols_top):
-        out = []
-        for idx, (g, h, _) in enumerate(cov.basis_triples):
-            if (g in top) == rows_top and (h in top) == cols_top:
-                out.append(idx)
-        return out
-
-    idxA, idxN, idxM, idxB = (collect(True, True), collect(True, False),
-                              collect(False, True), collect(False, False))
-    covm = cov.algebra.mult
-
-    def subalgebra(indices):
-        local = {gi: i for i, gi in enumerate(indices)}
-        mult = [[{local[t]: c for t, c in covm[p][q].items()}
-                 for q in indices] for p in indices]
-        unit = [cov.algebra.unit[p] for p in indices]
-        labels = [cov.algebra.labels[p] for p in indices]
-        alg = GradedAlgebra._trusted(F, TRIVIAL_GROUP, labels, [()] * len(indices),
-                                     unit, mult)
-        return alg, local
-
-    A_alg, locA = subalgebra(idxA)
-    B_alg, locB = subalgebra(idxB)
-
-    def subbimodule(indices, left_idx, right_idx):
-        local = {gi: i for i, gi in enumerate(indices)}
-        left = [[{local[t]: c for t, c in covm[p][q].items()}
-                 for p in left_idx] for q in indices]
-        right = [[{local[t]: c for t, c in covm[q][p].items()}
-                  for p in right_idx] for q in indices]
-        labels = [cov.algebra.labels[p] for p in indices]
-        return labels, left, right
-
-    labN, leftN, rightN = subbimodule(idxN, idxA, idxB)
-    N_bim = GradedBimodule._trusted(A_alg, B_alg, labN, [()] * len(idxN), leftN, rightN)
-    labM, leftM, rightM = subbimodule(idxM, idxB, idxA)
-    M_bim = GradedBimodule._trusted(B_alg, A_alg, labM, [()] * len(idxM), leftM, rightM)
-
-    psi = [[{locA[t]: c for t, c in covm[gn][gm].items()} for gm in idxM] for gn in idxN]
-    phi = [[{locB[t]: c for t, c in covm[gm][gn].items()} for gn in idxN] for gm in idxM]
+    C = cov.algebra
+    blocks = [[idx for idx, (g, h, _) in enumerate(cov.basis_triples)
+               if (g in top) == rows_top and (h in top) == cols_top]
+              for rows_top in (True, False) for cols_top in (True, False)]
+    idxA, idxN, idxM, idxB = blocks
+    locA, locN, locM, locB = ({gi: i for i, gi in enumerate(idx)} for idx in blocks)
+    labA, labN, labM, labB = ([C.labels[p] for p in idx] for idx in blocks)
+    A_alg = GradedAlgebra._trusted(C.field, TRIVIAL_GROUP, labA, [()] * len(idxA),
+                                   [C.unit[p] for p in idxA], _cut(C.mult, idxA, idxA, locA))
+    B_alg = GradedAlgebra._trusted(C.field, TRIVIAL_GROUP, labB, [()] * len(idxB),
+                                   [C.unit[p] for p in idxB], _cut(C.mult, idxB, idxB, locB))
+    N_bim = GradedBimodule._trusted(A_alg, B_alg, labN, [()] * len(idxN),
+                                    _transposed(_cut(C.mult, idxA, idxN, locN)),
+                                    _cut(C.mult, idxN, idxB, locN))
+    M_bim = GradedBimodule._trusted(B_alg, A_alg, labM, [()] * len(idxM),
+                                    _transposed(_cut(C.mult, idxB, idxM, locM)),
+                                    _cut(C.mult, idxM, idxA, locM))
+    psi = _cut(C.mult, idxN, idxM, locA)
+    phi = _cut(C.mult, idxM, idxN, locB)
     ctx = morita_ring(A_alg, B_alg, N_bim, M_bim, phi, psi)
     ctx.split_index = k
     return ctx
@@ -699,17 +659,8 @@ def tensor_ring(R: GradedAlgebra, M: GradedBimodule, nilpotency_index: int) -> T
     dim = len(labels)
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
     for i in range(k):
-        Pi = tower.power(i)
         for j in range(k - i):
-            Pj = tower.power(j)
-            if Pi.dim == 0 or Pj.dim == 0 or tower.power(i + j).dim == 0:
-                continue
-            off = offsets[i + j]
-            for u, cells in enumerate(tower.mu(i, j)):
-                row = mult[offsets[i] + u]
-                for v, cell in enumerate(cells):
-                    if cell:
-                        row[offsets[j] + v] = {off + t: c for t, c in cell.items()}
+            _place(mult, offsets[i], offsets[j], tower.mu(i, j), offsets[i + j])
     unit = [F.zero()] * dim
     for t, c in enumerate(R.unit):
         unit[t] = c
@@ -743,16 +694,10 @@ def _theta_tables(R, M, theta):
     dR, dM = R.dim, M.dim
     dim = dR + dM
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i in range(dR):
-        for j in range(dR):
-            mult[i][j] = R.mult[i][j]
-        for j in range(dM):
-            mult[i][dR + j] = {dR + k: c for k, c in M.left_action[j][i].items()}
-    for i in range(dM):
-        for j in range(dR):
-            mult[dR + i][j] = {dR + k: c for k, c in M.right_action[i][j].items()}
-        for j in range(dM):
-            mult[dR + i][dR + j] = {dR + k: c for k, c in theta[i][j].items()}
+    _place(mult, 0, 0, R.mult)
+    _place(mult, 0, dR, M.left_action, dR, swap=True)
+    _place(mult, dR, 0, M.right_action, dR)
+    _place(mult, dR, dR, theta, dR)
     unit = list(R.unit) + [F.zero()] * dM
     labels = [f"r:{s}" for s in R.labels] + [f"m:{s}" for s in M.labels]
     return GradedAlgebra._trusted(F, TRIVIAL_GROUP, labels, [()] * dim, unit, mult)
@@ -803,22 +748,16 @@ def split_positively_graded(Lam: GradedAlgebra):
     pos_idx = [i for i, d in enumerate(Lam.degree) if d != Lam.group.zero()]
     R0 = degree_zero_subalgebra(Lam)
     locp = {gi: i for i, gi in enumerate(pos_idx)}
-
-    def restrict(row_global, local):
-        out = {}
-        for t, c in row_global.items():
-            if t not in local:
-                raise ConstructionError(
-                    "positive part is not multiplicatively closed; re-embed the "
-                    "grading in a larger cyclic group")
-            out[local[t]] = c
-        return out
-
-    left = [[restrict(Lam.mult[g0][gp], locp) for g0 in zero_idx] for gp in pos_idx]
-    right = [[restrict(Lam.mult[gp][g0], locp) for g0 in zero_idx] for gp in pos_idx]
+    try:
+        left = _transposed(_cut(Lam.mult, zero_idx, pos_idx, locp))
+        right = _cut(Lam.mult, pos_idx, zero_idx, locp)
+        theta = _cut(Lam.mult, pos_idx, pos_idx, locp)
+    except KeyError:
+        raise ConstructionError(
+            "positive part is not multiplicatively closed; re-embed the "
+            "grading in a larger cyclic group") from None
     labels = [Lam.labels[i] for i in pos_idx]
     M = GradedBimodule._trusted(R0, R0, labels, [()] * len(pos_idx), left, right)
-    theta = [[restrict(Lam.mult[gi][gj], locp) for gj in pos_idx] for gi in pos_idx]
     td = theta_extension(R0, M, theta)
     perm = [None] * Lam.dim
     for i, gi in enumerate(zero_idx):
@@ -1119,7 +1058,9 @@ class CleftFunctors:
     All modules are right modules; graded inputs are flattened because the
     extension itself is ungraded.  T sends a base module up, U restricts
     back down, Z inflates through the quotient map, C collapses an
-    extension module onto the base, F pairs with the bimodule.
+    extension module onto the base, F pairs with the bimodule.  down is
+    the base as an (extension, base)-bimodule through the quotient map
+    that kills the bimodule block; C tensors with it.
     """
 
     def __init__(self, td: ThetaData):
@@ -1133,8 +1074,8 @@ class CleftFunctors:
         self._up = GradedBimodule._trusted(base, E, E.labels, [()] * dE, left, E.mult)
         lp = [[base.mult[j][i] if j < dR else {} for j in range(dE)]
               for i in range(dR)]
-        self._down = GradedBimodule._trusted(E, base, base.labels, [()] * dR, lp,
-                                             base.mult)
+        self.down = GradedBimodule._trusted(E, base, base.labels, [()] * dR, lp,
+                                            base.mult)
         bm = td.bim
         self._pair = GradedBimodule._trusted(base, base, bm.labels, [()] * bm.dim,
                                              bm.left_action, bm.right_action)
@@ -1157,7 +1098,7 @@ class CleftFunctors:
     def C(self, Y: GradedModule) -> GradedModule:
         """Y collapsed onto the base through the quotient map."""
         self._check_ext(Y)
-        out, _ = tensor_module_with_bimodule(Y, self._down)
+        out, _ = tensor_module_with_bimodule(Y, self.down)
         return out
 
     def U(self, Y: GradedModule) -> GradedModule:

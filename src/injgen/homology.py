@@ -19,7 +19,8 @@ rings of chains): the generators are then a lifted basis of M / M J,
 each cover is a projective cover, the resolutions are minimal, and M is
 projective exactly when its cover has zero kernel.  Otherwise (group
 algebras, and algebras whose unit is not a sum of basis idempotents) the
-generators are greedy, the resolutions need not be minimal, and
+generators are greedy and the resolutions need not be minimal.  A cover
+with zero kernel still shows M projective; when the kernel is nonzero,
 projectivity is decided by an A-linear retraction of ker pi -> F with
 unknowns k_c in F e_i(c).
 
@@ -35,10 +36,11 @@ import itertools
 
 from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
                       GradedBimodule, GradedModule, ModuleHom, _act_by, _act_sparse,
-                      _sum_cells, direct_sum, module_from_span, regular_module,
+                      _place, _sum_cells, direct_sum, module_from_span, regular_module,
                       trivially_graded, zero_module)
-from .constructions import MoritaContext, TensorTower, ThetaData, \
-    TupleModule, morita_ring
+from .constructions import CleftFunctors, MoritaContext, TensorTower, \
+    ThetaData, TupleModule, morita_ring
+from .homs import find_isomorphism
 from .linalg import (Span, _modulus, _nonzero, kernel_basis, rank,
                      right_inverse, solve_sparse)
 from .tensors import tensor_over_algebra
@@ -354,21 +356,22 @@ def is_projective(M: GradedModule) -> ProjectivityReport:
     """Decide projectivity on the cover pi: F -> M, with a splitting s of
     pi as the witness for independent re-checking.
 
-    When A splits over its radical on the basis, the cover is a
-    projective cover, and M is projective iff pi is injective: then the
-    kernel is empty and s is the inverse of pi.  Otherwise the cover need
-    not be minimal, and _retraction decides.
+    A cover with zero kernel is an isomorphism, so M is projective and s
+    is the inverse of pi, over every algebra.  When A splits over its
+    radical on the basis, the cover is a projective cover, so a nonzero
+    kernel means M is not projective.  Otherwise the cover need not be
+    minimal, and _retraction decides.
     """
     M = flatten_module(M)
     if "projres" in M._cache:
         return M._cache["projres"]
     cov = _cover(M)
-    if _split_radical(M.algebra) is None:
-        split = _retraction(M, cov)
-    elif cov.kernel:
-        split = None
-    else:
+    if not cov.kernel:
         split = ModuleHom(M, cov.free, right_inverse(M.field, cov.rows, cov.free.dim))
+    elif _split_radical(M.algebra) is None:
+        split = _retraction(M, cov)
+    else:
+        split = None
     rep = M._cache["projres"] = ProjectivityReport(M, split is not None, cov.pi, split)
     return rep
 
@@ -836,24 +839,8 @@ def one_dimensional_modules(A: GradedAlgebra, limit=2 ** 16):
 
 # -- cleft extension vanishing bound -------------------------------------------
 
-
-def _base_as_module_over_extension(td: ThetaData, side) -> GradedModule:
-    """The base ring as a module over the extension, through the quotient
-    map that kills the bimodule block."""
-    E = td.algebra
-    R = td.base
-    dR = R.dim
-    action = []
-    for i in range(dR):
-        row = []
-        for j in range(E.dim):
-            if j < dR:
-                cell = R.mult[j][i] if side == "left" else R.mult[i][j]
-            else:
-                cell = {}
-            row.append(cell)
-        action.append(row)
-    return GradedModule._trusted(E, side, R.labels, [E.group.zero()] * dR, action)
+# Tor is tabulated from B - 1 up to B + _TOR_WINDOW
+_TOR_WINDOW = 1
 
 
 def cleft_vanishing_bound(td: ThetaData, pd_cutoff=DEFAULT_PD_CUTOFF,
@@ -877,8 +864,7 @@ def cleft_vanishing_bound(td: ThetaData, pd_cutoff=DEFAULT_PD_CUTOFF,
 
 def cleft_vanishing_check(td: ThetaData, modules=None,
                           pd_cutoff=DEFAULT_PD_CUTOFF,
-                          nil_cutoff=DEFAULT_NIL_CUTOFF,
-                          window=1, onedim_limit=2 ** 16) -> CheckReport:
+                          nil_cutoff=DEFAULT_NIL_CUTOFF) -> CheckReport:
     """Tor_i over the extension against the base vanishes from B upward.
 
     Decided conclusively through pd of the base as a left module over the
@@ -890,12 +876,15 @@ def cleft_vanishing_check(td: ThetaData, modules=None,
     """
     B, n, s, per = cleft_vanishing_bound(td, pd_cutoff, nil_cutoff)
     E = td.algebra
-    Rleft = _base_as_module_over_extension(td, "left")
+    # the base as a module over the extension, through the quotient map
+    # that kills the bimodule block
+    cf = CleftFunctors(td)
+    Rleft = cf.down.as_left_module()
     pdR = projective_dimension(Rleft, max(pd_cutoff, B))
     tests = [("regular", regular_module(E, "right")),
-             ("base", _base_as_module_over_extension(td, "right"))]
+             ("base", cf.Z(regular_module(cf.base, "right")))]
     try:
-        for t, S in enumerate(one_dimensional_modules(E, onedim_limit)):
+        for t, S in enumerate(one_dimensional_modules(E)):
             tests.append((f"onedim{t}", S))
     except ConstructionError:
         pass
@@ -906,8 +895,8 @@ def cleft_vanishing_check(td: ThetaData, modules=None,
     violations = []
     for name, X in tests:
         # resolving the shared left argument reuses one resolution
-        dims = tor(X, Rleft, B + window, resolve_side="second")
-        for i in range(lo, B + window + 1):
+        dims = tor(X, Rleft, B + _TOR_WINDOW, resolve_side="second")
+        for i in range(lo, B + _TOR_WINDOW + 1):
             table[(name, i)] = dims[i]
             if i >= B and dims[i]:
                 violations.append((name, i, dims[i]))
@@ -1006,7 +995,6 @@ def _block_pattern_bimodule(ctx: MoritaContext, tower: TensorTower, k: int):
     triangular ring.  Off-diagonal corner elements act through the
     concatenation pairings of the power tower."""
     Lam = ctx.assembled
-    dA, dN = ctx.A.dim, ctx.N.dim
     oA, oN, _, oB = ctx.offsets
     pows = [2 * k, 2 * k + 1, 2 * k - 1, 2 * k]
     blocks = [tower.power(p) for p in pows]
@@ -1024,32 +1012,14 @@ def _block_pattern_bimodule(ctx: MoritaContext, tower: TensorTower, k: int):
     right = [[{} for _ in range(Lam.dim)] for _ in range(total)]
     # diagonal corners act on their row (left) / column (right)
     for t, b in enumerate(blocks):
-        row_corner = oA if t in (0, 1) else oB
-        col_corner = oA if t in (0, 2) else oB
-        for i in range(b.dim):
-            for a in range(dA):
-                left[offs[t] + i][row_corner + a] = {
-                    offs[t] + kk: c for kk, c in b.left_action[i][a].items()}
-                right[offs[t] + i][col_corner + a] = {
-                    offs[t] + kk: c for kk, c in b.right_action[i][a].items()}
+        _place(left, offs[t], oA if t in (0, 1) else oB, b.left_action, offs[t])
+        _place(right, offs[t], oA if t in (0, 2) else oB, b.right_action, offs[t])
     # n-corner: left action moves the bottom row up, right action moves
     # the left column right
     for (src, dst) in ((2, 0), (3, 1)):
-        if dims[src] == 0 or dN == 0:
-            continue
-        mu = tower.mu(1, pows[src])
-        for i in range(dims[src]):
-            for nn in range(dN):
-                left[offs[src] + i][oN + nn] = {
-                    offs[dst] + kk: c for kk, c in mu[nn][i].items()}
+        _place(left, offs[src], oN, tower.mu(1, pows[src]), offs[dst], swap=True)
     for (src, dst) in ((0, 1), (2, 3)):
-        if dims[src] == 0 or dN == 0:
-            continue
-        mu = tower.mu(pows[src], 1)
-        for i in range(dims[src]):
-            for nn in range(dN):
-                right[offs[src] + i][oN + nn] = {
-                    offs[dst] + kk: c for kk, c in mu[i][nn].items()}
+        _place(right, offs[src], oN, tower.mu(pows[src], 1), offs[dst])
     return GradedBimodule._trusted(Lam, Lam, labels, degrees, left, right)
 
 
@@ -1094,7 +1064,6 @@ def power_block_law_check(A: GradedAlgebra, N: GradedBimodule, i_max=2, j_max=2,
              for name, off in (("top", oA), ("bot", oB))}
     dim_rows, corner_rows, iso_rows = [], [], []
     ok = True
-    from .homs import find_isomorphism
     for i in range(1, i_max + 1):
         direct = towerM.power(i)
         p = [tower.power(2 * i).dim, tower.power(2 * i + 1).dim,

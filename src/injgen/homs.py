@@ -81,10 +81,11 @@ class IsoReport:
 
 
 EXHAUSTIVE_LIMIT = 2 ** 16
+_SAMPLES = 200
 
 
 def find_isomorphism(M: GradedModule, N: GradedModule, graded: bool = True,
-                     seed: int = 17, samples: int = 200) -> IsoReport:
+                     seed: int = 17) -> IsoReport:
     """Search Hom(M, N) for an isomorphism; modules over different
     algebras or sides raise AlgebraError, as hom_space does, zero modules
     included."""
@@ -137,9 +138,9 @@ def find_isomorphism(M: GradedModule, N: GradedModule, graded: bool = True,
         return IsoReport(None, True, "exhausted coefficient space")
 
     rng = random.Random(seed)
-    for _ in range(samples):
+    for _ in range(_SAMPLES):
         coeffs = [F.random(rng) for _ in range(d)]
         hom = invertible(coeffs)
         if hom is not None:
             return IsoReport(hom, True, "found")
-    return IsoReport(None, False, f"no isomorphism in {samples} samples")
+    return IsoReport(None, False, f"no isomorphism in {_SAMPLES} samples")

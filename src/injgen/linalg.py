@@ -24,8 +24,6 @@ form and have no caller in the library.
 
 from __future__ import annotations
 
-from itertools import chain
-
 
 class Matrix:
     """Row-major dense matrix over a field object from injgen.field."""
@@ -140,11 +138,12 @@ def _clear(row, reduced, p):
 
 def _echelon(field, rows, back=True):
     """Echelon form of sparse rows as {pivot column: row with unit pivot},
-    reduced (zero at the other pivots) when back is true."""
+    reduced (zero at the other pivots) when back is true.  The rows may
+    hold zero and unreduced entries; each is cleaned as it is copied."""
     p = _modulus(field)
     piv = {}
     for row in rows:
-        row = dict(row)
+        row = _nonzero(p, row.items())
         while row:
             c = min(row)
             if c not in piv:
@@ -173,15 +172,10 @@ def rref(mat: Matrix):
     return Matrix(F, rows, mat.ncols), pivots
 
 
-def _cleaned(field, rows):
-    p = _modulus(field)
-    return [_nonzero(p, row.items()) for row in rows]
-
-
 def rank(field, rows) -> int:
     """Rank of the sparse rows ({column: value} dicts, zeros allowed); the
     columns of a map have its rank too."""
-    return len(_echelon(field, _cleaned(field, rows), back=False))
+    return len(_echelon(field, rows, back=False))
 
 
 def kernel_basis(field, rows, ncols):
@@ -193,7 +187,7 @@ def kernel_basis(field, rows, ncols):
     zeros at the other free columns, so coordinates w.r.t. this basis can
     be read off.
     """
-    piv = _echelon(field, _cleaned(field, rows))
+    piv = _echelon(field, rows)
     basis = {fc: {fc: field.one()} for fc in range(ncols) if fc not in piv}
     for pc, row in piv.items():
         for j, a in row.items():
@@ -209,9 +203,8 @@ def right_inverse(field, rows, ncols):
     Rows of [mat | I] are reduced; X has the identity part of the row with
     pivot c as its row c, and zero rows at the free columns.
     """
-    aug = _cleaned(field, rows)
-    for i, row in enumerate(aug):
-        row[ncols + i] = field.one()
+    one = field.one()
+    aug = [{**row, ncols + i: one} for i, row in enumerate(rows)]
     piv = _echelon(field, aug)
     if any(c >= ncols for c in piv):   # a pivot in I: some row combination vanishes
         return None
@@ -233,8 +226,7 @@ def solve_sparse(field, rows, rhs, ncols):
     if len(rhs) != len(rows):
         raise ValueError("rhs length mismatch")
     p = _modulus(field)
-    aug = [_nonzero(p, chain(row.items(), ((ncols, b),))) for row, b in zip(rows, rhs)]
-    piv = _echelon(field, aug, back=False)
+    piv = _echelon(field, [{**row, ncols: b} for row, b in zip(rows, rhs)], back=False)
     if ncols in piv:
         return None
     x = [field.zero()] * ncols

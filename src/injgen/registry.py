@@ -76,8 +76,16 @@ class Registry:
         self._live[h] = obj
 
     def store(self, doc: dict, label: str | None = None) -> str:
-        h = content_hash(doc)
-        self._admit(h, doc)
+        return self._write(content_hash(doc), doc, label)
+
+    def store_object(self, obj, label=None, provenance=None) -> str:
+        doc = to_json(obj, provenance)
+        return self._write(content_hash(doc), doc, label, obj)
+
+    def _write(self, h, doc, label, obj=None):
+        """Admit document doc (hash h; its object obj when the caller has
+        it) and write it and its index entry under the lock."""
+        self._admit(h, doc, obj)
         rel = f"objects/{h}.json"
         path = self.root / rel
         with self._locked_index() as index:
@@ -100,11 +108,6 @@ class Registry:
             if changed:
                 self._write_index()
         return h
-
-    def store_object(self, obj, label=None, provenance=None) -> str:
-        doc = to_json(obj, provenance)
-        self._admit(content_hash(doc), doc, obj)
-        return self.store(doc, label=label)
 
     def entry(self, h: str) -> dict:
         try:

@@ -114,7 +114,7 @@ def _check_extension(td):
     valid(td.bim)
     valid(td.algebra)
     cf = CleftFunctors(td)
-    for bim in (cf._up, cf._down, cf._pair):
+    for bim in (cf._up, cf.down, cf._pair):
         valid(bim)
     E = td.algebra
     valid(cf.U(regular_module(E, "right")))
