@@ -55,10 +55,6 @@ __all__ = [
 ]
 
 
-def _gl(g):
-    return ",".join(str(x) for x in g) if g else "0"
-
-
 def _check_assembled(obj, what):
     """Raise on the first axiom violation of a ring assembled around a
     pairing, or of a tuple's module over its context ring, naming the
@@ -102,6 +98,67 @@ def _checked_table(p, table, nrows, ncols, dim, what):
     return _clean_table(p, table, dim)
 
 
+# -- slot patterns -------------------------------------------------------------
+#
+# A covering ring, the blocks of its Morita split and both parts of the
+# Beilinson pattern lay a graded ring R out on slots (a, b) that compose
+# like matrix units.  A Pattern is such an object with its basis triples
+# and their positions.
+
+Pattern = namedtuple("Pattern", "obj triples pos")
+
+
+def _slot_basis(R, slots, degree):
+    """(triples, pos): triple (a, b, i) puts basis vector i of degree
+    degree(a, b) in slot (a, b), slot by slot; pos inverts triples."""
+    triples, pos = [], {}
+    for a, b in slots:
+        for i in R.component_indices(degree(a, b)):
+            pos[(a, b, i)] = len(triples)
+            triples.append((a, b, i))
+    return triples, pos
+
+
+def _slot_products(table, rows, cols, pos):
+    """The cell table of products of the row triples with the column
+    triples: row (a, b, i) times column (b, c, j) is table[i][j] moved to
+    slot (a, c) through pos.  Slots that do not meet multiply to zero;
+    KeyError on a product outside pos."""
+    starts = {}
+    for q, (b, c, j) in enumerate(cols):
+        starts.setdefault(b, []).append((q, c, j))
+    out = [[{} for _ in cols] for _ in rows]
+    for (a, b, i), row in zip(rows, out):
+        products = table[i]
+        for q, c, j in starts.get(b, ()):
+            row[q] = {pos[(a, c, k)]: x for k, x in products[j].items()}
+    return out
+
+
+def _pattern_algebra(R, slots, degree, tag) -> Pattern:
+    """The ungraded algebra of R on the slots, basis vector (a, b, i)
+    labelled tag(a, b) then R's label, with R's unit on the diagonal."""
+    triples, pos = _slot_basis(R, slots, degree)
+    zero = R.field.zero()
+    alg = GradedAlgebra._trusted(
+        R.field, TRIVIAL_GROUP, [f"{tag(a, b)}{R.labels[i]}" for a, b, i in triples],
+        [()] * len(triples), [R.unit[i] if a == b else zero for a, b, i in triples],
+        _slot_products(R.mult, triples, triples, pos))
+    return Pattern(alg, triples, pos)
+
+
+def _pattern_bimodule(R, left: Pattern, right: Pattern, slots, degree, tag) -> Pattern:
+    """R on the slots, labelled as in _pattern_algebra, as a bimodule
+    over two pattern algebras acting by slot products; KeyError on a
+    product outside the slots."""
+    triples, pos = _slot_basis(R, slots, degree)
+    bim = GradedBimodule._trusted(
+        left.obj, right.obj, [f"{tag(a, b)}{R.labels[i]}" for a, b, i in triples],
+        [()] * len(triples), _transposed(_slot_products(R.mult, left.triples, triples, pos)),
+        _slot_products(R.mult, triples, right.triples, pos))
+    return Pattern(bim, triples, pos)
+
+
 # -- coverings ---------------------------------------------------------------
 
 
@@ -109,15 +166,13 @@ class CoveringData:
     """A graded ring spread out over a square of group-indexed blocks.
 
     basis_triples[i] = (g, h, base_index) with the base element's degree
-    equal to h - g; block_index maps (g, h) to the covering indices of
-    that block, and pos inverts basis_triples.
+    equal to h - g, and pos inverts basis_triples.
     """
 
-    def __init__(self, algebra, base, basis_triples, block_index, pos):
+    def __init__(self, algebra, base, basis_triples, pos):
         self.algebra = algebra
         self.base = base
         self.basis_triples = basis_triples
-        self.block_index = block_index
         self.pos = pos
 
     def idempotent(self, g):
@@ -129,6 +184,18 @@ class CoveringData:
         return f"CoveringData(dim={self.algebra.dim} over {self.base!r})"
 
 
+def _cover_tag(g, h):
+    return "({}>{})".format(*(",".join(str(x) for x in e) if e else "0" for e in (g, h)))
+
+
+def _cover_pattern(build, R, keep, *over):
+    """build run on the covering slots (g, h) that keep accepts, slot
+    (g, h) holding the degree h - g component of R."""
+    els = R.group.elements()
+    slots = [(g, h) for g in els for h in els if keep(g, h)]
+    return build(R, *over, slots, lambda g, h: R.group.sub(h, g), _cover_tag)
+
+
 def covering_ring(R: GradedAlgebra) -> CoveringData:
     """Square matrix pattern over the grading group.
 
@@ -136,38 +203,8 @@ def covering_ring(R: GradedAlgebra) -> CoveringData:
     like matrix units through R's structure constants.  The result is an
     ungraded algebra of dimension |group| * dim R.
     """
-    group = R.group
-    F = R.field
-    els = group.elements()
-    triples = []
-    block_index = {}
-    pos = {}
-    for g in els:
-        for h in els:
-            idxs = []
-            for i in R.component_indices(group.sub(h, g)):
-                pos[(g, h, i)] = len(triples)
-                idxs.append(len(triples))
-                triples.append((g, h, i))
-            block_index[(g, h)] = idxs
-    dim = len(triples)
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    # slot (g, h) composes with the slots (h, k) only
-    for (g, h), left in block_index.items():
-        for k in els:
-            right = block_index[(h, k)]
-            for p in left:
-                row, i = mult[p], triples[p][2]
-                for q in right:
-                    row[q] = {pos[(g, k, t)]: c for t, c in R.mult[i][triples[q][2]].items()}
-    unit = [F.zero()] * dim
-    for g in els:
-        for i, c in enumerate(R.unit):
-            if not F.is_zero(c):
-                unit[pos[(g, g, i)]] = c
-    labels = [f"({_gl(g)}>{_gl(h)}){R.labels[i]}" for (g, h, i) in triples]
-    alg = GradedAlgebra._trusted(F, TRIVIAL_GROUP, labels, [()] * dim, unit, mult)
-    return CoveringData(alg, R, triples, block_index, pos)
+    cov = _cover_pattern(_pattern_algebra, R, lambda g, h: True)
+    return CoveringData(cov.obj, R, cov.triples, cov.pos)
 
 
 def covering_module(M: GradedModule, cov: CoveringData) -> GradedModule:
@@ -483,12 +520,21 @@ def morita_ring(A, B, N, M, phi=None, psi=None) -> MoritaContext:
         raise ConstructionError("N must be an (A, B)-bimodule")
     if M.left_algebra != B or M.right_algebra != A:
         raise ConstructionError("M must be a (B, A)-bimodule")
-    F = A.field
-    p = _modulus(F)
+    p = _modulus(A.field)
     dA, dN, dM, dB = A.dim, N.dim, M.dim, B.dim
     phi = _zero_table(dM, dN) if phi is None else _checked_table(p, phi, dM, dN, dB, "phi")
     psi = _zero_table(dN, dM) if psi is None else _checked_table(p, psi, dN, dM, dA, "psi")
+    ctx = _assemble_context(A, B, N, M, phi, psi)
+    if not ctx.is_zero_context:
+        _check_assembled(ctx.assembled, "context ring")
+    return ctx
 
+
+def _assemble_context(A, B, N, M, phi, psi) -> MoritaContext:
+    """The context of clean pairing tables that make a graded associative
+    algebra, assembled as they are."""
+    F = A.field
+    dA, dN, dM, dB = A.dim, N.dim, M.dim, B.dim
     oA, oN, oM, oB = 0, dA, dA + dN, dA + dN + dM
     dim = dA + dN + dM + dB
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
@@ -505,10 +551,7 @@ def morita_ring(A, B, N, M, phi=None, psi=None) -> MoritaContext:
               + [f"m:{s}" for s in M.labels] + [f"b:{s}" for s in B.labels])
     degrees = A.degree + N.degree + M.degree + B.degree
     assembled = GradedAlgebra._trusted(F, A.group, labels, degrees, unit, mult)
-    ctx = MoritaContext(A, B, N, M, phi, psi, assembled)
-    if not ctx.is_zero_context:
-        _check_assembled(assembled, "context ring")
-    return ctx
+    return MoritaContext(A, B, N, M, phi, psi, assembled)
 
 
 def split_covering(cov: CoveringData, k=None) -> MoritaContext:
@@ -517,12 +560,14 @@ def split_covering(cov: CoveringData, k=None) -> MoritaContext:
     Rows and columns with residue <= k form the A corner; k defaults to
     the half split (group order a power of two, k = order/2 - 1).  The
     context ring is the covering with its basis reordered into the blocks
-    A, N, M, B.
+    A, N, M, B.  The blocks and the pairings are slot patterns of the
+    covered ring, and the context ring, a reordering of the covering
+    ring, is assembled without an axiom check.
     """
-    group = cov.base.group
-    if len(group.factors) != 1:
+    R = cov.base
+    if len(R.group.factors) != 1:
         raise ConstructionError("splitting needs a cyclic grading group")
-    m = group.factors[0]
+    m = R.group.factors[0]
     if k is None:
         if m & (m - 1):
             raise ConstructionError("default half split needs a 2-power order; pass k")
@@ -530,26 +575,17 @@ def split_covering(cov: CoveringData, k=None) -> MoritaContext:
     if not 0 <= k <= m - 2:
         raise ConstructionError(f"split index {k} out of range for order {m}")
     top = {(r,) for r in range(k + 1)}
-    C = cov.algebra
-    blocks = [[idx for idx, (g, h, _) in enumerate(cov.basis_triples)
-               if (g in top) == rows_top and (h in top) == cols_top]
-              for rows_top in (True, False) for cols_top in (True, False)]
-    idxA, idxN, idxM, idxB = blocks
-    locA, locN, locM, locB = ({gi: i for i, gi in enumerate(idx)} for idx in blocks)
-    labA, labN, labM, labB = ([C.labels[p] for p in idx] for idx in blocks)
-    A_alg = GradedAlgebra._trusted(C.field, TRIVIAL_GROUP, labA, [()] * len(idxA),
-                                   [C.unit[p] for p in idxA], _cut(C.mult, idxA, idxA, locA))
-    B_alg = GradedAlgebra._trusted(C.field, TRIVIAL_GROUP, labB, [()] * len(idxB),
-                                   [C.unit[p] for p in idxB], _cut(C.mult, idxB, idxB, locB))
-    N_bim = GradedBimodule._trusted(A_alg, B_alg, labN, [()] * len(idxN),
-                                    _transposed(_cut(C.mult, idxA, idxN, locN)),
-                                    _cut(C.mult, idxN, idxB, locN))
-    M_bim = GradedBimodule._trusted(B_alg, A_alg, labM, [()] * len(idxM),
-                                    _transposed(_cut(C.mult, idxB, idxM, locM)),
-                                    _cut(C.mult, idxM, idxA, locM))
-    psi = _cut(C.mult, idxN, idxM, locA)
-    phi = _cut(C.mult, idxM, idxN, locB)
-    ctx = morita_ring(A_alg, B_alg, N_bim, M_bim, phi, psi)
+
+    def block(rows_top, cols_top):
+        return lambda g, h: (g in top) == rows_top and (h in top) == cols_top
+
+    A = _cover_pattern(_pattern_algebra, R, block(True, True))
+    B = _cover_pattern(_pattern_algebra, R, block(False, False))
+    N = _cover_pattern(_pattern_bimodule, R, block(True, False), A, B)
+    M = _cover_pattern(_pattern_bimodule, R, block(False, True), B, A)
+    phi = _slot_products(R.mult, M.triples, N.triples, B.pos)
+    psi = _slot_products(R.mult, N.triples, M.triples, A.pos)
+    ctx = _assemble_context(A.obj, B.obj, N.obj, M.obj, phi, psi)
     ctx.split_index = k
     return ctx
 
@@ -616,11 +652,10 @@ class TensorTower:
 
 
 class TensorRingData:
-    def __init__(self, algebra, tower, index, exponent, offsets):
+    def __init__(self, algebra, tower, index, offsets):
         self.algebra = algebra
         self.tower = tower
         self.index = index        # first vanishing power
-        self.exponent = exponent  # grading group has order 2**exponent
         self.offsets = offsets    # block start per power
 
     def __repr__(self):
@@ -665,7 +700,7 @@ def tensor_ring(R: GradedAlgebra, M: GradedBimodule, nilpotency_index: int) -> T
     for t, c in enumerate(R.unit):
         unit[t] = c
     alg = GradedAlgebra._trusted(F, group, labels, degrees, unit, mult)
-    return TensorRingData(alg, tower, k, n, offsets)
+    return TensorRingData(alg, tower, k, offsets)
 
 
 # -- multiplication-twisted extensions ---------------------------------------
@@ -963,13 +998,12 @@ def twisted_module(M: GradedModule, N: GradedModule, t: Bicharacter,
 
 
 class BeilinsonData:
-    def __init__(self, algebra, bim, level):
+    def __init__(self, algebra, bim):
         self.algebra = algebra  # the upper-triangular component pattern
         self.bim = bim          # the complementary lower pattern, a bimodule
-        self.level = level
 
     def __repr__(self):
-        return f"BeilinsonData(dim={self.algebra.dim}, level={self.level})"
+        return f"BeilinsonData(dim={self.algebra.dim})"
 
 
 def beilinson(Lam: GradedAlgebra, level: int) -> BeilinsonData:
@@ -993,60 +1027,15 @@ def beilinson(Lam: GradedAlgebra, level: int) -> BeilinsonData:
     if 2 * l - 1 >= m:
         raise ConstructionError("grading group too small for the block pattern; "
                                 "re-embed in a larger cyclic group")
-    F = Lam.field
-
-    def build(slots, slot_degree):
-        triples = []
-        pos = {}
-        for (r, c) in slots:
-            for i in Lam.component_indices((slot_degree(r, c),)):
-                pos[(r, c, i)] = len(triples)
-                triples.append((r, c, i))
-        return triples, pos
-
     upper = [(r, c) for r in range(l) for c in range(r, l)]
-    btrip, bpos = build(upper, lambda r, c: c - r)
-    dimb = len(btrip)
-    mult = [[{} for _ in range(dimb)] for _ in range(dimb)]
-    for p, (r, c, i) in enumerate(btrip):
-        for q, (r2, c2, j) in enumerate(btrip):
-            if c != r2:
-                continue
-            mult[p][q] = {bpos[(r, c2, k)]: v for k, v in Lam.mult[i][j].items()}
-    unit = [F.zero()] * dimb
-    for r in range(l):
-        for i, v in enumerate(Lam.unit):
-            if not F.is_zero(v):
-                unit[bpos[(r, r, i)]] = v
-    blabels = [f"b[{r},{c}]{Lam.labels[i]}" for (r, c, i) in btrip]
-    balg = GradedAlgebra._trusted(F, TRIVIAL_GROUP, blabels, [()] * dimb, unit, mult)
-
+    balg = _pattern_algebra(Lam, upper, lambda r, c: (c - r,), lambda r, c: f"b[{r},{c}]")
     lower = [(r, c) for r in range(l) for c in range(r + 1)]
-    xtrip, xpos = build(lower, lambda r, c: l - r + c)
-    dimx = len(xtrip)
-    left = [[{} for _ in range(dimb)] for _ in range(dimx)]
-    right = [[{} for _ in range(dimb)] for _ in range(dimx)]
-    for q, (r, c, j) in enumerate(xtrip):
-        for p, (r2, c2, i) in enumerate(btrip):
-            # left: b-slot (r2, c2) times x-slot (r, c) lands at (r2, c)
-            if c2 == r:
-                cell = {}
-                for k, v in Lam.mult[i][j].items():
-                    if (r2, c, k) not in xpos:
-                        raise ConstructionError("block pattern leak in the bimodule part")
-                    cell[xpos[(r2, c, k)]] = v
-                left[q][p] = cell
-            # right: x-slot (r, c) times b-slot (r2, c2) lands at (r, c2)
-            if c == r2:
-                cell = {}
-                for k, v in Lam.mult[j][i].items():
-                    if (r, c2, k) not in xpos:
-                        raise ConstructionError("block pattern leak in the bimodule part")
-                    cell[xpos[(r, c2, k)]] = v
-                right[q][p] = cell
-    xlabels = [f"x[{r},{c}]{Lam.labels[i]}" for (r, c, i) in xtrip]
-    xbim = GradedBimodule._trusted(balg, balg, xlabels, [()] * dimx, left, right)
-    return BeilinsonData(balg, xbim, l)
+    try:
+        xbim = _pattern_bimodule(Lam, balg, balg, lower, lambda r, c: (l - r + c,),
+                                 lambda r, c: f"x[{r},{c}]")
+    except KeyError:
+        raise ConstructionError("block pattern leak in the bimodule part") from None
+    return BeilinsonData(balg.obj, xbim.obj)
 
 
 # -- functor package for theta extensions -------------------------------------

@@ -19,7 +19,11 @@ Matrix is the dense row-major form of a map, for what is read from
 outside: render_columns draws it from sparse columns once, for the JSON
 params of a construction, a resolution report and the tests.  rref,
 solve_linear, Matrix.mul and Span.coordinates take or give the dense
-form and have no caller in the library.
+form and have no caller in the library.  They stay because the
+benchmark's tracer (perfbench/tracing.py) patches them by name, and
+tests/test_bench_hooks.py::test_traced_callables_resolve pins them; they
+can go once the tracer wraps the sparse entry points (rank,
+kernel_basis, right_inverse, solve_sparse) instead.
 """
 
 from __future__ import annotations

@@ -628,13 +628,13 @@ def _revalidate(env, node, problems, where, may_rise):
         problems.append(f"{where}: rule {rule.rule_id} no longer yields this "
                         "edge")
         return UNKNOWN
-    fresh = {hy["name"]: hy for hy in edge.hypotheses}
-    for rec in step.get("hypotheses", []):
-        f = fresh.get(rec["name"])
-        if f is None:
-            problems.append(f"{where}: hypothesis {rec['name']!r} not "
-                            "reproducible")
-            return UNKNOWN
+    recs = step.get("hypotheses", [])
+    names, fresh = ([hy["name"] for hy in hyps] for hyps in (recs, edge.hypotheses))
+    if names != fresh:
+        problems.append(f"{where}: hypotheses {names} do not match the "
+                        f"{fresh} of rule {rule.rule_id}")
+        return UNKNOWN
+    for rec, f in zip(recs, edge.hypotheses):
         if rec["status"] == "refuted":
             problems.append(f"{where}: hypothesis {rec['name']!r} is recorded "
                             "refuted")
@@ -676,15 +676,16 @@ def validate_cert(cert: dict, reg, pd_cutoff=None, nil_cutoff=None):
     """Replay every step of a certificate against the store.
 
     Hypotheses are recomputed at the cutoffs the certificate records,
-    unless pd_cutoff or nil_cutoff is given.  At the recorded cutoffs each
-    hypothesis must recompute to exactly its recorded status and
-    evidence; at other cutoffs an inconclusive one whose verdict reads a
-    cutoff (pd, nilpotency, perfectness) may also recompute to verified,
-    with new evidence.  A hypothesis recorded refuted is always
-    a problem.  Returns (ok, recomputed_status, problems).  ok means the
-    recorded status is supported by freshly recomputed hypotheses and
-    premises.  A certificate of the wrong shape is invalid and is not
-    replayed.
+    unless pd_cutoff or nil_cutoff is given.  A step must record the
+    hypotheses of its rule's edge by name, all of them and in order.  At
+    the recorded cutoffs each hypothesis must recompute to exactly its
+    recorded status and evidence; at other cutoffs an inconclusive one
+    whose verdict reads a cutoff (pd, nilpotency, perfectness) may also
+    recompute to verified, with new evidence.  A hypothesis recorded
+    refuted is always a problem.  Returns (ok, recomputed_status,
+    problems).  ok means the recorded status is supported by freshly
+    recomputed hypotheses and premises.  A certificate of the wrong shape
+    is invalid and is not replayed.
     """
     problems = []
     _form_problems(cert, "root", problems)

@@ -2,13 +2,16 @@
 
 Morita context rings, tensor rings, theta extensions, tuple modules, the
 doubled-block bimodule and direct sums write their tables block by block
-through algebra._place; the splitters, the degree-zero subalgebra and the
-component bimodules read blocks back through algebra._cut.  The ref_*
-functions below build the same tables with explicit loops, one cell at a
-time, and serve as references: every construction must give identical
-labels, degrees, unit and tables (==) on the bundled corpus, on the
-benchmark zoo's split coverings and positive splits, and on hypothesis
-draws over F_2, F_5 and Q.  test_cleft_modules_match_the_reference keeps
+through algebra._place; the positive splitter, the degree-zero subalgebra
+and the component bimodules read blocks back through algebra._cut; the
+covering ring, the four blocks and the pairings of its Morita split and
+both parts of the Beilinson pattern are slot patterns of the graded ring
+they start from.  The ref_* functions below build the same tables with
+explicit loops, one cell at a time, and serve as references: every
+construction must give identical labels, degrees, unit and tables (==),
+and refuse the same inputs with the same message, on the bundled corpus,
+on the benchmark zoo's tensor-family draws, and on hypothesis draws over
+F_2, F_5 and Q.  test_cleft_modules_match_the_reference keeps
 the base-over-extension module builder the vanishing check used before
 it read both modules off CleftFunctors.
 """
@@ -27,10 +30,10 @@ from injgen.algebra import (ConstructionError, GradedAlgebra, GradedBimodule,
                             zero_module)
 from injgen.bundled import corpus_docs
 from injgen.constructions import (CleftFunctors, MoritaContext, TensorRingData,
-                                  TensorTower, ThetaData, covering_ring, morita_ring,
-                                  reconstruct, regular_right_tuple, split_covering,
-                                  split_positively_graded, tensor_ring,
-                                  trivial_extension)
+                                  TensorTower, ThetaData, beilinson, covering_ring,
+                                  morita_ring, reconstruct, regular_right_tuple,
+                                  split_covering, split_positively_graded,
+                                  tensor_ring, trivial_extension)
 from injgen.field import QQ, PrimeField
 from injgen.groups import TRIVIAL_GROUP
 from injgen.homology import _block_pattern_bimodule, nilpotency_index
@@ -210,6 +213,115 @@ def ref_direct_sum(mods):
     return GradedModule._trusted(A, side, labels, degree, action), offsets
 
 
+def ref_covering_ring(R):
+    """(algebra, basis_triples, pos) of the covering ring of R."""
+    group = R.group
+    F = R.field
+    els = group.elements()
+    triples = []
+    block_index = {}
+    pos = {}
+    for g in els:
+        for h in els:
+            idxs = []
+            for i in R.component_indices(group.sub(h, g)):
+                pos[(g, h, i)] = len(triples)
+                idxs.append(len(triples))
+                triples.append((g, h, i))
+            block_index[(g, h)] = idxs
+    dim = len(triples)
+    mult = [[{} for _ in range(dim)] for _ in range(dim)]
+    # slot (g, h) composes with the slots (h, k) only
+    for (g, h), left in block_index.items():
+        for k in els:
+            right = block_index[(h, k)]
+            for p in left:
+                row, i = mult[p], triples[p][2]
+                for q in right:
+                    row[q] = {pos[(g, k, t)]: c for t, c in R.mult[i][triples[q][2]].items()}
+    unit = [F.zero()] * dim
+    for g in els:
+        for i, c in enumerate(R.unit):
+            if not F.is_zero(c):
+                unit[pos[(g, g, i)]] = c
+    gl = lambda g: ",".join(str(x) for x in g) if g else "0"
+    labels = [f"({gl(g)}>{gl(h)}){R.labels[i]}" for (g, h, i) in triples]
+    alg = GradedAlgebra._trusted(F, TRIVIAL_GROUP, labels, [()] * dim, unit, mult)
+    return alg, triples, pos
+
+
+def ref_beilinson(Lam, level):
+    """(algebra, bimodule) of the Beilinson pattern at the level, or the
+    ConstructionError that refuses it."""
+    group = Lam.group
+    if len(group.factors) != 1:
+        raise ConstructionError("triangular cut needs a cyclic grading group")
+    m = group.factors[0]
+    l = int(level)
+    if l < 1 or l > m - 1:
+        raise ConstructionError(f"level {l} out of range for order {m}")
+    for i in range(l + 1, m):
+        if Lam.component_indices((i,)):
+            raise ConstructionError(f"component beyond the level is nonzero: degree {i}")
+    if 2 * l - 1 >= m:
+        raise ConstructionError("grading group too small for the block pattern; "
+                                "re-embed in a larger cyclic group")
+    F = Lam.field
+
+    def build(slots, slot_degree):
+        triples = []
+        pos = {}
+        for (r, c) in slots:
+            for i in Lam.component_indices((slot_degree(r, c),)):
+                pos[(r, c, i)] = len(triples)
+                triples.append((r, c, i))
+        return triples, pos
+
+    upper = [(r, c) for r in range(l) for c in range(r, l)]
+    btrip, bpos = build(upper, lambda r, c: c - r)
+    dimb = len(btrip)
+    mult = [[{} for _ in range(dimb)] for _ in range(dimb)]
+    for p, (r, c, i) in enumerate(btrip):
+        for q, (r2, c2, j) in enumerate(btrip):
+            if c != r2:
+                continue
+            mult[p][q] = {bpos[(r, c2, k)]: v for k, v in Lam.mult[i][j].items()}
+    unit = [F.zero()] * dimb
+    for r in range(l):
+        for i, v in enumerate(Lam.unit):
+            if not F.is_zero(v):
+                unit[bpos[(r, r, i)]] = v
+    blabels = [f"b[{r},{c}]{Lam.labels[i]}" for (r, c, i) in btrip]
+    balg = GradedAlgebra._trusted(F, TRIVIAL_GROUP, blabels, [()] * dimb, unit, mult)
+
+    lower = [(r, c) for r in range(l) for c in range(r + 1)]
+    xtrip, xpos = build(lower, lambda r, c: l - r + c)
+    dimx = len(xtrip)
+    left = [[{} for _ in range(dimb)] for _ in range(dimx)]
+    right = [[{} for _ in range(dimb)] for _ in range(dimx)]
+    for q, (r, c, j) in enumerate(xtrip):
+        for p, (r2, c2, i) in enumerate(btrip):
+            # left: b-slot (r2, c2) times x-slot (r, c) lands at (r2, c)
+            if c2 == r:
+                cell = {}
+                for k, v in Lam.mult[i][j].items():
+                    if (r2, c, k) not in xpos:
+                        raise ConstructionError("block pattern leak in the bimodule part")
+                    cell[xpos[(r2, c, k)]] = v
+                left[q][p] = cell
+            # right: x-slot (r, c) times b-slot (r2, c2) lands at (r, c2)
+            if c == r2:
+                cell = {}
+                for k, v in Lam.mult[j][i].items():
+                    if (r, c2, k) not in xpos:
+                        raise ConstructionError("block pattern leak in the bimodule part")
+                    cell[xpos[(r, c2, k)]] = v
+                right[q][p] = cell
+    xlabels = [f"x[{r},{c}]{Lam.labels[i]}" for (r, c, i) in xtrip]
+    xbim = GradedBimodule._trusted(balg, balg, xlabels, [()] * dimx, left, right)
+    return balg, xbim
+
+
 # -- loop references: readers ----------------------------------------------------
 
 
@@ -355,8 +467,9 @@ def check_algebra(A, rng):
     assert A0 == ref_degree_zero_subalgebra(A)
     for g in A.group.elements():
         assert component_bimodule(A, g, A0) == ref_component_bimodule(A, g, A0)
+    cov = check_covering(A)
+    check_beilinson(A)
     if len(A.group.factors) == 1 and A.group.order >= 2:
-        cov = covering_ring(A)
         for k in sorted({0, A.group.order // 2 - 1}):
             check_split_covering(cov, k)
         check_positive_split(A)
@@ -366,6 +479,30 @@ def check_algebra(A, rng):
         got, offsets = direct_sum(summands)
         want, want_offsets = ref_direct_sum(summands)
         assert got == want and offsets == want_offsets
+
+
+def check_covering(R):
+    cov = covering_ring(R)
+    assert (cov.algebra, cov.basis_triples, cov.pos) == ref_covering_ring(R)
+    return cov
+
+
+def check_beilinson(Lam):
+    """beilinson against the reference at every level from 0 to the group
+    order, refusals included; the number of levels it builds."""
+    built = 0
+    for level in range(Lam.group.order + 1):
+        try:
+            want = ref_beilinson(Lam, level)
+        except ConstructionError as e:
+            with pytest.raises(ConstructionError) as got:
+                beilinson(Lam, level)
+            assert str(got.value) == str(e)
+            continue
+        bd = beilinson(Lam, level)
+        assert (bd.algebra, bd.bim) == want
+        built += 1
+    return built
 
 
 def check_split_covering(cov, k):
@@ -435,15 +572,16 @@ def test_corpus_constructions_match_the_loop_references():
 def test_zoo_splits_match_the_loop_references(seed, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     wl = importlib.import_module("workloads")
-    positive = 0
+    positive = patterns = 0
     for rnd in range(wl.ZOO_ROUNDS["tensor"]):
         for i, (n, fam, dim) in enumerate(wl.TENSOR_STRATA):
             make = lambda rng, n=n: wl._make_tensor(rng, n)
             _, A = wl._sample(random.Random(f"{seed}:tensor:{rnd}:{i}"), make,
                               lambda A: (wl.family(A), A.dim), (fam, dim))
-            check_split_covering(covering_ring(A), A.group.order // 2 - 1)
+            check_split_covering(check_covering(A), A.group.order // 2 - 1)
             positive += check_positive_split(A)
-    assert positive
+            patterns += check_beilinson(A)
+    assert positive and patterns
 
 
 @settings(max_examples=30, deadline=None)
@@ -455,6 +593,7 @@ def test_random_draws_match_the_loop_references(field, seed):
     U = random_upper_half_zero_algebra(F, rng, rng.choice([1, 2]))
     check_algebra(U, rng)
     assert check_positive_split(U)
+    assert check_beilinson(U)
 
 
 def test_cleft_modules_match_the_reference():

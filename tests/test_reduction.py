@@ -406,6 +406,41 @@ def test_validator_rejects_every_status_off_the_ladder(corpus, label):
                 assert any(repr(forged) in p for p in problems), problems
 
 
+def _located_steps(node, where="root"):
+    """(where, step) for every step, where the node's place as the
+    validator names it."""
+    for step in node.get("steps", []):
+        yield where, step
+        for i, p in enumerate(step["premises"]):
+            yield from _located_steps(p, f"{where}.{i}")
+
+
+HYPOTHESIS_EDITS = {"emptied": lambda hyps: [], "first dropped": lambda hyps: hyps[1:],
+                    "reversed": lambda hyps: hyps[::-1]}
+
+
+def test_validator_rejects_dropped_or_reordered_hypotheses(corpus):
+    """A step must record every hypothesis of its edge, in order: each
+    corpus step with its hypotheses emptied, the first one dropped or
+    their order reversed fails, naming the node."""
+    reg, labels = corpus
+    variants = 0
+    for label in sorted(CORPUS_EXPECT):
+        cert = json.loads(json.dumps(emit_certificate(derive(reg, labels[label]))))
+        for k, (where, step) in enumerate(_located_steps(cert)):
+            for how, edit in HYPOTHESIS_EDITS.items():
+                if edit(step["hypotheses"]) == step["hypotheses"]:
+                    continue
+                bad = copy.deepcopy(cert)
+                target = list(_located_steps(bad))[k][1]
+                target["hypotheses"] = edit(target["hypotheses"])
+                ok, status, problems = validate_cert(bad, reg)
+                assert not ok and status == UNKNOWN, (label, where, how)
+                assert any(p.startswith(f"{where}: hypotheses ") for p in problems), problems
+                variants += 1
+    assert variants == 92
+
+
 def _set(path, value):
     def forge(cert):
         holder = cert
