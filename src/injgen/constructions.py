@@ -872,6 +872,29 @@ class Bicharacter:
                 "values": [[self.field.enc(v) for v in row] for row in self.values]}
 
 
+def _twisted_kronecker(t: Bicharacter, A, B, left, right, right_degree):
+    """The cell table of the twisted Kronecker product of two tables whose
+    columns are A's and B's bases: row (i, j) times column (p, q) is
+    t(|p|, |j|) left[i][p] (x) right[j][q], for |j| = right_degree[j].
+    A pair (x, y) of rows or of cell keys is index x * len(right) + y, a
+    pair of columns p * dim B + q."""
+    F, d, dB = A.field, len(right), B.dim
+    out = []
+    for lrow in left:
+        for j, rrow in enumerate(right):
+            row = [{} for _ in range(A.dim * dB)]
+            for p, lcell in enumerate(lrow):
+                if not lcell:
+                    continue
+                coef = t.value(A.degree[p], right_degree[j])
+                for q, rcell in enumerate(rrow):
+                    if rcell:
+                        row[p * dB + q] = {r * d + s: F.mul(coef, F.mul(x, y))
+                                           for r, x in lcell.items() for s, y in rcell.items()}
+            out.append(row)
+    return out
+
+
 def twisted_tensor(A: GradedAlgebra, B: GradedAlgebra, t: Bicharacter) -> GradedAlgebra:
     """Tensor product algebra with the cross-term commutation scaled by t.
 
@@ -884,31 +907,11 @@ def twisted_tensor(A: GradedAlgebra, B: GradedAlgebra, t: Bicharacter) -> Graded
         raise ConstructionError("bicharacter groups do not match the factors")
     F = A.field
     group = A.group.product_with(B.group)
-    dA, dB = A.dim, B.dim
-    dim = dA * dB
+    dB = B.dim
     labels = [f"({la}|{lb})" for la in A.labels for lb in B.labels]
     degrees = [A.group.pair(da, db) for da in A.degree for db in B.degree]
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i in range(dA):
-        for j in range(dB):
-            row = i * dB + j
-            for p in range(dA):
-                coef = t.value(A.degree[p], B.degree[j])
-                if F.is_zero(coef):
-                    continue
-                am = A.mult[i][p]
-                if not am:
-                    continue
-                for q in range(dB):
-                    bm = B.mult[j][q]
-                    if not bm:
-                        continue
-                    cell = {}
-                    for r, ca in am.items():
-                        for s, cb in bm.items():
-                            cell[r * dB + s] = F.mul(coef, F.mul(ca, cb))
-                    mult[row][p * dB + q] = cell
-    unit = [F.zero()] * dim
+    mult = _twisted_kronecker(t, A, B, A.mult, B.mult, B.degree)
+    unit = [F.zero()] * (A.dim * dB)
     for i, ca in enumerate(A.unit):
         if F.is_zero(ca):
             continue
@@ -967,30 +970,9 @@ def twisted_module(M: GradedModule, N: GradedModule, t: Bicharacter,
         raise ConstructionError("bicharacter groups do not match the factors")
     if AtB != twisted_tensor(A, B, t):
         raise ConstructionError("carrier is not the twisted product along t")
-    F = A.field
-    dB = B.dim
-    dN = N.dim
-    dim = M.dim * dN
     labels = [f"({lm}|{ln})" for lm in M.labels for ln in N.labels]
     degrees = [A.group.pair(dm, dn) for dm in M.degree for dn in N.degree]
-    action = [[{} for _ in range(AtB.dim)] for _ in range(dim)]
-    for p in range(M.dim):
-        for q in range(dN):
-            row = p * dN + q
-            for k in range(A.dim):
-                coef = t.value(A.degree[k], N.degree[q])
-                ma = M.action[p][k]
-                if not ma:
-                    continue
-                for l in range(dB):
-                    nb = N.action[q][l]
-                    if not nb:
-                        continue
-                    cell = {}
-                    for r, cm in ma.items():
-                        for s, cn in nb.items():
-                            cell[r * dN + s] = F.mul(coef, F.mul(cm, cn))
-                    action[row][k * dB + l] = cell
+    action = _twisted_kronecker(t, A, B, M.action, N.action, N.degree)
     return GradedModule._trusted(AtB, "right", labels, degrees, action)
 
 
@@ -1029,12 +1011,11 @@ def beilinson(Lam: GradedAlgebra, level: int) -> BeilinsonData:
                                 "re-embed in a larger cyclic group")
     upper = [(r, c) for r in range(l) for c in range(r, l)]
     balg = _pattern_algebra(Lam, upper, lambda r, c: (c - r,), lambda r, c: f"b[{r},{c}]")
+    # a product that leaves the lower slots has a degree in (l, 2l - 1],
+    # whose components the two guards above make zero
     lower = [(r, c) for r in range(l) for c in range(r + 1)]
-    try:
-        xbim = _pattern_bimodule(Lam, balg, balg, lower, lambda r, c: (l - r + c,),
-                                 lambda r, c: f"x[{r},{c}]")
-    except KeyError:
-        raise ConstructionError("block pattern leak in the bimodule part") from None
+    xbim = _pattern_bimodule(Lam, balg, balg, lower, lambda r, c: (l - r + c,),
+                             lambda r, c: f"x[{r},{c}]")
     return BeilinsonData(balg.obj, xbim.obj)
 
 

@@ -15,14 +15,16 @@ idempotents the set is {1} and the cover is free.  Ranks count
 projective summands.  When the e_i are basis vectors and the other basis
 vectors span a nilpotent ideal, that ideal is the radical J (coverings of
 truncated polynomial rings, triangular rings, path algebras, tensor
-rings of chains): the generators are then a lifted basis of M / M J,
-each cover is a projective cover, the resolutions are minimal, and M is
-projective exactly when its cover has zero kernel.  Otherwise (group
-algebras, and algebras whose unit is not a sum of basis idempotents) the
-generators are greedy and the resolutions need not be minimal.  A cover
-with zero kernel still shows M projective; when the kernel is nonzero,
-projectivity is decided by an A-linear retraction of ker pi -> F with
-unknowns k_c in F e_i(c).
+rings of chains).  One record per algebra, found in one cached pass
+(_structure), holds both facts: the e_i with the corner of each basis
+vector, and J or None.  Where J is known, the generators are a lifted
+basis of M / M J, each cover is a projective cover, the resolutions are
+minimal, and M is projective exactly when its cover has zero kernel.
+Otherwise (group algebras, and algebras whose unit is not a sum of basis
+idempotents) the generators are greedy and the resolutions need not be
+minimal.  A cover with zero kernel still shows M projective; when the
+kernel is nonzero, projectivity is decided by an A-linear retraction of
+ker pi -> F with unknowns k_c in F e_i(c).
 
 Each module caches its cover pi: F -> M and the kernel of pi, so one cover
 serves both the next resolution step (the span of ker pi is the next
@@ -33,6 +35,7 @@ vectors throughout.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 
 from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
                       GradedBimodule, GradedModule, ModuleHom, _act_by, _act_sparse,
@@ -159,83 +162,72 @@ def flatten_module(M: GradedModule) -> GradedModule:
 # -- covers by idempotent projectives ----------------------------------------
 
 
-def _idempotents(A: GradedAlgebra):
-    """(idems, left, right): orthogonal idempotents e_i summing to the unit,
-    as sparse vectors, with e_left[j] b_j = b_j = b_j e_right[j] for every
-    basis element b_j.
+Structure = namedtuple("Structure", "idems left right rad")
+
+
+def _structure(A: GradedAlgebra) -> Structure:
+    """(idems, left, right, rad): the basis idempotents of A and, when A
+    splits over its radical on the basis, the basis indices spanning
+    J0 = rad A.  Cached on A, never serialized.
 
     The e_i are the unit's support u_k b_k when an exact check passes: on
-    each side every b_j is fixed by one e_i and killed by the others (so it
-    lies in one corner e_i A e_i'), and the e_i fix their own support, which
-    makes e_i e_j = delta_ij e_i; sum e_i = 1 holds by construction.
-    Otherwise the set is {1}, every tag is 0 and e A = A.  Cached on A,
-    never serialized.
+    each side every b_j is fixed by one e_i and killed by the others, so it
+    lies in one corner e_left[j] A e_right[j], and the e_i fix their own
+    support, which makes e_i e_j = delta_ij e_i; sum e_i = 1 holds by
+    construction.  Otherwise idems is [1], every tag is 0 and e A = A.
+
+    The witness for rad: every e_i is one basis vector u b_k, and the other
+    basis vectors span a nilpotent two-sided ideal J0.  Then J0 = rad A: a
+    nilpotent ideal lies in the radical, and A/J0 is spanned by n
+    orthogonal idempotents, so it is k^n and semisimple.  As each e_i fixes
+    or kills every basis vector on either side, J0 is an ideal once
+    J0 J0 lies in J0 on the table supports.  Nilpotency is decided
+    exactly: the powers J0^(m+1) = J0^m J0 are computed until they vanish
+    or stop shrinking.  Where the witness fails, rad is None.
     """
-    if "idempotents" not in A._cache:
-        fld = A.field
-        supp = [(k, u) for k, u in enumerate(A.unit) if not fld.is_zero(u)]
+    if "structure" in A._cache:
+        return A._cache["structure"]
+    fld = A.field
+    supp = [(k, u) for k, u in enumerate(A.unit) if not fld.is_zero(u)]
 
-        def tags(cell):
-            # the i whose e_i fixes b_j, for each j; None if the check fails
-            out = []
-            for j in range(A.dim):
-                acts = [{t: fld.mul(u, x) for t, x in cell(k, j).items()} for k, u in supp]
-                hit = [i for i, a in enumerate(acts) if a]
-                if len(hit) != 1 or acts[hit[0]] != {j: fld.one()}:
-                    return None
-                out.append(hit[0])
-            return out
+    def tags(cell):
+        # the i whose e_i fixes b_j, for each j; None if the check fails
+        out = []
+        for j in range(A.dim):
+            acts = [{t: fld.mul(u, x) for t, x in cell(k, j).items()} for k, u in supp]
+            hit = [i for i, a in enumerate(acts) if a]
+            if len(hit) != 1 or acts[hit[0]] != {j: fld.one()}:
+                return None
+            out.append(hit[0])
+        return out
 
-        left = right = None
-        if len(supp) > 1:
-            left = tags(lambda k, j: A.mult[k][j])
-            right = tags(lambda k, j: A.mult[j][k])
-        if left and right and all(left[k] == i == right[k] for i, (k, _) in enumerate(supp)):
-            A._cache["idempotents"] = ([{k: u} for k, u in supp], left, right)
-        else:
-            A._cache["idempotents"] = ([dict(supp)], [0] * A.dim, [0] * A.dim)
-    return A._cache["idempotents"]
-
-
-def _split_radical(A: GradedAlgebra):
-    """The basis indices spanning J0 = rad A when A splits over its
-    radical on the basis, else None.  Cached on A, never serialized.
-
-    The witness: every e_i of _idempotents is one basis vector u b_k, and
-    the other basis vectors span a two-sided ideal J0 (each product of a
-    J0 vector with a basis vector, on either side, has its support in
-    J0) that is nilpotent.  Then J0 = rad A: a nilpotent ideal lies in
-    the radical, and A/J0 is spanned by n orthogonal idempotents, so it
-    is k^n and semisimple.  Nilpotency is decided exactly: the powers
-    J0^(m+1) = J0^m J0 are computed until they vanish or stop shrinking.
-    """
-    if "radical" not in A._cache:
-        A._cache["radical"] = _find_split_radical(A)
-    return A._cache["radical"]
-
-
-def _find_split_radical(A: GradedAlgebra):
-    idems = _idempotents(A)[0]
+    left = right = None
+    if len(supp) > 1:
+        left = tags(lambda k, j: A.mult[k][j])
+        right = tags(lambda k, j: A.mult[j][k])
+    if left and right and all(left[k] == i == right[k] for i, (k, _) in enumerate(supp)):
+        idems = [{k: u} for k, u in supp]
+    else:
+        idems, left, right = [dict(supp)], [0] * A.dim, [0] * A.dim
+    rec = A._cache["structure"] = Structure(idems, left, right, None)
     if any(len(e) != 1 for e in idems):
-        return None
+        return rec
     tops = {k for e in idems for k in e}
     rad = [j for j in range(A.dim) if j not in tops]
     inside = set(rad)
-    for j in rad:
-        for a in range(A.dim):
-            if not (A.mult[j][a].keys() <= inside and A.mult[a][j].keys() <= inside):
-                return None
-    one, p = A.field.one(), A._p
-    power = [{j: one} for j in rad]
+    if any(not A.mult[j][a].keys() <= inside for j in rad for a in rad):
+        return rec
+    power = [{j: fld.one()} for j in rad]
     while power:
-        span = Span(A.field, A.dim)
+        span = Span(fld, A.dim)
         for v in power:
             for a in rad:
-                span.add(_act_sparse(A.mult, p, v, a))
+                span.add(_act_sparse(A.mult, A._p, v, a))
         if span.dim() == len(power):    # J0^(m+1) = J0^m is not zero
-            return None
+            return rec
         power = [row for _, row in span.rows()]
-    return rad
+    rec = A._cache["structure"] = rec._replace(rad=rad)
+    return rec
 
 
 def _projective(A: GradedAlgebra, side, summands):
@@ -249,7 +241,7 @@ def _projective(A: GradedAlgebra, side, summands):
     """
     key = ("proj", side, summands)
     if key not in A._cache:
-        _, left, right = _idempotents(A)
+        _, left, right, _ = _structure(A)
         own, tag = (left, right) if side == "right" else (right, left)
         basis = [(c, j) for c, i in enumerate(summands)
                  for j in range(A.dim) if own[j] == i]
@@ -269,7 +261,7 @@ class _Cover:
     Each generator m of M splits as the sum of its components m e_i (e_i m
     for left modules); every nonzero component c becomes a summand
     e_i(c) A of F, mapped onto M by e_i a -> m e_i a.  When A splits over
-    its radical J on the basis (_split_radical), the generators are the
+    its radical J on the basis (_structure), the generators are the
     components of the basis vectors, walked in (m, i) order, that enlarge
     the span of M J and the generators before them: their classes are a
     basis of M / M J, so by Nakayama the cover is a projective cover and
@@ -291,8 +283,7 @@ class _Cover:
 
     def __init__(self, M: GradedModule):
         fld = M.field
-        idems = _idempotents(M.algebra)[0]
-        rad = _split_radical(M.algebra)
+        idems, _, _, rad = _structure(M.algebra)
         if rad is None:
             gens = [c for g in M.generators() for c in _components(M, g, idems)]
         else:
@@ -317,17 +308,8 @@ class _Cover:
 
 def _components(M: GradedModule, m, idems):
     """(i, m e_i) for the nonzero components of basis vector m (e_i m for
-    left modules); m itself for the unit alone."""
-    fld = M.field
-    if len(idems) == 1:
-        return [(0, {m: fld.one()})]
-    out = []
-    for i, e in enumerate(idems):
-        (k, u), = e.items()
-        w = {t: fld.mul(u, x) for t, x in M.action[m][k].items()}
-        if w:
-            out.append((i, w))
-    return out
+    left modules)."""
+    return [(i, w) for i, e in enumerate(idems) if (w := _act_by(M.action, M._p, m, e))]
 
 
 def _cover(M: GradedModule) -> _Cover:
@@ -368,7 +350,7 @@ def is_projective(M: GradedModule) -> ProjectivityReport:
     cov = _cover(M)
     if not cov.kernel:
         split = ModuleHom(M, cov.free, right_inverse(M.field, cov.rows, cov.free.dim))
-    elif _split_radical(M.algebra) is None:
+    elif _structure(M.algebra).rad is None:
         split = _retraction(M, cov)
     else:
         split = None
@@ -607,11 +589,11 @@ def tor(X: GradedModule, Y: GradedModule, i_max: int, resolve_side="first"):
         if verdict.is_finite:
             cap = min(cap, verdict.value)
     res.ensure(cap + 2)
-    idems = _idempotents(resolved.algebra)[0]
+    idems = _structure(resolved.algebra).idems
     fld = partner.field
-    # dim e_i N is the rank of e_i acting on N: all of N for the unit alone
-    edim = ([partner.dim] if len(idems) == 1 else
-            [rank(fld, [row[k] for row in partner.action]) for e in idems for k in e])
+    # dim e_i N is the rank of e_i acting on N
+    edim = [rank(fld, [_act_by(partner.action, partner._p, t, e) for t in range(partner.dim)])
+            for e in idems]
     covers = res.covers
     tranks = [rank(fld, _tensored_boundary(res.boundaries[i], covers[i], covers[i - 1],
                                            idems, partner))
@@ -862,17 +844,16 @@ def cleft_vanishing_bound(td: ThetaData, pd_cutoff=DEFAULT_PD_CUTOFF,
     return max(1, n + s - 1), n, s, per
 
 
-def cleft_vanishing_check(td: ThetaData, modules=None,
-                          pd_cutoff=DEFAULT_PD_CUTOFF,
+def cleft_vanishing_check(td: ThetaData, pd_cutoff=DEFAULT_PD_CUTOFF,
                           nil_cutoff=DEFAULT_NIL_CUTOFF) -> CheckReport:
     """Tor_i over the extension against the base vanishes from B upward.
 
     Decided conclusively through pd of the base as a left module over the
     extension: pd <= B - 1 forces the vanishing for every coefficient
-    module at once.  The Tor table on the supplied right modules (plus
-    the regular module, the base, and all one dimensional modules when
-    the field is small) is reported as direct evidence; values at B - 1
-    may well be nonzero, which is what makes the bound tight.
+    module at once.  The Tor table on the regular module, the base, and
+    all one dimensional modules when the field is small is reported as
+    direct evidence; values at B - 1 may well be nonzero, which is what
+    makes the bound tight.
     """
     B, n, s, per = cleft_vanishing_bound(td, pd_cutoff, nil_cutoff)
     E = td.algebra
@@ -888,8 +869,6 @@ def cleft_vanishing_check(td: ThetaData, modules=None,
             tests.append((f"onedim{t}", S))
     except ConstructionError:
         pass
-    for t, X in enumerate(modules or []):
-        tests.append((f"given{t}", X))
     lo = max(0, B - 1)
     table = {}
     violations = []
@@ -1038,17 +1017,17 @@ def _corner_dims(V: GradedBimodule, idems):
     return out
 
 
-def power_block_law_check(A: GradedAlgebra, N: GradedBimodule, i_max=2, j_max=2,
+def power_block_law_check(A: GradedAlgebra, N: GradedBimodule,
                           nil_cutoff=DEFAULT_NIL_CUTOFF) -> CheckReport:
     """Powers of the doubled-block bimodule follow the shifted block law.
 
     Over the triangular ring with corners A and glueing bimodule N, the
     block bimodule [[N^2, N^3], [N, N^2]] has i-th power
     [[N^2i, N^2i+1], [N^2i-1, N^2i]].  Checked by dimension and by the
-    four idempotent corner dimensions, for each i up to i_max; small
-    instances also get a module isomorphism on both sides.  A Tor
-    identity for the first power pair is verified when its hypothesis
-    (vanishing of Tor against N) holds.
+    four idempotent corner dimensions, for i = 1, 2; small instances also
+    get a module isomorphism on both sides.  A Tor identity for the first
+    power pair is verified through Tor_2 when its hypothesis (vanishing of
+    Tor against N) holds.
     """
     tower = TensorTower(A, N)
     nil = nilpotency_index(N, nil_cutoff, tower=tower)
@@ -1064,7 +1043,7 @@ def power_block_law_check(A: GradedAlgebra, N: GradedBimodule, i_max=2, j_max=2,
              for name, off in (("top", oA), ("bot", oB))}
     dim_rows, corner_rows, iso_rows = [], [], []
     ok = True
-    for i in range(1, i_max + 1):
+    for i in (1, 2):
         direct = towerM.power(i)
         p = [tower.power(2 * i).dim, tower.power(2 * i + 1).dim,
              tower.power(2 * i - 1).dim]
@@ -1096,13 +1075,13 @@ def power_block_law_check(A: GradedAlgebra, N: GradedBimodule, i_max=2, j_max=2,
     z_parts = [tower.power(1).as_left_module(), tower.power(2).as_left_module()]
     Y = direct_sum([m for m in y_parts if m.dim] or [zero_module(A, "right")])[0]
     Z = direct_sum([m for m in z_parts if m.dim] or [zero_module(A, "left")])[0]
-    hyp = tor(N.as_right_module(), Z, j_max)
+    hyp = tor(N.as_right_module(), Z, 2)
     tor_detail = {"hypothesis": hyp}
     if any(hyp[1:]):
         tor_detail["status"] = "hypothesis-failed"
     else:
-        lhs = tor(M.as_right_module(), M.as_left_module(), j_max)
-        rhs = tor(Y, Z, j_max)
+        lhs = tor(M.as_right_module(), M.as_left_module(), 2)
+        rhs = tor(Y, Z, 2)
         tor_detail.update({"status": "checked", "over_extension": lhs,
                            "over_base": rhs})
         if lhs != rhs:

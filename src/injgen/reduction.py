@@ -190,13 +190,14 @@ class CoveringRule(Rule):
     citation = ("A ring graded by a finite abelian group and its covering "
                 "ring have equivalent module theories, so injectives "
                 "generate for one exactly when they do for the other.")
+    construction = "covering_ring"
 
     def edges(self, env, h):
         out = []
-        if env.prov(h).get("construction") == "covering_ring":
+        if env.prov(h).get("construction") == self.construction:
             out.append(Edge("forward", [env.prov(h)["inputs"][0]],
                             [env.integrity_hyp(h)]))
-        for other, _e in env.reg.derived_from(h, "covering_ring"):
+        for other, _e in env.reg.derived_from(h, self.construction):
             out.append(Edge("backward", [other], [env.integrity_hyp(other)]))
         return out
 
@@ -298,19 +299,11 @@ class MoritaRule(Rule):
         return out
 
 
-class BeilinsonRule(Rule):
+class BeilinsonRule(CoveringRule):
     rule_id = "R-BEIL"
     citation = ("A positively and finitely graded ring generates injectives "
                 "exactly when its upper-triangular pattern extension does.")
-
-    def edges(self, env, h):
-        out = []
-        if env.prov(h).get("construction") == "beilinson":
-            out.append(Edge("forward", [env.prov(h)["inputs"][0]],
-                            [env.integrity_hyp(h)]))
-        for other, _e in env.reg.derived_from(h, "beilinson"):
-            out.append(Edge("backward", [other], [env.integrity_hyp(other)]))
-        return out
+    construction = "beilinson"
 
 
 def _bimodule_hyps(env, R, W):
@@ -564,7 +557,8 @@ def _objects(value):
 
 def _form_problems(node, where, problems):
     """Record where node, or a node below it, does not have the shape the
-    validator reads, or records a status that is off its ladder."""
+    validator reads, records a status that is off its ladder, or records
+    more than the one step that the validator replays."""
     if not isinstance(node, dict) or not isinstance(node.get("claim"), dict):
         problems.append(f"{where}: a node must be an object with a claim object")
         return
@@ -575,6 +569,8 @@ def _form_problems(node, where, problems):
     if not _objects(steps):
         problems.append(f"{where}: steps must be a list of objects")
         return
+    if len(steps) > 1:
+        problems.append(f"{where}: a node records one derivation step, not {len(steps)}")
     for step in steps:
         hyps, premises = step.get("hypotheses", []), step.get("premises", [])
         if not (isinstance(step.get("rule"), str) and _objects(hyps)

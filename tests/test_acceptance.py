@@ -12,7 +12,7 @@ from dense_modules import zeros
 from injgen.algebra import (GradedBimodule, check_algebra_axioms,
                             regular_module)
 from injgen.bundled import load_corpus
-from injgen.constructions import (Bicharacter, covering_module,
+from injgen.constructions import (Bicharacter, CleftFunctors, covering_module,
                                   covering_module_inverse, covering_ring,
                                   morita_ring, regular_right_tuple,
                                   split_covering, split_positively_graded,
@@ -120,7 +120,7 @@ def test_c04_tensor_formula_agreement():
 
 def test_c05_power_block_dimension_law():
     k3 = product_field_algebra(F5, 3)
-    rep = power_block_law_check(k3, chain_bimodule_3(k3), i_max=2)
+    rep = power_block_law_check(k3, chain_bimodule_3(k3))
     assert rep.ok is True
     assert rep.details["dims"] == [(1, 4, 4), (2, 0, 0)]
     assert rep.details["isos"] == [(1, True, True)]
@@ -172,9 +172,14 @@ def test_c09_cleft_vanishing_from_bound():
     td, _perm = split_positively_graded(a3)
     rng = random.Random(909)
     extras = [random_module(td.algebra, rng, "right") for _ in range(10)]
-    rep = cleft_vanishing_check(td, modules=extras)
+    rep = cleft_vanishing_check(td)
     assert rep.ok is True
     assert rep.details["violations"] == []
+    # random coefficient modules: Tor vanishes from the bound upward
+    B = rep.details["bound"]
+    Rleft = CleftFunctors(td).down.as_left_module()
+    for X in extras:
+        assert not any(tor(X, Rleft, B + 1, resolve_side="second")[B:])
 
     # square-zero instance where the bound is tight: nonzero right at B-1
     kk = product_field_algebra(F5, 2)

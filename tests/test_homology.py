@@ -13,7 +13,7 @@ from injgen.constructions import covering_ring, morita_ring, \
     regular_right_tuple, trivial_extension
 from injgen.field import QQ, PrimeField, Rationals
 from injgen.groups import FiniteAbelianGroup
-from injgen.homology import (CheckReport, Verdict, _cover, _idempotents,
+from injgen.homology import (CheckReport, Verdict, _cover, _structure,
                              _resolver, cleft_vanishing_bound,
                              cleft_vanishing_check, flatten_module,
                              is_projective, left_perfect_check,
@@ -105,7 +105,7 @@ def test_cover_of_simple_over_dual_numbers():
 
 def test_cover_of_regular_over_a3_is_by_vertex_idempotents():
     A3 = a3_quiver()
-    idems, left, right = _idempotents(A3)
+    idems, left, right, _ = _structure(A3)
     assert len(idems) == 3
     for side in ("left", "right"):
         M = regular_module(A3, side)
@@ -249,7 +249,7 @@ def test_triangular_simple_resolution_is_pinned():
     ctx = _triangular_ctx(D, regular_bimodule(D))
     M = ctx.Z_B(simple_over(D, "left", [1, 0])).as_module()
     assert (M.dim, M.algebra.dim) == (1, 6)
-    assert len(_idempotents(M.algebra)[0]) == 2
+    assert len(_structure(M.algebra).idems) == 2
     rr = resolution_report(M, 5)
     assert rr.pd_verdict == Verdict.at_least(5)
     assert [s.rank for s in rr.steps] == [1, 2, 2, 2, 2]
@@ -699,7 +699,7 @@ def test_tensor_formula_rejects_foreign_tuples():
 
 def test_power_block_law_two_vertices():
     kk = product_field_algebra(F5, 2)
-    rep = power_block_law_check(kk, arrow_bimodule(kk), i_max=2, j_max=2)
+    rep = power_block_law_check(kk, arrow_bimodule(kk))
     assert rep.ok is True
     assert rep.details["dims"] == [(1, 1, 1), (2, 0, 0)]
     assert rep.details["tor"]["status"] == "checked"
@@ -707,14 +707,14 @@ def test_power_block_law_two_vertices():
 
 def test_power_block_law_three_vertices():
     k3 = product_field_algebra(F5, 3)
-    rep = power_block_law_check(k3, chain_bimodule(k3, 3), i_max=2, j_max=2)
+    rep = power_block_law_check(k3, chain_bimodule(k3, 3))
     assert rep.ok is True
     assert rep.details["dims"] == [(1, 4, 4), (2, 0, 0)]
 
 
 def test_power_block_law_four_vertices_nonzero_square():
     k4 = product_field_algebra(F5, 4)
-    rep = power_block_law_check(k4, chain_bimodule(k4, 4), i_max=2, j_max=2)
+    rep = power_block_law_check(k4, chain_bimodule(k4, 4))
     assert rep.ok is True
     assert rep.details["dims"] == [(1, 8, 8), (2, 1, 1)]
     corners_i2 = rep.details["corners"][1][1]

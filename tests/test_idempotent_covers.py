@@ -20,7 +20,7 @@ from injgen.algebra import (GradedAlgebra, GradedBimodule, GradedModule,
 from injgen.constructions import covering_ring, morita_ring, tensor_ring
 from injgen.field import QQ, PrimeField
 from injgen.groups import TRIVIAL_GROUP, FiniteAbelianGroup
-from injgen.homology import (Verdict, _cover, _idempotents, _resolver,
+from injgen.homology import (Verdict, _cover, _resolver, _structure,
                              flatten_module, is_projective,
                              projective_dimension, resolution_report, tor)
 from injgen.linalg import Matrix, render_columns, right_inverse
@@ -193,11 +193,11 @@ def _assert_witnesses(M, cutoff):
 
 
 def test_idempotents_of_the_families():
-    counts = {name: len(_idempotents(X.algebra)[0]) for name, X, _ in _family_pairs(F5)}
+    counts = {name: len(_structure(X.algebra).idems) for name, X, _ in _family_pairs(F5)}
     assert counts["tri:AB"] == 2 and counts["cov:m3n2"] == 2 and counts["cov:m2n3"] == 3
     assert counts["quiver:A4r2:S1S4"] == 4 and counts["tensor:k3:S1S3"] == 3
     for A in (truncated_polynomial(F5, 3), product_field_algebra(F5, 1)):
-        assert _idempotents(A) == ([{0: F5.one()}], [0] * A.dim, [0] * A.dim)
+        assert _structure(A)[:3] == ([{0: F5.one()}], [0] * A.dim, [0] * A.dim)
 
 
 def test_idempotents_read_scaled_unit_support():
@@ -206,7 +206,7 @@ def test_idempotents_read_scaled_unit_support():
     A = GradedAlgebra(F5, TRIVIAL_GROUP, ["f1", "f2"], [(), ()], [F5.of_int(3), one],
                       [[{0: F5.of_int(2)}, {}], [{}, {1: one}]])
     assert check_axioms(A).passed
-    idems, left, right = _idempotents(A)
+    idems, left, right, _ = _structure(A)
     assert idems == [{0: F5.of_int(3)}, {1: one}] and left == right == [0, 1]
 
 
@@ -217,7 +217,7 @@ def test_idempotents_fall_back_to_the_unit():
     rng = random.Random(3)
     moved = _rebase_algebra(pa.algebra, rng)
     A2 = moved[0]
-    idems, left, right = _idempotents(A2)
+    idems, left, right, _ = _structure(A2)
     assert len(idems) == 1 and idems[0] == {q: x for q, x in enumerate(A2.unit) if x}
     assert left == right == [0] * A2.dim
     cov = _cover(_rebase_module(_character(pa.algebra, "right", 0), rng, moved))
@@ -255,8 +255,8 @@ def test_families_agree_across_bases():
             if fld is QQ and not name.startswith(("tri:AB", "cov:m2n2", "quiver:A3r2")):
                 continue
             ways = _three_ways(X, Y, rng)
-            assert len(_idempotents(ways[0][0].algebra)[0]) > 1
-            assert len(_idempotents(ways[2][0].algebra)[0]) == 1
+            assert len(_structure(ways[0][0].algebra).idems) > 1
+            assert len(_structure(ways[2][0].algebra).idems) == 1
             answers = [_answers(Xi, Yi, 3, 2) for Xi, Yi in ways]
             assert answers[0] == answers[1] == answers[2], (name, answers)
             for Xi, Yi in ways:

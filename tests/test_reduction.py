@@ -441,6 +441,29 @@ def test_validator_rejects_dropped_or_reordered_hypotheses(corpus):
     assert variants == 92
 
 
+def test_validator_rejects_a_second_step(corpus):
+    """The validator replays one step per node, so a node that records a
+    second one fails, though its first step is sound, at the root and at
+    every node below it."""
+    cert, reg = sample_cert(corpus)
+    cert = json.loads(json.dumps(cert))
+    assert validate_cert(cert, reg)[:2] == (True, ESTABLISHED)
+    extra = {"rule": "NO-SUCH-RULE", "direction": "forward", "premises": [],
+             "hypotheses": []}
+    nodes = list(_nodes(cert))
+    assert len(nodes) > 1
+    for k in range(len(nodes)):
+        bad = copy.deepcopy(cert)
+        list(_nodes(bad))[k].setdefault("steps", []).append(extra)
+        ok, status, problems = validate_cert(bad, reg)
+        assert not ok and status == UNKNOWN, k
+        assert any(p.endswith(": a node records one derivation step, not 2")
+                   for p in problems), problems
+    bad = copy.deepcopy(cert)
+    bad["steps"].append(extra)
+    assert validate_cert(bad, reg)[2] == ["root: a node records one derivation step, not 2"]
+
+
 def _set(path, value):
     def forge(cert):
         holder = cert

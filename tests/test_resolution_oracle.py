@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_modules import action_matrix, identity, zeros
+from structure_reference import _idempotents
 from injgen.algebra import (ConstructionError, GradedAlgebra, GradedBimodule,
                             GradedModule, _closure_span, component_bimodule,
                             degree_zero_subalgebra, direct_sum, module_from_span,
@@ -37,7 +38,7 @@ from injgen.constructions import (TensorTower, construct, covering_ring,
                                   split_positively_graded)
 from injgen.field import QQ, PrimeField
 from injgen.homology import (_block_pattern_bimodule, _corner_dims,
-                             _idempotents, _projective, _resolver,
+                             _projective, _resolver,
                              _tensored_boundary,
                              flatten_module, is_projective, tor)
 from injgen.linalg import Matrix, _dense, render_columns, solve_sparse

@@ -24,9 +24,9 @@ from injgen.algebra import (GradedAlgebra, GradedModule, _act_sparse, _closure_s
 from injgen.constructions import covering_ring
 from injgen.field import QQ, PrimeField
 from injgen.groups import TRIVIAL_GROUP, FiniteAbelianGroup
-from injgen.homology import (_cover, _flat_algebra, _idempotents, _resolver,
-                             _retraction, _split_radical, flatten_module,
-                             is_projective, projective_dimension, tor)
+from injgen.homology import (_cover, _flat_algebra, _resolver, _retraction,
+                             _structure, flatten_module, is_projective,
+                             projective_dimension, tor)
 from injgen.linalg import Span, rank
 from injgen.samples import (group_algebra, product_field_algebra, random_graded_algebra,
                             random_module, truncated_polynomial)
@@ -78,7 +78,7 @@ def _assert_is_radical(A, rad):
                 span.add(_act_sparse(A.mult, A._p, v, a))
         power = [row for _, row in span.rows()]
     assert not power
-    idems = _idempotents(A)[0]
+    idems = _structure(A).idems
     assert sorted(k for e in idems for k in e) == [k for k in range(A.dim) if k not in inside]
     for e in idems:
         for f in idems:
@@ -93,45 +93,46 @@ def test_witness_finds_the_known_radicals():
         for n, r in ((3, 2), (4, 2), (4, 3), (3, 3), (5, 9)):   # r >= n: no relations
             pa = _linear_quiver(fld, n, r)
             arrows = [j for j, p in enumerate(pa.paths) if p[0] != ""]
-            assert _split_radical(pa.algebra) == arrows
+            assert _structure(pa.algebra).rad == arrows
         for m in (1, 2, 4):
-            assert _split_radical(truncated_polynomial(fld, m)) == list(range(1, m))
+            assert _structure(truncated_polynomial(fld, m)).rad == list(range(1, m))
         ctx = _triangular(fld)
         L = ctx.assembled
         tops = {ctx.offsets[0], ctx.offsets[3]}
-        assert _split_radical(L) == [j for j in range(L.dim) if j not in tops]
+        assert _structure(L).rad == [j for j in range(L.dim) if j not in tops]
         for m, n in ((2, 2), (3, 2), (2, 3)):
             cov = covering_ring(truncated_polynomial(fld, m, FiniteAbelianGroup((n,)), (1,)))
-            assert _split_radical(cov.algebra) == sorted(
+            assert _structure(cov.algebra).rad == sorted(
                 k for (g, h, x), k in cov.pos.items() if x != 0)
-        assert _split_radical(product_field_algebra(fld, 3)) == []
+        assert _structure(product_field_algebra(fld, 3)).rad == []
         for A in (_linear_quiver(fld, 4, 2).algebra, _triangular(fld).assembled,
                   _chain_tensor_ring(fld, 3)):
-            _assert_is_radical(A, _split_radical(A))
+            _assert_is_radical(A, _structure(A).rad)
 
 
 def test_witness_decides_nilpotency_past_a_cyclic_support_graph():
     for fld in (F5, QQ):
         A = _rebased_cube(fld)
-        assert _split_radical(A) == [1, 2]
+        assert _structure(A).rad == [1, 2]
         _assert_is_radical(A, [1, 2])
 
 
 def test_witness_refuses_what_is_not_the_radical():
     for fld in (F5, F2):
         kz2 = group_algebra(fld, Z2)
-        assert _split_radical(kz2) is None
-        assert _split_radical(_flat_algebra(kz2)) is None
+        assert _structure(kz2).rad is None
+        assert _structure(_flat_algebra(kz2)).rad is None
         # the covering of kZ2 is M_2(k): its off-diagonal units multiply
         # to diagonal idempotents
-        assert _split_radical(covering_ring(kz2).algebra) is None
-        assert _split_radical(_idempotent_plane(fld)) is None
+        assert _structure(covering_ring(kz2).algebra).rad is None
+        assert _structure(_idempotent_plane(fld)).rad is None
 
 
 def test_witness_is_cached_and_never_serialized():
     A = truncated_polynomial(F5, 3)
     doc = to_json(A)
-    assert _split_radical(A) == A._cache["radical"] == [1, 2]
+    rec = _structure(A)
+    assert rec.rad == [1, 2] and A._cache["structure"] is rec
     assert to_json(A) == doc
 
 
@@ -156,7 +157,7 @@ def test_refused_algebras_keep_the_retraction():
 def _top_dim(M):
     """dim M / M J for the split radical J of M's algebra."""
     M = flatten_module(M)
-    rad = _split_radical(M.algebra)
+    rad = _structure(M.algebra).rad
     return M.dim - rank(M.field, [row[a] for row in M.action for a in rad])
 
 
@@ -186,11 +187,16 @@ def _run(X, Y, cutoff, i_max):
     return answers, ranks
 
 
+def _no_radical(A, structure=homology._structure):
+    """The record of A with the witness refused: the greedy cover path."""
+    return structure(A)._replace(rad=None)
+
+
 def _both_ways(make, cutoff=3, i_max=2):
     """Run the instance make() builds on projective covers, then a fresh one
     on greedy covers, and compare."""
     X, Y = make()
-    if _split_radical(flatten_module(X).algebra) is None:
+    if _structure(flatten_module(X).algebra).rad is None:
         return False
     minimal, ranks = _run(X, Y, cutoff, i_max)
     for M, rk in zip((X, Y), ranks):
@@ -198,7 +204,7 @@ def _both_ways(make, cutoff=3, i_max=2):
         cov = _cover(M)
         assert is_projective(M).projective == (not cov.kernel)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "_split_radical", lambda A: None)
+        mp.setattr(homology, "_structure", _no_radical)
         greedy, greedy_ranks = _run(*make(), cutoff, i_max)
     assert minimal == greedy
     assert minimal[2] == minimal[3]
@@ -216,7 +222,7 @@ def _random_instance(fld, seed, covering=False, simples=False):
         if covering:
             A = covering_ring(A).algebra
         if simples:
-            tops = [k for e in _idempotents(A)[0] for k in e]
+            tops = [k for e in _structure(A).idems for k in e]
             return _character(A, "right", tops[0]), _character(A, "left", tops[-1])
         return random_module(A, rng, "right"), random_module(A, rng, "left")
     return make
@@ -273,7 +279,7 @@ def test_projective_covers_shrink_greedy_ranks():
         res.ensure(2)
         assert res.ranks == [3, 0] and not res.covers[0].kernel
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(homology, "_split_radical", lambda A: None)
+            mp.setattr(homology, "_structure", _no_radical)
             greedy = _resolver(make()[side == "left"])
             greedy.ensure(2)
         assert greedy.ranks[0] > 3
