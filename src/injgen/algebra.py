@@ -21,6 +21,8 @@ mutates one: a caller that edits a table in place copies it first.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .groups import FiniteAbelianGroup, TRIVIAL_GROUP
 from .linalg import Span, _modulus, _nonzero, render_columns, row_space_reducer
 
@@ -235,6 +237,92 @@ class GradedAlgebra:
 
     def __repr__(self):
         return f"GradedAlgebra(dim={self.dim}, group={self.group!r}, field={self.field!r})"
+
+
+# -- the structure record ----------------------------------------------------
+
+
+Structure = namedtuple("Structure", "idems left right rad")
+
+
+def _corner_tags(fld, supp, n, cell):
+    """For each vector j < n, the s whose idempotent u b_k = supp[s]
+    fixes j while the others kill it: cell(j, k) is b_k acting on j, so
+    the cell of that k is the one nonempty cell of the support, and u
+    times it is {j: 1}.  None if some j has no such s.  Cells hold only
+    nonzero residues, so only that one cell is multiplied out."""
+    one = fld.one()
+    out = []
+    for j in range(n):
+        hit = [(s, c) for s, (k, _) in enumerate(supp) if (c := cell(j, k))]
+        if len(hit) != 1:
+            return None
+        s, c = hit[0]
+        if len(c) != 1 or fld.mul(supp[s][1], c.get(j, 0)) != one:
+            return None
+        out.append(s)
+    return out
+
+
+def _structure(A: GradedAlgebra) -> Structure:
+    """(idems, left, right, rad): the basis idempotents of A and, when A
+    splits over its radical on the basis, the basis indices spanning
+    J0 = rad A.  Cached on A, never serialized.
+
+    The e_i are the unit's support u_k b_k when an exact check passes: on
+    each side every b_j is fixed by one e_i and killed by the others, so it
+    lies in one corner e_left[j] A e_right[j], and the e_i fix their own
+    support, which makes e_i e_j = delta_ij e_i; sum e_i = 1 holds by
+    construction.  Otherwise idems is [1], every tag is 0 and e A = A.
+    The tags are read by the covers of homology and by the carrier of
+    tensors.tensor_over_algebra, which keeps only the pairs of X e_i x e_i Y.
+
+    The witness for rad: every e_i is one basis vector u b_k, and the other
+    basis vectors span a nilpotent two-sided ideal J0.  Then J0 = rad A: a
+    nilpotent ideal lies in the radical, and A/J0 is spanned by n
+    orthogonal idempotents, so it is k^n and semisimple.  As each e_i fixes
+    or kills every basis vector on either side, J0 is an ideal once
+    J0 J0 lies in J0 on the table supports.  Nilpotency is decided
+    exactly: the powers J0^(m+1) = J0^m J0 are computed until they vanish
+    or stop shrinking.  Where the witness fails, rad is None.
+
+    Nilpotency already implies J0 J0 in J0: a product of two J0 basis
+    vectors with a component c e_i (c != 0) is c e_i + v in the corner
+    e_i A e_i, with v a nilpotent combination of J0 vectors, so it is
+    invertible in the corner, yet nilpotent as a product in J0.  The
+    support check stays as a cheap early refusal (group algebras, M_2(k)).
+    """
+    if "structure" in A._cache:
+        return A._cache["structure"]
+    fld = A.field
+    supp = [(k, u) for k, u in enumerate(A.unit) if not fld.is_zero(u)]
+    left = right = None
+    if len(supp) > 1:
+        left = _corner_tags(fld, supp, A.dim, lambda j, k: A.mult[k][j])
+        right = _corner_tags(fld, supp, A.dim, lambda j, k: A.mult[j][k])
+    if left and right and all(left[k] == i == right[k] for i, (k, _) in enumerate(supp)):
+        idems = [{k: u} for k, u in supp]
+    else:
+        idems, left, right = [dict(supp)], [0] * A.dim, [0] * A.dim
+    rec = A._cache["structure"] = Structure(idems, left, right, None)
+    if any(len(e) != 1 for e in idems):
+        return rec
+    tops = {k for e in idems for k in e}
+    rad = [j for j in range(A.dim) if j not in tops]
+    inside = set(rad)
+    if any(not A.mult[j][a].keys() <= inside for j in rad for a in rad):
+        return rec
+    power = [{j: fld.one()} for j in rad]
+    while power:
+        span = Span(fld, A.dim)
+        for v in power:
+            for a in rad:
+                span.add(_act_sparse(A.mult, A._p, v, a))
+        if span.dim() == len(power):    # J0^(m+1) = J0^m is not zero
+            return rec
+        power = [row for _, row in span.rows()]
+    rec = A._cache["structure"] = rec._replace(rad=rad)
+    return rec
 
 
 class GradedModule:

@@ -899,7 +899,9 @@ def twisted_tensor(A: GradedAlgebra, B: GradedAlgebra, t: Bicharacter) -> Graded
     """Tensor product algebra with the cross-term commutation scaled by t.
 
     Basis pairs multiply by (a (x) b)(a' (x) b') =
-    t(|a'|, |b|) (aa' (x) bb'), graded over the product group.
+    t(|a'|, |b|) (aa' (x) bb'), graded over the product group.  The
+    factors and t are noted in the result's cache, where twisted_module
+    finds them.
     """
     if A.field != B.field or A.field != t.field:
         raise ConstructionError("twisted product needs a common field")
@@ -918,7 +920,9 @@ def twisted_tensor(A: GradedAlgebra, B: GradedAlgebra, t: Bicharacter) -> Graded
         for j, cb in enumerate(B.unit):
             if not F.is_zero(cb):
                 unit[i * dB + j] = F.mul(ca, cb)
-    return GradedAlgebra._trusted(F, group, labels, degrees, unit, mult)
+    AtB = GradedAlgebra._trusted(F, group, labels, degrees, unit, mult)
+    AtB._cache["twisted_of"] = (A, B, t)
+    return AtB
 
 
 def tensor_product_algebra(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
@@ -961,14 +965,17 @@ def twisted_module(M: GradedModule, N: GradedModule, t: Bicharacter,
 
     (m (x) n)(a (x) b) = t(|a|, |n|) (ma (x) nb); AtB must be
     twisted_tensor(A, B, t), passed in so repeated module constructions
-    share one carrier.
+    share one carrier.  A carrier that twisted_tensor built from these
+    factors and this t says so in its cache; any other carrier (decoded,
+    hand-built, or built from other arguments) is compared with a fresh
+    twisted_tensor(A, B, t).
     """
     A, B = M.algebra, N.algebra
     if M.side != "right" or N.side != "right":
         raise ConstructionError("twisted modules are built from right modules")
     if t.group1 != A.group or t.group2 != B.group:
         raise ConstructionError("bicharacter groups do not match the factors")
-    if AtB != twisted_tensor(A, B, t):
+    if AtB._cache.get("twisted_of") != (A, B, t) and AtB != twisted_tensor(A, B, t):
         raise ConstructionError("carrier is not the twisted product along t")
     labels = [f"({lm}|{ln})" for lm in M.labels for ln in N.labels]
     degrees = [A.group.pair(dm, dn) for dm in M.degree for dn in N.degree]

@@ -16,8 +16,8 @@ projective summands.  When the e_i are basis vectors and the other basis
 vectors span a nilpotent ideal, that ideal is the radical J (coverings of
 truncated polynomial rings, triangular rings, path algebras, tensor
 rings of chains).  One record per algebra, found in one cached pass
-(_structure), holds both facts: the e_i with the corner of each basis
-vector, and J or None.  Where J is known, the generators are a lifted
+(algebra._structure), holds both facts: the e_i with the corner of each
+basis vector, and J or None.  Where J is known, the generators are a lifted
 basis of M / M J, each cover is a projective cover, the resolutions are
 minimal, and M is projective exactly when its cover has zero kernel.
 Otherwise (group algebras, and algebras whose unit is not a sum of basis
@@ -35,12 +35,11 @@ vectors throughout.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 
 from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
-                      GradedBimodule, GradedModule, ModuleHom, _act_by, _act_sparse,
-                      _place, _sum_cells, direct_sum, module_from_span, regular_module,
-                      trivially_graded, zero_module)
+                      GradedBimodule, GradedModule, ModuleHom, _act_by, _place,
+                      _structure, _sum_cells, direct_sum, module_from_span,
+                      regular_module, trivially_graded, zero_module)
 from .constructions import CleftFunctors, MoritaContext, TensorTower, \
     ThetaData, TupleModule, morita_ring
 from .homs import find_isomorphism
@@ -160,74 +159,6 @@ def flatten_module(M: GradedModule) -> GradedModule:
 
 
 # -- covers by idempotent projectives ----------------------------------------
-
-
-Structure = namedtuple("Structure", "idems left right rad")
-
-
-def _structure(A: GradedAlgebra) -> Structure:
-    """(idems, left, right, rad): the basis idempotents of A and, when A
-    splits over its radical on the basis, the basis indices spanning
-    J0 = rad A.  Cached on A, never serialized.
-
-    The e_i are the unit's support u_k b_k when an exact check passes: on
-    each side every b_j is fixed by one e_i and killed by the others, so it
-    lies in one corner e_left[j] A e_right[j], and the e_i fix their own
-    support, which makes e_i e_j = delta_ij e_i; sum e_i = 1 holds by
-    construction.  Otherwise idems is [1], every tag is 0 and e A = A.
-
-    The witness for rad: every e_i is one basis vector u b_k, and the other
-    basis vectors span a nilpotent two-sided ideal J0.  Then J0 = rad A: a
-    nilpotent ideal lies in the radical, and A/J0 is spanned by n
-    orthogonal idempotents, so it is k^n and semisimple.  As each e_i fixes
-    or kills every basis vector on either side, J0 is an ideal once
-    J0 J0 lies in J0 on the table supports.  Nilpotency is decided
-    exactly: the powers J0^(m+1) = J0^m J0 are computed until they vanish
-    or stop shrinking.  Where the witness fails, rad is None.
-    """
-    if "structure" in A._cache:
-        return A._cache["structure"]
-    fld = A.field
-    supp = [(k, u) for k, u in enumerate(A.unit) if not fld.is_zero(u)]
-
-    def tags(cell):
-        # the i whose e_i fixes b_j, for each j; None if the check fails
-        out = []
-        for j in range(A.dim):
-            acts = [{t: fld.mul(u, x) for t, x in cell(k, j).items()} for k, u in supp]
-            hit = [i for i, a in enumerate(acts) if a]
-            if len(hit) != 1 or acts[hit[0]] != {j: fld.one()}:
-                return None
-            out.append(hit[0])
-        return out
-
-    left = right = None
-    if len(supp) > 1:
-        left = tags(lambda k, j: A.mult[k][j])
-        right = tags(lambda k, j: A.mult[j][k])
-    if left and right and all(left[k] == i == right[k] for i, (k, _) in enumerate(supp)):
-        idems = [{k: u} for k, u in supp]
-    else:
-        idems, left, right = [dict(supp)], [0] * A.dim, [0] * A.dim
-    rec = A._cache["structure"] = Structure(idems, left, right, None)
-    if any(len(e) != 1 for e in idems):
-        return rec
-    tops = {k for e in idems for k in e}
-    rad = [j for j in range(A.dim) if j not in tops]
-    inside = set(rad)
-    if any(not A.mult[j][a].keys() <= inside for j in rad for a in rad):
-        return rec
-    power = [{j: fld.one()} for j in rad]
-    while power:
-        span = Span(fld, A.dim)
-        for v in power:
-            for a in rad:
-                span.add(_act_sparse(A.mult, A._p, v, a))
-        if span.dim() == len(power):    # J0^(m+1) = J0^m is not zero
-            return rec
-        power = [row for _, row in span.rows()]
-    rec = A._cache["structure"] = rec._replace(rad=rad)
-    return rec
 
 
 def _projective(A: GradedAlgebra, side, summands):

@@ -1,19 +1,32 @@
 """Balanced tensor products X (x)_A Y as explicit quotient spaces.
 
-The carrier is the full pair grid X (x)_k Y, pair (i, j) at column
-i * dim Y + j; the quotient is by the Span of xa (x) y - x (x) ay for a
-running over a generating subset of A's basis (sufficient: the balancing
-relation for a product follows from the two factors').  Every relation
-vector is homogeneous, so the elimination never mixes degrees and the
-quotient basis inherits well-defined degrees.  Relations, classes of
-pairs and induced actions are sparse cells {index: coefficient}, the form
-of the action tables; no dense pair-grid vector is built.
+The quotient is of X (x)_k Y by the Span of the balancing relations
+xa (x) y - x (x) ay.  When A has two or more basis idempotents e_s
+(algebra._structure) and every basis vector of X lies in one X e_s and
+every basis vector of Y in one e_s Y, the carrier is the direct sum of
+the blocks X e_s x e_s Y.  A pair off the blocks is zero in the quotient
+(x (x) y = x e_s (x) e_t y = 0 for s != t), and the relations of the e_s
+are exactly those off-block pairs, so they are dropped with them; a
+basis vector a of the corner e_l A e_r relates only the pairs of
+X e_l x e_r Y on the blocks.  Otherwise the carrier is the full pair
+grid, one block, and the relations are those of a generating subset of
+A's basis (sufficient: the balancing relation for a product follows from
+the two factors').  Either way the carrier columns follow the grid order,
+pair (i, j) at grid index i * dim Y + j, and Span keeps a unique reduced
+echelon form, so the free columns (given as grid indices), the classes
+of pairs and the degrees do not depend on the carrier chosen.
+
+Every relation vector is homogeneous, so the elimination never mixes
+degrees and the quotient basis inherits well-defined degrees.
+Relations, classes of pairs and induced actions are sparse cells
+{index: coefficient}, the form of the action tables; no dense pair-grid
+vector is built.
 """
 
 from __future__ import annotations
 
 from .algebra import (AlgebraError, GradedAlgebra, GradedBimodule, GradedModule,
-                      _sum_cells)
+                      _corner_tags, _structure, _sum_cells)
 from .linalg import Span, _modulus, _nonzero, row_space_reducer
 
 
@@ -30,16 +43,36 @@ def _side_data(X, algebra, side):
     return X.dim, X.action, X.degree
 
 
+def _blocks(algebra, dimX, Xact, dimY, Yact):
+    """(tx, ty, rels): the block of each basis vector of X and of Y, and
+    (j, l, r) for each basis vector b_j whose relations are imposed on
+    X_l x Y_r.  With basis idempotents along which X and Y split, the
+    blocks are the e_s and rels holds the other basis vectors with their
+    corners; otherwise every tag is 0 and rels holds the generators."""
+    rec = _structure(algebra)
+    if len(rec.idems) > 1:
+        supp = [next(iter(e.items())) for e in rec.idems]
+        fld = algebra.field
+        tx = _corner_tags(fld, supp, dimX, lambda i, k: Xact[i][k])
+        ty = _corner_tags(fld, supp, dimY, lambda i, k: Yact[i][k])
+        if tx is not None and ty is not None:
+            tops = {k for k, _ in supp}
+            return tx, ty, [(j, rec.left[j], rec.right[j])
+                            for j in range(algebra.dim) if j not in tops]
+    return [0] * dimX, [0] * dimY, [(j, 0, 0) for j in algebra.generators()]
+
+
 class TensorSpace:
     """Quotient presentation of X (x)_A Y.
 
-    dim: quotient dimension; section: list of representative pairs (i, j)
-    (one per quotient basis vector); project_pair(i, j) gives the class of
-    x_i (x) y_j as a sparse cell over the quotient basis, shared and never
-    to be mutated.
+    dim: quotient dimension; free_cols: the grid indices i * dimY + j of
+    the pairs kept as quotient basis; section: those pairs (i, j);
+    project_pair(i, j) gives the class of x_i (x) y_j as a sparse cell over
+    the quotient basis, shared and never to be mutated, and {} for a pair
+    off the blocks.
     """
 
-    def __init__(self, field, group, dimX, dimY, reduce, free_cols, degrees):
+    def __init__(self, field, group, dimX, dimY, reduce, free_cols, degrees, col):
         self.field = field
         self.group = group
         self.dimX = dimX
@@ -49,12 +82,14 @@ class TensorSpace:
         self.dim = len(free_cols)
         self.section = [(c // dimY, c % dimY) for c in free_cols]
         self.degrees = degrees
+        self._col = col     # grid index of a block pair -> carrier column
         self._pair_cache = {}
 
     def project_pair(self, i, j):
         key = (i, j)
         if key not in self._pair_cache:
-            self._pair_cache[key] = self._reduce({i * self.dimY + j: self.field.one()})
+            c = self._col.get(i * self.dimY + j)
+            self._pair_cache[key] = {} if c is None else self._reduce({c: self.field.one()})
         return self._pair_cache[key]
 
 
@@ -62,22 +97,31 @@ def tensor_over_algebra(X, Y, algebra: GradedAlgebra) -> TensorSpace:
     dimX, Xact, degX = _side_data(X, algebra, "right")
     dimY, Yact, degY = _side_data(Y, algebra, "left")
     group, p = algebra.group, _modulus(algebra.field)
-    rel = Span(algebra.field, dimX * dimY)
-    for j in algebra.generators():
-        for i in range(dimX):
+    tx, ty, rels = _blocks(algebra, dimX, Xact, dimY, Yact)
+    grid = [i * dimY + k for i, s in enumerate(tx) for k, t in enumerate(ty) if s == t]
+    col = {g: c for c, g in enumerate(grid)}
+    xs, ys = {}, {}
+    for i, s in enumerate(tx):
+        xs.setdefault(s, []).append(i)
+    for k, s in enumerate(ty):
+        ys.setdefault(s, []).append(k)
+    rel = Span(algebra.field, len(grid))
+    for j, l, r in rels:
+        for i in xs.get(l, ()):
             xa = Xact[i][j]
-            for k in range(dimY):
+            for k in ys.get(r, ()):
                 ay = Yact[k][j]
                 if not xa and not ay:
                     continue
-                row = {l * dimY + k: c for l, c in xa.items()}
+                row = {col[u * dimY + k]: c for u, c in xa.items()}
                 for q, c in ay.items():
-                    col = i * dimY + q
-                    row[col] = row.get(col, 0) - c
+                    cq = col[i * dimY + q]
+                    row[cq] = row.get(cq, 0) - c
                 rel.add(_nonzero(p, row.items()))
     reduce, free = row_space_reducer(rel)
-    degrees = [group.add(degX[c // dimY], degY[c % dimY]) for c in free]
-    return TensorSpace(algebra.field, group, dimX, dimY, reduce, free, degrees)
+    free_cols = [grid[c] for c in free]
+    degrees = [group.add(degX[c // dimY], degY[c % dimY]) for c in free_cols]
+    return TensorSpace(algebra.field, group, dimX, dimY, reduce, free_cols, degrees, col)
 
 
 def _induced_action(T: TensorSpace, action, dim, on_first):

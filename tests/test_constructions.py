@@ -3,10 +3,10 @@ import random
 import pytest
 
 from dense_modules import dense_act, dense_mul, is_module_hom
-from injgen.algebra import (AlgebraError, ConstructionError, GradedBimodule, ModuleHom,
-                            check_module_axioms, direct_sum, dual,
-                            regular_bimodule, regular_module, trivially_graded,
-                            twist)
+from injgen.algebra import (AlgebraError, ConstructionError, GradedAlgebra,
+                            GradedBimodule, ModuleHom, check_module_axioms,
+                            direct_sum, dual, regular_bimodule, regular_module,
+                            trivially_graded, twist)
 from injgen.constructions import (Bicharacter, CleftFunctors, TupleModule,
                                   beilinson, covering_module,
                                   covering_module_inverse, covering_ring,
@@ -504,6 +504,38 @@ def test_twisted_module_duals():
     rhs = dual(regular_module(AtB, "left"))
     rep = find_isomorphism(lhs, rhs)
     assert rep.found and rep.conclusive
+
+
+def test_twisted_module_checks_its_carrier():
+    # the carrier twisted_tensor built is taken from its note; any other
+    # carrier is compared with a fresh product, so a wrong one still fails
+    A = truncated_polynomial(F5, 4, Z4, (1,))
+    B = truncated_polynomial(F5, 2, Z4, (1,))
+    t = Bicharacter(F5, Z4, Z4, [[F5.of_int(2)]])
+    MA, NB = regular_module(A, "right"), regular_module(B, "right")
+    AtB = twisted_tensor(A, B, t)
+    want = twisted_module(MA, NB, t, AtB)
+    copy = GradedAlgebra(F5, AtB.group, AtB.labels, AtB.degree, AtB.unit, AtB.mult)
+    assert "twisted_of" not in copy._cache
+    assert twisted_module(MA, NB, t, copy).action == want.action
+    # an equal t passed as another object, and an equal copy of a factor
+    t2 = Bicharacter(F5, Z4, Z4, [[F5.of_int(2)]])
+    assert twisted_module(MA, NB, t2, AtB).action == want.action
+    A2 = truncated_polynomial(F5, 4, Z4, (1,))
+    assert twisted_module(regular_module(A2, "right"), NB, t, AtB).action == want.action
+    mult = [[dict(cell) for cell in row] for row in AtB.mult]
+    x1 = AtB.labels.index("(x|1)")
+    cell = mult[x1][x1]
+    k = next(iter(cell))
+    cell[k] = F5.add(cell[k], F5.one())
+    changed = GradedAlgebra(F5, AtB.group, AtB.labels, AtB.degree, AtB.unit, mult)
+    wrong = [twisted_tensor(A, B, Bicharacter.trivial(F5, Z4, Z4)),
+             twisted_tensor(A, B, Bicharacter(F5, Z4, Z4, [[F5.of_int(3)]])),
+             twisted_tensor(B, A, t), changed]
+    for carrier in wrong:
+        assert carrier != AtB
+        with pytest.raises(ConstructionError, match="carrier"):
+            twisted_module(MA, NB, t, carrier)
 
 
 def test_twisted_module_twist_compatibility():
