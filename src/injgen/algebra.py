@@ -230,10 +230,11 @@ class GradedAlgebra:
         return self._cache["gens"]
 
     def __eq__(self, other):
-        return (isinstance(other, GradedAlgebra)
-                and self.field == other.field and self.group == other.group
-                and self.labels == other.labels and self.degree == other.degree
-                and self.unit == other.unit and self.mult == other.mult)
+        return self is other or (
+            isinstance(other, GradedAlgebra)
+            and self.field == other.field and self.group == other.group
+            and self.labels == other.labels and self.degree == other.degree
+            and self.unit == other.unit and self.mult == other.mult)
 
     def __repr__(self):
         return f"GradedAlgebra(dim={self.dim}, group={self.group!r}, field={self.field!r})"
@@ -421,9 +422,10 @@ class GradedModule:
         return out
 
     def __eq__(self, other):
-        return (isinstance(other, GradedModule) and self.algebra == other.algebra
-                and self.side == other.side and self.labels == other.labels
-                and self.degree == other.degree and self.action == other.action)
+        return self is other or (
+            isinstance(other, GradedModule) and self.algebra == other.algebra
+            and self.side == other.side and self.labels == other.labels
+            and self.degree == other.degree and self.action == other.action)
 
     def __repr__(self):
         return f"GradedModule(side={self.side}, dim={self.dim})"
@@ -486,12 +488,13 @@ class GradedBimodule:
                                      self.degree, self.right_action)
 
     def __eq__(self, other):
-        return (isinstance(other, GradedBimodule)
-                and self.left_algebra == other.left_algebra
-                and self.right_algebra == other.right_algebra
-                and self.labels == other.labels and self.degree == other.degree
-                and self.left_action == other.left_action
-                and self.right_action == other.right_action)
+        return self is other or (
+            isinstance(other, GradedBimodule)
+            and self.left_algebra == other.left_algebra
+            and self.right_algebra == other.right_algebra
+            and self.labels == other.labels and self.degree == other.degree
+            and self.left_action == other.left_action
+            and self.right_action == other.right_action)
 
     def __repr__(self):
         return f"GradedBimodule(dim={self.dim})"

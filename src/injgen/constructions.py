@@ -27,10 +27,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebra import (ConstructionError, GradedAlgebra, GradedBimodule,
-                      GradedModule, ModuleHom, _act_by, _act_sparse, _clean_table,
-                      _cut, _place, _sum_cells, _transposed, check_axioms,
-                      degree_zero_subalgebra, regular_bimodule, trivially_graded,
-                      zero_module)
+                      GradedModule, _act_by, _act_sparse, _clean_table, _cut,
+                      _place, _transposed, check_axioms, degree_zero_subalgebra,
+                      regular_bimodule, trivially_graded, zero_module)
 from .groups import TRIVIAL_GROUP, FiniteAbelianGroup
 from .linalg import (Span, _modulus, _nonzero, render_columns,
                      row_space_reducer)
@@ -71,12 +70,6 @@ def _check_assembled(obj, what):
             scopes = (obj.labels,) * 3
         names = ", ".join(labels[i] for labels, i in zip(scopes, where))
         raise ConstructionError(f"{what} fails {kind} at ({names})")
-
-
-def _on_section(T, value):
-    """The columns on T's basis of a balanced bilinear map, read off at
-    T's section pairs; value(i, j) is its sparse value on the pair."""
-    return [value(i, j) for i, j in T.section]
 
 
 def _is_zero(table):
@@ -323,23 +316,18 @@ class MoritaContext:
 
     def _induced_tuple(self, Z, corner):
         """Z at its own corner and W = P (x) Z at the other one; the
-        structure map into W is the identity, the one back sends
-        q (x) (p (x) z) to (q p) z through the pairing."""
+        structure map into W sends p (x) z to its class, the one back
+        sends q (x) w to (q p) z through the pairing, for (p, z) the
+        section pair of w."""
         ring, P, Q, pair = self._corner(corner)
         _require_left_module(Z, ring, f"T_{corner}")
-        one = Z.field.one()
         W, S_PZ = tensor_bimodule_with_module(P, Z)
-        ident = ModuleHom(W, W, [{i: one} for i in range(W.dim)])
-        QW, S_QW = tensor_bimodule_with_module(Q, W)
-
-        def back_at(q, t):
-            p, z = S_PZ.section[t]
-            return _act_by(Z.action, Z._p, z, pair[q][p])
-
-        back = ModuleHom(QW, Z, _on_section(S_QW, back_at))
+        into = [[S_PZ.project_pair(b, z) for b in range(P.dim)] for z in range(Z.dim)]
+        back = [[_act_by(Z.action, Z._p, z, pair[q][b]) for q in range(Q.dim)]
+                for b, z in S_PZ.section]
         if corner == "A":
-            return TupleModule(self, Z, W, ident, back, S_PZ, S_QW)
-        return TupleModule(self, W, Z, back, ident, S_QW, S_PZ)
+            return TupleModule(self, Z, W, into, back)
+        return TupleModule(self, W, Z, back, into)
 
     def _zero_partner(self, Z, corner):
         if not self.is_zero_context:
@@ -349,11 +337,8 @@ class MoritaContext:
             X, Y = Z, zero_module(self.B, "left")
         else:
             X, Y = zero_module(self.A, "left"), Z
-        MX, S_MX = tensor_bimodule_with_module(self.M, X)
-        NY, S_NY = tensor_bimodule_with_module(self.N, Y)
-        f = ModuleHom(MX, Y, [{} for _ in range(MX.dim)])
-        g = ModuleHom(NY, X, [{} for _ in range(NY.dim)])
-        return TupleModule(self, X, Y, f, g, S_MX, S_NY)
+        return TupleModule(self, X, Y, _zero_table(X.dim, self.M.dim),
+                           _zero_table(Y.dim, self.N.dim))
 
     def __repr__(self):
         return (f"MoritaContext(A={self.A.dim}, N={self.N.dim}, "
@@ -371,41 +356,24 @@ class TupleModule:
     The side is X's.  A left tuple has X a left A-module, Y a left
     B-module, f: M (x)_A X -> Y and g: N (x)_B Y -> X.  A right tuple has
     X a right A-module, Y a right B-module, f: X (x)_A N -> Y and
-    g: Y (x)_B M -> X.  S_X and S_Y are the tensor spaces f and g start
-    from.  Like GradedModule, construction checks nothing: the tuple is
-    valid exactly when as_module() satisfies the module axioms over the
-    assembled ring, which tuple_module checks for caller-supplied maps.
+    g: Y (x)_B M -> X.  f and g are cell tables on basis pairs, like the
+    pairings: f[x][b] is the sparse cell over Y of basis vector x of X
+    paired with basis vector b of its bimodule (M on a left tuple, N on a
+    right one), and g[y][b] the cell over X of y paired with b of the
+    other bimodule.  Like GradedModule, construction checks nothing: the
+    tuple is valid exactly when as_module() satisfies the module axioms
+    over the assembled ring, which tuple_module checks for caller-supplied
+    maps.
     """
 
-    def __init__(self, ctx: MoritaContext, X, Y, f: ModuleHom, g: ModuleHom,
-                 S_X, S_Y):
+    def __init__(self, ctx: MoritaContext, X, Y, f, g):
         self.ctx = ctx
         self.X = X
         self.Y = Y
         self.f = f
         self.g = g
-        self.S_X = S_X
-        self.S_Y = S_Y
         self.side = X.side
-        self._p = _modulus(X.field)
         self._mod = None
-
-    def _factors(self, v, b):
-        """Module index v and bimodule index b in tensor-factor order: the
-        bimodule is the left factor of a left tuple's tensor spaces."""
-        return (v, b) if self.side == "right" else (b, v)
-
-    def f_at(self, x, b):
-        """f on basis vector x of X paired with basis vector b of its
-        bimodule, as a sparse cell over Y."""
-        cell = self.S_X.project_pair(*self._factors(x, b))
-        return _sum_cells(self._p, ((c, self.f.cols[s]) for s, c in cell.items()))
-
-    def g_at(self, y, b):
-        """g on basis vector y of Y paired with basis vector b of its
-        bimodule, as a sparse cell over X."""
-        cell = self.S_Y.project_pair(*self._factors(y, b))
-        return _sum_cells(self._p, ((c, self.g.cols[s]) for s, c in cell.items()))
 
     @property
     def dim(self):
@@ -419,16 +387,13 @@ class TupleModule:
         Lam = ctx.assembled
         oA, oN, oM, oB = ctx.offsets
         # the bimodule X pairs with sends X into Y, the other one Y into X
-        (oX, PX), (oY, PY) = ((oN, ctx.N), (oM, ctx.M)) if self.side == "right" \
-            else ((oM, ctx.M), (oN, ctx.N))
+        oX, oY = (oN, oM) if self.side == "right" else (oM, oN)
         dX = X.dim
         action = [[{} for _ in range(Lam.dim)] for _ in range(dX + Y.dim)]
         _place(action, 0, oA, X.action)
-        _place(action, 0, oX, [[self.f_at(i, b) for b in range(PX.dim)]
-                               for i in range(dX)], dX)
+        _place(action, 0, oX, self.f, dX)
         _place(action, dX, oB, Y.action, dX)
-        _place(action, dX, oY, [[self.g_at(j, b) for b in range(PY.dim)]
-                                for j in range(Y.dim)])
+        _place(action, dX, oY, self.g)
         labels = [f"x:{s}" for s in X.labels] + [f"y:{s}" for s in Y.labels]
         degrees = X.degree + Y.degree
         self._mod = GradedModule._trusted(Lam, self.side, labels, degrees, action)
@@ -438,27 +403,25 @@ class TupleModule:
         return f"TupleModule({self.side}, X={self.X.dim}, Y={self.Y.dim})"
 
 
-def tuple_module(ctx: MoritaContext, X, Y, f_cols, g_cols):
+def tuple_module(ctx: MoritaContext, X, Y, f, g):
     """Wrap user-supplied structure maps into a checked left tuple.
 
-    f_cols lists the images in Y, as sparse cells {index: coeff}, of the
-    basis vectors of the computed M (x)_A X, and g_cols those in X of the
-    basis of the computed N (x)_B Y.  A list of the wrong length, or a
-    cell key outside the target's basis, raises; the cells are cleaned to
-    nonzero reduced residues.  The maps are valid exactly when the tuple
-    is a module over the context ring: degree-preserving, module maps,
-    and compatible with the pairings.  The first violated module axiom
-    raises, naming its basis elements by their labels in the tuple's
-    module (x:, y:) and the context ring (a:, n:, m:, b:).
+    f and g are cell tables on basis pairs, in the form of phi and psi of
+    morita_ring: f[x][m] the sparse cell {index: coeff} over Y of basis
+    vector x of X paired with basis vector m of M, and g[y][n] the cell
+    over X of y paired with n of N.  A table of the wrong shape, or with
+    a cell key outside the target's basis, raises; the cells are cleaned
+    to nonzero reduced residues.  The maps are valid exactly when the
+    tuple is a module over the context ring: balanced, degree-preserving,
+    module maps, and compatible with the pairings.  The first violated
+    module axiom raises, naming its basis elements by their labels in the
+    tuple's module (x:, y:) and the context ring (a:, n:, m:, b:).
     """
     _require_left_module(X, ctx.A, "tuple_module")
     _require_left_module(Y, ctx.B, "tuple_module")
-    MX, S_MX = tensor_bimodule_with_module(ctx.M, X)
-    NY, S_NY = tensor_bimodule_with_module(ctx.N, Y)
     p = _modulus(X.field)
-    f = ModuleHom(MX, Y, _checked_table(p, [f_cols], 1, MX.dim, Y.dim, "map f")[0])
-    g = ModuleHom(NY, X, _checked_table(p, [g_cols], 1, NY.dim, X.dim, "map g")[0])
-    t = TupleModule(ctx, X, Y, f, g, S_MX, S_NY)
+    t = TupleModule(ctx, X, Y, _checked_table(p, f, X.dim, ctx.M.dim, Y.dim, "map f"),
+                    _checked_table(p, g, Y.dim, ctx.N.dim, X.dim, "map g"))
     _check_assembled(t.as_module(), "tuple module")
     return t
 
@@ -484,21 +447,13 @@ def regular_right_tuple(ctx: MoritaContext) -> TupleModule:
     Y = GradedModule._trusted(
         ctx.B, "right", [f"n.{s}" for s in ctx.N.labels] + [f"b.{s}" for s in ctx.B.labels],
         ctx.N.degree + ctx.B.degree, yact)
-
-    def f_at(i, n):  # a n in N, m n = phi(m, n) in B
-        if i < dA:
-            return ctx.N.left_action[n][i]
-        return {dN + k: c for k, c in ctx.phi[i - dA][n].items()}
-
-    def g_at(i, m):  # n m = psi(n, m) in A, b m in M
-        if i < dN:
-            return ctx.psi[i][m]
-        return {dA + k: c for k, c in ctx.M.left_action[m][i - dN].items()}
-
-    XN, S_XN = tensor_module_with_bimodule(X, ctx.N)
-    YM, S_YM = tensor_module_with_bimodule(Y, ctx.M)
-    return TupleModule(ctx, X, Y, ModuleHom(XN, Y, _on_section(S_XN, f_at)),
-                       ModuleHom(YM, X, _on_section(S_YM, g_at)), S_XN, S_YM)
+    f = _zero_table(dA + dM, dN)    # a n in N, m n = phi(m, n) in B
+    _place(f, 0, 0, ctx.N.left_action, swap=True)
+    _place(f, dA, 0, ctx.phi, dN)
+    g = _zero_table(dN + dB, dM)    # n m = psi(n, m) in A, b m in M
+    _place(g, 0, 0, ctx.psi)
+    _place(g, dN, 0, ctx.M.left_action, dA, swap=True)
+    return TupleModule(ctx, X, Y, f, g)
 
 
 def morita_ring(A, B, N, M, phi=None, psi=None) -> MoritaContext:

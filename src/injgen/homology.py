@@ -369,7 +369,6 @@ class _Resolver:
         self.ranks = []
         self.boundaries = []
         self.syzygies = []
-        self.proj = {}           # step -> ProjectivityReport, filled on demand
 
     def ensure(self, n):
         while len(self.ranks) < n:
@@ -394,10 +393,9 @@ class _Resolver:
             self.syzygies.append(syz)
 
     def proj_report(self, i):
-        if i not in self.proj:
-            self.ensure(i + 1)
-            self.proj[i] = is_projective(self.syzygies[i])
-        return self.proj[i]
+        """The projectivity of syzygy i, which is_projective caches on it."""
+        self.ensure(i + 1)
+        return is_projective(self.syzygies[i])
 
     def pd_verdict(self, cutoff):
         if is_projective(self.module).projective:
@@ -622,7 +620,7 @@ def left_perfect_check(R: GradedAlgebra, M: GradedBimodule,
     tower = TensorTower(R, M)
     nil = nilpotency_index(M, nil_cutoff, tower=tower)
     if not nil.is_conclusive:
-        pdM = projective_dimension(flatten_module(M.as_left_module()), pd_cutoff)
+        pdM = projective_dimension(M.as_left_module(), pd_cutoff)
         return PerfectnessReport(M, pdM, nil, {}, {}, {}, "Inconclusive",
                                  reason=f"nilpotency unresolved at cutoff {nil.value}")
     k = nil.value
@@ -633,8 +631,8 @@ def left_perfect_check(R: GradedAlgebra, M: GradedBimodule,
     powL, powR, power_pds = {}, {}, {}
     for j in range(1, k):
         pw = tower.power(j)
-        powL[j] = flatten_module(pw.as_left_module())
-        powR[j] = flatten_module(pw.as_right_module())
+        powL[j] = pw.as_left_module()
+        powR[j] = pw.as_right_module()
         power_pds[j] = projective_dimension(powL[j], pd_cutoff)
     pdM = power_pds[1]
     bad = [j for j, v in sorted(power_pds.items()) if not v.is_finite]
@@ -703,8 +701,7 @@ def morita_corner_pd(ctx: MoritaContext, pd_cutoff=DEFAULT_PD_CUTOFF,
     }
     verdicts = {}
     for name, tup in tuples.items():
-        verdicts[name] = projective_dimension(flatten_module(tup.as_module()),
-                                              pd_cutoff)
+        verdicts[name] = projective_dimension(tup.as_module(), pd_cutoff)
     ok = True if all(v.is_finite for v in verdicts.values()) else None
     return CheckReport("morita-corner-pd", ok,
                        {"verdicts": verdicts, "perfectness": per.verdict})
@@ -862,16 +859,16 @@ def tensor_formula_check(ctx: MoritaContext, rt: TupleModule,
     # relations g(y (x) m) (x) x' = y (x) f'(m (x) x')
     for j in range(dY):
         for m in range(ctx.M.dim):
-            gv = rt.g_at(j, m)
+            gv = rt.g[j][m]
             for k in range(dXp):
                 relation([(c, (t, k)) for t, c in gv.items()],
-                         [(c, (j, q)) for q, c in lt.f_at(k, m).items()])
+                         [(c, (j, q)) for q, c in lt.f[k][m].items()])
     # relations x (x) g'(n (x) y') = f(x (x) n) (x) y'
     for i in range(dX):
         for nn in range(ctx.N.dim):
-            fv = rt.f_at(i, nn)
+            fv = rt.f[i][nn]
             for l in range(dYp):
-                relation([(c, (i, q)) for q, c in lt.g_at(l, nn).items()],
+                relation([(c, (i, q)) for q, c in lt.g[l][nn].items()],
                          [(c, (t, l)) for t, c in fv.items()])
     quotient_dim = ddim - H.dim()
     # comparison map on block representatives
@@ -887,13 +884,13 @@ def tensor_formula_check(ctx: MoritaContext, rt: TupleModule,
     details = {"direct_dim": big.dim, "block_dim": ddim,
                "relation_rank": H.dim(), "quotient_dim": quotient_dim,
                "kills_relations": kills, "surjective": surjective}
-    if ctx.M.dim == 0:
-        g = lt.g
-        if g.source.dim == g.target.dim and rank(fld, g.cols) == g.target.dim:
-            # second factor is induced from its Y'; the product collapses
-            # onto Y (x)_B Y'
-            details["collapsed_dim"] = S_YY.dim
-            ok = ok and S_YY.dim == big.dim
+    # on a triangular ring, when g: N (x)_B Y' -> X' is an isomorphism (its
+    # cells span X', in matching dimension) the second factor is induced
+    # from its Y' and the product collapses onto Y (x)_B Y'
+    if (ctx.M.dim == 0 and rank(fld, [c for row in lt.g for c in row]) == dXp
+            and tensor_over_algebra(ctx.N, lt.Y, ctx.B).dim == dXp):
+        details["collapsed_dim"] = S_YY.dim
+        ok = ok and S_YY.dim == big.dim
     return CheckReport("tensor-formula", bool(ok), details)
 
 

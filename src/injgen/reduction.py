@@ -27,8 +27,7 @@ from .algebra import (AlgebraError, ConstructionError, component_bimodule,
                       strongly_graded_check)
 from .constructions import construct, reconstruct
 from .homology import (DEFAULT_NIL_CUTOFF, DEFAULT_PD_CUTOFF, is_projective,
-                       left_perfect_check, nilpotency_index,
-                       projective_dimension)
+                       left_perfect_check, projective_dimension)
 from .registry import RegistryError
 from .serialize import SerializeError, object_hash
 
@@ -306,14 +305,16 @@ class BeilinsonRule(CoveringRule):
     construction = "beilinson"
 
 
+def _nil_perfect_hyps(env, R, W, nil_name, perfect_name):
+    """The nilpotency and left perfectness hypotheses on W over R, both
+    read off one perfectness report, which decides nilpotency at the
+    nilpotency cutoff first."""
+    per = left_perfect_check(R, W, pd_cutoff=env.pd_cutoff, nil_cutoff=env.nil_cutoff)
+    return [_nil_hyp(nil_name, per.nilpotency), _perfect_hyp(perfect_name, per)]
+
+
 def _bimodule_hyps(env, R, W):
-    return [
-        _nil_hyp("bimodule-nilpotent",
-                 nilpotency_index(W, cutoff=env.nil_cutoff)),
-        _perfect_hyp("bimodule-left-perfect",
-                     left_perfect_check(R, W, pd_cutoff=env.pd_cutoff,
-                                        nil_cutoff=env.nil_cutoff)),
-    ]
+    return _nil_perfect_hyps(env, R, W, "bimodule-nilpotent", "bimodule-left-perfect")
 
 
 class TensorRingRule(Rule):
@@ -385,13 +386,9 @@ class PositivelyGradedRule(Rule):
                      {"positive_degrees": pos,
                       "group_order": A.group.factors[0]})]
         for d in pos:
-            W = component_bimodule(A, (d,), A0)
-            hyps.append(_nil_hyp(f"component-nilpotent[{d}]",
-                                 nilpotency_index(W, cutoff=env.nil_cutoff)))
-            hyps.append(_perfect_hyp(
-                f"component-left-perfect[{d}]",
-                left_perfect_check(A0, W, pd_cutoff=env.pd_cutoff,
-                                   nil_cutoff=env.nil_cutoff)))
+            hyps += _nil_perfect_hyps(env, A0, component_bimodule(A, (d,), A0),
+                                      f"component-nilpotent[{d}]",
+                                      f"component-left-perfect[{d}]")
         return hyps
 
     def edges(self, env, h):
@@ -681,7 +678,9 @@ def validate_cert(cert: dict, reg, pd_cutoff=None, nil_cutoff=None):
     refuted is always a problem.  Returns (ok, recomputed_status,
     problems).  ok means the recorded status is supported by freshly
     recomputed hypotheses and premises.  A certificate of the wrong shape
-    is invalid and is not replayed.
+    is invalid and is not replayed.  A claim is named by its hash:
+    claim.label is a convenience for readers, like the store's labels,
+    and the validator never reads it.
     """
     problems = []
     _form_problems(cert, "root", problems)

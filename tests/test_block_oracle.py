@@ -145,12 +145,12 @@ def ref_tuple_module(t):
         for a in range(ctx.A.dim):
             action[i][oA + a] = X.action[i][a]
         for b in range(PX.dim):
-            action[i][oX + b] = {dX + k: c for k, c in t.f_at(i, b).items()}
+            action[i][oX + b] = {dX + k: c for k, c in t.f[i][b].items()}
     for j in range(Y.dim):
         for b in range(ctx.B.dim):
             action[dX + j][oB + b] = {dX + k: c for k, c in Y.action[j][b].items()}
         for b in range(PY.dim):
-            action[dX + j][oY + b] = t.g_at(j, b)
+            action[dX + j][oY + b] = t.g[j][b]
     labels = [f"x:{s}" for s in X.labels] + [f"y:{s}" for s in Y.labels]
     return GradedModule._trusted(Lam, t.side, labels, X.degree + Y.degree, action)
 

@@ -632,10 +632,10 @@ def test_regular_right_tuple_recovers_right_regular_module():
 def test_square_check_rejects_perturbed_right_tuple():
     ctx = split_covering(covering_ring(group_algebra(F5, Z2)))
     t = regular_right_tuple(ctx)
-    zero_g = ModuleHom(t.g.source, t.g.target, [{} for _ in t.g.cols])
+    zero_g = [[{} for _ in row] for row in t.g]
     assert check_module_axioms(t.as_module()).passed
     # with g zero, x n m = x psi(n, m) fails: the square is an associativity
-    bad = TupleModule(ctx, t.X, t.Y, t.f, zero_g, t.S_X, t.S_Y).as_module()
+    bad = TupleModule(ctx, t.X, t.Y, t.f, zero_g).as_module()
     first = check_module_axioms(bad).violations[0]
     assert first.kind == "action-associativity"
     x, n, m = first.where
@@ -671,17 +671,17 @@ def test_tuple_module_wrapper_validates_squares():
     X = regular_module(ctx.A, "left")
     Y = regular_module(ctx.B, "left")
     # f identity on the 1-dim pairing, g zero: squares hold for zero pairings
-    t = tuple_module(ctx, X, Y, [{0: F5.one()}], [{}])
+    t = tuple_module(ctx, X, Y, [[{0: F5.one()}]], [[{}]])
     assert t.as_module().dim == 2
     # the maps are cleaned where they enter, and checked for shape
-    t = tuple_module(ctx, X, Y, [{0: 6}], [{0: 5}])
-    assert (t.f.cols, t.g.cols) == ([{0: 1}], [{}])
+    t = tuple_module(ctx, X, Y, [[{0: 6}]], [[{0: 5}]])
+    assert (t.f, t.g) == ([[{0: 1}]], [[{}]])
     with pytest.raises(ConstructionError, match="map f has the wrong shape"):
-        tuple_module(ctx, X, Y, [{0: 1}, {}], [{}])
+        tuple_module(ctx, X, Y, [[{0: 1}, {}]], [[{}]])
     with pytest.raises(ConstructionError, match="map g has the wrong shape"):
-        tuple_module(ctx, X, Y, [{0: 1}], [[0]])
+        tuple_module(ctx, X, Y, [[{0: 1}]], [[[0]]])
     with pytest.raises(AlgebraError, match="out of range"):
-        tuple_module(ctx, X, Y, [{1: 1}], [{}])
+        tuple_module(ctx, X, Y, [[{1: 1}]], [[{}]])
     # zero maps fail the squares over a context with nonzero pairings
     G = group_algebra(F5, Z2)
     ctx2 = split_covering(covering_ring(G))
@@ -689,7 +689,8 @@ def test_tuple_module_wrapper_validates_squares():
     Y2 = regular_module(ctx2.B, "left")
     with pytest.raises(ConstructionError, match=r"tuple module fails "
                        r"action-associativity at \(x:.*, n:.*, m:.*\)"):
-        tuple_module(ctx2, X2, Y2, [{}], [{}])
+        tuple_module(ctx2, X2, Y2, [[{}] * ctx2.M.dim for _ in range(X2.dim)],
+                     [[{}] * ctx2.N.dim for _ in range(Y2.dim)])
 
 
 # -- cleft functor package ----------------------------------------------------

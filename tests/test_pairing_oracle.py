@@ -10,11 +10,14 @@ maps by the module axioms of the tuple over the context ring.  Before,
 TupleModule checked the degrees of f and g, that they are module maps,
 and the two compatibility squares.  Those checks are kept here as an
 oracle, on dense pairing matrices (column a * d2 + b holds the pairing
-of basis vectors a and b) and dense tuple maps, and the constructions,
-handed the same data as cell tables and sparse columns, must accept and
-reject exactly what it does.  The tuples that the constructions build read their structure maps
-off the tensor space's section pairs; the descent check those reads
-replaced is kept here too, and the built maps must pass it.
+of basis vectors a and b) and dense tuple maps on the computed tensor
+spaces (tuple_reference.RefTuple), and the constructions, handed the
+same data as cell tables, must accept and reject exactly what it does.
+Tuple tables that do not descend to the tensor space, which no map on it
+can give, must be rejected too.  The tuples that the constructions build
+hold their structure maps as cell tables of block products; the descent
+check the old section reads replaced is kept here too, and the built
+tables must pass it.
 """
 
 import random
@@ -38,7 +41,9 @@ from injgen.groups import FiniteAbelianGroup
 from injgen.linalg import Matrix, _dense
 from injgen.samples import (group_algebra, random_upper_half_zero_algebra,
                             truncated_polynomial)
-from injgen.tensors import tensor_bimodule_with_module, tensor_bimodules
+from injgen.tensors import tensor_bimodules, tensor_over_algebra
+from tuple_reference import (RefTuple, ref_induced, ref_left_tuple,
+                             ref_regular_right_tuple)
 
 F2, F5 = PrimeField(2), PrimeField(5)
 FIELDS = (F2, F5, QQ)
@@ -158,9 +163,9 @@ def _square_holds(t, Z, P, Q, pair, first_at, second, S_second):
 
 
 def _tuple_oracle(t):
-    """f and g preserve degrees and are module maps, and both squares
-    hold: psi(n (x) m) on X through f and g, phi(m (x) n) on Y through g
-    and f."""
+    """f and g of the RefTuple t preserve degrees and are module maps, and
+    both squares hold: psi(n (x) m) on X through f and g, phi(m (x) n) on
+    Y through g and f."""
     ctx = t.ctx
     F = ctx.A.field
 
@@ -177,11 +182,35 @@ def _tuple_oracle(t):
 
 
 def _left_tuple(ctx, X, Y, f, g):
-    """The tuple with these maps, built without tuple_module's check."""
-    MX, S_MX = tensor_bimodule_with_module(ctx.M, X)
-    NY, S_NY = tensor_bimodule_with_module(ctx.N, Y)
-    return TupleModule(ctx, X, Y, ModuleHom(MX, Y, columns(f)),
-                       ModuleHom(NY, X, columns(g)), S_MX, S_NY)
+    """The reference tuple with these dense maps on the tensor spaces."""
+    return ref_left_tuple(ctx, X, Y, columns(f), columns(g))
+
+
+def _table_matrix(F, table, nb, target_dim, bimodule_first):
+    """The dense target x pair grid matrix of a cell table with rows v
+    and columns b: pair (v, b) in grid column v * nb + b, or in
+    b * len(table) + v when the bimodule is the left tensor factor."""
+    nv = len(table)
+    m = zeros(F, target_dim, nv * nb)
+    for v, row in enumerate(table):
+        for b, cell in enumerate(row):
+            for k, c in cell.items():
+                m.rows[k][b * nv + v if bimodule_first else v * nb + b] = c
+    return m
+
+
+def _descended(ctx, X, Y, f, g):
+    """The left RefTuple whose maps on the computed M (x) X and N (x) Y
+    read f and g on every basis pair, or None when a table does not
+    descend to its tensor space."""
+    F = X.field
+    S_MX = tensor_over_algebra(ctx.M, X, ctx.A)
+    S_NY = tensor_over_algebra(ctx.N, Y, ctx.B)
+    fm = _through_tensor(S_MX, _table_matrix(F, f, ctx.M.dim, Y.dim, True), Y.dim)
+    gm = _through_tensor(S_NY, _table_matrix(F, g, ctx.N.dim, X.dim, True), X.dim)
+    if fm is None or gm is None:
+        return None
+    return _left_tuple(ctx, X, Y, fm, gm)
 
 
 def _column(m, j):
@@ -358,28 +387,68 @@ def test_theta_decides_as_the_replaced_checks(fld):
 @pytest.mark.parametrize("fld", FIELDS, ids=str)
 def test_tuple_maps_decide_as_module_axioms(fld):
     """tuple_module on left tuples, and the module axioms of right ones,
-    accept exactly the structure maps the replaced check accepts."""
+    accept exactly the structure maps the replaced check accepts, handed
+    their tables on basis pairs."""
     rng = random.Random(3)
     seen, right = [], []
     for ctx in _contexts(fld, rng):
-        for t in (ctx.T_A(regular_module(ctx.A, "left")),
-                  ctx.T_B(regular_module(ctx.B, "left"))):
+        for t in (ref_induced(ctx, regular_module(ctx.A, "left"), "A"),
+                  ref_induced(ctx, regular_module(ctx.B, "left"), "B")):
             X, Y = t.X, t.Y
             for f in _variants(t.f.matrix, rng)[::2]:
                 for g in _variants(t.g.matrix, rng)[::2]:
-                    seen.append(_decides(lambda: tuple_module(ctx, X, Y, columns(f),
-                                                              columns(g)),
-                                         _tuple_oracle(_left_tuple(ctx, X, Y, f, g)),
-                                         "tuple module"))
-        rt = regular_right_tuple(ctx)
+                    ref = _left_tuple(ctx, X, Y, f, g)
+                    seen.append(_decides(lambda: tuple_module(ctx, X, Y, *ref.tables()),
+                                         _tuple_oracle(ref), "tuple module"))
+        rt = ref_regular_right_tuple(ctx)
         for g in _variants(rt.g.matrix, rng)[::2]:
-            t = TupleModule(ctx, rt.X, rt.Y, rt.f,
-                            ModuleHom(rt.g.source, rt.g.target, columns(g)), rt.S_X, rt.S_Y)
-            decision = check_module_axioms(t.as_module()).passed
+            t = RefTuple(ctx, rt.X, rt.Y, rt.f,
+                         ModuleHom(rt.g.source, rt.g.target, columns(g)), rt.S_X, rt.S_Y)
+            decision = check_module_axioms(TupleModule(ctx, t.X, t.Y, *t.tables())
+                                           .as_module()).passed
             assert decision == _tuple_oracle(t)
             right.append(decision)
     assert any(seen) and not all(seen)
     assert any(right) and not all(right)
+
+
+def _poked_table(table, target_dim, F, rng):
+    """A copy of the cell table over range(target_dim) with one random
+    coefficient of one random cell moved by a random nonzero amount."""
+    out = [[dict(cell) for cell in row] for row in table]
+    row = out[rng.randrange(len(out))]
+    b, k = rng.randrange(len(row)), rng.randrange(target_dim)
+    c = F.add(row[b].get(k, F.zero()), _coeff(F, rng))
+    row[b] = {j: a for j, a in {**row[b], k: c}.items() if not F.is_zero(a)}
+    return out
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=str)
+def test_tuple_tables_decide_as_balanced_maps(fld):
+    """The built tables, and tables with one poked cell, are accepted
+    exactly when they descend to maps on the tensor spaces that the
+    replaced check accepts: balancedness is part of the module axioms."""
+    rng = random.Random(5)
+    seen, balanced = [], []
+    for ctx in _contexts(fld, rng):
+        for t in (ctx.T_A(regular_module(ctx.A, "left")),
+                  ctx.T_B(regular_module(ctx.B, "left"))):
+            X, Y = t.X, t.Y
+            if not (X.dim and Y.dim):
+                continue
+            for poke in (False, True, True, True):
+                f, g = t.f, t.g
+                if poke and ctx.M.dim and (rng.random() < 0.5 or not ctx.N.dim):
+                    f = _poked_table(f, Y.dim, fld, rng)
+                elif poke and ctx.N.dim:
+                    g = _poked_table(g, X.dim, fld, rng)
+                ref = _descended(ctx, X, Y, f, g)
+                balanced.append(ref is not None)
+                seen.append(_decides(lambda: tuple_module(ctx, X, Y, f, g),
+                                     ref is not None and _tuple_oracle(ref),
+                                     "tuple module"))
+    assert any(seen) and not all(seen)
+    assert any(balanced) and not all(balanced)
 
 
 def _blocks(ctx):
@@ -403,8 +472,9 @@ def _raw(ctx, value, rows, cols, target):
 
 @pytest.mark.parametrize("fld", FIELDS, ids=str)
 def test_built_tuple_maps_descend(fld):
-    """The structure maps of the built tuples are the block products of
-    the assembled ring, which kill the balancing relations."""
+    """The structure tables of the built tuples are the block products of
+    the assembled ring, which kill the balancing relations, and they are
+    the tables of the reference maps on the tensor spaces."""
     rng = random.Random(4)
     for ctx in _contexts(fld, rng):
         L = ctx.assembled
@@ -416,18 +486,23 @@ def test_built_tuple_maps_descend(fld):
                 v = dense_mul(L, v, L.basis_vec(i))
             return {k: c for k, c in enumerate(v) if not fld.is_zero(c)}
 
-        rt = regular_right_tuple(ctx)
-        assert _through_tensor(rt.S_X, _raw(ctx, product, A + M, N, N + B),
-                               rt.Y.dim) == rt.f.matrix
-        assert _through_tensor(rt.S_Y, _raw(ctx, product, N + B, M, A + M),
-                               rt.X.dim) == rt.g.matrix
-        # the map back into the regular corner Z sends q (x) class(p (x) z)
-        # to (q p) z
-        for corner, Z, P, Q, S_back, back in (
-                ("A", A, M, N, "S_Y", "g"), ("B", B, N, M, "S_X", "f")):
+        rt, ref = regular_right_tuple(ctx), ref_regular_right_tuple(ctx)
+        for table, rows, P, target, S, h in (
+                (rt.f, A + M, N, N + B, ref.S_X, ref.f),
+                (rt.g, N + B, M, A + M, ref.S_Y, ref.g)):
+            raw = _raw(ctx, product, rows, P, target)
+            assert _table_matrix(fld, table, len(P), len(target), False) == raw
+            assert _through_tensor(S, raw, len(target)) == h.matrix
+        # the map back into the regular corner Z sends q (x) w to (q p) z
+        # for (p, z) the section pair of w
+        for corner, Z, P, Q in (("A", A, M, N), ("B", B, N, M)):
             ring = ctx.A if corner == "A" else ctx.B
-            t = getattr(ctx, f"T_{corner}")(regular_module(ring, "left"))
-            S, S_PZ = getattr(t, S_back), (t.S_X if S_back == "S_Y" else t.S_Y)
+            Zmod = regular_module(ring, "left")
+            t = getattr(ctx, f"T_{corner}")(Zmod)
+            ref = ref_induced(ctx, Zmod, corner)
+            S_PZ, S_QW, back, h = ((ref.S_X, ref.S_Y, t.g, ref.g) if corner == "A"
+                                   else (ref.S_Y, ref.S_X, t.f, ref.f))
             W = [(P[p], Z[z]) for p, z in S_PZ.section]
             raw = _raw(ctx, lambda q, w: product(q, *W[w]), Q, range(len(W)), Z)
-            assert _through_tensor(S, raw, len(Z)) == getattr(t, back).matrix
+            assert _table_matrix(fld, back, len(Q), len(Z), True) == raw
+            assert _through_tensor(S_QW, raw, len(Z)) == h.matrix

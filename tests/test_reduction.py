@@ -406,6 +406,33 @@ def test_validator_rejects_every_status_off_the_ladder(corpus, label):
                 assert any(repr(forged) in p for p in problems), problems
 
 
+def test_validator_names_claims_by_hash_not_label(corpus):
+    """A claim is named by its hash; claim.label is a convenience the
+    validator never reads.  Every corpus certificate, with each node's
+    label changed or deleted in turn and with every label changed at
+    once, validates with the status recomputed for the original."""
+    reg, labels = corpus
+    variants = 0
+    for label in sorted(CORPUS_EXPECT):
+        cert = json.loads(json.dumps(emit_certificate(derive(reg, labels[label]))))
+        ok, want, problems = validate_cert(cert, reg)
+        assert ok and want == ESTABLISHED and problems == [], label
+        n_nodes = len(list(_nodes(cert)))
+        edits = [(k, lambda claim: claim.update(label=claim["label"] + "-renamed"))
+                 for k in range(n_nodes)]
+        edits += [(k, lambda claim: claim.pop("label")) for k in range(n_nodes)]
+        edits.append((None, lambda claim: claim.update(label=labels["kz2"])))
+        for k, edit in edits:
+            renamed = copy.deepcopy(cert)
+            for j, node in enumerate(_nodes(renamed)):
+                if k is None or j == k:
+                    edit(node["claim"])
+            assert renamed != cert
+            assert validate_cert(renamed, reg) == (True, want, []), (label, k)
+            variants += 1
+    assert variants > 2 * len(CORPUS_EXPECT)
+
+
 def _located_steps(node, where="root"):
     """(where, step) for every step, where the node's place as the
     validator names it."""

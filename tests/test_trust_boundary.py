@@ -214,14 +214,14 @@ def test_ill_graded_tuple_maps_are_rejected():
     ctx = morita_ring(k, k, line(k, (0,)), line(k, (0,)))
     with pytest.raises(ConstructionError,
                        match=r"tuple module fails action-grading at \(x:v, m:v, y:v\)"):
-        tuple_module(ctx, module((0,)), module((1,)), ONE[0], ZERO[0])
+        tuple_module(ctx, module((0,)), module((1,)), ONE, ZERO)
     ctx = morita_ring(k, k, line(k, (1,)), line(k, (0,)))
     with pytest.raises(ConstructionError,
                        match=r"tuple module fails action-grading at \(y:v, n:v, x:v\)"):
-        tuple_module(ctx, module((0,)), module((0,)), ZERO[0], ONE[0])
+        tuple_module(ctx, module((0,)), module((0,)), ZERO, ONE)
     # the same maps between modules of matching degrees form a tuple
     ctx = morita_ring(k, k, line(k, (0,)), line(k, (0,)))
-    t = tuple_module(ctx, module((0,)), module((0,)), ONE[0], ZERO[0])
+    t = tuple_module(ctx, module((0,)), module((0,)), ONE, ZERO)
     assert check_axioms(t.as_module()).passed
 
 
