@@ -477,15 +477,19 @@ class GradedBimodule:
         self.degree = degree
         self.left_action = left_action
         self.right_action = right_action
+        self._left = GradedModule._trusted(left_algebra, "left", labels, degree, left_action)
+        self._right = GradedModule._trusted(right_algebra, "right", labels, degree,
+                                            right_action)
+        self._cache = {}
 
     def as_left_module(self):
-        """The underlying left module over left_algebra."""
-        return GradedModule._trusted(self.left_algebra, "left", self.labels,
-                                     self.degree, self.left_action)
+        """The underlying left module over left_algebra: one object, so what
+        is cached on it (cover, resolver, projectivity) serves every caller."""
+        return self._left
 
     def as_right_module(self):
-        return GradedModule._trusted(self.right_algebra, "right", self.labels,
-                                     self.degree, self.right_action)
+        """The underlying right module over right_algebra, one object too."""
+        return self._right
 
     def __eq__(self, other):
         return self is other or (
@@ -814,7 +818,10 @@ def strongly_graded_check(A: GradedAlgebra):
 
 
 def degree_zero_subalgebra(A: GradedAlgebra) -> GradedAlgebra:
-    """The degree-zero component as a trivially graded algebra."""
+    """The degree-zero component as a trivially graded algebra, built once
+    per algebra and cached on it."""
+    if "deg0" in A._cache:
+        return A._cache["deg0"]
     idx = A.component_indices(A.group.zero())
     if not idx:
         raise AlgebraError("degree-zero component is zero; not an algebra")
@@ -822,23 +829,28 @@ def degree_zero_subalgebra(A: GradedAlgebra) -> GradedAlgebra:
     labels = [A.labels[i] for i in idx]
     unit = [A.unit[i] for i in idx]
     degs = [() for _ in idx]
-    return GradedAlgebra._trusted(A.field, TRIVIAL_GROUP, labels, degs, unit,
-                                  _cut(A.mult, idx, idx, pos))
+    A0 = A._cache["deg0"] = GradedAlgebra._trusted(A.field, TRIVIAL_GROUP, labels, degs,
+                                                   unit, _cut(A.mult, idx, idx, pos))
+    return A0
 
 
-def component_bimodule(A: GradedAlgebra, gamma, A0: GradedAlgebra | None = None):
-    """The degree-gamma component of A as a bimodule over its degree-zero
-    part (trivially graded).  A0 defaults to degree_zero_subalgebra(A)."""
-    if A0 is None:
-        A0 = degree_zero_subalgebra(A)
+def component_bimodule(A: GradedAlgebra, gamma):
+    """The degree-gamma component of A as a bimodule over
+    degree_zero_subalgebra(A), built once per algebra and degree and
+    cached on A."""
+    key = ("component", A.group.reduce(gamma))
+    if key in A._cache:
+        return A._cache[key]
+    A0 = degree_zero_subalgebra(A)
     zidx = A.component_indices(A.group.zero())
     cidx = A.component_indices(gamma)
     pos = {i: t for t, i in enumerate(cidx)}
     labels = [A.labels[i] for i in cidx]
     degs = [() for _ in cidx]
-    return GradedBimodule._trusted(A0, A0, labels, degs,
-                                   _transposed(_cut(A.mult, zidx, cidx, pos)),
-                                   _cut(A.mult, cidx, zidx, pos))
+    W = A._cache[key] = GradedBimodule._trusted(A0, A0, labels, degs,
+                                                _transposed(_cut(A.mult, zidx, cidx, pos)),
+                                                _cut(A.mult, cidx, zidx, pos))
+    return W
 
 
 def trivially_graded(A: GradedAlgebra) -> GradedAlgebra:

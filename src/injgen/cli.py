@@ -74,12 +74,21 @@ def _read_json(path):
         _fail(EXIT_INPUT, f"{path} is nested too deeply to read")
 
 
+def _is_file(spec):
+    """Whether the string names an existing path; one the file system
+    cannot take as a name (too long, say) names none."""
+    try:
+        return pathlib.Path(spec).exists()
+    except OSError:
+        return False
+
+
 def _load_ref(opts, ref):
     """Resolve a store reference or register a JSON file; returns the hash
     of an object the store admits."""
     p = pathlib.Path(ref)
     try:
-        if p.suffix == ".json" or p.exists():
+        if p.suffix == ".json" or _is_file(ref):
             return opts.reg.store(_read_json(p), label=p.stem)
         h = opts.reg.resolve(ref)
         opts.reg.load(h)
@@ -179,8 +188,7 @@ def _json_opt(spec):
     if spec is None or spec == "zero":
         return None
     try:
-        p = pathlib.Path(spec)
-        return json.loads(p.read_text() if p.exists() else spec)
+        return json.loads(pathlib.Path(spec).read_text() if _is_file(spec) else spec)
     except (ValueError, OSError) as e:
         _fail(EXIT_INPUT, f"bad JSON option: {e}")
 
@@ -415,6 +423,8 @@ def nilpotency(opts, bimodule):
     W = _obj(opts, bimodule)
     if not isinstance(W, GradedBimodule):
         _fail(EXIT_INPUT, "expected a bimodule reference")
+    if W.left_algebra != W.right_algebra:
+        _fail(EXIT_INPUT, "nilpotency needs one ring on both sides")
     v = nilpotency_index(W, cutoff=opts.nil_cutoff)
     click.echo(json.dumps({"nilpotency": v.to_json()}))
     if not v.is_conclusive and opts.strict:

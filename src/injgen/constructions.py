@@ -43,7 +43,7 @@ __all__ = [
     "covering_module_inverse",
     "MoritaContext", "morita_ring", "split_covering",
     "TupleModule", "tuple_module",
-    "TensorTower", "TensorRingData", "tensor_ring",
+    "TensorTower", "tower_of", "TensorRingData", "tensor_ring",
     "ThetaData", "theta_extension", "trivial_extension",
     "split_positively_graded",
     "Bicharacter", "twisted_tensor", "twisted_module",
@@ -606,6 +606,14 @@ class TensorTower:
         return out
 
 
+def tower_of(M: GradedBimodule) -> TensorTower:
+    """The tensor tower of M over its base ring, built once per bimodule
+    and cached on M, so every power and pairing is computed once."""
+    if "tower" not in M._cache:
+        M._cache["tower"] = TensorTower(M.left_algebra, M)
+    return M._cache["tower"]
+
+
 class TensorRingData:
     def __init__(self, algebra, tower, index, offsets):
         self.algebra = algebra
@@ -628,7 +636,9 @@ def tensor_ring(R: GradedAlgebra, M: GradedBimodule, nilpotency_index: int) -> T
     k = int(nilpotency_index)
     if k < 1:
         raise ConstructionError("nilpotency index must be at least 1")
-    tower = TensorTower(R, M)
+    if M.left_algebra != R:
+        raise ConstructionError("tensor tower needs a bimodule over the base on both sides")
+    tower = tower_of(M)
     Pk = tower.power(k)
     if Pk.dim != 0:
         raise ConstructionError(

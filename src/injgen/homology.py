@@ -41,7 +41,7 @@ from .algebra import (AlgebraError, ConstructionError, GradedAlgebra,
                       _structure, _sum_cells, direct_sum, module_from_span,
                       regular_module, trivially_graded, zero_module)
 from .constructions import CleftFunctors, MoritaContext, TensorTower, \
-    ThetaData, TupleModule, morita_ring
+    ThetaData, TupleModule, morita_ring, tower_of
 from .homs import find_isomorphism
 from .linalg import (Span, _modulus, _nonzero, kernel_basis, rank,
                      right_inverse, solve_sparse)
@@ -538,21 +538,20 @@ def tor(X: GradedModule, Y: GradedModule, i_max: int, resolve_side="first"):
 # -- nilpotency ----------------------------------------------------------------
 
 
-def nilpotency_index(M: GradedBimodule, cutoff=DEFAULT_NIL_CUTOFF,
-                     dim_limit=DEFAULT_DIM_LIMIT, tower=None) -> Verdict:
+def nilpotency_index(M: GradedBimodule, cutoff=DEFAULT_NIL_CUTOFF) -> Verdict:
     """Smallest k with the k-th power zero; AtLeast(c) if powers 1..c are
-    all nonzero (or the dimensions blow past dim_limit at step c)."""
+    all nonzero (or the dimensions blow past DEFAULT_DIM_LIMIT at step c).
+    The powers are those of M's one tower (tower_of)."""
     if M.left_algebra != M.right_algebra:
         raise AlgebraError("nilpotency needs a bimodule over one ring")
     if cutoff < 1:
         raise AlgebraError("cutoff must be at least 1")
-    if tower is None:
-        tower = TensorTower(M.left_algebra, M)
+    tower = tower_of(M)
     for k in range(1, cutoff + 1):
         d = tower.power(k).dim
         if d == 0:
             return Verdict.index(k)
-        if d > dim_limit:
+        if d > DEFAULT_DIM_LIMIT:
             return Verdict.at_least(k)
     return Verdict.at_least(cutoff)
 
@@ -617,8 +616,8 @@ def left_perfect_check(R: GradedAlgebra, M: GradedBimodule,
     """
     if M.left_algebra != R or M.right_algebra != R:
         raise AlgebraError("left_perfect_check needs an (R, R)-bimodule")
-    tower = TensorTower(R, M)
-    nil = nilpotency_index(M, nil_cutoff, tower=tower)
+    tower = tower_of(M)
+    nil = nilpotency_index(M, nil_cutoff)
     if not nil.is_conclusive:
         pdM = projective_dimension(M.as_left_module(), pd_cutoff)
         return PerfectnessReport(M, pdM, nil, {}, {}, {}, "Inconclusive",
@@ -957,15 +956,15 @@ def power_block_law_check(A: GradedAlgebra, N: GradedBimodule,
     power pair is verified through Tor_2 when its hypothesis (vanishing of
     Tor against N) holds.
     """
-    tower = TensorTower(A, N)
-    nil = nilpotency_index(N, nil_cutoff, tower=tower)
-    if not nil.is_conclusive:
-        raise ConstructionError("nilpotency not confirmed")
     zero_bim = GradedBimodule._trusted(A, A, [], [], [], [])
     ctx = morita_ring(A, A, N, zero_bim)
+    nil = nilpotency_index(N, nil_cutoff)
+    if not nil.is_conclusive:
+        raise ConstructionError("nilpotency not confirmed")
+    tower = tower_of(N)
     Lam = ctx.assembled
     M = _block_pattern_bimodule(ctx, tower, 1)
-    towerM = TensorTower(Lam, M)
+    towerM = tower_of(M)
     oA, _, _, oB = ctx.offsets
     idems = {name: {off + e: c for e, c in enumerate(A.unit) if c}
              for name, off in (("top", oA), ("bot", oB))}

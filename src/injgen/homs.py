@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .algebra import AlgebraError, GradedModule, ModuleHom, _sum_cells
@@ -122,14 +123,7 @@ def find_isomorphism(M: GradedModule, N: GradedModule, graded: bool = True,
 
     if F.size is not None and F.size ** d <= EXHAUSTIVE_LIMIT:
         # exhaustive over all coefficient tuples
-        def tuples(k):
-            if k == 0:
-                yield ()
-                return
-            for rest in tuples(k - 1):
-                for c in F.elements():
-                    yield rest + (c,)
-        for coeffs in tuples(d):
+        for coeffs in itertools.product(F.elements(), repeat=d):
             if all(F.is_zero(c) for c in coeffs):
                 continue
             hom = invertible(coeffs)

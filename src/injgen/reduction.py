@@ -386,7 +386,7 @@ class PositivelyGradedRule(Rule):
                      {"positive_degrees": pos,
                       "group_order": A.group.factors[0]})]
         for d in pos:
-            hyps += _nil_perfect_hyps(env, A0, component_bimodule(A, (d,), A0),
+            hyps += _nil_perfect_hyps(env, A0, component_bimodule(A, (d,)),
                                       f"component-nilpotent[{d}]",
                                       f"component-left-perfect[{d}]")
         return hyps

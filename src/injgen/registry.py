@@ -36,12 +36,20 @@ class Registry:
         self._live = {}
 
     def _read_index(self):
+        """The index on disk: an object whose "objects" maps each hash to an
+        entry object with a string "file"; RegistryError otherwise."""
         if not self._index_path.exists():
             return {"objects": {}}
         try:
-            return json.loads(self._index_path.read_text())
+            index = json.loads(self._index_path.read_text())
         except ValueError as e:
             raise RegistryError(f"corrupt index at {self._index_path}: {e}") from e
+        objs = index.get("objects") if isinstance(index, dict) else None
+        if not isinstance(objs, dict) or not all(
+                isinstance(e, dict) and isinstance(e.get("file"), str) for e in objs.values()):
+            raise RegistryError(f"corrupt index at {self._index_path}: not a map of "
+                                "hashes to entries with a file")
+        return index
 
     @contextmanager
     def _locked_index(self):

@@ -31,13 +31,10 @@ from .linalg import Span, _modulus, _nonzero, row_space_reducer
 
 
 def _side_data(X, algebra, side):
-    """(dim, action, degree) of X as a module over algebra on the given side."""
+    """(dim, action, degree) of X, a module or a bimodule read through its
+    one-sided view, as a module over algebra on the given side."""
     if isinstance(X, GradedBimodule):
-        alg, action = ((X.left_algebra, X.left_action) if side == "left"
-                       else (X.right_algebra, X.right_action))
-        if alg != algebra:
-            raise AlgebraError(f"bimodule {side} algebra mismatch")
-        return X.dim, action, X.degree
+        X = X.as_left_module() if side == "left" else X.as_right_module()
     if not isinstance(X, GradedModule) or X.side != side or X.algebra != algebra:
         raise AlgebraError(f"expected a {side} module over the tensor algebra")
     return X.dim, X.action, X.degree

@@ -30,10 +30,10 @@ from injgen.algebra import (ConstructionError, GradedAlgebra, GradedBimodule,
                             zero_module)
 from injgen.bundled import corpus_docs
 from injgen.constructions import (CleftFunctors, MoritaContext, TensorRingData,
-                                  TensorTower, ThetaData, beilinson, covering_ring,
+                                  ThetaData, beilinson, covering_ring,
                                   morita_ring, reconstruct, regular_right_tuple,
                                   split_covering, split_positively_graded,
-                                  tensor_ring, trivial_extension)
+                                  tensor_ring, tower_of, trivial_extension)
 from injgen.field import QQ, PrimeField
 from injgen.groups import TRIVIAL_GROUP
 from injgen.homology import _block_pattern_bimodule, nilpotency_index
@@ -449,8 +449,8 @@ def check_extension(td):
 
 def check_bimodule(R, N, i_max=2):
     """Tensor ring and doubled-block bimodules of a bimodule over R."""
-    tower = TensorTower(R, N)
-    nil = nilpotency_index(N, tower=tower)
+    tower = tower_of(N)
+    nil = nilpotency_index(N)
     if nil.is_conclusive:
         trd = tensor_ring(R, N, nil.value)
         assert trd.algebra == ref_tensor_ring(trd)
@@ -466,7 +466,7 @@ def check_algebra(A, rng):
     A0 = degree_zero_subalgebra(A)
     assert A0 == ref_degree_zero_subalgebra(A)
     for g in A.group.elements():
-        assert component_bimodule(A, g, A0) == ref_component_bimodule(A, g, A0)
+        assert component_bimodule(A, g) == ref_component_bimodule(A, g, A0)
     cov = check_covering(A)
     check_beilinson(A)
     if len(A.group.factors) == 1 and A.group.order >= 2:

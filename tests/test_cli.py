@@ -167,6 +167,25 @@ def test_pd_tor_nilpotency_perfect(runner, store):
     assert json.loads(out)["verdict"] == "LeftPerfect"
 
 
+def test_nilpotency_over_two_rings_exits_2(runner, store):
+    loaded(runner, store)
+    invoke(runner, store, "build", "covering", "kx2-z4")
+    invoke(runner, store, "build", "split", "kx2-z4:cover")
+    result = invoke(runner, store, "nilpotency", "kx2-z4:cover:split:N", code=2)
+    assert isinstance(result.exception, SystemExit)
+    assert "one ring on both sides" in result.output
+
+
+def test_long_strings_are_not_file_names(runner, store):
+    # past the file system's name length, so probing them as paths fails
+    loaded(runner, store)
+    theta = "[[0]" + " " * 300 + "]"
+    invoke(runner, store, "build", "theta", "kxk", "kxk-arrow", "--theta", theta)
+    result = invoke(runner, store, "pd", "a" * 300, code=2)
+    assert isinstance(result.exception, SystemExit)
+    assert "no object matches" in result.output
+
+
 def test_pd_rejects_algebra_ref(runner, store):
     loaded(runner, store)
     invoke(runner, store, "pd", "kxk", code=2)

@@ -168,7 +168,7 @@ def test_tensor_rings_and_theta_extensions(algebras, positively_graded):
         td, _perm = split_positively_graded(A)
         _check_extension(td)
         R0 = degree_zero_subalgebra(A)
-        W = valid(component_bimodule(A, (1,), R0))
+        W = valid(component_bimodule(A, (1,)))
         tower = TensorTower(R0, W)
         k = next((k for k in range(1, 5) if tower.power(k).dim == 0), None)
         if k is not None:  # over k[x], say, the tensor powers never vanish

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_modules import action_matrix, columns, is_module_hom, sparse_rows, zeros
+from injgen import homology
 from injgen.algebra import (AlgebraError, ConstructionError, GradedAlgebra,
                             GradedBimodule, GradedModule, ModuleHom,
                             direct_sum, regular_bimodule, regular_module,
@@ -442,9 +443,10 @@ def test_nilpotency_regular_never_vanishes():
     assert nilpotency_index(regular_bimodule(kk), cutoff=5) == Verdict.at_least(5)
 
 
-def test_nilpotency_dim_limit_early_out():
+def test_nilpotency_dim_limit_early_out(monkeypatch):
     kk = product_field_algebra(F5, 2)
-    v = nilpotency_index(regular_bimodule(kk), cutoff=10, dim_limit=1)
+    monkeypatch.setattr(homology, "DEFAULT_DIM_LIMIT", 1)
+    v = nilpotency_index(regular_bimodule(kk), cutoff=10)
     assert v.kind == "atLeast" and v.value == 1
 
 

@@ -148,11 +148,19 @@ def test_derive_accepts_a_file_path(tmp_path):
     assert cert["status"] == ESTABLISHED and cert["claim"]["label"] == "kxkxk"
 
 
+# not JSON, then JSON of the wrong shape: not an object, no "objects" map,
+# a list for the map, an entry that is not an object with a file
+CORRUPT_INDEXES = ["{nope", "[]", '{"x": 1}', '{"objects": []}', '{"objects": {"abc": 5}}']
+
+
 @pytest.mark.parametrize("args", [("corpus-load",), ("pd", "kxk-arrow")])
 def test_corrupt_index_exits_2(tmp_path, args):
-    (tmp_path / "index.json").write_text("{nope")
-    res = cli(tmp_path, *args)
-    assert res.exit_code == 2 and "corrupt index" in res.output
+    for n, body in enumerate(CORRUPT_INDEXES):
+        store = tmp_path / str(n)
+        store.mkdir()
+        (store / "index.json").write_text(body)
+        res = cli(store, *args)
+        assert res.exit_code == 2 and "corrupt index" in res.output, body
 
 
 def test_huge_prime_is_refused_quickly(tmp_path):
