@@ -452,15 +452,13 @@ def perfect(opts, bimodule):
 
 @main.command("derive")
 @click.argument("target")
-@click.option("--depth", default=6, show_default=True)
 @click.option("--out", default=None, help="write the certificate here")
 @click.pass_obj
-def derive_cmd(opts, target, depth, out):
+def derive_cmd(opts, target, out):
     """Derive the injective-generation property for a stored algebra."""
     h = _load_ref(opts, target)
     try:
-        tree = derive(opts.reg, h, max_depth=depth,
-                      pd_cutoff=opts.pd_cutoff, nil_cutoff=opts.nil_cutoff)
+        tree = derive(opts.reg, h, pd_cutoff=opts.pd_cutoff, nil_cutoff=opts.nil_cutoff)
     except (RegistryError, ReductionError) as e:
         _fail(EXIT_INPUT, str(e))
     cert = emit_certificate(tree)

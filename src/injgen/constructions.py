@@ -727,7 +727,8 @@ def theta_extension(R: GradedAlgebra, M: GradedBimodule, theta=None) -> ThetaDat
 
 
 def trivial_extension(R: GradedAlgebra, M: GradedBimodule) -> ThetaData:
-    """Square-zero extension of R by M (independent of the theta path)."""
+    """Square-zero extension of R by M: theta_extension with the zero
+    pairing, built through the same tables."""
     if M.left_algebra != R or M.right_algebra != R:
         raise ConstructionError("extension needs a bimodule over the base on both sides")
     zero = _zero_table(M.dim, M.dim)

@@ -15,7 +15,10 @@ Statuses form a ladder: Established needs every hypothesis verified and
 every leaf a base fact; one inconclusive hypothesis anywhere drops the
 grade to Refutation-free-but-Conditional, and nothing else does; anything
 else is Unknown.  A refuted hypothesis only disqualifies the rule
-application.  The engine never concludes a negative.
+application.  The engine never concludes a negative.  Rules run both
+ways, so claims form a graph with cycles; derive grades a claim by the
+least fixpoint over it, with no depth limit (see _derive), and derivation
+and validation evaluate each (rule, claim) pair once per Env.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ CONDITIONAL = "Refutation-free-but-Conditional"
 UNKNOWN = "Unknown"
 
 _GRADE = {UNKNOWN: 0, CONDITIONAL: 1, ESTABLISHED: 2}
+_STATUS = {g: s for s, g in _GRADE.items()}
 _HYP_GRADE = {"refuted": 0, "inconclusive": 1, "verified": 2}
 
 
@@ -109,9 +113,17 @@ class Env:
         self.nil_cutoff = nil_cutoff
         self._rebuilt = {}
         self._deg0 = {}
+        self._edges = {}
 
     def obj(self, h):
         return self.reg.load(h)
+
+    def edges(self, rule, h):
+        """rule.edges(self, h), evaluated once per Env."""
+        key = (rule.rule_id, h)
+        if key not in self._edges:
+            self._edges[key] = rule.edges(self, h)
+        return self._edges[key]
 
     def prov(self, h):
         return self.reg.entry(h).get("provenance") or {}
@@ -488,38 +500,53 @@ def emit_certificate(tree: DerivationTree) -> dict:
     return cert
 
 
-def _derive(env, h, depth, stack):
-    claim = env.claim(h)
-    if h in stack or depth < 0:
-        return DerivationTree(claim, UNKNOWN)
-    best = DerivationTree(claim, UNKNOWN)
-    best_grade = 0
-    for rule in RULES:
-        for edge in rule.edges(env, h):
-            if edge.refuted:
-                continue
-            cap = edge.grade_cap
-            if cap <= best_grade:
-                continue
-            subtrees = [_derive(env, p, depth - 1, stack | {h})
-                        for p in edge.premises]
-            grade = cap
-            for t in subtrees:
-                grade = min(grade, _GRADE[t.status])
-            if grade <= best_grade:
-                continue
-            status = next(s for s, g in _GRADE.items() if g == grade)
-            step = {"rule": rule.rule_id, "citation": rule.citation,
-                    "direction": edge.direction,
-                    "hypotheses": edge.hypotheses, "premises": subtrees}
-            best = DerivationTree(claim, status, step)
-            best_grade = grade
-            if best_grade == _GRADE[ESTABLISHED]:
-                return best
-    return best
+def _derive(env, h):
+    """The tree of h under the least fixpoint of grade(c) = max over c's
+    unrefuted edges of min(cap, premise grades), from Unknown.
+
+    A round walks from h in RULES and edge order, visiting a claim once
+    and reading a visited premise's committed grade; a claim commits a
+    step only when its grade strictly rises, and stops at an Established
+    edge.  Rounds end when one raises nothing or h is Established.
+    Well-founded: a committed step's premises hold its grade and rise only
+    above it, so (grade, commit order) puts each step above its premises.
+    Terminates: a claim rises at most twice, and the claims are the stored
+    objects and their trivially graded degree-zero parts, from which R-STR
+    and R-POSGR yield no edge.  Ties break by RULES order, then edge order.
+    """
+    grade, step = {}, {}
+
+    def visit(c, seen):
+        seen.add(c)
+        best = grade.get(c, 0)
+        for rule in RULES:
+            for edge in env.edges(rule, c):
+                if edge.refuted or edge.grade_cap <= best:
+                    continue
+                g = min([edge.grade_cap] + [grade.get(p, 0) if p in seen
+                                            else visit(p, seen) for p in edge.premises])
+                if g > best:
+                    best, grade[c], step[c] = g, g, (rule, edge)
+                    if best == _GRADE[ESTABLISHED]:
+                        return best
+        return best
+
+    before = None
+    while grade != before and grade.get(h) != _GRADE[ESTABLISHED]:
+        before = dict(grade)
+        visit(h, set())
+
+    def tree(c):
+        if c not in step:
+            return DerivationTree(env.claim(c), UNKNOWN)
+        rule, edge = step[c]
+        return DerivationTree(env.claim(c), _STATUS[grade[c]], {
+            "rule": rule.rule_id, "citation": rule.citation, "direction": edge.direction,
+            "hypotheses": edge.hypotheses, "premises": [tree(p) for p in edge.premises]})
+    return tree(h)
 
 
-def derive(reg, target, max_depth=6, pd_cutoff=DEFAULT_PD_CUTOFF,
+def derive(reg, target, pd_cutoff=DEFAULT_PD_CUTOFF,
            nil_cutoff=DEFAULT_NIL_CUTOFF) -> DerivationTree:
     env = Env(reg, pd_cutoff=pd_cutoff, nil_cutoff=nil_cutoff)
     h = reg.resolve(target)
@@ -527,7 +554,7 @@ def derive(reg, target, max_depth=6, pd_cutoff=DEFAULT_PD_CUTOFF,
         raise ReductionError("claims are about algebras; got a "
                              + str(reg.entry(h).get("kind")))
     env.obj(h)  # the store refuses an object that violates its axioms
-    tree = _derive(env, h, max_depth, frozenset())
+    tree = _derive(env, h)
     tree.cutoffs = {"pd_cutoff": pd_cutoff, "nil_cutoff": nil_cutoff}
     return tree
 
@@ -612,7 +639,7 @@ def _revalidate(env, node, problems, where, may_rise):
     premise_hashes = [p["claim"].get("hash") for p in premise_nodes]
     try:
         env.obj(h)
-        edges = rule.edges(env, h)
+        edges = env.edges(rule, h)
     except RegistryError as e:  # the claim or an object its rule reads
         problems.append(f"{where}: {e}")
         return UNKNOWN
@@ -647,7 +674,7 @@ def _revalidate(env, node, problems, where, may_rise):
     for i, p in enumerate(premise_nodes):
         sub = _revalidate(env, p, problems, f"{where}.{i}", may_rise)
         grade = min(grade, _GRADE[sub])
-    recomputed = next(s for s, g in _GRADE.items() if g == grade)
+    recomputed = _STATUS[grade]
     if grade < _GRADE[status]:
         problems.append(f"{where}: recorded status {status} but recomputed "
                         f"{recomputed}")

@@ -27,6 +27,15 @@ class RegistryError(Exception):
     pass
 
 
+def _provenance_ok(prov):
+    """Whether prov is null or a record naming a construction and a list of
+    input hashes."""
+    return prov is None or (
+        isinstance(prov, dict) and isinstance(prov.get("construction"), str)
+        and isinstance(prov.get("inputs"), list)
+        and all(isinstance(h, str) for h in prov["inputs"]))
+
+
 class Registry:
     def __init__(self, root):
         self.root = Path(root)
@@ -37,7 +46,8 @@ class Registry:
 
     def _read_index(self):
         """The index on disk: an object whose "objects" maps each hash to an
-        entry object with a string "file"; RegistryError otherwise."""
+        entry object with a string "file", a string or null "label" and a
+        well-formed or null "provenance"; RegistryError otherwise."""
         if not self._index_path.exists():
             return {"objects": {}}
         try:
@@ -46,9 +56,11 @@ class Registry:
             raise RegistryError(f"corrupt index at {self._index_path}: {e}") from e
         objs = index.get("objects") if isinstance(index, dict) else None
         if not isinstance(objs, dict) or not all(
-                isinstance(e, dict) and isinstance(e.get("file"), str) for e in objs.values()):
+                isinstance(e, dict) and isinstance(e.get("file"), str)
+                and isinstance(e.get("label"), (str, type(None)))
+                and _provenance_ok(e.get("provenance")) for e in objs.values()):
             raise RegistryError(f"corrupt index at {self._index_path}: not a map of "
-                                "hashes to entries with a file")
+                                "hashes to entries with a file, a label and a provenance")
         return index
 
     @contextmanager
@@ -93,6 +105,8 @@ class Registry:
     def _write(self, h, doc, label, obj=None):
         """Admit document doc (hash h; its object obj when the caller has
         it) and write it and its index entry under the lock."""
+        if not _provenance_ok(doc.get("provenance")):
+            raise RegistryError(f"object {label or h[:12]}: malformed provenance")
         self._admit(h, doc, obj)
         rel = f"objects/{h}.json"
         path = self.root / rel

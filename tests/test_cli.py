@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from injgen.cli import main
-from injgen.reduction import CONDITIONAL, ESTABLISHED
+from injgen.reduction import _GRADE, CONDITIONAL, ESTABLISHED
 from injgen.field import PrimeField
 from injgen.groups import FiniteAbelianGroup
 from injgen.samples import group_algebra, product_field_algebra
@@ -224,7 +224,8 @@ def test_validate_cert_rejects_tampering(runner, store, tmp_path):
     doc["steps"][0]["rule"] = "R-BEIL"
     cert.write_text(json.dumps(doc))
     result = invoke(runner, store, "validate-cert", str(cert), code=1)
-    assert not json.loads(result.output)["valid"]
+    out = json.loads(result.output)
+    assert not out["valid"] and out["recomputed_status"] in _GRADE
 
 
 def test_validate_cert_reports_a_malformed_certificate(runner, store, tmp_path):
@@ -238,6 +239,7 @@ def test_validate_cert_reports_a_malformed_certificate(runner, store, tmp_path):
     assert isinstance(result.exception, SystemExit) and result.stderr == ""
     out = json.loads(result.stdout)
     assert not out["valid"] and out["problems"][0].startswith("root.0: ")
+    assert out["recomputed_status"] in _GRADE
 
 
 def test_validate_cert_refuses_a_deeply_nested_file(runner, store, tmp_path):

@@ -27,7 +27,8 @@ from injgen.constructions import (Bicharacter, morita_ring,
                                   twisted_module, twisted_tensor)
 from injgen.field import PrimeField
 from injgen.groups import TRIVIAL_GROUP, FiniteAbelianGroup
-from injgen.reduction import ESTABLISHED, derive, emit_certificate, validate_cert
+from injgen.reduction import (ESTABLISHED, _GRADE, derive, emit_certificate,
+                              validate_cert)
 from injgen.registry import Registry, RegistryError
 from injgen.samples import group_algebra
 from injgen.serialize import canonical_bytes, content_hash, from_json
@@ -109,7 +110,7 @@ def test_validate_cert_rejects_an_invalid_object(tmp_path):
     bad = tmp_path / "bad"
     cert["claim"]["hash"] = hand_written(bad, bad_kxk(), "kxk")
     ok, status, problems = validate_cert(cert, Registry(bad))
-    assert not ok and status != ESTABLISHED
+    assert not ok and status in _GRADE and status != ESTABLISHED
     assert problems and all("object kxk violates 4 axiom" in p for p in problems)
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(cert))
@@ -149,11 +150,19 @@ def test_derive_accepts_a_file_path(tmp_path):
 
 
 # not JSON, then JSON of the wrong shape: not an object, no "objects" map,
-# a list for the map, an entry that is not an object with a file
-CORRUPT_INDEXES = ["{nope", "[]", '{"x": 1}', '{"objects": []}', '{"objects": {"abc": 5}}']
+# a list for the map, an entry that is not an object with a file; then
+# entries whose provenance is not an object, has no construction name or
+# inputs that are not a list of hashes, and an entry whose label is not a
+# string
+BAD_ENTRIES = [{"provenance": [1, 2]}, {"provenance": {"inputs": []}},
+               {"provenance": {"construction": "covering_ring", "inputs": "abc"}},
+               {"provenance": {"construction": "covering_ring", "inputs": [1]}},
+               {"label": 5}]
+CORRUPT_INDEXES = ["{nope", "[]", '{"x": 1}', '{"objects": []}', '{"objects": {"abc": 5}}'] + [
+    json.dumps({"objects": {"abc": dict(file="objects/abc.json", **e)}}) for e in BAD_ENTRIES]
 
 
-@pytest.mark.parametrize("args", [("corpus-load",), ("pd", "kxk-arrow")])
+@pytest.mark.parametrize("args", [("corpus-load",), ("pd", "kxk-arrow"), ("derive", "kxk")])
 def test_corrupt_index_exits_2(tmp_path, args):
     for n, body in enumerate(CORRUPT_INDEXES):
         store = tmp_path / str(n)
@@ -161,6 +170,19 @@ def test_corrupt_index_exits_2(tmp_path, args):
         (store / "index.json").write_text(body)
         res = cli(store, *args)
         assert res.exit_code == 2 and "corrupt index" in res.output, body
+
+
+def test_store_refuses_a_document_with_malformed_provenance(tmp_path):
+    # provenance is outside the hash, so the store checks its shape before
+    # writing it into the index
+    doc = dict(corpus_doc("kxkxk"), provenance=[1, 2])
+    with pytest.raises(RegistryError, match="malformed provenance"):
+        Registry(tmp_path / "store").store(doc, label="kxkxk")
+    path = tmp_path / "kxkxk.json"
+    path.write_text(json.dumps(doc))
+    res = cli(tmp_path / "store", "derive", str(path))
+    assert res.exit_code == 2 and "malformed provenance" in res.output, res.output
+    assert len(Registry(tmp_path / "store")) == 0
 
 
 def test_huge_prime_is_refused_quickly(tmp_path):

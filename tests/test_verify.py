@@ -1,5 +1,7 @@
 import pytest
 
+from injgen import constructions
+from injgen.algebra import GradedAlgebra
 from injgen.verify import check_names, run_suite
 
 EXPECTED_CHECKS = ["zero-context", "covering-roundtrip", "tensor-formula",
@@ -26,3 +28,21 @@ def test_only_filter():
 def test_unknown_name_raises():
     with pytest.raises(ValueError):
         run_suite(only=["zero-context", "bogus"])
+
+
+def test_degeneracy_catches_a_broken_square_zero_extension(monkeypatch):
+    """The trivial extension is checked against the tensor ring truncated
+    at 2, which does not go through the extension tables: with the right
+    action dropped from those tables the check fails."""
+    theta_tables = constructions._theta_tables
+
+    def without_right_action(R, M, theta):
+        A = theta_tables(R, M, theta)
+        mult = [[{} if i >= R.dim > j else cell for j, cell in enumerate(row)]
+                for i, row in enumerate(A.mult)]
+        return GradedAlgebra._trusted(A.field, A.group, A.labels, A.degree, A.unit, mult)
+
+    monkeypatch.setattr(constructions, "_theta_tables", without_right_action)
+    (rep,) = run_suite(only=["degeneracy"])
+    assert rep.ok is False
+    assert rep.details["trivial_extension_equals_truncated_tensor_ring"] is False
