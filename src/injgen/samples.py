@@ -90,13 +90,10 @@ def _random_acyclic_path_algebra(field, rng, group, max_dim):
                         break
                 if relations:
                     break
-        try:
-            pa = path_algebra(field, vertices, arrows, relations, group=group,
-                              degrees=degrees)
-        except Exception:
-            continue
-        if pa.algebra.dim <= max_dim:
-            return pa.algebra
+        A = path_algebra(field, vertices, arrows, relations, group=group,
+                         degrees=degrees).algebra
+        if A.dim <= max_dim:
+            return A
     return None
 
 

@@ -200,6 +200,45 @@ def test_huge_prime_is_refused_quickly(tmp_path):
     assert proc.returncode == 2 and "too large" in proc.stderr
 
 
+# -- quiver documents ----------------------------------------------------------
+
+QUIVER = {"field": {"kind": "fp", "p": 5}, "vertices": ["1", "2"],
+          "arrows": [["a", "1", "2"]]}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: {}, "quiver document lacks 'field'"),
+    (lambda d: [1, 2], "quiver document must be a JSON object"),
+    (lambda d: {**d, "arrows": [["a", "1"]]}, "an arrow must be [name, source, target]"),
+    (lambda d: {**d, "arrows": ["a12"]}, "an arrow must be [name, source, target]"),
+    (lambda d: {**d, "vertices": "12"}, "'vertices' must be a list of strings"),
+    (lambda d: {**d, "relations": "a"}, "'arrows' and 'relations' must be lists"),
+    (lambda d: {**d, "relations": ["a"]}, "a relation must be a list of arrow names"),
+    (lambda d: {**d, "degrees": {"a": 1}}, "'degrees' must map arrow names to lists"),
+    (lambda d: {**d, "degrees": {"a": [1]}}, "has wrong rank"),
+    (lambda d: {**d, "field": {"kind": "zz"}}, "unknown field kind 'zz'"),
+    (lambda d: {**d, "group": [2]}, "bad quiver document"),
+], ids=["empty", "list", "short-arrow", "string-arrow", "string-vertices",
+        "string-relations", "string-relation", "scalar-degree", "degree-rank",
+        "field-kind", "group"])
+def test_malformed_quiver_documents_exit_2(tmp_path, edit, message):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(edit(dict(QUIVER))))
+    res = cli(tmp_path / "store", "build", "path-algebra", str(path))
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert "error: " in res.output and message in res.output, res.output
+
+
+def test_a_quiver_with_a_directed_cycle_exits_1(tmp_path):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({**QUIVER, "arrows": [["a", "1", "2"], ["b", "2", "1"]]}))
+    res = cli(tmp_path / "store", "build", "path-algebra", str(path))
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+    assert "error: quiver has a directed cycle" in res.output
+    path.write_text(json.dumps(QUIVER))
+    assert cli(tmp_path / "store", "build", "path-algebra", str(path)).exit_code == 0
+
+
 # -- caller-supplied data that only the output checks used to catch --------------
 
 
