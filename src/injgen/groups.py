@@ -68,7 +68,10 @@ class FiniteAbelianGroup:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["invariant_factors"])
+        factors = obj["invariant_factors"]
+        if not (isinstance(factors, list) and all(type(n) is int for n in factors)):
+            raise ValueError(f"invariant_factors must be a list of integers, got {factors!r:.60}")
+        return cls(factors)
 
     def __eq__(self, other):
         return isinstance(other, FiniteAbelianGroup) and self.factors == other.factors

@@ -22,7 +22,7 @@ from itertools import islice
 from .algebra import AlgebraError, GradedAlgebra
 from .field import field_from_json
 from .groups import FiniteAbelianGroup, TRIVIAL_GROUP
-from .serialize import SerializeError
+from .serialize import SerializeError, _strings
 
 
 class PathAlgebraData:
@@ -120,14 +120,6 @@ def path_algebra(field, vertices, arrows, relations=(), group=TRIVIAL_GROUP,
     A = GradedAlgebra._trusted(field, group, [_path_label(p) for p in named],
                                degs, unit, mult)
     return PathAlgebraData(A, named, {v: i for i, v in enumerate(vertices)})
-
-
-def _strings(x, what, size=None):
-    """x if it is a list of strings, of the given size if one is given."""
-    if (isinstance(x, list) and all(isinstance(s, str) for s in x)
-            and size in (None, len(x))):
-        return x
-    raise SerializeError(f"{what}, got {x!r:.60}")
 
 
 def path_algebra_from_json(obj, field=None):

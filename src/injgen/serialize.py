@@ -1,9 +1,15 @@
 """JSON forms for algebras, modules, and bimodules, plus content hashing.
 
-Document kinds are told apart by their keys: "mult" marks an algebra,
-both "action_left" and "action_right" mark a bimodule, exactly one of
-them marks a one-sided module.  Scalars serialize through the field's
-enc/dec pair (residue integers for F_p, "a/b" strings for Q).
+to_json and from_json are the one codec for stored documents.  Each has
+the shared keys "field", "group" (its ring's, the left one's for a
+bimodule), "basis" and "degree"; a module nests its algebra as "algebra",
+a bimodule its two as "left_algebra" and "right_algebra".  Kinds are told
+apart by their tables: "mult" marks an algebra, both "action_left" and
+"action_right" mark a bimodule, exactly one of them a one-sided module.
+Scalars serialize through the field's enc/dec pair (residue integers for
+F_p, "a/b" strings for Q).  from_json refuses invariant factors or degrees
+that are not lists of integers (booleans are not), a basis that is not a
+list of strings and a unit that is not a list.
 
 The content hash is the sha256 of the canonical bytes (sorted keys,
 tight separators) with the top-level "provenance" key removed, so two
@@ -54,69 +60,47 @@ def _table_in(field, table, dim):
     return [[_cells_in(field, cell, dim) for cell in row] for row in table]
 
 
-def _degrees_out(degs):
-    return [list(d) for d in degs]
-
-
 def _degrees_in(degs):
-    if not isinstance(degs, list):
+    if not (isinstance(degs, list) and all(isinstance(d, list) for d in degs)
+            and all(type(x) is int for d in degs for x in d)):
         raise SerializeError("degree must be a list of group elements")
     return [tuple(d) for d in degs]
 
 
-def algebra_to_json(A: GradedAlgebra, provenance=None) -> dict:
-    doc = {
-        "field": A.field.to_json(),
-        "group": A.group.to_json(),
-        "basis": list(A.labels),
-        "degree": _degrees_out(A.degree),
-        "unit": [A.field.enc(c) for c in A.unit],
-        "mult": _table_out(A.field, A.mult),
-    }
-    if provenance is not None:
-        doc["provenance"] = provenance
-    return doc
-
-
-def module_to_json(M: GradedModule, provenance=None) -> dict:
-    key = "action_right" if M.side == "right" else "action_left"
-    doc = {
-        "field": M.algebra.field.to_json(),
-        "group": M.algebra.group.to_json(),
-        "algebra": algebra_to_json(M.algebra),
-        "basis": list(M.labels),
-        "degree": _degrees_out(M.degree),
-        key: _table_out(M.algebra.field, M.action),
-    }
-    if provenance is not None:
-        doc["provenance"] = provenance
-    return doc
-
-
-def bimodule_to_json(W: GradedBimodule, provenance=None) -> dict:
-    doc = {
-        "field": W.left_algebra.field.to_json(),
-        "group": W.left_algebra.group.to_json(),
-        "left_algebra": algebra_to_json(W.left_algebra),
-        "right_algebra": algebra_to_json(W.right_algebra),
-        "basis": list(W.labels),
-        "degree": _degrees_out(W.degree),
-        "action_left": _table_out(W.left_algebra.field, W.left_action),
-        "action_right": _table_out(W.right_algebra.field, W.right_action),
-    }
-    if provenance is not None:
-        doc["provenance"] = provenance
-    return doc
+def _strings(x, what, size=None):
+    """x if it is a list of strings, of the given size if one is given."""
+    if (isinstance(x, list) and all(isinstance(s, str) for s in x)
+            and size in (None, len(x))):
+        return x
+    raise SerializeError(f"{what}, got {x!r:.60}")
 
 
 def to_json(obj, provenance=None) -> dict:
+    """The document of an algebra, module or bimodule: the shared keys, the
+    nested algebras its tables are over, then those tables."""
     if isinstance(obj, GradedAlgebra):
-        return algebra_to_json(obj, provenance)
-    if isinstance(obj, GradedBimodule):
-        return bimodule_to_json(obj, provenance)
-    if isinstance(obj, GradedModule):
-        return module_to_json(obj, provenance)
-    raise SerializeError(f"cannot serialize {type(obj).__name__}")
+        ring, rings = obj, {}
+        tables = {"unit": [obj.field.enc(c) for c in obj.unit],
+                  "mult": _table_out(obj.field, obj.mult)}
+    elif isinstance(obj, GradedBimodule):
+        ring, R = obj.left_algebra, obj.right_algebra
+        rings = {"left_algebra": ring, "right_algebra": R}
+        tables = {"action_left": _table_out(ring.field, obj.left_action),
+                  "action_right": _table_out(R.field, obj.right_action)}
+    elif isinstance(obj, GradedModule):
+        ring = obj.algebra
+        rings = {"algebra": ring}
+        key = "action_right" if obj.side == "right" else "action_left"
+        tables = {key: _table_out(ring.field, obj.action)}
+    else:
+        raise SerializeError(f"cannot serialize {type(obj).__name__}")
+    doc = {"field": ring.field.to_json(), "group": ring.group.to_json(),
+           **{k: to_json(A) for k, A in rings.items()},
+           "basis": list(obj.labels), "degree": [list(d) for d in obj.degree],
+           **tables}
+    if provenance is not None:
+        doc["provenance"] = provenance
+    return doc
 
 
 def object_kind(doc: dict) -> str:
@@ -138,65 +122,46 @@ def _require(doc, *keys):
             raise SerializeError(f"missing key {k!r}")
 
 
-def algebra_from_json(doc: dict) -> GradedAlgebra:
-    _require(doc, "field", "group", "basis", "degree", "unit", "mult")
+def from_json(doc: dict):
+    """The algebra, module or bimodule of a document, by object_kind."""
+    return _decode(doc, object_kind(doc))
+
+
+def _decode(doc, kind):
+    """The object of a document of the given kind: its keys are checked in
+    order, then its nested algebras decoded, then its own fields read."""
+    if kind == "algebra":
+        keys = ("field", "group", "basis", "degree", "unit", "mult")
+    elif kind == "module":
+        side = "right" if "action_right" in doc else "left"
+        keys = ("algebra", "basis", "degree", "action_" + side)
+    else:
+        keys = ("left_algebra", "right_algebra", "basis", "degree", "action_left", "action_right")
+    _require(doc, *keys)
+    rings = [_decode(doc[k], "algebra") for k in keys if k.endswith("algebra")]
     try:
-        field = field_from_json(doc["field"])
-        group = FiniteAbelianGroup.from_json(doc["group"])
-        labels = [str(s) for s in doc["basis"]]
+        if kind == "algebra":
+            field = field_from_json(doc["field"])
+            group = FiniteAbelianGroup.from_json(doc["group"])
+        labels = _strings(doc["basis"], "basis must be a list of strings")
         degree = _degrees_in(doc["degree"])
-        unit = [field.dec(c) for c in doc["unit"]]
-        mult = _table_in(field, doc["mult"], len(labels))
-        return GradedAlgebra(field, group, labels, degree, unit, mult)
+        n = len(labels)
+        if kind == "algebra":
+            if not isinstance(doc["unit"], list):
+                raise SerializeError(f"unit must be a list, got {doc['unit']!r:.60}")
+            return GradedAlgebra(field, group, labels, degree, [field.dec(c) for c in doc["unit"]],
+                                 _table_in(field, doc["mult"], n))
+        if kind == "module":
+            (A,) = rings
+            return GradedModule(A, side, labels, degree,
+                                _table_in(A.field, doc["action_" + side], n))
+        L, R = rings
+        return GradedBimodule(L, R, labels, degree, _table_in(L.field, doc["action_left"], n),
+                              _table_in(R.field, doc["action_right"], n))
     except SerializeError:
         raise
     except Exception as e:  # field, scalar and constructor shape errors
-        raise SerializeError(f"bad algebra document: {e}") from e
-
-
-def module_from_json(doc: dict) -> GradedModule:
-    _require(doc, "algebra", "basis", "degree")
-    A = algebra_from_json(doc["algebra"])
-    if "action_right" in doc and "action_left" in doc:
-        raise SerializeError("one-sided module cannot carry both actions")
-    side = "right" if "action_right" in doc else "left"
-    key = "action_" + side
-    _require(doc, key)
-    try:
-        labels = [str(s) for s in doc["basis"]]
-        degree = _degrees_in(doc["degree"])
-        action = _table_in(A.field, doc[key], len(labels))
-        return GradedModule(A, side, labels, degree, action)
-    except SerializeError:
-        raise
-    except Exception as e:
-        raise SerializeError(f"bad module document: {e}") from e
-
-
-def bimodule_from_json(doc: dict) -> GradedBimodule:
-    _require(doc, "left_algebra", "right_algebra", "basis", "degree",
-             "action_left", "action_right")
-    L = algebra_from_json(doc["left_algebra"])
-    R = algebra_from_json(doc["right_algebra"])
-    try:
-        labels = [str(s) for s in doc["basis"]]
-        degree = _degrees_in(doc["degree"])
-        left = _table_in(L.field, doc["action_left"], len(labels))
-        right = _table_in(R.field, doc["action_right"], len(labels))
-        return GradedBimodule(L, R, labels, degree, left, right)
-    except SerializeError:
-        raise
-    except Exception as e:
-        raise SerializeError(f"bad bimodule document: {e}") from e
-
-
-def from_json(doc: dict):
-    kind = object_kind(doc)
-    if kind == "algebra":
-        return algebra_from_json(doc)
-    if kind == "bimodule":
-        return bimodule_from_json(doc)
-    return module_from_json(doc)
+        raise SerializeError(f"bad {kind} document: {e}") from e
 
 
 def canonical_bytes(doc: dict) -> bytes:

@@ -25,9 +25,7 @@ class _Corpus:
     def __init__(self):
         self.docs = dict(corpus_docs())
         self._objs = {}
-
-    def doc(self, label):
-        return self.docs[label]
+        self._labels = {content_hash(doc): lab for lab, doc in self.docs.items()}
 
     def obj(self, label):
         if label not in self._objs:
@@ -36,9 +34,8 @@ class _Corpus:
 
     def built(self, label):
         """The construction of a corpus object, re-run from its provenance."""
-        by_hash = {content_hash(doc): lab for lab, doc in self.docs.items()}
         return reconstruct(self.docs[label]["provenance"],
-                           lambda h: self.obj(by_hash[h]))
+                           lambda h: self.obj(self._labels[h]))
 
 
 def _check_zero_context(c, seed):

@@ -15,10 +15,10 @@ from injgen.linalg import Matrix
 from injgen.registry import Registry, RegistryError
 from injgen.samples import (group_algebra, product_field_algebra,
                             truncated_polynomial)
-from injgen.serialize import (SerializeError, algebra_from_json, canonical_bytes,
-                              content_hash, from_json, matrix_from_json,
-                              matrix_to_json, module_from_json, object_hash,
-                              object_kind, provenance_record, to_json)
+from injgen.serialize import (SerializeError, canonical_bytes, content_hash,
+                              from_json, matrix_from_json, matrix_to_json,
+                              object_hash, object_kind, provenance_record,
+                              to_json)
 
 F5 = PrimeField(5)
 Z2 = FiniteAbelianGroup((2,))
@@ -125,7 +125,7 @@ def test_rejects_module_with_both_actions():
     doc = to_json(regular_module(A, "right"))
     doc["action_left"] = doc["action_right"]
     with pytest.raises(SerializeError):
-        module_from_json(doc)
+        from_json(doc)
 
 
 def test_rejects_bad_scalars_and_indices():
@@ -134,20 +134,20 @@ def test_rejects_bad_scalars_and_indices():
     bad = json.loads(json.dumps(doc))
     bad["mult"][0][0] = [[7, 1]]       # basis index out of range
     with pytest.raises(SerializeError):
-        algebra_from_json(bad)
+        from_json(bad)
     bad = json.loads(json.dumps(doc))
     bad["mult"][0][0] = [[0, 1], [0, 2]]   # duplicate index in one cell
     with pytest.raises(SerializeError):
-        algebra_from_json(bad)
+        from_json(bad)
     bad = json.loads(json.dumps(doc))
     bad["mult"][0][0] = [[0, "x"]]
     with pytest.raises(SerializeError):
-        algebra_from_json(bad)
+        from_json(bad)
 
 
 def test_rejects_missing_field():
     with pytest.raises(SerializeError):
-        algebra_from_json({"basis": [], "mult": []})
+        from_json({"basis": [], "mult": []})
 
 
 # -- registry ------------------------------------------------------------------
@@ -166,6 +166,9 @@ def test_registry_store_load_resolve(tmp_path):
         reg.resolve("nothere")
     with pytest.raises(RegistryError):
         reg.resolve(h[:4])      # prefixes shorter than 6 chars don't resolve
+    with pytest.raises(RegistryError):
+        reg.resolve(h[:5])
+    assert reg.resolve(h[:6]) == h
 
 
 def test_registry_survives_reopen(tmp_path):
@@ -198,6 +201,8 @@ def test_registry_provenance_enrichment(tmp_path):
     assert h1 == h0
     assert reg.entry(h0)["provenance"] == prov
     assert reg.label_of(h0) == "plain"      # first label sticks
+    # the object file is rewritten with it too
+    assert Registry(tmp_path / "store").load_doc(h0)["provenance"] == prov
 
 
 def test_registry_leaves_the_index_alone_on_a_no_op_store(tmp_path):

@@ -31,7 +31,7 @@ from injgen.reduction import (ESTABLISHED, _GRADE, derive, emit_certificate,
                               validate_cert)
 from injgen.registry import Registry, RegistryError
 from injgen.samples import group_algebra
-from injgen.serialize import canonical_bytes, content_hash, from_json
+from injgen.serialize import SerializeError, canonical_bytes, content_hash, from_json
 
 F5 = PrimeField(5)
 Z2 = FiniteAbelianGroup((2,))
@@ -204,6 +204,7 @@ def test_huge_prime_is_refused_quickly(tmp_path):
 
 QUIVER = {"field": {"kind": "fp", "p": 5}, "vertices": ["1", "2"],
           "arrows": [["a", "1", "2"]]}
+LOOSE_GROUP = "bad quiver document: invariant_factors must be a list of integers"
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -218,9 +219,12 @@ QUIVER = {"field": {"kind": "fp", "p": 5}, "vertices": ["1", "2"],
     (lambda d: {**d, "degrees": {"a": [1]}}, "has wrong rank"),
     (lambda d: {**d, "field": {"kind": "zz"}}, "unknown field kind 'zz'"),
     (lambda d: {**d, "group": [2]}, "bad quiver document"),
+    (lambda d: {**d, "group": {"invariant_factors": "23"}}, LOOSE_GROUP),
+    (lambda d: {**d, "group": {"invariant_factors": [True, 2]}}, LOOSE_GROUP),
+    (lambda d: {**d, "group": {"invariant_factors": [2.5]}}, LOOSE_GROUP),
 ], ids=["empty", "list", "short-arrow", "string-arrow", "string-vertices",
         "string-relations", "string-relation", "scalar-degree", "degree-rank",
-        "field-kind", "group"])
+        "field-kind", "group", "group-digits", "group-bool", "group-float"])
 def test_malformed_quiver_documents_exit_2(tmp_path, edit, message):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(edit(dict(QUIVER))))
@@ -237,6 +241,46 @@ def test_a_quiver_with_a_directed_cycle_exits_1(tmp_path):
     assert "error: quiver has a directed cycle" in res.output
     path.write_text(json.dumps(QUIVER))
     assert cli(tmp_path / "store", "build", "path-algebra", str(path)).exit_code == 0
+
+
+# -- strict document headers ---------------------------------------------------
+# Each document below has a header of another shape than the encoder
+# writes.  Read loosely (a string split into characters, booleans and
+# floats taken as integers), its object would re-encode to another
+# document, and the store would file one object under two hashes.
+
+
+def headed(label, **keys):
+    return {**corpus_doc(label), **keys}
+
+
+QQ_KXK = {"field": {"kind": "q"}, "group": {"invariant_factors": []}, "basis": ["e1", "e2"],
+          "degree": [[], []], "unit": ["1", "1"], "mult": [[[[0, "1"]], []], [[], [[1, "1"]]]]}
+LOOSE_HEADERS = {
+    "group-digits": headed("kxk", group={"invariant_factors": "23"}, degree=[[0, 0], [0, 0]]),
+    "group-bool": headed("kz2", group={"invariant_factors": [True, 2]}),
+    "group-float": headed("kz2", group={"invariant_factors": [2.5]}),
+    "degree-strings": headed("kz2", degree=["0", "1"]),
+    "degree-floats": headed("kz2", degree=[[0.0], [1.5]]),
+    "degree-bool": headed("kz2", degree=[[False], [True]]),
+    "basis-string": headed("kxk", basis="ab"),
+    "basis-ints": headed("kxk", basis=[1, 2]),
+    "unit-string": {**QQ_KXK, "unit": "11"},
+}
+
+
+@pytest.mark.parametrize("doc", LOOSE_HEADERS.values(), ids=LOOSE_HEADERS.keys())
+def test_loose_headers_are_refused(tmp_path, doc):
+    with pytest.raises(SerializeError, match="must be a list"):
+        from_json(doc)
+    reg = Registry(tmp_path / "store")
+    with pytest.raises(RegistryError, match="must be a list"):
+        reg.store(doc)
+    assert len(reg) == 0
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    res = cli(tmp_path / "store", "check", str(path))
+    assert res.exit_code == 2 and "must be a list" in res.output, res.output
 
 
 # -- caller-supplied data that only the output checks used to catch --------------
